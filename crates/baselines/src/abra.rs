@@ -30,19 +30,13 @@ pub struct AbraConfig {
     pub eps: f64,
     /// Failure probability δ.
     pub delta: f64,
-    /// Lemma 4 constant (default [`C_VC`]).
-    pub c_vc: f64,
 }
 
 impl AbraConfig {
     /// Standard configuration.
     pub fn new(eps: f64, delta: f64) -> Self {
         assert!(eps > 0.0 && delta > 0.0 && delta < 1.0);
-        AbraConfig {
-            eps,
-            delta,
-            c_vc: C_VC,
-        }
+        AbraConfig { eps, delta }
     }
 }
 
@@ -202,7 +196,7 @@ pub fn abra(g: &Graph, cfg: &AbraConfig, rng: &mut dyn RngCore) -> BaselineEstim
         };
     }
     let vc = diameter_vc_bound(g);
-    let n0 = ((cfg.c_vc / (cfg.eps * cfg.eps) * (1.0 / cfg.delta).ln()).ceil() as usize).max(16);
+    let n0 = ((C_VC / (cfg.eps * cfg.eps) * (1.0 / cfg.delta).ln()).ceil() as usize).max(16);
     let nmax = vc_sample_bound(cfg.eps, cfg.delta, vc).max(n0);
     let master = rng.next_u64();
 

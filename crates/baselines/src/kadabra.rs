@@ -26,19 +26,13 @@ pub struct KadabraConfig {
     pub eps: f64,
     /// Failure probability δ.
     pub delta: f64,
-    /// Lemma 4 constant (default [`C_VC`]).
-    pub c_vc: f64,
 }
 
 impl KadabraConfig {
     /// Standard configuration.
     pub fn new(eps: f64, delta: f64) -> Self {
         assert!(eps > 0.0 && delta > 0.0 && delta < 1.0);
-        KadabraConfig {
-            eps,
-            delta,
-            c_vc: C_VC,
-        }
+        KadabraConfig { eps, delta }
     }
 }
 
@@ -54,7 +48,7 @@ pub fn kadabra(g: &Graph, cfg: &KadabraConfig, rng: &mut dyn RngCore) -> Baselin
         };
     }
     let vc = diameter_vc_bound(g);
-    let n0 = ((cfg.c_vc / (cfg.eps * cfg.eps) * (1.0 / cfg.delta).ln()).ceil() as usize).max(16);
+    let n0 = ((C_VC / (cfg.eps * cfg.eps) * (1.0 / cfg.delta).ln()).ceil() as usize).max(16);
     let nmax = vc_sample_bound(cfg.eps, cfg.delta, vc).max(n0);
     let rounds = doubling_rounds(n0, nmax);
     // Per-node, per-round budget (two-sided).

@@ -20,7 +20,7 @@
 use rand::RngCore;
 use saphyra_graph::bbbfs::BiBfs;
 use saphyra_graph::Graph;
-use saphyra_stats::{stream, vc_sample_bound, C_VC};
+use saphyra_stats::{stream, vc_sample_bound};
 
 use crate::common::{diameter_vc_bound, uniform_pair, BaselineEstimate};
 
@@ -31,19 +31,13 @@ pub struct RkConfig {
     pub eps: f64,
     /// Failure probability δ.
     pub delta: f64,
-    /// Lemma 4 constant (default [`C_VC`]).
-    pub c_vc: f64,
 }
 
 impl RkConfig {
     /// Standard configuration.
     pub fn new(eps: f64, delta: f64) -> Self {
         assert!(eps > 0.0 && delta > 0.0 && delta < 1.0);
-        RkConfig {
-            eps,
-            delta,
-            c_vc: C_VC,
-        }
+        RkConfig { eps, delta }
     }
 }
 

@@ -1,10 +1,13 @@
-//! Ablation bench (DESIGN.md §5): full pipeline vs no-exact-subspace vs
-//! fixed VC budget vs no-bicomponents (KADABRA), timed on one network.
+//! Ablation bench: full pipeline vs no-exact-subspace vs fixed VC budget
+//! vs no-bicomponents (KADABRA), timed on one network — each variant drops
+//! one ingredient of SaPHyRa_bc (sample-space partitioning, adaptive
+//! stopping, bi-component sampling). The `ablation` bin reports the same
+//! variants' accuracy.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use saphyra::bc::{BcIndex, SaphyraBcConfig};
+use saphyra::bc::{BcDecomposition, SaphyraBcConfig};
 use saphyra_bench::{random_subset, run_algo, Algo};
 use saphyra_gen::datasets::{SimNetwork, SizeClass};
 use std::time::Duration;
@@ -18,9 +21,10 @@ fn config() -> Criterion {
 
 fn bench_ablation(c: &mut Criterion) {
     let g = SimNetwork::LiveJournal.build(SizeClass::Tiny, 1);
-    let index = BcIndex::new(&g);
+    let dec = BcDecomposition::compute(&g);
     let mut rng = StdRng::seed_from_u64(11);
     let subset = random_subset(&g, 100.min(g.num_nodes()), &mut rng);
+    let sets = [subset.clone()];
     let variants: Vec<(&str, SaphyraBcConfig)> = vec![
         ("full", SaphyraBcConfig::new(0.05, 0.1)),
         (
@@ -38,7 +42,8 @@ fn bench_ablation(c: &mut Criterion) {
             b.iter(|| {
                 seed += 1;
                 let mut rng = StdRng::seed_from_u64(seed);
-                std::hint::black_box(index.rank_subset(&subset, &cfg, &mut rng).stats.samples)
+                let ests = dec.rank(&g, &sets, &cfg, &mut rng, None).unwrap();
+                std::hint::black_box(ests[0].stats.samples)
             })
         });
     }
@@ -53,12 +58,12 @@ fn bench_ablation(c: &mut Criterion) {
     // Exact-oracle ablation: bicomponent-shattered weighted Brandes vs the
     // textbook algorithm, on the pendant-heavy network where shattering wins.
     let flickr = SimNetwork::Flickr.build(SizeClass::Tiny, 1);
-    let flickr_index = BcIndex::new(&flickr);
+    let flickr_dec = BcDecomposition::compute(&flickr);
     c.bench_function("ablation/exact_brandes", |b| {
         b.iter(|| std::hint::black_box(saphyra_graph::brandes::betweenness_exact(&flickr)[0]))
     });
     c.bench_function("ablation/exact_shattered", |b| {
-        b.iter(|| std::hint::black_box(flickr_index.exact_betweenness_shattered()[0]))
+        b.iter(|| std::hint::black_box(flickr_dec.exact_betweenness_shattered(&flickr)[0]))
     });
 }
 

@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use saphyra::bc::{BcIndex, SaphyraBcConfig};
+use saphyra::bc::{BcDecomposition, SaphyraBcConfig};
 use saphyra_bench::random_subset;
 use saphyra_gen::datasets::{SimNetwork, SizeClass};
 use saphyra_graph::brandes::betweenness_exact;
@@ -21,18 +21,19 @@ fn config() -> Criterion {
 fn bench_fig4(c: &mut Criterion) {
     let g = SimNetwork::Flickr.build(SizeClass::Tiny, 1);
     let truth = betweenness_exact(&g);
-    let index = BcIndex::new(&g);
+    let dec = BcDecomposition::compute(&g);
     let mut rng = StdRng::seed_from_u64(5);
-    let subset = random_subset(&g, 100.min(g.num_nodes()), &mut rng);
-    let truth_sub: Vec<f64> = subset.iter().map(|&v| truth[v as usize]).collect();
+    let sets = [random_subset(&g, 100.min(g.num_nodes()), &mut rng)];
+    let truth_sub: Vec<f64> = sets[0].iter().map(|&v| truth[v as usize]).collect();
     for eps in [0.1, 0.05] {
         c.bench_function(&format!("fig4_rank_quality_pipeline/eps{eps}"), |b| {
             let mut seed = 0u64;
             b.iter(|| {
                 seed += 1;
                 let mut rng = StdRng::seed_from_u64(seed);
-                let est = index.rank_subset(&subset, &SaphyraBcConfig::new(eps, 0.1), &mut rng);
-                std::hint::black_box(spearman_vs_truth(&est.bc, &truth_sub))
+                let cfg = SaphyraBcConfig::new(eps, 0.1);
+                let ests = dec.rank(&g, &sets, &cfg, &mut rng, None).unwrap();
+                std::hint::black_box(spearman_vs_truth(&ests[0].bc, &truth_sub))
             })
         });
     }

@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use saphyra::bc::{BcIndex, SaphyraBcConfig};
+use saphyra::bc::{BcDecomposition, SaphyraBcConfig};
 use saphyra_bench::random_subset;
 use saphyra_gen::datasets::{SimNetwork, SizeClass};
 use std::time::Duration;
@@ -18,17 +18,18 @@ fn config() -> Criterion {
 
 fn bench_fig5(c: &mut Criterion) {
     let g = SimNetwork::Orkut.build(SizeClass::Tiny, 1);
-    let index = BcIndex::new(&g);
+    let dec = BcDecomposition::compute(&g);
     for size in [10usize, 50, 100] {
         let mut rng = StdRng::seed_from_u64(size as u64);
-        let subset = random_subset(&g, size.min(g.num_nodes()), &mut rng);
+        let sets = [random_subset(&g, size.min(g.num_nodes()), &mut rng)];
         c.bench_function(&format!("fig5_subset_size/{size}"), |b| {
             let mut seed = 0u64;
             b.iter(|| {
                 seed += 1;
                 let mut rng = StdRng::seed_from_u64(seed);
-                let est = index.rank_subset(&subset, &SaphyraBcConfig::new(0.05, 0.1), &mut rng);
-                std::hint::black_box(est.stats.samples)
+                let cfg = SaphyraBcConfig::new(0.05, 0.1);
+                let ests = dec.rank(&g, &sets, &cfg, &mut rng, None).unwrap();
+                std::hint::black_box(ests[0].stats.samples)
             })
         });
     }

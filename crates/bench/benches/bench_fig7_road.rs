@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use saphyra::bc::{BcIndex, SaphyraBcConfig};
+use saphyra::bc::{BcDecomposition, SaphyraBcConfig};
 use saphyra_gen::datasets::{road_sim, SizeClass};
 use std::time::Duration;
 
@@ -18,7 +18,7 @@ fn config() -> Criterion {
 fn bench_fig7(c: &mut Criterion) {
     let road = road_sim(SizeClass::Tiny, 1);
     let g = &road.graph;
-    let index = BcIndex::new(g);
+    let dec = BcDecomposition::compute(g);
     c.bench_function("table3_area_extraction", |b| {
         b.iter(|| {
             let areas = road.case_study_areas();
@@ -27,14 +27,15 @@ fn bench_fig7(c: &mut Criterion) {
         })
     });
     for area in road.case_study_areas() {
-        let targets = area.nodes(&road);
+        let sets = [area.nodes(&road)];
         c.bench_function(&format!("fig7_area_rank/{}", area.name), |b| {
             let mut seed = 0u64;
             b.iter(|| {
                 seed += 1;
                 let mut rng = StdRng::seed_from_u64(seed);
-                let est = index.rank_subset(&targets, &SaphyraBcConfig::new(0.05, 0.1), &mut rng);
-                std::hint::black_box(est.stats.samples)
+                let cfg = SaphyraBcConfig::new(0.05, 0.1);
+                let ests = dec.rank(g, &sets, &cfg, &mut rng, None).unwrap();
+                std::hint::black_box(ests[0].stats.samples)
             })
         });
     }

@@ -18,9 +18,9 @@ use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use saphyra::bc::{build_a_index, BcApproxProblem, Outreach};
-use saphyra::framework::{estimate_risks, AdaptiveConfig};
+use saphyra::framework::{estimate, AdaptiveOutcome, ExactPart, LocalExec, Subscriber};
 use saphyra_gen::datasets::{SimNetwork, SizeClass};
 use saphyra_graph::{Bicomps, BlockCutTree, Graph};
 
@@ -61,7 +61,20 @@ fn bench_scaling(c: &mut Criterion) {
     let prob = BcApproxProblem::new(&s.g, &s.bic, &s.outreach, &s.targets, &a_index, 3);
     // Fixed budget: every run draws exactly nmax samples, so time/run is
     // directly samples/sec.
-    let cfg = AdaptiveConfig::new(0.02, 0.1).with_fixed_budget();
+    let run = || -> AdaptiveOutcome {
+        let sub = Subscriber {
+            problem: &prob,
+            exact: ExactPart::trivial(s.targets.len()),
+            eps: 0.02,
+            delta: 0.1,
+            adaptive: false,
+        };
+        let master = StdRng::seed_from_u64(7).next_u64();
+        estimate(&[sub], master, &mut LocalExec::new(&[&prob]))
+            .unwrap()
+            .remove(0)
+            .outcome
+    };
 
     // Criterion timings per thread count.
     for threads in THREAD_SWEEP {
@@ -70,12 +83,7 @@ fn bench_scaling(c: &mut Criterion) {
             .build()
             .unwrap();
         c.bench_function(&format!("gen_bc_fixed_budget/threads={threads}"), |b| {
-            b.iter(|| {
-                pool.install(|| {
-                    let mut rng = StdRng::seed_from_u64(7);
-                    estimate_risks(&prob, &cfg, &mut rng)
-                })
-            })
+            b.iter(|| pool.install(run))
         });
     }
 
@@ -96,10 +104,7 @@ fn bench_scaling(c: &mut Criterion) {
         let mut samples = 0usize;
         for _ in 0..3 {
             let t0 = Instant::now();
-            let out = pool.install(|| {
-                let mut rng = StdRng::seed_from_u64(7);
-                estimate_risks(&prob, &cfg, &mut rng)
-            });
+            let out = pool.install(run);
             let dt = t0.elapsed().as_secs_f64();
             samples = out.samples_used;
             if dt < best {

@@ -2,7 +2,7 @@
 //! decomposition, diameter estimation) behind the summary table.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use saphyra::bc::BcIndex;
+use saphyra::bc::BcDecomposition;
 use saphyra_gen::datasets::{SimNetwork, SizeClass};
 use saphyra_graph::bfs::BfsWorkspace;
 use saphyra_graph::diameter::double_sweep_lower;
@@ -19,7 +19,7 @@ fn bench_table2(c: &mut Criterion) {
     for net in SimNetwork::all() {
         let g = net.build(SizeClass::Tiny, 1);
         c.bench_function(&format!("table2_index_build/{}", net.name()), |b| {
-            b.iter(|| std::hint::black_box(BcIndex::new(&g).gamma))
+            b.iter(|| std::hint::black_box(BcDecomposition::compute(&g).gamma))
         });
         let mut ws = BfsWorkspace::new(g.num_nodes());
         c.bench_function(&format!("table2_double_sweep/{}", net.name()), |b| {

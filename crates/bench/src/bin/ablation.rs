@@ -1,10 +1,10 @@
-//! Ablation study (DESIGN.md §5): which of SaPHyRa_bc's three ingredients
+//! Ablation study: which of SaPHyRa_bc's three ingredients
 //! — the 2-hop exact subspace, adaptive Bernstein stopping, bi-component
 //! sampling — buys what, measured against the exact ground truth.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use saphyra::bc::{BcIndex, SaphyraBcConfig};
+use saphyra::bc::{BcDecomposition, SaphyraBcConfig};
 use saphyra_bench::report::fmt_f;
 use saphyra_bench::{
     build_networks, ground_truth, random_subset, run_algo, scale_from_env, seed_from_env,
@@ -58,8 +58,9 @@ fn main() {
             for (i, subset) in subsets.iter().enumerate() {
                 let mut rng = StdRng::seed_from_u64(seed + i as u64);
                 let t0 = Instant::now();
-                let index = BcIndex::new(g);
-                let est = index.rank_subset(subset, cfg, &mut rng);
+                let dec = BcDecomposition::compute(g);
+                let sets = [subset.clone()];
+                let est = dec.rank(g, &sets, cfg, &mut rng, None).unwrap().remove(0);
                 times.push(t0.elapsed().as_secs_f64());
                 let truth_sub: Vec<f64> = subset.iter().map(|&v| truth[v as usize]).collect();
                 rhos.push(spearman_vs_truth(&est.bc, &truth_sub));

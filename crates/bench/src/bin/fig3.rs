@@ -62,5 +62,5 @@ fn main() {
         "samples than KADABRA. Note: our KADABRA reimplementation shares SaPHyRa's bb-BFS and"
     );
     println!("Bernstein machinery, so the paper's 7-235x gap vs the authors' binaries compresses");
-    println!("to sample-count ratios at simulation scale (see EXPERIMENTS.md).");
+    println!("to sample-count ratios at simulation scale.");
 }

@@ -1,7 +1,7 @@
 //! Table II: networks' summary (nodes, edges, diameter) for the simulated
 //! stand-ins, plus the decomposition statistics SaPHyRa_bc exploits.
 
-use saphyra::bc::BcIndex;
+use saphyra::bc::BcDecomposition;
 use saphyra_bench::report::fmt_f;
 use saphyra_bench::{build_networks, scale_from_env, seed_from_env, Table};
 use saphyra_graph::bfs::BfsWorkspace;
@@ -28,22 +28,22 @@ fn main() {
         let g = &net.graph;
         let mut ws = BfsWorkspace::new(g.num_nodes());
         let diam = double_sweep_lower(g, 0, &mut ws);
-        let index = BcIndex::new(g);
-        let largest = (0..index.bic.num_bicomps as u32)
-            .map(|b| index.bic.size_of(b))
+        let dec = BcDecomposition::compute(g);
+        let largest = (0..dec.bic.num_bicomps as u32)
+            .map(|b| dec.bic.size_of(b))
             .max()
             .unwrap_or(0);
-        let cutpoints = index.bic.is_cutpoint.iter().filter(|&&c| c).count();
+        let cutpoints = dec.bic.is_cutpoint.iter().filter(|&&c| c).count();
         table.row(vec![
             net.name.to_string(),
             g.num_nodes().to_string(),
             g.num_edges().to_string(),
             diam.to_string(),
             fmt_f(2.0 * g.num_edges() as f64 / g.num_nodes() as f64, 2),
-            index.bic.num_bicomps.to_string(),
+            dec.bic.num_bicomps.to_string(),
             largest.to_string(),
             cutpoints.to_string(),
-            fmt_f(index.gamma, 4),
+            fmt_f(dec.gamma, 4),
         ]);
     }
     table.print();

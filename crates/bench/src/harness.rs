@@ -6,7 +6,7 @@ use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use saphyra::bc::{BcIndex, SaphyraBcConfig};
+use saphyra::bc::{BcDecomposition, SaphyraBcConfig};
 use saphyra_baselines::{abra, exact_betweenness, kadabra, AbraConfig, KadabraConfig};
 use saphyra_gen::datasets::{SimNetwork, SizeClass};
 use saphyra_graph::{Graph, NodeId};
@@ -194,8 +194,13 @@ pub fn run_algo(
             }
         }
         Algo::SaphyraFull => {
-            let index = BcIndex::new(g);
-            let est = index.rank_full(&SaphyraBcConfig::new(eps, delta), &mut rng);
+            let cfg = SaphyraBcConfig::new(eps, delta);
+            let sets = [g.nodes().collect()];
+            let dec = BcDecomposition::compute(g);
+            let est = dec
+                .rank(g, &sets, &cfg, &mut rng, None)
+                .expect("local execution")
+                .remove(0);
             let seconds = t0.elapsed().as_secs_f64();
             let subset_bc = targets
                 .iter()
@@ -208,8 +213,13 @@ pub fn run_algo(
             }
         }
         Algo::Saphyra => {
-            let index = BcIndex::new(g);
-            let est = index.rank_subset(targets, &SaphyraBcConfig::new(eps, delta), &mut rng);
+            let cfg = SaphyraBcConfig::new(eps, delta);
+            let sets = [targets.to_vec()];
+            let dec = BcDecomposition::compute(g);
+            let est = dec
+                .rank(g, &sets, &cfg, &mut rng, None)
+                .expect("local execution")
+                .remove(0);
             RunOutput {
                 seconds: t0.elapsed().as_secs_f64(),
                 subset_bc: est.bc,

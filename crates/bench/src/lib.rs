@@ -1,9 +1,9 @@
 //! # saphyra-bench
 //!
 //! The benchmark harness regenerating every table and figure of the SaPHyRa
-//! evaluation (§V) on the simulated networks of `saphyra-gen`
-//! (see DESIGN.md §4 for the dataset substitutions and §5 for the
-//! experiment index).
+//! evaluation (§V) on the simulated networks of `saphyra-gen` (whose
+//! `datasets` module lists the regime each stand-in for the paper's SNAP
+//! and DIMACS networks preserves).
 //!
 //! * Binaries (`cargo run --release -p saphyra-bench --bin <name>`):
 //!   `table1`, `table2`, `fig3`, `fig4`, `fig5`, `fig6`, `fig7`,

@@ -23,14 +23,14 @@
 use saphyra_graph::bfs::BfsWorkspace;
 use saphyra_graph::Graph;
 
-use super::ranker::BcIndex;
+use super::ranker::BcDecomposition;
 
-impl BcIndex<'_> {
-    /// Exact betweenness for **all** nodes via per-bicomponent weighted
+impl BcDecomposition {
+    /// Exact betweenness for **all** nodes of `g` — the graph this
+    /// decomposition was computed from — via per-bicomponent weighted
     /// Brandes (serial). Agrees with
     /// [`saphyra_graph::brandes::betweenness_exact`].
-    pub fn exact_betweenness_shattered(&self) -> Vec<f64> {
-        let g = self.graph;
+    pub fn exact_betweenness_shattered(&self, g: &Graph) -> Vec<f64> {
         let n = g.num_nodes();
         let mut bc = self.bca.clone();
         if n < 2 {
@@ -111,8 +111,7 @@ mod tests {
     use saphyra_graph::{fixtures, GraphBuilder};
 
     fn check(g: &Graph) {
-        let index = BcIndex::new(g);
-        let fast = index.exact_betweenness_shattered();
+        let fast = BcDecomposition::compute(g).exact_betweenness_shattered(g);
         let slow = betweenness_exact(g);
         for v in g.nodes() {
             assert!(

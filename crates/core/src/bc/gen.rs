@@ -21,8 +21,8 @@
 //! of a draw is personalized — two subscribers with different targets
 //! diverge after the first rejected path. Cross-request batching therefore
 //! fuses BC subscribers at the *schedule* level only (one parallel pass
-//! per doubling round via [`crate::framework::estimate_risks_multi`]),
-//! never at the draw level.
+//! per doubling round via [`crate::framework::LocalExec`]), never at the
+//! draw level.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -32,6 +32,8 @@ use saphyra_graph::{Bicomps, Graph, NodeId};
 
 use super::isp::Pisp;
 use super::outreach::Outreach;
+use saphyra_stats::vc_sample_bound;
+
 use crate::framework::{HrProblem, HrSampler};
 
 const NONE: u32 = u32::MAX;
@@ -101,8 +103,7 @@ fn sample_isp_into<R: Rng + ?Sized>(
 
 /// One `Gen_bc` draw into `hits`: optional rejection loop plus inner-node
 /// hit extraction (endpoints never count, Eq. 6). Returns the
-/// `(accepted, rejected)` deltas; shared by the per-worker [`BcSampler`]
-/// and the problem's own single-sample path.
+/// `(accepted, rejected)` deltas.
 #[allow(clippy::too_many_arguments)]
 fn draw_hits(
     g: &Graph,
@@ -247,8 +248,8 @@ impl Drop for BcSampler<'_> {
     }
 }
 
-impl HrSampler for BcSampler<'_> {
-    fn sample_hits_into(&mut self, rng: &mut dyn RngCore, hits: &mut Vec<u32>) {
+impl HrSampler<u64> for BcSampler<'_> {
+    fn sample_into(&mut self, rng: &mut dyn RngCore, hits: &mut Vec<u32>) {
         let (accepted, rejected) = draw_hits(
             self.g,
             self.bic,
@@ -264,12 +265,12 @@ impl HrSampler for BcSampler<'_> {
     }
 }
 
-impl HrProblem for BcApproxProblem<'_> {
+impl HrProblem<u64> for BcApproxProblem<'_> {
     fn num_hypotheses(&self) -> usize {
         self.a_index.iter().filter(|&&i| i != NONE).count()
     }
 
-    fn sampler(&self) -> Box<dyn HrSampler + '_> {
+    fn sampler(&self) -> Box<dyn HrSampler<u64> + '_> {
         Box::new(BcSampler {
             g: self.g,
             bic: self.bic,
@@ -284,25 +285,9 @@ impl HrProblem for BcApproxProblem<'_> {
         })
     }
 
-    fn vc_dimension(&self) -> usize {
-        self.vc_dim
-    }
-
-    /// Single-sample path through the problem-owned scratch: no per-call
-    /// sampler allocation (overrides the default one-shot adapter).
-    fn sample_hits(&mut self, rng: &mut dyn RngCore, hits: &mut Vec<u32>) {
-        let (accepted, rejected) = draw_hits(
-            self.g,
-            self.bic,
-            &self.pisp,
-            self.a_index,
-            self.reject_exact,
-            &mut self.own,
-            rng,
-            hits,
-        );
-        *self.accepted.get_mut() += accepted;
-        *self.rejected.get_mut() += rejected;
+    /// Lemma 4's VC bound with the personalized VC dimension.
+    fn max_samples(&self, eps_prime: f64, delta: f64) -> usize {
+        vc_sample_bound(eps_prime, delta, self.vc_dim.max(1))
     }
 }
 
@@ -467,14 +452,15 @@ mod tests {
         let (bic, or) = setup(&g);
         let targets = vec![C, D];
         let a_index = build_a_index(11, &targets);
-        let mut prob = BcApproxProblem::new(&g, &bic, &or, &targets, &a_index, 2);
+        let prob = BcApproxProblem::new(&g, &bic, &or, &targets, &a_index, 2);
         assert_eq!(prob.num_hypotheses(), 2);
-        assert_eq!(prob.vc_dimension(), 2);
+        assert_eq!(prob.max_samples(0.1, 0.1), vc_sample_bound(0.1, 0.1, 2));
+        let mut sampler = prob.sampler();
         let mut rng = StdRng::seed_from_u64(1);
         let mut hits = Vec::new();
         for _ in 0..500 {
             hits.clear();
-            prob.sample_hits(&mut rng, &mut hits);
+            sampler.sample_into(&mut rng, &mut hits);
             assert!(hits.len() <= 2);
             for &h in &hits {
                 assert!(h < 2);
@@ -499,7 +485,7 @@ mod tests {
                     let mut hits = Vec::new();
                     for _ in 0..per_worker {
                         hits.clear();
-                        sampler.sample_hits_into(&mut rng, &mut hits);
+                        sampler.sample_into(&mut rng, &mut hits);
                     }
                 });
             }
@@ -512,8 +498,9 @@ mod tests {
 
     #[test]
     fn batch_and_single_sample_paths_agree_in_distribution() {
-        // The batch sampler head and the legacy single-sample path draw
-        // from the same D̃: compare per-hypothesis hit frequencies.
+        // The batch sampler head and the problem's own single-sample
+        // rejection path draw from the same D̃: compare per-hypothesis hit
+        // frequencies.
         let g = fixtures::grid_graph(6, 5);
         let (bic, or) = setup(&g);
         let targets: Vec<u32> = vec![7, 8, 14, 21];
@@ -528,7 +515,7 @@ mod tests {
             let mut hits = Vec::new();
             for _ in 0..trials {
                 hits.clear();
-                sampler.sample_hits_into(&mut rng, &mut hits);
+                sampler.sample_into(&mut rng, &mut hits);
                 for &h in &hits {
                     batch_counts[h as usize] += 1;
                 }
@@ -536,12 +523,12 @@ mod tests {
         }
         let mut single_counts = vec![0u64; targets.len()];
         let mut rng = StdRng::seed_from_u64(12);
-        let mut hits = Vec::new();
         for _ in 0..trials {
-            hits.clear();
-            prob.sample_hits(&mut rng, &mut hits);
-            for &h in &hits {
-                single_counts[h as usize] += 1;
+            let p = prob.sample_approx_path(&mut rng);
+            for &v in &p[1..p.len() - 1] {
+                if a_index[v as usize] != NONE {
+                    single_counts[a_index[v as usize] as usize] += 1;
+                }
             }
         }
         for i in 0..targets.len() {

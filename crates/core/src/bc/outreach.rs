@@ -10,11 +10,15 @@
 //!   whose shortest paths break into an `s → t` piece (Lemmas 11-12);
 //! * the ISP normalizer is `γ = Σᵢ Σ_{s∈Cᵢ} rᵢ(s)(n_c − rᵢ(s)) / (n(n−1))`
 //!   (Eq. 19, with the component size `n_c` replacing `n` to stay sound on
-//!   disconnected inputs — DESIGN.md §2);
+//!   disconnected inputs: a pair split across components has no shortest
+//!   path, so it must carry no weight);
 //! * a cutpoint `v` is a *break point* of the pairs routed across it:
-//!   `bcₐ(v) = Σ_{i: v∈Cᵢ} |Tᵢ(v)|·(n−1_c−|Tᵢ(v)|) / (n(n−1))` (Eq. 21;
-//!   we implement the full sum over incident components, see the erratum
-//!   note in DESIGN.md).
+//!   `bcₐ(v) = Σ_{i: v∈Cᵢ} |Tᵢ(v)|·(n−1_c−|Tᵢ(v)|) / (n(n−1))` (Eq. 21).
+//!   The sum runs over *every* component incident to `v`: the branches of
+//!   `v` partition the other `n_c − 1` nodes of its connected component,
+//!   and every ordered pair with endpoints in two different branches routes
+//!   all its shortest paths through `v`, so each branch contributes its
+//!   own term.
 
 use saphyra_graph::{Bicomps, BlockCutTree, Graph, NodeId};
 

@@ -9,10 +9,7 @@ use super::exact2hop::{build_a_index, exact_bc};
 use super::gen::BcApproxProblem;
 use super::outreach::{bca_values, gamma, Outreach};
 use super::vcbound::{vc_bounds_from, VcBoundReport, VcPrecomp};
-use crate::framework::{
-    saphyra_estimate_batch_with, AdaptiveConfig, AdaptiveOutcome, BatchSubscriber, ExactPart,
-    ExecError,
-};
+use crate::framework::{estimate, BlockExec, ExactPart, ExecError, LocalExec, Subscriber};
 
 /// Accuracy configuration of a SaPHyRa_bc run.
 #[derive(Debug, Clone, Copy)]
@@ -66,7 +63,9 @@ pub struct BcRunStats {
     pub lambda_hat: f64,
     /// Personalized VC bound used for `N_max` (Corollary 22).
     pub vc: VcBoundReport,
-    /// ε passed to the inner framework (ε / (γη); see DESIGN.md erratum).
+    /// ε passed to the inner framework: ε / (γη). The risks enter b̃c
+    /// scaled by γη (Theorem 24: b̃c − bc = γη(ℓ − R)), so an
+    /// ε/(γη)-estimate of the risks is an ε-estimate of betweenness.
     pub eps_inner: f64,
     /// Main-phase samples drawn.
     pub samples: usize,
@@ -135,10 +134,10 @@ impl BcEstimate {
 
 /// Reusable preprocessing for SaPHyRa_bc on one graph: biconnected
 /// decomposition, block-cut tree, out-reach sets, γ, bcₐ and the
-/// target-independent VC-bound precomputation. Unlike [`BcIndex`] it does
-/// *not* borrow the graph, so a long-lived service can store the two
-/// side by side (e.g. behind one `Arc`) and share them across worker
-/// threads; every ranking method takes the graph explicitly.
+/// target-independent VC-bound precomputation. It does *not* borrow the
+/// graph, so a long-lived service can store the two side by side (e.g.
+/// behind one `Arc`) and share them across worker threads; every ranking
+/// method takes the graph explicitly.
 #[derive(Debug)]
 pub struct BcDecomposition {
     /// Biconnected components.
@@ -264,171 +263,24 @@ impl BcDecomposition {
             && self.vc_precomp.bicomp_diam_upper == other.vc_precomp.bicomp_diam_upper
     }
 
-    /// Ranks the given target subset (SaPHyRa_bc) on `graph`, which must be
-    /// the graph this decomposition was computed from. Targets must be
-    /// unique node ids; the output is aligned with the input order.
-    pub fn rank_subset(
-        &self,
-        graph: &Graph,
-        targets: &[NodeId],
-        cfg: &SaphyraBcConfig,
-        rng: &mut dyn RngCore,
-    ) -> BcEstimate {
-        let n = graph.num_nodes();
-        let k = targets.len();
-        let a_index = build_a_index(n, targets);
-        let vc = vc_bounds_from(&self.vc_precomp, graph, &self.bic, targets);
-
-        let mut prob = BcApproxProblem::new(
-            graph,
-            &self.bic,
-            &self.outreach,
-            targets,
-            &a_index,
-            vc.vc_subset,
-        );
-        let eta = prob.pisp().eta;
-        let gamma_eta = self.gamma * eta;
-        let bca_part: Vec<f64> = targets.iter().map(|&v| self.bca[v as usize]).collect();
-
-        if prob.pisp().is_empty() || gamma_eta <= 0.0 {
-            // No PISP mass: betweenness of the targets is exactly bcₐ.
-            let stats = BcRunStats {
-                gamma: self.gamma,
-                eta,
-                lambda_hat: 0.0,
-                vc,
-                eps_inner: cfg.eps,
-                samples: 0,
-                pilot_samples: 0,
-                rejected: 0,
-                exact_work: 0,
-                converged_early: true,
-                nmax: 0,
-                rounds: 0,
-            };
-            return BcEstimate {
-                targets: targets.to_vec(),
-                bc: bca_part.clone(),
-                bca_part,
-                exact_path_part: vec![0.0; k],
-                approx_part: vec![0.0; k],
-                stats,
-            };
-        }
-
-        // Exact oracle (Algorithm 1 line 3); the ablation degrades to
-        // direct ISP sampling with an empty exact subspace.
-        let (exact_part, exact_work) = if cfg.use_exact_subspace {
-            let exact = exact_bc(graph, &self.bic, &self.outreach, targets, &a_index);
-            let lambda_hat = (exact.lambda_raw / gamma_eta).clamp(0.0, 1.0);
-            let exact_risks: Vec<f64> = exact.exact_raw.iter().map(|&x| x / gamma_eta).collect();
-            (
-                ExactPart {
-                    lambda_hat,
-                    exact_risks,
-                },
-                exact.work,
-            )
-        } else {
-            prob.reject_exact = false;
-            (ExactPart::trivial(k), 0)
-        };
-        let lambda_hat = exact_part.lambda_hat;
-
-        // Theorem 24 chain: b̃c − bc = γη(ℓ − R), so the inner framework
-        // must reach ε/(γη) on the combined risk (the framework further
-        // divides by λ for the approximate subspace).
-        let eps_inner = cfg.eps / gamma_eta;
-        let est = crate::framework::saphyra_estimate_cfg(
-            &prob,
-            &exact_part,
-            eps_inner,
-            cfg.delta,
-            cfg.adaptive,
-            rng,
-        );
-
-        let exact_path_part: Vec<f64> = est.exact_part.iter().map(|&x| gamma_eta * x).collect();
-        let approx_part: Vec<f64> = est
-            .approx_part
-            .iter()
-            .map(|&x| gamma_eta * est.lambda * x)
-            .collect();
-        let bc: Vec<f64> = (0..k)
-            .map(|i| bca_part[i] + exact_path_part[i] + approx_part[i])
-            .collect();
-
-        let outcome: &AdaptiveOutcome = &est.outcome;
-        let stats = BcRunStats {
-            gamma: self.gamma,
-            eta,
-            lambda_hat,
-            vc,
-            eps_inner,
-            samples: outcome.samples_used,
-            pilot_samples: outcome.pilot_samples,
-            rejected: prob.rejected(),
-            exact_work,
-            converged_early: outcome.converged_early,
-            nmax: outcome.nmax,
-            rounds: outcome.rounds_run,
-        };
-        BcEstimate {
-            targets: targets.to_vec(),
-            bc,
-            bca_part,
-            exact_path_part,
-            approx_part,
-            stats,
-        }
-    }
-
-    /// Ranks several target subsets at once through one fused sampling
-    /// stream (the batched-service path).
+    /// Ranks each target set of `sets` (SaPHyRa_bc) on `graph`, which must
+    /// be the graph this decomposition was computed from. Targets must be
+    /// unique node ids; each estimate is aligned with its set's order.
     ///
-    /// ISP draws are *personalized* — the rejection step consults each
-    /// subset's exact subspace — so draws cannot be shared across
-    /// subscribers; instead the doubling schedules are fused into one
-    /// parallel pass per round, with per-subscriber stopping. Every
-    /// estimate is bit-identical to [`BcDecomposition::rank_subset`] run
-    /// alone against an `rng` yielding the same master seed.
-    pub fn rank_subset_multi(
+    /// Draws exactly one master seed from `rng`. ISP draws are
+    /// *personalized* — the rejection step consults each set's exact
+    /// subspace — so sets never share draws; their doubling schedules fuse
+    /// into one parallel pass per round instead, and every estimate is
+    /// bit-identical to ranking its set alone under the same seed. With
+    /// `remote` set (e.g. a sharded executor), the passes run there; it
+    /// receives each demand with its original set index.
+    pub fn rank(
         &self,
         graph: &Graph,
         sets: &[Vec<NodeId>],
         cfg: &SaphyraBcConfig,
         rng: &mut dyn RngCore,
-    ) -> Vec<BcEstimate> {
-        self.rank_subset_multi_with(graph, sets, cfg, rng, |_, problems, cfgs, master| {
-            Ok(crate::framework::estimate_risks_multi(
-                problems, cfgs, master,
-            ))
-        })
-        .expect("local execution is infallible")
-    }
-
-    /// [`BcDecomposition::rank_subset_multi`] against a caller-supplied
-    /// estimation engine (e.g. a sharded [`crate::framework::BlockExec`]).
-    ///
-    /// The engine receives the subscribers that actually sample — sets
-    /// surviving both the PISP prefilter (non-empty PISP, `γη > 0`) and the
-    /// `λ > 0` check — with their **original set indices**, so a remote
-    /// executor can tell its backends which target set each demand belongs
-    /// to. Engines honoring the [`crate::framework::BlockExec`] contract
-    /// yield estimates bit-identical to [`BcDecomposition::rank_subset_multi`].
-    pub fn rank_subset_multi_with(
-        &self,
-        graph: &Graph,
-        sets: &[Vec<NodeId>],
-        cfg: &SaphyraBcConfig,
-        rng: &mut dyn RngCore,
-        engine: impl FnOnce(
-            &[usize],
-            &[&dyn crate::framework::HrProblem],
-            &[AdaptiveConfig],
-            u64,
-        ) -> Result<Vec<AdaptiveOutcome>, ExecError>,
+        remote: Option<&mut dyn BlockExec<u64>>,
     ) -> Result<Vec<BcEstimate>, ExecError> {
         let n = graph.num_nodes();
         let a_indexes: Vec<Vec<u32>> = sets.iter().map(|t| build_a_index(n, t)).collect();
@@ -436,103 +288,72 @@ impl BcDecomposition {
             .iter()
             .map(|t| vc_bounds_from(&self.vc_precomp, graph, &self.bic, t))
             .collect();
-        let mut probs: Vec<BcApproxProblem> = sets
+        let probs: Vec<BcApproxProblem> = sets
             .iter()
             .zip(&a_indexes)
             .zip(&vcs)
             .map(|((t, ai), vc)| {
-                BcApproxProblem::new(graph, &self.bic, &self.outreach, t, ai, vc.vc_subset)
+                let mut p =
+                    BcApproxProblem::new(graph, &self.bic, &self.outreach, t, ai, vc.vc_subset);
+                // The ablation degrades to direct ISP sampling with an empty
+                // exact subspace.
+                p.reject_exact = cfg.use_exact_subspace;
+                p
             })
             .collect();
 
-        // Per-set prelude, mirroring `rank_subset` line by line: η, the
-        // exact oracle (or the ablation), and ε/(γη). Sets with no PISP
-        // mass never reach the sampling engine.
-        let mut exact_parts: Vec<Option<(ExactPart, u64)>> = Vec::with_capacity(sets.len());
-        let mut gamma_etas = vec![0.0f64; sets.len()];
-        let mut sampled: Vec<usize> = Vec::new();
-        for i in 0..sets.len() {
-            let eta = probs[i].pisp().eta;
-            gamma_etas[i] = self.gamma * eta;
-            if probs[i].pisp().is_empty() || gamma_etas[i] <= 0.0 {
-                exact_parts.push(None);
-                continue;
-            }
-            let part = if cfg.use_exact_subspace {
-                let exact = exact_bc(graph, &self.bic, &self.outreach, &sets[i], &a_indexes[i]);
-                let lambda_hat = (exact.lambda_raw / gamma_etas[i]).clamp(0.0, 1.0);
-                let exact_risks: Vec<f64> =
-                    exact.exact_raw.iter().map(|&x| x / gamma_etas[i]).collect();
-                (
-                    ExactPart {
-                        lambda_hat,
-                        exact_risks,
-                    },
-                    exact.work,
-                )
-            } else {
-                probs[i].reject_exact = false;
-                (ExactPart::trivial(sets[i].len()), 0)
-            };
-            exact_parts.push(Some(part));
-            sampled.push(i);
-        }
-
-        let subs: Vec<BatchSubscriber<BcApproxProblem>> = sampled
-            .iter()
-            .map(|&i| BatchSubscriber {
-                problem: &probs[i],
-                exact: &exact_parts[i].as_ref().expect("sampled set").0,
-                eps: cfg.eps / gamma_etas[i],
-                delta: cfg.delta,
-            })
-            .collect();
-        let ests = saphyra_estimate_batch_with(&subs, cfg.adaptive, rng, {
-            let sampled = &sampled;
-            move |inner, problems, cfgs, master| {
-                // `inner` indexes `subs`; translate to original set indices.
-                let orig: Vec<usize> = inner.iter().map(|&j| sampled[j]).collect();
-                let dyns: Vec<&dyn crate::framework::HrProblem> =
-                    problems.iter().map(|&p| p as _).collect();
-                engine(&orig, &dyns, cfgs, master)
-            }
-        })?;
-        let mut ests = ests.into_iter();
-        drop(subs);
-
-        Ok((0..sets.len())
-            .map(|i| {
-                let targets = &sets[i];
-                let k = targets.len();
-                let eta = probs[i].pisp().eta;
-                let gamma_eta = gamma_etas[i];
-                let bca_part: Vec<f64> = targets.iter().map(|&v| self.bca[v as usize]).collect();
-                let Some((exact_part, exact_work)) = &exact_parts[i] else {
-                    // No PISP mass: betweenness of the targets is exactly bcₐ.
-                    let stats = BcRunStats {
-                        gamma: self.gamma,
-                        eta,
-                        lambda_hat: 0.0,
-                        vc: vcs[i],
-                        eps_inner: cfg.eps,
-                        samples: 0,
-                        pilot_samples: 0,
-                        rejected: 0,
-                        exact_work: 0,
-                        converged_early: true,
-                        nmax: 0,
-                        rounds: 0,
-                    };
-                    return BcEstimate {
-                        targets: targets.clone(),
-                        bc: bca_part.clone(),
-                        bca_part,
-                        exact_path_part: vec![0.0; k],
-                        approx_part: vec![0.0; k],
-                        stats,
-                    };
+        // Per set: η, the exact oracle (Algorithm 1 line 3), and the inner
+        // target. Theorem 24 chain: b̃c − bc = γη(ℓ − R), so the framework
+        // must reach ε/(γη) on the combined risk (it further divides by λ
+        // for the approximate subspace). `exact_work` is `None` for a set
+        // with no PISP mass, whose betweenness is exactly bcₐ: λ̂ = 1 marks
+        // its (empty) sample space as fully exact, so it never samples.
+        let mut exact_work: Vec<Option<u64>> = Vec::with_capacity(sets.len());
+        let mut subs: Vec<Subscriber<u64>> = Vec::with_capacity(sets.len());
+        for ((t, ai), p) in sets.iter().zip(&a_indexes).zip(&probs) {
+            let gamma_eta = self.gamma * p.pisp().eta;
+            let (exact, work) = if p.pisp().is_empty() || gamma_eta <= 0.0 {
+                let none = ExactPart {
+                    lambda_hat: 1.0,
+                    exact_risks: vec![0.0; t.len()],
                 };
-                let est = ests.next().expect("one estimate per sampled set");
+                (none, None)
+            } else if cfg.use_exact_subspace {
+                let exact = exact_bc(graph, &self.bic, &self.outreach, t, ai);
+                let part = ExactPart {
+                    lambda_hat: (exact.lambda_raw / gamma_eta).clamp(0.0, 1.0),
+                    exact_risks: exact.exact_raw.iter().map(|&x| x / gamma_eta).collect(),
+                };
+                (part, Some(exact.work))
+            } else {
+                (ExactPart::trivial(t.len()), Some(0))
+            };
+            exact_work.push(work);
+            subs.push(Subscriber {
+                problem: p,
+                exact,
+                eps: cfg.eps / gamma_eta,
+                delta: cfg.delta,
+                adaptive: cfg.adaptive,
+            });
+        }
+        let master = rng.next_u64();
+        let ests = match remote {
+            Some(exec) => estimate(&subs, master, exec)?,
+            None => {
+                let refs: Vec<&BcApproxProblem> = probs.iter().collect();
+                estimate(&subs, master, &mut LocalExec::new(&refs))?
+            }
+        };
+
+        Ok(ests
+            .into_iter()
+            .enumerate()
+            .map(|(i, est)| {
+                let (targets, sub, p) = (&sets[i], &subs[i], &probs[i]);
+                let eta = p.pisp().eta;
+                let gamma_eta = self.gamma * eta;
+                let bca_part: Vec<f64> = targets.iter().map(|&v| self.bca[v as usize]).collect();
                 let exact_path_part: Vec<f64> =
                     est.exact_part.iter().map(|&x| gamma_eta * x).collect();
                 let approx_part: Vec<f64> = est
@@ -540,92 +361,37 @@ impl BcDecomposition {
                     .iter()
                     .map(|&x| gamma_eta * est.lambda * x)
                     .collect();
-                let bc: Vec<f64> = (0..k)
+                let bc: Vec<f64> = (0..targets.len())
                     .map(|j| bca_part[j] + exact_path_part[j] + approx_part[j])
                     .collect();
-                let outcome: &AdaptiveOutcome = &est.outcome;
-                let stats = BcRunStats {
-                    gamma: self.gamma,
-                    eta,
-                    lambda_hat: exact_part.lambda_hat,
-                    vc: vcs[i],
-                    eps_inner: cfg.eps / gamma_eta,
-                    samples: outcome.samples_used,
-                    pilot_samples: outcome.pilot_samples,
-                    rejected: probs[i].rejected(),
-                    exact_work: *exact_work,
-                    converged_early: outcome.converged_early,
-                    nmax: outcome.nmax,
-                    rounds: outcome.rounds_run,
+                let (lambda_hat, eps_inner, exact_work) = match exact_work[i] {
+                    Some(work) => (sub.exact.lambda_hat, sub.eps, work),
+                    None => (0.0, cfg.eps, 0),
                 };
+                let outcome = &est.outcome;
                 BcEstimate {
                     targets: targets.clone(),
                     bc,
                     bca_part,
                     exact_path_part,
                     approx_part,
-                    stats,
+                    stats: BcRunStats {
+                        gamma: self.gamma,
+                        eta,
+                        lambda_hat,
+                        vc: vcs[i],
+                        eps_inner,
+                        samples: outcome.samples_used,
+                        pilot_samples: outcome.pilot_samples,
+                        rejected: p.rejected(),
+                        exact_work,
+                        converged_early: outcome.converged_early,
+                        nmax: outcome.nmax,
+                        rounds: outcome.rounds_run,
+                    },
                 }
             })
             .collect())
-    }
-
-    /// SaPHyRa_bc-full: ranks every node of the graph (the paper's
-    /// whole-network variant used in Figs. 3-7).
-    pub fn rank_full(
-        &self,
-        graph: &Graph,
-        cfg: &SaphyraBcConfig,
-        rng: &mut dyn RngCore,
-    ) -> BcEstimate {
-        let all: Vec<NodeId> = graph.nodes().collect();
-        self.rank_subset(graph, &all, cfg, rng)
-    }
-}
-
-/// Borrowing convenience wrapper pairing a graph with its
-/// [`BcDecomposition`]. Building the index is O(m + n); it can then rank
-/// any number of subsets. Derefs to the decomposition, so all its fields
-/// (`bic`, `outreach`, `gamma`, ...) read through transparently.
-#[derive(Debug)]
-pub struct BcIndex<'g> {
-    /// The underlying graph.
-    pub graph: &'g Graph,
-    /// The owned decomposition.
-    pub dec: BcDecomposition,
-}
-
-impl<'g> std::ops::Deref for BcIndex<'g> {
-    type Target = BcDecomposition;
-    fn deref(&self) -> &BcDecomposition {
-        &self.dec
-    }
-}
-
-impl<'g> BcIndex<'g> {
-    /// Builds the index.
-    pub fn new(graph: &'g Graph) -> Self {
-        BcIndex {
-            graph,
-            dec: BcDecomposition::compute(graph),
-        }
-    }
-
-    /// Ranks the given target subset (SaPHyRa_bc). Targets must be unique
-    /// node ids; the output is aligned with the input order.
-    pub fn rank_subset(
-        &self,
-        targets: &[NodeId],
-        cfg: &SaphyraBcConfig,
-        rng: &mut dyn RngCore,
-    ) -> BcEstimate {
-        self.dec.rank_subset(self.graph, targets, cfg, rng)
-    }
-
-    /// SaPHyRa_bc-full: ranks every node of the graph (the paper's
-    /// whole-network variant used in Figs. 3-7).
-    pub fn rank_full(&self, cfg: &SaphyraBcConfig, rng: &mut dyn RngCore) -> BcEstimate {
-        self.dec.rank_full(self.graph, cfg, rng)
     }
 }
 
@@ -637,11 +403,24 @@ mod tests {
     use saphyra_graph::brandes::betweenness_exact;
     use saphyra_graph::fixtures;
 
+    /// Ranks one target set with the local executor.
+    fn rank_one(
+        dec: &BcDecomposition,
+        g: &Graph,
+        targets: &[NodeId],
+        cfg: &SaphyraBcConfig,
+        rng: &mut dyn RngCore,
+    ) -> BcEstimate {
+        dec.rank(g, &[targets.to_vec()], cfg, rng, None)
+            .expect("local execution is infallible")
+            .remove(0)
+    }
+
     fn check_accuracy(g: &Graph, targets: &[NodeId], eps: f64, seed: u64) {
         let truth = betweenness_exact(g);
-        let index = BcIndex::new(g);
+        let dec = BcDecomposition::compute(g);
         let mut rng = StdRng::seed_from_u64(seed);
-        let est = index.rank_subset(targets, &SaphyraBcConfig::new(eps, 0.1), &mut rng);
+        let est = rank_one(&dec, g, targets, &SaphyraBcConfig::new(eps, 0.1), &mut rng);
         for (i, &v) in targets.iter().enumerate() {
             let err = (est.bc[i] - truth[v as usize]).abs();
             assert!(
@@ -705,12 +484,18 @@ mod tests {
             }
             let g = b.build().unwrap();
             let truth = betweenness_exact(&g);
-            let index = BcIndex::new(&g);
+            let dec = BcDecomposition::compute(&g);
             let targets: Vec<u32> = g.nodes().collect();
             let mut rng = StdRng::seed_from_u64(round);
             // Large eps: the sampled part may see nothing, the exact part
             // must still be positive.
-            let est = index.rank_subset(&targets, &SaphyraBcConfig::new(0.3, 0.1), &mut rng);
+            let est = rank_one(
+                &dec,
+                &g,
+                &targets,
+                &SaphyraBcConfig::new(0.3, 0.1),
+                &mut rng,
+            );
             for (i, &v) in targets.iter().enumerate() {
                 if truth[v as usize] > 0.0 {
                     assert!(
@@ -729,10 +514,16 @@ mod tests {
         // 2-hop parts are zero and b̃c = bcₐ = bc exactly.
         let g = fixtures::binary_tree(4);
         let truth = betweenness_exact(&g);
-        let index = BcIndex::new(&g);
+        let dec = BcDecomposition::compute(&g);
         let targets: Vec<u32> = g.nodes().collect();
         let mut rng = StdRng::seed_from_u64(5);
-        let est = index.rank_subset(&targets, &SaphyraBcConfig::new(0.05, 0.1), &mut rng);
+        let est = rank_one(
+            &dec,
+            &g,
+            &targets,
+            &SaphyraBcConfig::new(0.05, 0.1),
+            &mut rng,
+        );
         for (i, &v) in targets.iter().enumerate() {
             assert!(
                 (est.bc[i] - truth[v as usize]).abs() < 1e-12,
@@ -748,9 +539,9 @@ mod tests {
     #[test]
     fn isolated_targets_get_zero() {
         let g = fixtures::disconnected_mix();
-        let index = BcIndex::new(&g);
+        let dec = BcDecomposition::compute(&g);
         let mut rng = StdRng::seed_from_u64(6);
-        let est = index.rank_subset(&[5], &SaphyraBcConfig::new(0.1, 0.1), &mut rng);
+        let est = rank_one(&dec, &g, &[5], &SaphyraBcConfig::new(0.1, 0.1), &mut rng);
         assert_eq!(est.bc, vec![0.0]);
         assert_eq!(est.stats.samples, 0);
     }
@@ -759,9 +550,10 @@ mod tests {
     fn full_ranking_correlates_with_truth() {
         let g = fixtures::grid_graph(7, 5);
         let truth = betweenness_exact(&g);
-        let index = BcIndex::new(&g);
+        let dec = BcDecomposition::compute(&g);
         let mut rng = StdRng::seed_from_u64(8);
-        let est = index.rank_full(&SaphyraBcConfig::new(0.02, 0.1), &mut rng);
+        let all: Vec<NodeId> = g.nodes().collect();
+        let est = rank_one(&dec, &g, &all, &SaphyraBcConfig::new(0.02, 0.1), &mut rng);
         let rho = saphyra_stats::spearman_vs_truth(&est.bc, &truth);
         assert!(rho > 0.9, "rho = {rho}");
     }
@@ -769,10 +561,16 @@ mod tests {
     #[test]
     fn ranking_output_is_a_permutation() {
         let g = fixtures::grid_graph(5, 5);
-        let index = BcIndex::new(&g);
+        let dec = BcDecomposition::compute(&g);
         let targets: Vec<u32> = vec![2, 7, 11, 13, 21];
         let mut rng = StdRng::seed_from_u64(9);
-        let est = index.rank_subset(&targets, &SaphyraBcConfig::new(0.1, 0.1), &mut rng);
+        let est = rank_one(
+            &dec,
+            &g,
+            &targets,
+            &SaphyraBcConfig::new(0.1, 0.1),
+            &mut rng,
+        );
         let mut ranking = est.ranking();
         assert_eq!(ranking.len(), 5);
         ranking.sort_unstable();
@@ -782,10 +580,16 @@ mod tests {
     #[test]
     fn top_k_and_lookup() {
         let g = fixtures::grid_graph(5, 5);
-        let index = BcIndex::new(&g);
+        let dec = BcDecomposition::compute(&g);
         let targets: Vec<u32> = vec![0, 12, 24]; // corners vs center
         let mut rng = StdRng::seed_from_u64(10);
-        let est = index.rank_subset(&targets, &SaphyraBcConfig::new(0.05, 0.1), &mut rng);
+        let est = rank_one(
+            &dec,
+            &g,
+            &targets,
+            &SaphyraBcConfig::new(0.05, 0.1),
+            &mut rng,
+        );
         let top = est.top_k(2);
         assert_eq!(top.len(), 2);
         // The grid center dominates both corners.
@@ -800,10 +604,16 @@ mod tests {
     #[test]
     fn decomposition_parts_sum_to_estimate() {
         let g = fixtures::lollipop_graph(5, 4);
-        let index = BcIndex::new(&g);
+        let dec = BcDecomposition::compute(&g);
         let targets: Vec<u32> = g.nodes().collect();
         let mut rng = StdRng::seed_from_u64(12);
-        let est = index.rank_subset(&targets, &SaphyraBcConfig::new(0.05, 0.1), &mut rng);
+        let est = rank_one(
+            &dec,
+            &g,
+            &targets,
+            &SaphyraBcConfig::new(0.05, 0.1),
+            &mut rng,
+        );
         for i in 0..targets.len() {
             let sum = est.bca_part[i] + est.exact_path_part[i] + est.approx_part[i];
             assert!((sum - est.bc[i]).abs() < 1e-12);
@@ -814,11 +624,11 @@ mod tests {
     fn ablation_without_exact_subspace_is_still_accurate() {
         let g = fixtures::grid_graph(6, 5);
         let truth = betweenness_exact(&g);
-        let index = BcIndex::new(&g);
+        let dec = BcDecomposition::compute(&g);
         let targets: Vec<u32> = vec![7, 8, 14, 21];
         let mut rng = StdRng::seed_from_u64(31);
         let cfg = SaphyraBcConfig::new(0.05, 0.1).without_exact_subspace();
-        let est = index.rank_subset(&targets, &cfg, &mut rng);
+        let est = rank_one(&dec, &g, &targets, &cfg, &mut rng);
         assert_eq!(est.stats.lambda_hat, 0.0);
         assert_eq!(est.stats.exact_work, 0);
         for (i, &v) in targets.iter().enumerate() {
@@ -830,27 +640,39 @@ mod tests {
     #[test]
     fn ablation_fixed_budget_draws_nmax() {
         let g = fixtures::grid_graph(6, 5);
-        let index = BcIndex::new(&g);
+        let dec = BcDecomposition::compute(&g);
         let targets: Vec<u32> = vec![7, 14, 21];
         let mut rng = StdRng::seed_from_u64(32);
         let cfg = SaphyraBcConfig::new(0.1, 0.1).with_fixed_budget();
-        let est = index.rank_subset(&targets, &cfg, &mut rng);
+        let est = rank_one(&dec, &g, &targets, &cfg, &mut rng);
         assert!(!est.stats.converged_early);
         assert_eq!(est.stats.samples, est.stats.nmax);
         assert_eq!(est.stats.pilot_samples, 0);
         // Adaptive run on the same instance uses no more samples.
         let mut rng = StdRng::seed_from_u64(32);
-        let adaptive = index.rank_subset(&targets, &SaphyraBcConfig::new(0.1, 0.1), &mut rng);
+        let adaptive = rank_one(
+            &dec,
+            &g,
+            &targets,
+            &SaphyraBcConfig::new(0.1, 0.1),
+            &mut rng,
+        );
         assert!(adaptive.stats.samples <= est.stats.samples);
     }
 
     #[test]
     fn stats_are_populated() {
         let g = fixtures::grid_graph(6, 6);
-        let index = BcIndex::new(&g);
+        let dec = BcDecomposition::compute(&g);
         let targets: Vec<u32> = vec![14, 15, 20, 21];
         let mut rng = StdRng::seed_from_u64(13);
-        let est = index.rank_subset(&targets, &SaphyraBcConfig::new(0.05, 0.1), &mut rng);
+        let est = rank_one(
+            &dec,
+            &g,
+            &targets,
+            &SaphyraBcConfig::new(0.05, 0.1),
+            &mut rng,
+        );
         assert!(est.stats.gamma > 0.0);
         assert!(est.stats.eta > 0.0 && est.stats.eta <= 1.0);
         assert!(est.stats.samples > 0);

@@ -154,12 +154,13 @@ mod tests {
     fn restored_decomposition_ranks_bit_identically() {
         let g = fixtures::grid_graph(6, 5);
         let (dec, dec2) = round_trip(&g);
-        let targets = [3u32, 8, 14, 21];
+        let sets = [vec![3u32, 8, 14, 21]];
         let cfg = SaphyraBcConfig::new(0.1, 0.1);
-        let mut rng = StdRng::seed_from_u64(42);
-        let fresh = dec.rank_subset(&g, &targets, &cfg, &mut rng);
-        let mut rng = StdRng::seed_from_u64(42);
-        let restored = dec2.rank_subset(&g, &targets, &cfg, &mut rng);
+        let rank = |dec: &BcDecomposition| {
+            let mut rng = StdRng::seed_from_u64(42);
+            dec.rank(&g, &sets, &cfg, &mut rng, None).unwrap().remove(0)
+        };
+        let (fresh, restored) = (rank(&dec), rank(&dec2));
         for (a, b) in fresh.bc.iter().zip(&restored.bc) {
             assert_eq!(a.to_bits(), b.to_bits(), "restored ranks diverged");
         }

@@ -6,7 +6,8 @@
 //! (with `1/d(v,v) := 0` and `1/∞ := 0`), the disconnection-robust member
 //! of the closeness family. A sample is a uniform source `u`; one BFS gives
 //! the fractional losses `1/d(u, v) ∈ [0, 1]` for every target — the
-//! Eppstein–Wang sampling scheme recast as a [`WeightedHrProblem`].
+//! Eppstein–Wang sampling scheme recast as a fractional-loss
+//! [`HrProblem`] over [`LossAcc`] accumulators.
 //!
 //! The SaPHyRa partition: the exact subspace is `X̂ = A` itself — `|A|`
 //! BFS runs evaluate every target-to-target distance in closed form,
@@ -19,9 +20,11 @@ use rand::RngCore;
 use saphyra_graph::bfs::{BfsWorkspace, INFINITY};
 use saphyra_graph::{Graph, NodeId};
 
+use saphyra_stats::hoeffding_samples;
+
 use crate::framework::{
-    saphyra_estimate_weighted, saphyra_estimate_weighted_batch_with, BatchSubscriber, ExactPart,
-    SaphyraEstimate, WeightedHrProblem, WeightedHrSampler,
+    estimate, BlockExec, ExactPart, ExecError, HrProblem, HrSampler, LocalExec, LossAcc,
+    SaphyraEstimate, Subscriber,
 };
 
 const NONE: u32 = u32::MAX;
@@ -82,7 +85,8 @@ pub fn harmonic_exact_part(g: &Graph, targets: &[NodeId]) -> ExactPart {
 
 /// The approximate-subspace sampling problem: uniform sources from
 /// `V ∖ A`. Shared read-only half; BFS scratch lives in
-/// [`HarmonicSampler`].
+/// [`HarmonicSampler`]. For `A = V` the complement is empty: `λ̂ = 1`, so
+/// the estimator never samples such a problem.
 pub struct HarmonicApproxProblem<'a> {
     g: &'a Graph,
     a_pos: Vec<u32>,
@@ -91,7 +95,7 @@ pub struct HarmonicApproxProblem<'a> {
 }
 
 impl<'a> HarmonicApproxProblem<'a> {
-    /// Builds the sampler; panics if `A = V` (no approximate subspace).
+    /// Builds the sampler.
     pub fn new(g: &'a Graph, targets: &[NodeId]) -> Self {
         let n = g.num_nodes();
         let mut a_pos = vec![NONE; n];
@@ -100,10 +104,6 @@ impl<'a> HarmonicApproxProblem<'a> {
             a_pos[v as usize] = i as u32;
         }
         let complement: Vec<NodeId> = g.nodes().filter(|&v| a_pos[v as usize] == NONE).collect();
-        assert!(
-            !complement.is_empty(),
-            "A = V leaves no approximate subspace; use harmonic_exact"
-        );
         HarmonicApproxProblem {
             g,
             a_pos,
@@ -119,8 +119,8 @@ pub struct HarmonicSampler<'p> {
     ws: BfsWorkspace,
 }
 
-impl WeightedHrSampler for HarmonicSampler<'_> {
-    fn sample_losses_into(&mut self, rng: &mut dyn RngCore, out: &mut Vec<(u32, f64)>) {
+impl HrSampler<LossAcc> for HarmonicSampler<'_> {
+    fn sample_into(&mut self, rng: &mut dyn RngCore, out: &mut Vec<(u32, f64)>) {
         let p = self.problem;
         let u = p.complement[rng.gen_range(0..p.complement.len())];
         self.ws.run(p.g, u);
@@ -136,16 +136,24 @@ impl WeightedHrSampler for HarmonicSampler<'_> {
     }
 }
 
-impl WeightedHrProblem for HarmonicApproxProblem<'_> {
+impl HrProblem<LossAcc> for HarmonicApproxProblem<'_> {
     fn num_hypotheses(&self) -> usize {
         self.k
     }
 
-    fn sampler(&self) -> Box<dyn WeightedHrSampler + '_> {
+    fn sampler(&self) -> Box<dyn HrSampler<LossAcc> + '_> {
+        assert!(
+            !self.complement.is_empty(),
+            "A = V leaves no approximate subspace; use harmonic_exact"
+        );
         Box::new(HarmonicSampler {
             problem: self,
             ws: BfsWorkspace::new(self.g.num_nodes()),
         })
+    }
+
+    fn max_samples(&self, eps_prime: f64, delta: f64) -> usize {
+        hoeffding_samples(eps_prime, delta, self.k)
     }
 }
 
@@ -160,139 +168,59 @@ pub struct HarmonicEstimate {
     pub inner: SaphyraEstimate,
 }
 
-/// Degenerate `A = V` estimate: the exact part already covers everything.
-fn exact_only_harmonic(targets: &[NodeId], exact: ExactPart) -> HarmonicEstimate {
-    HarmonicEstimate {
-        targets: targets.to_vec(),
-        hc: exact.exact_risks.clone(),
-        inner: SaphyraEstimate {
-            combined: exact.exact_risks.clone(),
-            exact_part: exact.exact_risks,
-            approx_part: vec![0.0; targets.len()],
-            lambda: 0.0,
-            outcome: crate::framework::AdaptiveOutcome::empty(),
-        },
-    }
-}
-
-/// Ranks `targets` by harmonic centrality with an (ε, δ) guarantee.
-pub fn rank_harmonic(
-    g: &Graph,
-    targets: &[NodeId],
-    eps: f64,
-    delta: f64,
-    rng: &mut dyn RngCore,
-) -> HarmonicEstimate {
-    assert!(!targets.is_empty());
-    let exact = harmonic_exact_part(g, targets);
-    if targets.len() == g.num_nodes() {
-        return exact_only_harmonic(targets, exact);
-    }
-    let prob = HarmonicApproxProblem::new(g, targets);
-    let inner = saphyra_estimate_weighted(&prob, &exact, eps, delta, rng);
-    HarmonicEstimate {
-        targets: targets.to_vec(),
-        hc: inner.combined.clone(),
-        inner,
-    }
-}
-
-/// Ranks several target sets at once through one fused sampling stream.
+/// Ranks each target set of `sets` by harmonic centrality with an (ε, δ)
+/// guarantee. Draws exactly one master seed from `rng`.
 ///
 /// Harmonic sources are drawn uniformly from `V ∖ A`, which differs per
-/// target set, so draws cannot be shared across subscribers — but the
-/// doubling schedules are: every round runs a single parallel pass over
-/// all demanded blocks, and subscribers whose ε target is met detach
-/// while the pass keeps serving stricter ones. Each `(est, eps)` pair is
-/// bit-identical to [`rank_harmonic`] run alone with the same `rng` seed.
-pub fn rank_harmonic_multi(
+/// target set, so draws cannot be shared across sets — but the doubling
+/// schedules are: every round runs a single parallel pass over all
+/// demanded blocks, and sets whose ε target is met detach while the pass
+/// keeps serving stricter ones. A set with `A = V` is covered by its exact
+/// part and never samples. Each estimate is bit-identical to ranking its
+/// set alone under the same seed. With `remote` set (e.g. a sharded
+/// executor over [`LossAcc`] partials), the passes run there; it receives
+/// each demand with its original set index.
+pub fn rank_harmonic(
     g: &Graph,
     sets: &[Vec<NodeId>],
     eps: f64,
     delta: f64,
     rng: &mut dyn RngCore,
-) -> Vec<HarmonicEstimate> {
-    rank_harmonic_multi_with(g, sets, eps, delta, rng, |_, problems, cfgs, master| {
-        Ok(crate::framework::estimate_weighted_risks_multi(
-            problems, cfgs, master,
-        ))
-    })
-    .expect("local execution is infallible")
-}
-
-/// [`rank_harmonic_multi`] against a caller-supplied estimation engine
-/// (e.g. a sharded [`crate::framework::BlockExec`] over
-/// [`crate::framework::LossAcc`] partials).
-///
-/// The engine receives the subscribers that actually sample — sets
-/// surviving both the `A = V` prefilter and the `λ > 0` check — with their
-/// **original set indices**. Engines honoring the executor contract
-/// (units from [`crate::framework::loss_unit_ranges`], merged in unit
-/// order) yield estimates bit-identical to [`rank_harmonic_multi`].
-pub fn rank_harmonic_multi_with(
-    g: &Graph,
-    sets: &[Vec<NodeId>],
-    eps: f64,
-    delta: f64,
-    rng: &mut dyn RngCore,
-    engine: impl FnOnce(
-        &[usize],
-        &[&dyn WeightedHrProblem],
-        &[crate::framework::AdaptiveConfig],
-        u64,
-    )
-        -> Result<Vec<crate::framework::AdaptiveOutcome>, crate::framework::ExecError>,
-) -> Result<Vec<HarmonicEstimate>, crate::framework::ExecError> {
-    let n = g.num_nodes();
-    let exacts: Vec<ExactPart> = sets
+    remote: Option<&mut dyn BlockExec<LossAcc>>,
+) -> Result<Vec<HarmonicEstimate>, ExecError> {
+    let probs: Vec<HarmonicApproxProblem> = sets
         .iter()
         .map(|t| {
             assert!(!t.is_empty());
-            harmonic_exact_part(g, t)
+            HarmonicApproxProblem::new(g, t)
         })
         .collect();
-    // Degenerate A = V sets never reach the sampling engine (there is no
-    // approximate subspace to build a problem over).
-    let sampled: Vec<usize> = (0..sets.len()).filter(|&i| sets[i].len() != n).collect();
-    let probs: Vec<HarmonicApproxProblem> = sampled
+    let subs: Vec<Subscriber<LossAcc>> = sets
         .iter()
-        .map(|&i| HarmonicApproxProblem::new(g, &sets[i]))
-        .collect();
-    let subs: Vec<BatchSubscriber<HarmonicApproxProblem>> = probs
-        .iter()
-        .zip(&sampled)
-        .map(|(problem, &i)| BatchSubscriber {
+        .zip(&probs)
+        .map(|(t, problem)| Subscriber {
             problem,
-            exact: &exacts[i],
+            exact: harmonic_exact_part(g, t),
             eps,
             delta,
+            adaptive: true,
         })
         .collect();
-    let inners = saphyra_estimate_weighted_batch_with(&subs, true, rng, {
-        let sampled = &sampled;
-        move |inner, problems, cfgs, master| {
-            // `inner` indexes `subs`; translate to original set indices.
-            let orig: Vec<usize> = inner.iter().map(|&j| sampled[j]).collect();
-            let dyns: Vec<&dyn WeightedHrProblem> = problems.iter().map(|&p| p as _).collect();
-            engine(&orig, &dyns, cfgs, master)
+    let master = rng.next_u64();
+    let inners = match remote {
+        Some(exec) => estimate(&subs, master, exec)?,
+        None => {
+            let refs: Vec<&HarmonicApproxProblem> = probs.iter().collect();
+            estimate(&subs, master, &mut LocalExec::new(&refs))?
         }
-    })?;
-    let mut inners = inners.into_iter();
-    let mut slots: Vec<Option<SaphyraEstimate>> = (0..sets.len()).map(|_| None).collect();
-    for &i in &sampled {
-        slots[i] = inners.next();
-    }
+    };
     Ok(sets
         .iter()
-        .zip(exacts)
-        .zip(slots)
-        .map(|((targets, exact), inner)| match inner {
-            Some(inner) => HarmonicEstimate {
-                targets: targets.clone(),
-                hc: inner.combined.clone(),
-                inner,
-            },
-            None => exact_only_harmonic(targets, exact),
+        .zip(inners)
+        .map(|(targets, inner)| HarmonicEstimate {
+            targets: targets.clone(),
+            hc: inner.combined.clone(),
+            inner,
         })
         .collect())
 }
@@ -303,6 +231,18 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use saphyra_graph::fixtures;
+
+    /// Ranks one target set with the local executor.
+    fn rank_one(
+        g: &Graph,
+        targets: &[NodeId],
+        eps: f64,
+        rng: &mut dyn RngCore,
+    ) -> HarmonicEstimate {
+        rank_harmonic(g, &[targets.to_vec()], eps, 0.1, rng, None)
+            .expect("local execution is infallible")
+            .remove(0)
+    }
 
     #[test]
     fn exact_values_on_star() {
@@ -328,7 +268,7 @@ mod tests {
         let truth = harmonic_exact(&g);
         let targets: Vec<u32> = vec![0, 10, 20, 30, 41];
         let mut rng = StdRng::seed_from_u64(3);
-        let est = rank_harmonic(&g, &targets, 0.05, 0.1, &mut rng);
+        let est = rank_one(&g, &targets, 0.05, &mut rng);
         for (i, &v) in targets.iter().enumerate() {
             let err = (est.hc[i] - truth[v as usize]).abs();
             assert!(err < 0.05, "node {v}: err {err}");
@@ -371,7 +311,7 @@ mod tests {
         let truth = harmonic_exact(&g);
         let targets: Vec<u32> = vec![0, 6, 11];
         let mut rng = StdRng::seed_from_u64(5);
-        let est = rank_harmonic(&g, &targets, 0.02, 0.1, &mut rng);
+        let est = rank_one(&g, &targets, 0.02, &mut rng);
         let order = est.inner.ranking();
         let truth_order = {
             let mut idx: Vec<usize> = (0..3).collect();
@@ -390,7 +330,7 @@ mod tests {
         let g = fixtures::cycle_graph(8);
         let all: Vec<u32> = g.nodes().collect();
         let mut rng = StdRng::seed_from_u64(7);
-        let est = rank_harmonic(&g, &all, 0.05, 0.1, &mut rng);
+        let est = rank_one(&g, &all, 0.05, &mut rng);
         let truth = harmonic_exact(&g);
         for (i, &v) in all.iter().enumerate() {
             assert!((est.hc[i] - truth[v as usize]).abs() < 1e-12);
@@ -403,9 +343,9 @@ mod tests {
         let g = fixtures::grid_graph(8, 8);
         let targets: Vec<u32> = vec![9, 18, 27, 36];
         let mut a = StdRng::seed_from_u64(1);
-        let loose = rank_harmonic(&g, &targets, 0.1, 0.1, &mut a);
+        let loose = rank_one(&g, &targets, 0.1, &mut a);
         let mut b = StdRng::seed_from_u64(1);
-        let tight = rank_harmonic(&g, &targets, 0.02, 0.1, &mut b);
+        let tight = rank_one(&g, &targets, 0.02, &mut b);
         assert!(tight.inner.outcome.samples_used >= loose.inner.outcome.samples_used);
     }
 }

@@ -1,143 +1,130 @@
-//! Algorithm 1's sampling engine: pilot variance pass, per-hypothesis error
-//! allocation, doubling schedule with empirical-Bernstein stopping, and the
-//! VC-bounded worst-case budget.
+//! Algorithm 1 end to end: the one round loop.
 //!
-//! Sampling is executed by the parallel batch engine
-//! ([`super::batch`]): every phase — the pilot pass, the fixed-budget
-//! ablation, and each doubling round — draws its block of samples as
-//! counter-seeded chunks fanned out over rayon workers, each worker owning
-//! an [`super::problem::HrSampler`] with private scratch. The caller's
-//! `rng` contributes exactly one `u64` master seed, after which every
-//! drawn value is a pure function of `(master, stream, chunk)`: the
-//! returned estimates are **bit-identical for every thread count**.
+//! [`estimate`] turns each subscriber's exact part and accuracy target into
+//! a [`Tracker`] (per-hypothesis target `ε′ = ε/λ`, line 5), then steps all
+//! trackers in lockstep rounds: collect the active subscribers' demands,
+//! execute them as one pass through a [`BlockExec`], absorb each block.
+//! The schedule itself — pilot, δᵢ allocation, doubling rounds with
+//! Bernstein checks, forced `N_max` finish — lives in the tracker. At most
+//! `R = ⌈log₂(N_max/N₀)⌉` Bernstein checks run at sizes `N₀, 2N₀, …`; each
+//! spends `Σᵢ 2δᵢ = δ/R` of the failure budget (Eq. 13). If no check
+//! passes, sampling runs to `N_max`, where Lemma 4's bound guarantees the
+//! (ε′, δ)-estimate unconditionally.
+//!
+//! A solo run is a slice of one subscriber; every drawn value is a pure
+//! function of `(master, stream, chunk)`, so a subscriber's result is
+//! bit-identical for every thread count, batch composition and executor.
 
-use rand::RngCore;
-use saphyra_stats::{vc_sample_bound, C_VC};
+use super::multi::{BlockExec, ExecError};
+use super::problem::{ExactPart, HrProblem};
+use super::tracker::{AdaptiveOutcome, BlockAcc, Demand, Tracker};
+use super::SaphyraEstimate;
 
-use super::batch::sample_hit_counts;
-use super::problem::HrProblem;
-use super::tracker::{pilot_budget, Tracker};
-
-/// Tuning knobs of the adaptive estimator.
-#[derive(Debug, Clone, Copy)]
-pub struct AdaptiveConfig {
-    /// Per-hypothesis deviation target ε′ on the approximate distribution.
-    pub eps_prime: f64,
-    /// Total failure probability δ.
+/// One subscriber of an estimation pass: a problem, its already-computed
+/// exact part, and its accuracy target on the *combined* risk.
+pub struct Subscriber<'a, A: BlockAcc> {
+    /// The approximate-subspace problem.
+    pub problem: &'a dyn HrProblem<A>,
+    /// Output of the `Exact(·)` oracle for this subscriber.
+    pub exact: ExactPart,
+    /// Target accuracy ε on the combined risk.
+    pub eps: f64,
+    /// Failure probability δ.
     pub delta: f64,
-    /// The constant of Lemma 4 (defaults to [`C_VC`]).
-    pub c_vc: f64,
-    /// Lower bound on the pilot size (variance estimates need a few
-    /// observations even when ε′ is large).
-    pub min_pilot: usize,
     /// When false, skip the pilot pass and all Bernstein checks and draw
-    /// exactly `N_max` samples (the fixed-size VC-bound estimator — the
-    /// "adaptive stopping" ablation of DESIGN.md §5).
+    /// exactly `N_max` samples (the fixed-size VC-bound estimator, which
+    /// the `ablation` bench binary compares against adaptive stopping).
     pub adaptive: bool,
 }
 
-impl AdaptiveConfig {
-    /// Standard configuration for the given accuracy target.
-    pub fn new(eps_prime: f64, delta: f64) -> Self {
-        assert!(eps_prime > 0.0, "eps must be positive");
-        assert!(delta > 0.0 && delta < 1.0, "delta must be in (0,1)");
-        AdaptiveConfig {
-            eps_prime,
-            delta,
-            c_vc: C_VC,
-            min_pilot: 16,
-            adaptive: true,
+/// Runs Algorithm 1 for every subscriber against one block executor and
+/// assembles Eq. 8, `ℓᵢ = ℓ̂ᵢ + λ·ℓ̃ᵢ`, per subscriber.
+///
+/// A subscriber whose exact part covers the whole space (`λ = 1 − λ̂ ≈ 0`)
+/// never samples. The others estimate the approximate subspace to
+/// `ε′ = ε/λ` under the shared `master` seed; the executor receives each
+/// demand with the subscriber's index in `subs`. An executor failure (e.g.
+/// an unreachable shard) aborts the whole pass.
+pub fn estimate<A: BlockAcc>(
+    subs: &[Subscriber<'_, A>],
+    master: u64,
+    exec: &mut dyn BlockExec<A>,
+) -> Result<Vec<SaphyraEstimate>, ExecError> {
+    let lambdas: Vec<f64> = subs
+        .iter()
+        .map(|s| (1.0 - s.exact.lambda_hat).clamp(0.0, 1.0))
+        .collect();
+    let mut trackers: Vec<Option<Tracker<A>>> = subs
+        .iter()
+        .zip(&lambdas)
+        .map(|(s, &lambda)| {
+            let k = s.problem.num_hypotheses();
+            assert_eq!(s.exact.exact_risks.len(), k, "exact part size mismatch");
+            (lambda > f64::EPSILON).then(|| {
+                let eps = s.eps / lambda;
+                let nmax = s.problem.max_samples(eps, s.delta);
+                Tracker::new(k, eps, s.delta, s.adaptive, nmax)
+            })
+        })
+        .collect();
+    loop {
+        let reqs: Vec<(usize, Demand)> = trackers
+            .iter()
+            .enumerate()
+            .filter_map(|(i, t)| Some((i, t.as_ref()?.demand()?)))
+            .collect();
+        if reqs.is_empty() {
+            break;
+        }
+        let blocks = exec.run(master, &reqs)?;
+        debug_assert_eq!(blocks.len(), reqs.len());
+        for (&(i, _), block) in reqs.iter().zip(&blocks) {
+            if let Some(t) = trackers[i].as_mut() {
+                t.absorb(block);
+            }
         }
     }
-
-    /// Disables adaptive stopping (fixed `N_max` budget).
-    pub fn with_fixed_budget(mut self) -> Self {
-        self.adaptive = false;
-        self
-    }
-}
-
-/// Telemetry and estimates produced by [`estimate_risks`].
-#[derive(Debug, Clone)]
-pub struct AdaptiveOutcome {
-    /// `ℓ̃ᵢ`: mean loss of each hypothesis over the drawn samples.
-    pub estimates: Vec<f64>,
-    /// Samples drawn in the main phase.
-    pub samples_used: usize,
-    /// Samples drawn in the (independent) pilot phase.
-    pub pilot_samples: usize,
-    /// Doubling rounds executed (Bernstein checks performed).
-    pub rounds_run: usize,
-    /// Initial budget `N₀ = c/ε′² ln(1/δ)` (line 6).
-    pub n0: usize,
-    /// Worst-case budget `N_max = c/ε′² (VC + ln(1/δ))` (line 7).
-    pub nmax: usize,
-    /// Whether the Bernstein check stopped sampling before `N_max`.
-    pub converged_early: bool,
-    /// The largest per-hypothesis Bernstein deviation at the stop point
-    /// (`≤ ε′` when `converged_early`; otherwise the VC bound guarantees ε′
-    /// at `N_max` regardless).
-    pub achieved_eps: f64,
-}
-
-impl AdaptiveOutcome {
-    /// Outcome of a skipped sampling phase (empty approximate subspace).
-    pub fn empty() -> Self {
-        AdaptiveOutcome {
-            estimates: Vec::new(),
-            samples_used: 0,
-            pilot_samples: 0,
-            rounds_run: 0,
-            n0: 0,
-            nmax: 0,
-            converged_early: true,
-            achieved_eps: 0.0,
-        }
-    }
-}
-
-/// Runs the adaptive estimation loop of Algorithm 1 (lines 6-20) on the
-/// approximate subspace of `problem`.
-///
-/// The paper's loop performs at most `R = ⌈log₂(N_max/N₀)⌉` Bernstein checks
-/// at sizes `N₀, 2N₀, …`; each check spends `Σᵢ 2δᵢ = δ/R` of the failure
-/// budget (Eq. 13). If no check passes, sampling runs to `N_max`, where
-/// Lemma 4's VC bound guarantees the (ε′, δ)-estimate unconditionally.
-///
-/// The caller's `rng` is consumed for a single master seed; all sample
-/// blocks are then drawn in parallel through [`HrProblem::sampler`] heads
-/// with deterministic per-chunk RNG streams.
-///
-/// The schedule itself — pilot, δᵢ allocation, doubling rounds, Bernstein
-/// checks, forced `N_max` finish — lives in [`Tracker`]; this function is
-/// the degenerate one-subscriber stream: demand a block, draw it, absorb
-/// it. The multi-subscriber drivers in [`super::multi`] run the very same
-/// trackers against one shared pass.
-pub fn estimate_risks<P: HrProblem + ?Sized>(
-    problem: &P,
-    cfg: &AdaptiveConfig,
-    rng: &mut dyn RngCore,
-) -> AdaptiveOutcome {
-    let k = problem.num_hypotheses();
-    if k == 0 {
-        return AdaptiveOutcome::empty();
-    }
-    let master = rng.next_u64();
-    let n0 = pilot_budget(cfg);
-    let nmax = vc_sample_bound(cfg.eps_prime, cfg.delta, problem.vc_dimension().max(1)).max(n0);
-    let mut tracker = Tracker::<u64>::new(k, cfg, n0, nmax);
-    while let Some(d) = tracker.demand() {
-        let block = sample_hit_counts(problem, k, master, d.stream, d.first_chunk, d.count);
-        tracker.absorb(&block);
-    }
-    tracker.finish()
+    Ok(subs
+        .iter()
+        .zip(lambdas)
+        .zip(trackers)
+        .map(|((s, lambda), tracker)| {
+            let exact = &s.exact.exact_risks;
+            match tracker {
+                Some(t) => {
+                    let outcome = t.finish();
+                    SaphyraEstimate {
+                        combined: exact
+                            .iter()
+                            .zip(&outcome.estimates)
+                            .map(|(&e, &a)| e + lambda * a)
+                            .collect(),
+                        exact_part: exact.clone(),
+                        approx_part: outcome.estimates.clone(),
+                        lambda,
+                        outcome,
+                    }
+                }
+                // The exact part covers the whole space.
+                None => SaphyraEstimate {
+                    combined: exact.clone(),
+                    exact_part: exact.clone(),
+                    approx_part: vec![0.0; exact.len()],
+                    lambda,
+                    outcome: AdaptiveOutcome::empty(),
+                },
+            }
+        })
+        .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::problem::HrSampler;
+    use super::super::LocalExec;
     use super::*;
-    use rand::Rng;
+    use rand::{Rng, RngCore, SeedableRng};
+    use saphyra_stats::vc_sample_bound;
 
     /// Synthetic problem: k independent Bernoulli hypotheses with known
     /// hit probabilities.
@@ -150,8 +137,8 @@ mod tests {
         probs: &'a [f64],
     }
 
-    impl HrSampler for MockSampler<'_> {
-        fn sample_hits_into(&mut self, rng: &mut dyn RngCore, hits: &mut Vec<u32>) {
+    impl HrSampler<u64> for MockSampler<'_> {
+        fn sample_into(&mut self, rng: &mut dyn RngCore, hits: &mut Vec<u32>) {
             for (i, &p) in self.probs.iter().enumerate() {
                 if rng.gen::<f64>() < p {
                     hits.push(i as u32);
@@ -160,21 +147,34 @@ mod tests {
         }
     }
 
-    impl HrProblem for MockProblem {
+    impl HrProblem<u64> for MockProblem {
         fn num_hypotheses(&self) -> usize {
             self.probs.len()
         }
-        fn sampler(&self) -> Box<dyn HrSampler + '_> {
+        fn sampler(&self) -> Box<dyn HrSampler<u64> + '_> {
             Box::new(MockSampler { probs: &self.probs })
         }
-        fn vc_dimension(&self) -> usize {
-            self.vc
+        fn max_samples(&self, eps_prime: f64, delta: f64) -> usize {
+            vc_sample_bound(eps_prime, delta, self.vc.max(1))
         }
     }
 
-    fn rng(seed: u64) -> rand::rngs::StdRng {
-        use rand::SeedableRng;
-        rand::rngs::StdRng::seed_from_u64(seed)
+    /// A solo run on the approximate distribution alone (empty exact
+    /// part, so ε is the per-hypothesis target ε′), seeded like a caller's
+    /// `rng` would seed it.
+    fn run(p: &MockProblem, eps: f64, delta: f64, seed: u64) -> AdaptiveOutcome {
+        let sub = Subscriber {
+            problem: p,
+            exact: ExactPart::trivial(p.probs.len()),
+            eps,
+            delta,
+            adaptive: true,
+        };
+        let master = rand::rngs::StdRng::seed_from_u64(seed).next_u64();
+        estimate(&[sub], master, &mut LocalExec::new(&[p]))
+            .expect("local execution is infallible")
+            .remove(0)
+            .outcome
     }
 
     #[test]
@@ -183,7 +183,7 @@ mod tests {
             probs: vec![0.5, 0.1, 0.02, 0.0],
             vc: 2,
         };
-        let out = estimate_risks(&p, &AdaptiveConfig::new(0.05, 0.05), &mut rng(1));
+        let out = run(&p, 0.05, 0.05, 1);
         for (est, truth) in out.estimates.iter().zip(&p.probs) {
             assert!((est - truth).abs() < 0.05, "est {est} truth {truth}");
         }
@@ -198,7 +198,7 @@ mod tests {
             probs: vec![0.0; 8],
             vc: 3,
         };
-        let out = estimate_risks(&p, &AdaptiveConfig::new(0.05, 0.05), &mut rng(2));
+        let out = run(&p, 0.05, 0.05, 2);
         assert!(out.converged_early);
         assert_eq!(out.samples_used, out.n0);
         assert_eq!(out.rounds_run, 1);
@@ -207,7 +207,6 @@ mod tests {
 
     #[test]
     fn low_variance_needs_fewer_samples_than_high_variance() {
-        let cfg = AdaptiveConfig::new(0.02, 0.05);
         let low = MockProblem {
             probs: vec![0.005; 4],
             vc: 4,
@@ -216,8 +215,8 @@ mod tests {
             probs: vec![0.5; 4],
             vc: 4,
         };
-        let out_low = estimate_risks(&low, &cfg, &mut rng(3));
-        let out_high = estimate_risks(&high, &cfg, &mut rng(4));
+        let out_low = run(&low, 0.02, 0.05, 3);
+        let out_high = run(&high, 0.02, 0.05, 4);
         assert!(
             out_low.samples_used < out_high.samples_used,
             "low {} high {}",
@@ -235,7 +234,7 @@ mod tests {
             probs: vec![0.001, 0.002],
             vc: 2,
         };
-        let out = estimate_risks(&p, &AdaptiveConfig::new(0.02, 0.05), &mut rng(5));
+        let out = run(&p, 0.02, 0.05, 5);
         assert!(out.converged_early, "achieved {}", out.achieved_eps);
         assert_eq!(out.samples_used, out.n0);
         assert_eq!(out.rounds_run, 1);
@@ -248,8 +247,7 @@ mod tests {
             probs: vec![0.5],
             vc: 1,
         };
-        let cfg = AdaptiveConfig::new(0.2, 0.3);
-        let out = estimate_risks(&p, &cfg, &mut rng(6));
+        let out = run(&p, 0.2, 0.3, 6);
         assert!(out.samples_used <= out.nmax);
         assert!(out.nmax >= out.n0);
     }
@@ -260,14 +258,13 @@ mod tests {
             probs: vec![],
             vc: 1,
         };
-        let out = estimate_risks(&p, &AdaptiveConfig::new(0.05, 0.05), &mut rng(7));
+        let out = run(&p, 0.05, 0.05, 7);
         assert!(out.estimates.is_empty());
         assert_eq!(out.samples_used, 0);
     }
 
     #[test]
     fn higher_vc_means_larger_worst_case_budget() {
-        let cfg = AdaptiveConfig::new(0.05, 0.05);
         let a = MockProblem {
             probs: vec![0.5],
             vc: 1,
@@ -276,8 +273,8 @@ mod tests {
             probs: vec![0.5],
             vc: 20,
         };
-        let oa = estimate_risks(&a, &cfg, &mut rng(8));
-        let ob = estimate_risks(&b, &cfg, &mut rng(8));
+        let oa = run(&a, 0.05, 0.05, 8);
+        let ob = run(&b, 0.05, 0.05, 8);
         assert!(ob.nmax > oa.nmax);
     }
 
@@ -287,17 +284,16 @@ mod tests {
             probs: vec![0.4, 0.07, 0.9, 0.0],
             vc: 3,
         };
-        let cfg = AdaptiveConfig::new(0.03, 0.1);
-        let run = |threads: usize| {
+        let in_pool = |threads: usize| {
             rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)
                 .build()
                 .unwrap()
-                .install(|| estimate_risks(&p, &cfg, &mut rng(99)))
+                .install(|| run(&p, 0.03, 0.1, 99))
         };
-        let reference = run(1);
+        let reference = in_pool(1);
         for threads in [2, 4, 8] {
-            let out = run(threads);
+            let out = in_pool(threads);
             assert_eq!(out.estimates, reference.estimates, "{threads} threads");
             assert_eq!(out.samples_used, reference.samples_used);
             assert_eq!(out.rounds_run, reference.rounds_run);

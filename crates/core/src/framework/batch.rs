@@ -1,8 +1,7 @@
-//! The parallel batch-drawing engine behind Algorithm 1.
+//! Work units: the chunked, counter-seeded drawing engine behind every
+//! executor.
 //!
-//! Both adaptive estimators ([`super::adaptive::estimate_risks`] and
-//! [`super::weighted::estimate_weighted_risks`]) draw their sample blocks
-//! here. A block of `count` samples is partitioned into fixed
+//! A demand of `count` samples is partitioned into fixed
 //! [`stream::CHUNK`]-sized chunks; chunk `c` is drawn by an independent
 //! counter-based RNG ([`stream::chunk_rng`]) through a per-worker
 //! [`HrSampler`], so
@@ -13,154 +12,141 @@
 //! * consecutive estimator phases extend the same stream by advancing the
 //!   first-chunk cursor, so a doubling round never replays chunks.
 //!
-//! Both accumulator kinds run through [`stream::par_grouped_fold`]: chunks
-//! fold sequentially inside thread-count-independent groups and the group
-//! accumulators merge left-to-right, giving `f64` losses one fixed
-//! association order (integer hit counts would tolerate any order, but
-//! share the discipline for free — one allocation per group instead of
-//! one per chunk).
+//! A *work unit* is a contiguous chunk sub-range of one demand, folded
+//! sequentially through one sampler. The local pass ([`run_blocks`]) splits
+//! every demand into its [`unit_ranges`] and merges the unit partials
+//! left-to-right in unit order; a distributed executor reproduces it
+//! bit-exactly from [`exec_unit`]. Integer hit counts merge exactly under
+//! any partition of a demand's chunks; `f64` losses need each unit kept
+//! whole and the partials merged in unit order.
 
+use std::ops::Range;
+
+use rayon::prelude::*;
 use saphyra_stats::stream;
 
-use super::problem::HrProblem;
-use super::weighted::WeightedHrProblem;
+use super::problem::{HrProblem, HrSampler};
+use super::tracker::{BlockAcc, Demand};
 
-/// Stream id of the pilot (variance) pass.
-pub(crate) const STREAM_PILOT: u64 = 0;
-/// Stream id of the main estimation pass (all doubling rounds).
-pub(crate) const STREAM_MAIN: u64 = 1;
+/// Number of [`stream::CHUNK`]-sized chunks a demand spans — the unit
+/// coordinate space distributed executors partition.
+pub fn demand_chunks(d: &Demand) -> usize {
+    stream::num_chunks(d.count, stream::CHUNK)
+}
 
-/// Draws `count` samples from chunks `first_chunk ..` of `stream_id` and
-/// returns the per-hypothesis hit counts.
-pub(crate) fn sample_hit_counts<P: HrProblem + ?Sized>(
-    problem: &P,
-    k: usize,
+/// The fold-unit boundaries of demand `d` for a `k`-hypothesis subscriber:
+/// the chunk sub-ranges the local pass folds sequentially and merges
+/// left-to-right. For `f64` losses this is a pure function of `(k,
+/// d.count)`, so router and shard compute identical boundaries without
+/// coordination; a distributed executor must keep each unit atomic and
+/// merge unit partials in the order returned here to reproduce the local
+/// association order. Integer hit counts merge exactly under any
+/// partition, so their grouping follows the worker count.
+pub fn unit_ranges<A: BlockAcc>(k: usize, d: &Demand) -> Vec<Range<usize>> {
+    stream::group_bounds(demand_chunks(d), A::fold_groups(k))
+}
+
+/// Draws the chunk sub-range `chunks` of demand `d` through `sampler` into
+/// `accs`. The one shared body behind the local pass and [`exec_unit`], so
+/// in-process and remote units cannot diverge.
+fn unit_into<A: BlockAcc>(
+    sampler: &mut dyn HrSampler<A>,
+    hits: &mut Vec<A::Hit>,
+    accs: &mut [A],
     master: u64,
-    stream_id: u64,
-    first_chunk: u64,
-    count: usize,
-) -> Vec<u64> {
-    if count == 0 {
-        return vec![0u64; k];
-    }
-    let chunks = stream::num_chunks(count, stream::CHUNK);
-    // u64 counts merge exactly under any grouping: one group per worker.
-    let partials = stream::par_grouped_fold(
-        chunks,
-        stream::int_groups(),
-        || (problem.sampler(), Vec::<u32>::new()),
-        || vec![0u64; k],
-        |(sampler, hits), counts, c| {
-            let mut rng = stream::chunk_rng(master, stream_id, first_chunk + c as u64);
-            let len = stream::chunk_len(count, stream::CHUNK, c);
-            for _ in 0..len {
-                hits.clear();
-                sampler.sample_hits_into(&mut rng, hits);
-                for &i in hits.iter() {
-                    counts[i as usize] += 1;
-                }
+    d: &Demand,
+    chunks: Range<usize>,
+) {
+    for c in chunks {
+        let mut rng = stream::chunk_rng(master, d.stream, d.first_chunk + c as u64);
+        let len = stream::chunk_len(d.count, stream::CHUNK, c);
+        for _ in 0..len {
+            hits.clear();
+            sampler.sample_into(&mut rng, hits);
+            for &h in hits.iter() {
+                A::record(accs, h);
             }
-        },
-    );
-    let mut total = vec![0u64; k];
-    for part in partials {
-        for (t, x) in total.iter_mut().zip(part) {
-            *t += x;
         }
     }
-    total
 }
 
-/// Streaming first and second moments of one hypothesis' losses.
-///
-/// Public so remote executors can carry per-unit partials over the wire:
-/// the pair merges exactly (field-wise sums) and, merged in the fixed unit
-/// order of [`super::multi::loss_unit_ranges`], reproduces the local `f64`
-/// association order bit-for-bit.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct LossAcc {
-    /// `Σ x`.
-    pub sum: f64,
-    /// `Σ x²`.
-    pub sumsq: f64,
-}
-
-impl LossAcc {
-    #[inline]
-    pub fn push(&mut self, x: f64) {
-        debug_assert!((0.0..=1.0 + 1e-9).contains(&x), "loss out of range: {x}");
-        self.sum += x;
-        self.sumsq += x * x;
-    }
-
-    /// Unbiased sample variance over `n` observations:
-    /// `(Σx² − (Σx)²/N) / (N−1)`.
-    pub fn sample_variance(&self, n: usize) -> f64 {
-        if n < 2 {
-            return 0.0;
-        }
-        ((self.sumsq - self.sum * self.sum / n as f64) / (n as f64 - 1.0)).max(0.0)
-    }
-
-    #[inline]
-    fn merge(&mut self, other: &LossAcc) {
-        self.sum += other.sum;
-        self.sumsq += other.sumsq;
-    }
-}
-
-/// Draws `count` weighted samples from chunks `first_chunk ..` of
-/// `stream_id` and returns per-hypothesis loss accumulators.
-///
-/// Chunks fold inside thread-count-independent groups
-/// ([`stream::par_grouped_fold`]) and groups merge left-to-right, fixing
-/// the `f64` association order.
-pub(crate) fn sample_loss_accs<P: WeightedHrProblem + ?Sized>(
+/// Executes one work unit — the chunk sub-range `chunks` of demand `d` —
+/// through a fresh sampler and returns the per-hypothesis accumulators.
+/// The chunks fold sequentially, so the unit's partial is bit-identical
+/// wherever it runs; only the merge order across units (see
+/// [`unit_ranges`]) carries `f64` association sensitivity.
+pub fn exec_unit<A: BlockAcc, P: HrProblem<A> + ?Sized>(
     problem: &P,
-    k: usize,
     master: u64,
-    stream_id: u64,
-    first_chunk: u64,
-    count: usize,
-) -> Vec<LossAcc> {
-    if count == 0 {
-        return vec![LossAcc::default(); k];
-    }
-    let chunks = stream::num_chunks(count, stream::CHUNK);
-    let partials = stream::par_grouped_fold(
+    d: &Demand,
+    chunks: Range<usize>,
+) -> Vec<A> {
+    let mut accs = vec![A::zero(); problem.num_hypotheses()];
+    let mut hits = Vec::new();
+    unit_into(
+        problem.sampler().as_mut(),
+        &mut hits,
+        &mut accs,
+        master,
+        d,
         chunks,
-        stream::f64_groups(k * std::mem::size_of::<LossAcc>()),
-        || (problem.sampler(), Vec::<(u32, f64)>::new()),
-        || vec![LossAcc::default(); k],
-        |(sampler, buf), accs, c| {
-            let mut rng = stream::chunk_rng(master, stream_id, first_chunk + c as u64);
-            let len = stream::chunk_len(count, stream::CHUNK, c);
-            for _ in 0..len {
-                buf.clear();
-                sampler.sample_losses_into(&mut rng, buf);
-                for &(i, x) in buf.iter() {
-                    accs[i as usize].push(x);
-                }
-            }
-        },
     );
-    let mut total = vec![LossAcc::default(); k];
-    for part in partials {
-        for (t, p) in total.iter_mut().zip(&part) {
-            t.merge(p);
-        }
-    }
-    total
+    accs
 }
 
-/// Chunks consumed by a block of `count` samples (cursor advance).
-pub(crate) fn chunks_used(count: usize) -> u64 {
-    stream::num_chunks(count, stream::CHUNK) as u64
+/// Executes one round of demands as one rayon pass: every demand splits
+/// into its [`unit_ranges`], each unit folds through its own problem's
+/// sampler (one per problem per worker, created on first use), and the
+/// unit partials merge per demand in unit order.
+pub(crate) fn run_blocks<'a, A: BlockAcc, P: HrProblem<A> + ?Sized>(
+    problems: &[&'a P],
+    master: u64,
+    reqs: &[(usize, Demand)],
+) -> Vec<Vec<A>> {
+    let ks: Vec<usize> = reqs
+        .iter()
+        .map(|&(sub, _)| problems[sub].num_hypotheses())
+        .collect();
+    // unit = (request index, chunk sub-range)
+    let units: Vec<(usize, Range<usize>)> = reqs
+        .iter()
+        .enumerate()
+        .flat_map(|(ri, (_, d))| {
+            unit_ranges::<A>(ks[ri], d)
+                .into_iter()
+                .map(move |r| (ri, r))
+        })
+        .collect();
+    let partials: Vec<Vec<A>> = (0..units.len())
+        .into_par_iter()
+        .map_init(
+            || {
+                let samplers: Vec<Option<Box<dyn HrSampler<A> + 'a>>> =
+                    problems.iter().map(|_| None).collect();
+                (samplers, Vec::new())
+            },
+            |(samplers, hits), u| {
+                let (ri, range) = &units[u as usize];
+                let (sub, d) = reqs[*ri];
+                let mut accs = vec![A::zero(); ks[*ri]];
+                let sampler = samplers[sub].get_or_insert_with(|| problems[sub].sampler());
+                unit_into(sampler.as_mut(), hits, &mut accs, master, &d, range.clone());
+                accs
+            },
+        )
+        .collect();
+    let mut totals: Vec<Vec<A>> = ks.iter().map(|&k| vec![A::zero(); k]).collect();
+    for ((ri, _), part) in units.iter().zip(partials) {
+        for (t, p) in totals[*ri].iter_mut().zip(&part) {
+            t.add(p);
+        }
+    }
+    totals
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::problem::HrSampler;
+    use super::super::tracker::{STREAM_MAIN, STREAM_PILOT};
     use super::*;
     use rand::{Rng, RngCore};
 
@@ -172,8 +158,8 @@ mod tests {
         probs: &'a [f64],
     }
 
-    impl HrSampler for FixedSampler<'_> {
-        fn sample_hits_into(&mut self, rng: &mut dyn RngCore, hits: &mut Vec<u32>) {
+    impl HrSampler<u64> for FixedSampler<'_> {
+        fn sample_into(&mut self, rng: &mut dyn RngCore, hits: &mut Vec<u32>) {
             for (i, &p) in self.probs.iter().enumerate() {
                 if rng.gen::<f64>() < p {
                     hits.push(i as u32);
@@ -182,16 +168,27 @@ mod tests {
         }
     }
 
-    impl HrProblem for Fixed {
+    impl HrProblem<u64> for Fixed {
         fn num_hypotheses(&self) -> usize {
             self.probs.len()
         }
-        fn sampler(&self) -> Box<dyn HrSampler + '_> {
+        fn sampler(&self) -> Box<dyn HrSampler<u64> + '_> {
             Box::new(FixedSampler { probs: &self.probs })
         }
-        fn vc_dimension(&self) -> usize {
-            1
+        fn max_samples(&self, eps_prime: f64, delta: f64) -> usize {
+            saphyra_stats::vc_sample_bound(eps_prime, delta, 1)
         }
+    }
+
+    /// One demand of `count` samples from chunk `first_chunk` of `stream`,
+    /// drawn by the local pass.
+    fn block(p: &Fixed, master: u64, stream: u64, first_chunk: u64, count: usize) -> Vec<u64> {
+        let d = Demand {
+            stream,
+            first_chunk,
+            count,
+        };
+        run_blocks(&[p], master, &[(0, d)]).remove(0)
     }
 
     #[test]
@@ -199,19 +196,24 @@ mod tests {
         let p = Fixed {
             probs: vec![0.5, 0.1, 0.9],
         };
-        let reference = rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .unwrap()
-            .install(|| sample_hit_counts(&p, 3, 42, STREAM_MAIN, 0, 10_000));
-        for threads in [2, 4, 8] {
-            let got = rayon::ThreadPoolBuilder::new()
+        let in_pool = |threads: usize| {
+            rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)
                 .build()
                 .unwrap()
-                .install(|| sample_hit_counts(&p, 3, 42, STREAM_MAIN, 0, 10_000));
-            assert_eq!(got, reference, "{threads} threads");
+                .install(|| block(&p, 42, STREAM_MAIN, 0, 10_000))
+        };
+        let reference = in_pool(1);
+        for threads in [2, 4, 8] {
+            assert_eq!(in_pool(threads), reference, "{threads} threads");
         }
+        // A single unit over every chunk folds to the same counts.
+        let d = Demand {
+            stream: STREAM_MAIN,
+            first_chunk: 0,
+            count: 10_000,
+        };
+        assert_eq!(exec_unit(&p, 42, &d, 0..demand_chunks(&d)), reference);
     }
 
     #[test]
@@ -221,11 +223,17 @@ mod tests {
         let p = Fixed {
             probs: vec![0.3, 0.7],
         };
-        let a = 4 * saphyra_stats::stream::CHUNK;
-        let b = 3 * saphyra_stats::stream::CHUNK + 17;
-        let whole = sample_hit_counts(&p, 2, 9, STREAM_MAIN, 0, a + b);
-        let first = sample_hit_counts(&p, 2, 9, STREAM_MAIN, 0, a);
-        let second = sample_hit_counts(&p, 2, 9, STREAM_MAIN, chunks_used(a), b);
+        let a = 4 * stream::CHUNK;
+        let b = 3 * stream::CHUNK + 17;
+        let whole = block(&p, 9, STREAM_MAIN, 0, a + b);
+        let first = block(&p, 9, STREAM_MAIN, 0, a);
+        let second = block(
+            &p,
+            9,
+            STREAM_MAIN,
+            stream::num_chunks(a, stream::CHUNK) as u64,
+            b,
+        );
         let sum: Vec<u64> = first.iter().zip(&second).map(|(x, y)| x + y).collect();
         assert_eq!(whole, sum);
     }
@@ -233,8 +241,8 @@ mod tests {
     #[test]
     fn streams_are_independent() {
         let p = Fixed { probs: vec![0.5] };
-        let pilot = sample_hit_counts(&p, 1, 7, STREAM_PILOT, 0, 5000);
-        let main = sample_hit_counts(&p, 1, 7, STREAM_MAIN, 0, 5000);
+        let pilot = block(&p, 7, STREAM_PILOT, 0, 5000);
+        let main = block(&p, 7, STREAM_MAIN, 0, 5000);
         assert_ne!(pilot, main);
     }
 }

@@ -1,6 +1,12 @@
 //! The generic SaPHyRa framework (paper §III): hypothesis-ranking problems,
 //! the sample-space-partitioning estimator (Algorithm 1), and the
 //! variance-reduction analysis (Claim 8).
+//!
+//! [`estimate`] is the one driver: it runs every [`Subscriber`] — a
+//! problem, its exact part and its accuracy target — through Algorithm 1
+//! against a [`BlockExec`], which draws each round's demands locally
+//! ([`LocalExec`], [`LocalSharedExec`]) or remotely. A solo run is a slice
+//! of one subscriber.
 
 mod adaptive;
 mod batch;
@@ -10,20 +16,13 @@ mod tracker;
 mod variance;
 mod weighted;
 
-pub use adaptive::{estimate_risks, AdaptiveConfig, AdaptiveOutcome};
-pub use batch::LossAcc;
-pub use multi::{
-    demand_chunks, estimate_risks_multi, estimate_risks_multi_exec, estimate_risks_shared,
-    estimate_weighted_risks_multi, estimate_weighted_risks_multi_exec, exec_hit_unit,
-    exec_loss_unit, loss_unit_ranges, BlockExec, ExecError, LocalExec, LocalLossExec,
-    LocalSharedExec,
-};
+pub use adaptive::{estimate, Subscriber};
+pub use batch::{demand_chunks, exec_unit, unit_ranges};
+pub use multi::{BlockExec, ExecError, LocalExec, LocalSharedExec};
 pub use problem::{ExactPart, HrProblem, HrSampler, SharedDraw};
-pub use tracker::{BlockAcc, Demand, Tracker};
+pub use tracker::{AdaptiveOutcome, BlockAcc, Demand};
 pub use variance::{partitioned_variance_ratio, variance_reduction_factor};
-pub use weighted::{
-    estimate_weighted_risks, saphyra_estimate_weighted, WeightedHrProblem, WeightedHrSampler,
-};
+pub use weighted::LossAcc;
 
 /// The combined output of the SaPHyRa framework on one problem instance.
 #[derive(Debug, Clone)]
@@ -56,242 +55,10 @@ impl SaphyraEstimate {
     }
 }
 
-/// Runs the full SaPHyRa pipeline (Algorithm 1) for a problem whose exact
-/// part has already been evaluated.
-///
-/// `eps` is the target accuracy *on the combined risk*; internally the
-/// approximate subspace is estimated to `ε′ = ε/λ` (line 5 of Algorithm 1).
-/// When `λ` is (numerically) zero the exact part already covers the whole
-/// space and no samples are drawn.
-pub fn saphyra_estimate<P: HrProblem + ?Sized>(
-    problem: &P,
-    exact: &ExactPart,
-    eps: f64,
-    delta: f64,
-    rng: &mut dyn rand::RngCore,
-) -> SaphyraEstimate {
-    saphyra_estimate_cfg(problem, exact, eps, delta, true, rng)
-}
-
-/// [`saphyra_estimate`] with explicit control over adaptive stopping
-/// (`adaptive = false` draws the fixed `N_max` budget — the ablation of
-/// DESIGN.md §5).
-pub fn saphyra_estimate_cfg<P: HrProblem + ?Sized>(
-    problem: &P,
-    exact: &ExactPart,
-    eps: f64,
-    delta: f64,
-    adaptive: bool,
-    rng: &mut dyn rand::RngCore,
-) -> SaphyraEstimate {
-    let k = exact.exact_risks.len();
-    assert_eq!(k, problem.num_hypotheses(), "exact part size mismatch");
-    let lambda = (1.0 - exact.lambda_hat).clamp(0.0, 1.0);
-    if lambda <= f64::EPSILON {
-        return exact_only_estimate(exact, lambda);
-    }
-    let mut cfg = AdaptiveConfig::new(eps / lambda, delta);
-    cfg.adaptive = adaptive;
-    let outcome = estimate_risks(problem, &cfg, rng);
-    combine_estimate(exact, lambda, outcome)
-}
-
-/// Eq. 8: `ℓᵢ = ℓ̂ᵢ + λ·ℓ̃ᵢ`, assembled from the exact part and one
-/// sampling outcome.
-fn combine_estimate(exact: &ExactPart, lambda: f64, outcome: AdaptiveOutcome) -> SaphyraEstimate {
-    let combined: Vec<f64> = exact
-        .exact_risks
-        .iter()
-        .zip(&outcome.estimates)
-        .map(|(&e, &a)| e + lambda * a)
-        .collect();
-    SaphyraEstimate {
-        combined,
-        exact_part: exact.exact_risks.clone(),
-        approx_part: outcome.estimates.clone(),
-        lambda,
-        outcome,
-    }
-}
-
-/// Degenerate `λ ≈ 0` estimate: the exact part covers the whole space.
-fn exact_only_estimate(exact: &ExactPart, lambda: f64) -> SaphyraEstimate {
-    SaphyraEstimate {
-        combined: exact.exact_risks.clone(),
-        exact_part: exact.exact_risks.clone(),
-        approx_part: vec![0.0; exact.exact_risks.len()],
-        lambda,
-        outcome: AdaptiveOutcome::empty(),
-    }
-}
-
-/// One subscriber of a batched SaPHyRa run: a problem, its already-computed
-/// exact part, and its accuracy target on the *combined* risk.
-pub struct BatchSubscriber<'a, P: ?Sized> {
-    /// The approximate-subspace problem.
-    pub problem: &'a P,
-    /// Output of the `Exact(·)` oracle for this subscriber.
-    pub exact: &'a ExactPart,
-    /// Target accuracy ε on the combined risk.
-    pub eps: f64,
-    /// Failure probability δ.
-    pub delta: f64,
-}
-
-/// Shared plumbing of the batched pipelines: compute each subscriber's
-/// `λ`, route the `λ > 0` ones through `engine` (with per-subscriber
-/// `ε′ = ε/λ` configs and one shared master seed), and assemble Eq. 8 per
-/// subscriber. Degenerate subscribers (`λ ≈ 0`) never sample.
-///
-/// The engine also receives `sampled` — the *original* subscriber index of
-/// each problem it was handed — so remote executors can tell their
-/// backends which subscriber each demand belongs to. An engine failure
-/// (e.g. an unreachable shard) aborts the whole batch.
-fn saphyra_batch_with<P: ?Sized>(
-    subs: &[BatchSubscriber<'_, P>],
-    adaptive: bool,
-    rng: &mut dyn rand::RngCore,
-    engine: impl FnOnce(
-        &[usize],
-        &[&P],
-        &[AdaptiveConfig],
-        u64,
-    ) -> Result<Vec<AdaptiveOutcome>, ExecError>,
-) -> Result<Vec<SaphyraEstimate>, ExecError> {
-    let master = rng.next_u64();
-    let lambdas: Vec<f64> = subs
-        .iter()
-        .map(|s| (1.0 - s.exact.lambda_hat).clamp(0.0, 1.0))
-        .collect();
-    let sampled: Vec<usize> = (0..subs.len())
-        .filter(|&i| lambdas[i] > f64::EPSILON)
-        .collect();
-    let problems: Vec<&P> = sampled.iter().map(|&i| subs[i].problem).collect();
-    let cfgs: Vec<AdaptiveConfig> = sampled
-        .iter()
-        .map(|&i| {
-            let mut cfg = AdaptiveConfig::new(subs[i].eps / lambdas[i], subs[i].delta);
-            cfg.adaptive = adaptive;
-            cfg
-        })
-        .collect();
-    let outcomes = engine(&sampled, &problems, &cfgs, master)?;
-    let mut outcomes: Vec<Option<AdaptiveOutcome>> = outcomes.into_iter().map(Some).collect();
-    let mut by_sub: Vec<Option<AdaptiveOutcome>> = (0..subs.len()).map(|_| None).collect();
-    for (slot, &i) in sampled.iter().enumerate() {
-        by_sub[i] = outcomes[slot].take();
-    }
-    Ok(subs
-        .iter()
-        .zip(lambdas)
-        .zip(by_sub)
-        .map(|((s, lambda), outcome)| match outcome {
-            Some(o) => combine_estimate(s.exact, lambda, o),
-            None => exact_only_estimate(s.exact, lambda),
-        })
-        .collect())
-}
-
-fn check_batch_sizes<P: ?Sized>(
-    subs: &[BatchSubscriber<'_, P>],
-    num_hypotheses: impl Fn(&P) -> usize,
-) {
-    for s in subs {
-        assert_eq!(
-            s.exact.exact_risks.len(),
-            num_hypotheses(s.problem),
-            "exact part size mismatch"
-        );
-    }
-}
-
-/// [`saphyra_estimate_batch`] against a caller-supplied estimation engine.
-///
-/// The engine is handed the `λ > 0` subscribers' problems and configs
-/// *plus* their original subscriber indices, and typically wraps
-/// [`estimate_risks_multi_exec`] around a remote [`BlockExec`]. Engines
-/// honoring the executor contract produce results bit-identical to
-/// [`saphyra_estimate_batch`]; engine errors abort the batch.
-pub fn saphyra_estimate_batch_with<P: HrProblem + ?Sized>(
-    subs: &[BatchSubscriber<'_, P>],
-    adaptive: bool,
-    rng: &mut dyn rand::RngCore,
-    engine: impl FnOnce(
-        &[usize],
-        &[&P],
-        &[AdaptiveConfig],
-        u64,
-    ) -> Result<Vec<AdaptiveOutcome>, ExecError>,
-) -> Result<Vec<SaphyraEstimate>, ExecError> {
-    check_batch_sizes(subs, |p| p.num_hypotheses());
-    saphyra_batch_with(subs, adaptive, rng, engine)
-}
-
-/// [`saphyra_estimate_weighted_batch`] against a caller-supplied engine —
-/// the fractional-loss analogue of [`saphyra_estimate_batch_with`].
-pub fn saphyra_estimate_weighted_batch_with<P: WeightedHrProblem + ?Sized>(
-    subs: &[BatchSubscriber<'_, P>],
-    adaptive: bool,
-    rng: &mut dyn rand::RngCore,
-    engine: impl FnOnce(
-        &[usize],
-        &[&P],
-        &[AdaptiveConfig],
-        u64,
-    ) -> Result<Vec<AdaptiveOutcome>, ExecError>,
-) -> Result<Vec<SaphyraEstimate>, ExecError> {
-    check_batch_sizes(subs, |p| p.num_hypotheses());
-    saphyra_batch_with(subs, adaptive, rng, engine)
-}
-
-/// Batched [`saphyra_estimate`]: every subscriber's result — estimates,
-/// telemetry, and achieved ε — is bit-identical to a solo run against an
-/// `rng` yielding the same master seed, no matter who else is batched.
-/// Draws are fused into one pass per round but not shared across
-/// subscribers (each problem samples through its own `Gen(·)`).
-pub fn saphyra_estimate_batch<P: HrProblem + ?Sized>(
-    subs: &[BatchSubscriber<'_, P>],
-    adaptive: bool,
-    rng: &mut dyn rand::RngCore,
-) -> Vec<SaphyraEstimate> {
-    saphyra_estimate_batch_with(subs, adaptive, rng, |_, problems, cfgs, master| {
-        Ok(estimate_risks_multi(problems, cfgs, master))
-    })
-    .expect("local execution is infallible")
-}
-
-/// Batched [`saphyra_estimate`] with **shared draws** for [`SharedDraw`]
-/// problems over one common sample space: each demanded sample block is
-/// drawn once and scored by every subscriber that needs it. Same
-/// bit-identity guarantee as [`saphyra_estimate_batch`].
-pub fn saphyra_estimate_batch_shared<P: SharedDraw + ?Sized>(
-    subs: &[BatchSubscriber<'_, P>],
-    adaptive: bool,
-    rng: &mut dyn rand::RngCore,
-) -> Vec<SaphyraEstimate> {
-    check_batch_sizes(subs, |p| p.num_hypotheses());
-    saphyra_batch_with(subs, adaptive, rng, |_, problems, cfgs, master| {
-        Ok(estimate_risks_shared(problems, cfgs, master))
-    })
-    .expect("local execution is infallible")
-}
-
-/// Batched [`saphyra_estimate_weighted`] (fractional losses, fused pass).
-pub fn saphyra_estimate_weighted_batch<P: WeightedHrProblem + ?Sized>(
-    subs: &[BatchSubscriber<'_, P>],
-    adaptive: bool,
-    rng: &mut dyn rand::RngCore,
-) -> Vec<SaphyraEstimate> {
-    saphyra_estimate_weighted_batch_with(subs, adaptive, rng, |_, problems, cfgs, master| {
-        Ok(estimate_weighted_risks_multi(problems, cfgs, master))
-    })
-    .expect("local execution is infallible")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{Rng, SeedableRng};
+    use rand::{Rng, RngCore, SeedableRng};
 
     struct Mock {
         probs: Vec<f64>,
@@ -301,8 +68,8 @@ mod tests {
         probs: &'a [f64],
     }
 
-    impl HrSampler for MockSampler<'_> {
-        fn sample_hits_into(&mut self, rng: &mut dyn rand::RngCore, hits: &mut Vec<u32>) {
+    impl HrSampler<u64> for MockSampler<'_> {
+        fn sample_into(&mut self, rng: &mut dyn RngCore, hits: &mut Vec<u32>) {
             for (i, &p) in self.probs.iter().enumerate() {
                 if rng.gen::<f64>() < p {
                     hits.push(i as u32);
@@ -311,16 +78,32 @@ mod tests {
         }
     }
 
-    impl HrProblem for Mock {
+    impl HrProblem<u64> for Mock {
         fn num_hypotheses(&self) -> usize {
             self.probs.len()
         }
-        fn sampler(&self) -> Box<dyn HrSampler + '_> {
+        fn sampler(&self) -> Box<dyn HrSampler<u64> + '_> {
             Box::new(MockSampler { probs: &self.probs })
         }
-        fn vc_dimension(&self) -> usize {
-            2
+        fn max_samples(&self, eps_prime: f64, delta: f64) -> usize {
+            saphyra_stats::vc_sample_bound(eps_prime, delta, 2)
         }
+    }
+
+    /// One subscriber through the local executor; the caller's `rng`
+    /// contributes the master seed.
+    fn solo(p: &Mock, exact: &ExactPart, eps: f64, delta: f64, seed: u64) -> SaphyraEstimate {
+        let sub = Subscriber {
+            problem: p,
+            exact: exact.clone(),
+            eps,
+            delta,
+            adaptive: true,
+        };
+        let master = rand::rngs::StdRng::seed_from_u64(seed).next_u64();
+        estimate(&[sub], master, &mut LocalExec::new(&[p]))
+            .expect("local execution is infallible")
+            .remove(0)
     }
 
     #[test]
@@ -334,8 +117,7 @@ mod tests {
             lambda_hat: 0.5,
             exact_risks: vec![0.05, 0.2],
         };
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let est = saphyra_estimate(&p, &exact, 0.02, 0.05, &mut rng);
+        let est = solo(&p, &exact, 0.02, 0.05, 1);
         assert_eq!(est.lambda, 0.5);
         for i in 0..2 {
             let expect_combined = exact.exact_risks[i] + 0.5 * est.approx_part[i];
@@ -354,8 +136,7 @@ mod tests {
             lambda_hat: 0.9,
             exact_risks: vec![0.1, 0.3, 0.2],
         };
-        let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-        let est = saphyra_estimate(&p, &exact, 0.05, 0.1, &mut rng);
+        let est = solo(&p, &exact, 0.05, 0.1, 2);
         assert_eq!(est.ranking(), vec![1, 2, 0]);
     }
 
@@ -366,8 +147,7 @@ mod tests {
             lambda_hat: 1.0,
             exact_risks: vec![0.42],
         };
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let est = saphyra_estimate(&p, &exact, 0.01, 0.01, &mut rng);
+        let est = solo(&p, &exact, 0.01, 0.01, 3);
         assert_eq!(est.outcome.samples_used, 0);
         assert_eq!(est.combined, vec![0.42]);
     }

@@ -1,55 +1,37 @@
-//! Multi-subscriber adaptive estimation: one pass over sample blocks feeds
-//! many independent (est, ε) trackers with per-subscriber stopping rules.
+//! Where a round's demands are drawn: the [`BlockExec`] trait and the two
+//! in-process executors.
 //!
-//! Each subscriber is a [`Tracker`] (the demand/absorb form of Algorithm
-//! 1's loop). The drivers here step all trackers in lockstep rounds: every
-//! round collects the active subscribers' [`Demand`]s, executes them as
-//! **one** parallel pass, and feeds each block back. A subscriber whose ε
-//! target is met detaches while the pass keeps serving stricter ones.
-//! Because a demand is a pure coordinate into the counter-based RNG
-//! streams, each subscriber sees exactly the draws it would have seen
-//! running alone under the same master seed — outcomes are bit-identical
-//! to per-subscriber [`super::adaptive::estimate_risks`] runs, for every
-//! thread count and every batch composition.
+//! [`super::estimate`] steps every subscriber's tracker in lockstep rounds:
+//! each round collects the active subscribers' [`Demand`]s, hands them to
+//! an executor as **one** pass, and feeds each block back. Because a demand
+//! is a pure coordinate into the counter-based RNG streams, each subscriber
+//! sees exactly the draws it would have seen running alone under the same
+//! master seed — for every thread count, every batch composition and every
+//! executor honoring the contract.
 //!
-//! ## Pluggable execution
+//! * [`LocalExec`] — fused scheduling: all subscribers' blocks fan out over
+//!   one rayon pass, but each block is drawn through its own problem's
+//!   sampler (required when draws depend on the hypothesis set, as for
+//!   personalized-ISP betweenness and harmonic closeness).
+//! * [`LocalSharedExec`] — genuine draw sharing for [`SharedDraw`]
+//!   problems: overlapping chunk demands are unioned, each chunk's
+//!   artifacts are drawn **once**, and every demanding subscriber scores
+//!   them. Serving `s` subscribers costs one draw pass plus `s` cheap score
+//!   scans instead of `s` draw passes.
 //!
-//! *Where* a round's demands are drawn is behind the [`BlockExec`] trait:
-//! the drivers only see `demands in → per-subscriber accumulators out`.
-//! Three in-process executors ship here:
-//!
-//! * [`LocalExec`] (behind [`estimate_risks_multi`] /
-//!   [`estimate_weighted_risks_multi`] via [`LocalLossExec`]) — fused
-//!   scheduling: all subscribers' blocks fan out over one rayon pass, but
-//!   each block is drawn through its own problem's sampler (required when
-//!   draws depend on the hypothesis set, as for personalized-ISP
-//!   betweenness and harmonic closeness).
-//! * [`LocalSharedExec`] (behind [`estimate_risks_shared`]) — genuine draw
-//!   sharing for [`SharedDraw`] problems: overlapping chunk demands are
-//!   unioned, each chunk's artifacts are drawn **once**, and every
-//!   demanding subscriber scores them. Serving `s` subscribers costs one
-//!   draw pass plus `s` cheap score scans instead of `s` draw passes.
-//!
-//! A distributed executor reproduces the local passes bit-exactly from the
-//! published unit helpers: [`demand_chunks`] and [`exec_hit_unit`] for
-//! integer hits (exact merges under any chunk partition), and
-//! [`loss_unit_ranges`] + [`exec_loss_unit`] for fractional losses (units
-//! are the solo path's `f64` fold groups; merging unit partials
-//! left-to-right in unit order reproduces the solo association order, and
-//! therefore the bits, no matter which backend computed which unit).
+//! A distributed executor reproduces the local pass bit-exactly from the
+//! published unit helpers ([`super::demand_chunks`],
+//! [`super::unit_ranges`], [`super::exec_unit`]).
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::ops::Range;
 
 use rayon::prelude::*;
-use saphyra_stats::{hoeffding_samples, stream, vc_sample_bound};
+use saphyra_stats::stream;
 
-use super::adaptive::{AdaptiveConfig, AdaptiveOutcome};
-use super::batch::LossAcc;
-use super::problem::{HrProblem, HrSampler, SharedDraw};
-use super::tracker::{pilot_budget, BlockAcc, Demand, Tracker};
-use super::weighted::{WeightedHrProblem, WeightedHrSampler};
+use super::batch::run_blocks;
+use super::problem::{HrProblem, SharedDraw};
+use super::tracker::{BlockAcc, Demand};
 
 /// Failure of a pluggable [`BlockExec`] backend (an unreachable shard, a
 /// wire decode error, ...). Local executors never produce it.
@@ -64,256 +46,21 @@ impl fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// Where sample blocks are drawn. One round's demands go in (one entry per
-/// active subscriber, each a pure `(stream, first_chunk, count)` coordinate
-/// paired with its subscriber index); per-subscriber accumulator vectors
-/// come back, aligned with `reqs`.
+/// Where sample blocks are drawn. One round's demands go in under the
+/// pass's `master` seed — one entry per active subscriber, each a pure
+/// `(stream, first_chunk, count)` coordinate paired with the subscriber's
+/// index in the slice handed to [`super::estimate`] (for the rankers, the
+/// original target-set index). Per-subscriber accumulator vectors come
+/// back, aligned with `reqs`.
 ///
 /// The contract that makes executors interchangeable **bit-for-bit**: the
 /// accumulators returned for a demand must equal the ones
-/// [`exec_hit_unit`] / [`exec_loss_unit`] produce from the same master
-/// seed, with `f64` unit partials merged in [`loss_unit_ranges`] order.
-/// Under that contract solo == local == distributed by construction.
-pub trait BlockExec<T: BlockAcc> {
+/// [`super::exec_unit`] produces from the same master seed, with `f64`
+/// unit partials merged in [`super::unit_ranges`] order. Under that
+/// contract local == distributed by construction.
+pub trait BlockExec<A: BlockAcc> {
     /// Executes one round of demands.
-    fn run(&mut self, reqs: &[(usize, Demand)]) -> Result<Vec<Vec<T>>, ExecError>;
-}
-
-/// Steps trackers in lockstep rounds against a block executor until every
-/// subscriber detaches.
-fn drive<T: BlockAcc>(
-    mut trackers: Vec<Tracker<T>>,
-    exec: &mut dyn BlockExec<T>,
-) -> Result<Vec<AdaptiveOutcome>, ExecError> {
-    loop {
-        let reqs: Vec<(usize, Demand)> = trackers
-            .iter()
-            .enumerate()
-            .filter_map(|(i, t)| t.demand().map(|d| (i, d)))
-            .collect();
-        if reqs.is_empty() {
-            break;
-        }
-        let blocks = exec.run(&reqs)?;
-        debug_assert_eq!(blocks.len(), reqs.len());
-        for (&(sub, _), block) in reqs.iter().zip(&blocks) {
-            trackers[sub].absorb(block);
-        }
-    }
-    Ok(trackers.into_iter().map(Tracker::finish).collect())
-}
-
-/// Number of [`stream::CHUNK`]-sized chunks a demand spans — the unit
-/// coordinate space distributed executors partition.
-pub fn demand_chunks(d: &Demand) -> usize {
-    if d.count == 0 {
-        0
-    } else {
-        stream::num_chunks(d.count, stream::CHUNK)
-    }
-}
-
-/// Draws the chunk sub-range `chunks` of demand `d` through `sampler` and
-/// accumulates hit counts. The one shared body behind the local parallel
-/// pass and [`exec_hit_unit`], so in-process and remote units cannot
-/// diverge.
-fn hit_unit_into(
-    sampler: &mut dyn HrSampler,
-    hits: &mut Vec<u32>,
-    counts: &mut [u64],
-    master: u64,
-    d: &Demand,
-    chunks: Range<usize>,
-) {
-    for c in chunks {
-        let mut rng = stream::chunk_rng(master, d.stream, d.first_chunk + c as u64);
-        let len = stream::chunk_len(d.count, stream::CHUNK, c);
-        for _ in 0..len {
-            hits.clear();
-            sampler.sample_hits_into(&mut rng, hits);
-            for &i in hits.iter() {
-                counts[i as usize] += 1;
-            }
-        }
-    }
-}
-
-/// Executes one hit-count work unit — the chunk sub-range `chunks` of
-/// demand `d` — and returns the per-hypothesis counts. Integer counts
-/// merge exactly under any partition of a demand's chunks, so a
-/// distributed executor may split demands into arbitrary contiguous
-/// sub-ranges across backends and sum the partials in any order.
-pub fn exec_hit_unit<P: HrProblem + ?Sized>(
-    problem: &P,
-    master: u64,
-    d: &Demand,
-    chunks: Range<usize>,
-) -> Vec<u64> {
-    let mut counts = vec![0u64; problem.num_hypotheses()];
-    let mut sampler = problem.sampler();
-    let mut hits = Vec::new();
-    hit_unit_into(sampler.as_mut(), &mut hits, &mut counts, master, d, chunks);
-    counts
-}
-
-/// The fold-group boundaries of a fractional-loss demand for a
-/// `k`-hypothesis subscriber: the exact units the solo path folds
-/// sequentially and merges left-to-right. A pure function of `(k,
-/// d.count)` — router and shard compute identical boundaries without
-/// coordination. A distributed executor must keep each unit atomic (one
-/// backend folds its chunks sequentially) and merge unit partials in the
-/// order returned here to reproduce the solo `f64` association order.
-pub fn loss_unit_ranges(k: usize, d: &Demand) -> Vec<Range<usize>> {
-    if d.count == 0 {
-        return Vec::new();
-    }
-    let chunks = stream::num_chunks(d.count, stream::CHUNK);
-    let groups = stream::f64_groups(k * std::mem::size_of::<LossAcc>());
-    stream::group_bounds(chunks, groups)
-}
-
-/// Sequential body of one fractional-loss work unit, shared by the local
-/// parallel pass and [`exec_loss_unit`].
-fn loss_unit_into(
-    sampler: &mut dyn WeightedHrSampler,
-    buf: &mut Vec<(u32, f64)>,
-    accs: &mut [LossAcc],
-    master: u64,
-    d: &Demand,
-    chunks: Range<usize>,
-) {
-    for c in chunks {
-        let mut rng = stream::chunk_rng(master, d.stream, d.first_chunk + c as u64);
-        let len = stream::chunk_len(d.count, stream::CHUNK, c);
-        for _ in 0..len {
-            buf.clear();
-            sampler.sample_losses_into(&mut rng, buf);
-            for &(i, x) in buf.iter() {
-                accs[i as usize].push(x);
-            }
-        }
-    }
-}
-
-/// Executes one fractional-loss work unit — which must be exactly one
-/// range from [`loss_unit_ranges`] — and returns the per-hypothesis moment
-/// accumulators. The chunks fold sequentially, so the unit's partial is
-/// bit-identical wherever it runs; only the *merge order across units*
-/// (see [`loss_unit_ranges`]) carries association sensitivity.
-pub fn exec_loss_unit<P: WeightedHrProblem + ?Sized>(
-    problem: &P,
-    master: u64,
-    d: &Demand,
-    chunks: Range<usize>,
-) -> Vec<LossAcc> {
-    let mut accs = vec![LossAcc::default(); problem.num_hypotheses()];
-    let mut sampler = problem.sampler();
-    let mut buf = Vec::new();
-    loss_unit_into(sampler.as_mut(), &mut buf, &mut accs, master, d, chunks);
-    accs
-}
-
-/// Executes hit-count demands as one rayon pass. Each demand's chunk range
-/// is split into groups exactly like the solo path; integer counts merge
-/// exactly under any grouping, so per-subscriber totals are bit-identical
-/// to solo runs.
-fn run_hit_blocks<'a, P: HrProblem + ?Sized>(
-    problems: &[&'a P],
-    master: u64,
-    reqs: &[(usize, Demand)],
-) -> Vec<Vec<u64>> {
-    let ks: Vec<usize> = problems.iter().map(|p| p.num_hypotheses()).collect();
-    // unit = (request index, chunk sub-range)
-    let mut units: Vec<(usize, Range<usize>)> = Vec::new();
-    for (ri, &(_, d)) in reqs.iter().enumerate() {
-        if d.count == 0 {
-            continue;
-        }
-        let chunks = stream::num_chunks(d.count, stream::CHUNK);
-        for r in stream::group_bounds(chunks, stream::int_groups()) {
-            units.push((ri, r));
-        }
-    }
-    let partials: Vec<Vec<u64>> = (0..units.len())
-        .into_par_iter()
-        .map_init(
-            || {
-                let samplers: Vec<Option<Box<dyn HrSampler + 'a>>> =
-                    problems.iter().map(|_| None).collect();
-                (samplers, Vec::<u32>::new())
-            },
-            |(samplers, hits), u| {
-                let (ri, range) = &units[u as usize];
-                let (sub, d) = reqs[*ri];
-                let mut counts = vec![0u64; ks[sub]];
-                let sampler = samplers[sub].get_or_insert_with(|| problems[sub].sampler());
-                hit_unit_into(
-                    sampler.as_mut(),
-                    hits,
-                    &mut counts,
-                    master,
-                    &d,
-                    range.clone(),
-                );
-                counts
-            },
-        )
-        .collect();
-    let mut totals: Vec<Vec<u64>> = reqs.iter().map(|&(s, _)| vec![0u64; ks[s]]).collect();
-    for ((ri, _), part) in units.iter().zip(partials) {
-        for (t, x) in totals[*ri].iter_mut().zip(part) {
-            *t += x;
-        }
-    }
-    totals
-}
-
-/// Executes weighted-loss demands as one rayon pass. Each demand keeps its
-/// own solo grouping ([`loss_unit_ranges`]) and its groups merge
-/// left-to-right, so the `f64` association order — and therefore the
-/// bits — match a solo [`super::weighted::estimate_weighted_risks`] run.
-fn run_loss_blocks<'a, P: WeightedHrProblem + ?Sized>(
-    problems: &[&'a P],
-    master: u64,
-    reqs: &[(usize, Demand)],
-) -> Vec<Vec<LossAcc>> {
-    let ks: Vec<usize> = problems.iter().map(|p| p.num_hypotheses()).collect();
-    let mut units: Vec<(usize, Range<usize>)> = Vec::new();
-    for (ri, &(sub, d)) in reqs.iter().enumerate() {
-        for r in loss_unit_ranges(ks[sub], &d) {
-            units.push((ri, r));
-        }
-    }
-    let partials: Vec<Vec<LossAcc>> = (0..units.len())
-        .into_par_iter()
-        .map_init(
-            || {
-                let samplers: Vec<Option<Box<dyn WeightedHrSampler + 'a>>> =
-                    problems.iter().map(|_| None).collect();
-                (samplers, Vec::<(u32, f64)>::new())
-            },
-            |(samplers, buf), u| {
-                let (ri, range) = &units[u as usize];
-                let (sub, d) = reqs[*ri];
-                let mut accs = vec![LossAcc::default(); ks[sub]];
-                let sampler = samplers[sub].get_or_insert_with(|| problems[sub].sampler());
-                loss_unit_into(sampler.as_mut(), buf, &mut accs, master, &d, range.clone());
-                accs
-            },
-        )
-        .collect();
-    // Units of one request arrive in group order; merging in unit order is
-    // the same left-to-right association the solo path uses.
-    let mut totals: Vec<Vec<LossAcc>> = reqs
-        .iter()
-        .map(|&(s, _)| vec![LossAcc::default(); ks[s]])
-        .collect();
-    for ((ri, _), part) in units.iter().zip(partials) {
-        for (t, p) in totals[*ri].iter_mut().zip(&part) {
-            t.add(p);
-        }
-    }
-    totals
+    fn run(&mut self, master: u64, reqs: &[(usize, Demand)]) -> Result<Vec<Vec<A>>, ExecError>;
 }
 
 /// Executes hit-count demands with **shared draws**: the union of demanded
@@ -396,176 +143,69 @@ fn run_shared_blocks<P: SharedDraw + ?Sized>(
 }
 
 /// The in-process parallel executor: one fused rayon pass per round, each
-/// block drawn through its own problem's sampler.
-pub struct LocalExec<'a, P: HrProblem + ?Sized> {
+/// block drawn through its own problem's sampler. `problems` is indexed
+/// like the subscribers.
+pub struct LocalExec<'a, P: ?Sized> {
     problems: &'a [&'a P],
-    master: u64,
 }
 
-impl<'a, P: HrProblem + ?Sized> LocalExec<'a, P> {
-    /// An executor drawing for `problems` under `master`.
-    pub fn new(problems: &'a [&'a P], master: u64) -> Self {
-        LocalExec { problems, master }
+impl<'a, P: ?Sized> LocalExec<'a, P> {
+    /// An executor drawing for `problems`.
+    pub fn new(problems: &'a [&'a P]) -> Self {
+        LocalExec { problems }
     }
 }
 
-impl<P: HrProblem + ?Sized> BlockExec<u64> for LocalExec<'_, P> {
-    fn run(&mut self, reqs: &[(usize, Demand)]) -> Result<Vec<Vec<u64>>, ExecError> {
-        Ok(run_hit_blocks(self.problems, self.master, reqs))
+impl<A: BlockAcc, P: HrProblem<A> + ?Sized> BlockExec<A> for LocalExec<'_, P> {
+    fn run(&mut self, master: u64, reqs: &[(usize, Demand)]) -> Result<Vec<Vec<A>>, ExecError> {
+        Ok(run_blocks(self.problems, master, reqs))
     }
 }
 
-/// The in-process shared-draw executor for [`SharedDraw`] problems.
+/// The in-process shared-draw executor for [`SharedDraw`] problems over one
+/// common sample space. `problems` is indexed like the subscribers.
 pub struct LocalSharedExec<'a, P: SharedDraw + ?Sized> {
     problems: &'a [&'a P],
-    master: u64,
 }
 
 impl<'a, P: SharedDraw + ?Sized> LocalSharedExec<'a, P> {
-    /// An executor drawing for `problems` under `master`.
-    pub fn new(problems: &'a [&'a P], master: u64) -> Self {
-        LocalSharedExec { problems, master }
+    /// An executor drawing for `problems`.
+    pub fn new(problems: &'a [&'a P]) -> Self {
+        LocalSharedExec { problems }
     }
 }
 
 impl<P: SharedDraw + ?Sized> BlockExec<u64> for LocalSharedExec<'_, P> {
-    fn run(&mut self, reqs: &[(usize, Demand)]) -> Result<Vec<Vec<u64>>, ExecError> {
-        Ok(run_shared_blocks(self.problems, self.master, reqs))
+    fn run(&mut self, master: u64, reqs: &[(usize, Demand)]) -> Result<Vec<Vec<u64>>, ExecError> {
+        Ok(run_shared_blocks(self.problems, master, reqs))
     }
-}
-
-/// The in-process fractional-loss executor.
-pub struct LocalLossExec<'a, P: WeightedHrProblem + ?Sized> {
-    problems: &'a [&'a P],
-    master: u64,
-}
-
-impl<'a, P: WeightedHrProblem + ?Sized> LocalLossExec<'a, P> {
-    /// An executor drawing for `problems` under `master`.
-    pub fn new(problems: &'a [&'a P], master: u64) -> Self {
-        LocalLossExec { problems, master }
-    }
-}
-
-impl<P: WeightedHrProblem + ?Sized> BlockExec<LossAcc> for LocalLossExec<'_, P> {
-    fn run(&mut self, reqs: &[(usize, Demand)]) -> Result<Vec<Vec<LossAcc>>, ExecError> {
-        Ok(run_loss_blocks(self.problems, self.master, reqs))
-    }
-}
-
-fn hit_trackers<P: HrProblem + ?Sized>(
-    problems: &[&P],
-    cfgs: &[AdaptiveConfig],
-) -> Vec<Tracker<u64>> {
-    assert_eq!(problems.len(), cfgs.len(), "one config per subscriber");
-    problems
-        .iter()
-        .zip(cfgs)
-        .map(|(p, cfg)| {
-            let n0 = pilot_budget(cfg);
-            let nmax = vc_sample_bound(cfg.eps_prime, cfg.delta, p.vc_dimension().max(1)).max(n0);
-            Tracker::new(p.num_hypotheses(), cfg, n0, nmax)
-        })
-        .collect()
-}
-
-fn loss_trackers<P: WeightedHrProblem + ?Sized>(
-    problems: &[&P],
-    cfgs: &[AdaptiveConfig],
-) -> Vec<Tracker<LossAcc>> {
-    assert_eq!(problems.len(), cfgs.len(), "one config per subscriber");
-    problems
-        .iter()
-        .zip(cfgs)
-        .map(|(p, cfg)| {
-            let k = p.num_hypotheses();
-            let n0 = pilot_budget(cfg);
-            let nmax = hoeffding_samples(cfg.eps_prime, cfg.delta, k).max(n0);
-            Tracker::new(k, cfg, n0, nmax)
-        })
-        .collect()
-}
-
-/// [`estimate_risks_multi`] against a caller-supplied executor. The
-/// trackers (and therefore the demand schedule) are built from `problems`
-/// and `cfgs` exactly as the local path builds them; only the drawing is
-/// delegated. An executor honoring the [`BlockExec`] contract yields
-/// outcomes bit-identical to [`estimate_risks_multi`].
-pub fn estimate_risks_multi_exec<P: HrProblem + ?Sized>(
-    problems: &[&P],
-    cfgs: &[AdaptiveConfig],
-    exec: &mut dyn BlockExec<u64>,
-) -> Result<Vec<AdaptiveOutcome>, ExecError> {
-    drive(hit_trackers(problems, cfgs), exec)
-}
-
-/// [`estimate_weighted_risks_multi`] against a caller-supplied executor —
-/// the fractional-loss analogue of [`estimate_risks_multi_exec`].
-pub fn estimate_weighted_risks_multi_exec<P: WeightedHrProblem + ?Sized>(
-    problems: &[&P],
-    cfgs: &[AdaptiveConfig],
-    exec: &mut dyn BlockExec<LossAcc>,
-) -> Result<Vec<AdaptiveOutcome>, ExecError> {
-    drive(loss_trackers(problems, cfgs), exec)
-}
-
-/// Batched [`super::adaptive::estimate_risks`]: one fused pass per round
-/// serves every subscriber, each with its own stopping rule. Subscriber
-/// `i`'s outcome is bit-identical to `estimate_risks(problems[i],
-/// &cfgs[i], rng)` with an `rng` yielding the same `master`.
-pub fn estimate_risks_multi<P: HrProblem + ?Sized>(
-    problems: &[&P],
-    cfgs: &[AdaptiveConfig],
-    master: u64,
-) -> Vec<AdaptiveOutcome> {
-    estimate_risks_multi_exec(problems, cfgs, &mut LocalExec::new(problems, master))
-        .expect("local execution is infallible")
-}
-
-/// Batched [`super::adaptive::estimate_risks`] with shared draws (for
-/// [`SharedDraw`] problems over one common sample space): overlapping
-/// chunk demands are drawn once and scored by every subscriber. Same
-/// bit-identity guarantee as [`estimate_risks_multi`].
-pub fn estimate_risks_shared<P: SharedDraw + ?Sized>(
-    problems: &[&P],
-    cfgs: &[AdaptiveConfig],
-    master: u64,
-) -> Vec<AdaptiveOutcome> {
-    drive(
-        hit_trackers(problems, cfgs),
-        &mut LocalSharedExec::new(problems, master),
-    )
-    .expect("local execution is infallible")
-}
-
-/// Batched [`super::weighted::estimate_weighted_risks`]: the fused
-/// fractional-loss analogue of [`estimate_risks_multi`].
-pub fn estimate_weighted_risks_multi<P: WeightedHrProblem + ?Sized>(
-    problems: &[&P],
-    cfgs: &[AdaptiveConfig],
-    master: u64,
-) -> Vec<AdaptiveOutcome> {
-    estimate_weighted_risks_multi_exec(problems, cfgs, &mut LocalLossExec::new(problems, master))
-        .expect("local execution is infallible")
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::{
+        demand_chunks, estimate, exec_unit, unit_ranges, ExactPart, HrSampler, LossAcc,
+        SaphyraEstimate, Subscriber,
+    };
     use super::*;
+    use saphyra_stats::{hoeffding_samples, vc_sample_bound};
 
     /// A "sharded" hit executor built purely from the published unit
     /// helpers: every demand's chunks are split into contiguous per-backend
-    /// sub-ranges, each unit runs through [`exec_hit_unit`] with a fresh
+    /// sub-ranges, each unit runs through [`exec_unit`] with a fresh
     /// sampler, partials sum per demand. Must be bit-identical to the
     /// local pass.
-    struct SplitHitExec<'a, P: HrProblem + ?Sized> {
+    struct SplitHitExec<'a, P: HrProblem<u64> + ?Sized> {
         problems: &'a [&'a P],
-        master: u64,
         backends: usize,
     }
 
-    impl<P: HrProblem + ?Sized> BlockExec<u64> for SplitHitExec<'_, P> {
-        fn run(&mut self, reqs: &[(usize, Demand)]) -> Result<Vec<Vec<u64>>, ExecError> {
+    impl<P: HrProblem<u64> + ?Sized> BlockExec<u64> for SplitHitExec<'_, P> {
+        fn run(
+            &mut self,
+            master: u64,
+            reqs: &[(usize, Demand)],
+        ) -> Result<Vec<Vec<u64>>, ExecError> {
             Ok(reqs
                 .iter()
                 .map(|&(sub, d)| {
@@ -573,7 +213,7 @@ mod tests {
                     let mut total = vec![0u64; p.num_hypotheses()];
                     let chunks = demand_chunks(&d);
                     for r in stream::group_bounds(chunks, self.backends) {
-                        for (t, x) in total.iter_mut().zip(exec_hit_unit(p, self.master, &d, r)) {
+                        for (t, x) in total.iter_mut().zip(exec_unit(p, master, &d, r)) {
                             *t += x;
                         }
                     }
@@ -591,8 +231,8 @@ mod tests {
         probs: &'a [f64],
     }
 
-    impl HrSampler for FixedSampler<'_> {
-        fn sample_hits_into(&mut self, rng: &mut dyn rand::RngCore, hits: &mut Vec<u32>) {
+    impl HrSampler<u64> for FixedSampler<'_> {
+        fn sample_into(&mut self, rng: &mut dyn rand::RngCore, hits: &mut Vec<u32>) {
             use rand::Rng as _;
             for (i, &p) in self.probs.iter().enumerate() {
                 if rng.gen::<f64>() < p {
@@ -602,15 +242,15 @@ mod tests {
         }
     }
 
-    impl HrProblem for Fixed {
+    impl HrProblem<u64> for Fixed {
         fn num_hypotheses(&self) -> usize {
             self.probs.len()
         }
-        fn sampler(&self) -> Box<dyn HrSampler + '_> {
+        fn sampler(&self) -> Box<dyn HrSampler<u64> + '_> {
             Box::new(FixedSampler { probs: &self.probs })
         }
-        fn vc_dimension(&self) -> usize {
-            2
+        fn max_samples(&self, eps_prime: f64, delta: f64) -> usize {
+            vc_sample_bound(eps_prime, delta, 2)
         }
     }
 
@@ -622,8 +262,8 @@ mod tests {
         scales: &'a [f64],
     }
 
-    impl WeightedHrSampler for FixedLossSampler<'_> {
-        fn sample_losses_into(&mut self, rng: &mut dyn rand::RngCore, out: &mut Vec<(u32, f64)>) {
+    impl HrSampler<LossAcc> for FixedLossSampler<'_> {
+        fn sample_into(&mut self, rng: &mut dyn rand::RngCore, out: &mut Vec<(u32, f64)>) {
             use rand::Rng as _;
             let x: f64 = rng.gen();
             for (i, &s) in self.scales.iter().enumerate() {
@@ -632,14 +272,49 @@ mod tests {
         }
     }
 
-    impl WeightedHrProblem for FixedLoss {
+    impl HrProblem<LossAcc> for FixedLoss {
         fn num_hypotheses(&self) -> usize {
             self.scales.len()
         }
-        fn sampler(&self) -> Box<dyn WeightedHrSampler + '_> {
+        fn sampler(&self) -> Box<dyn HrSampler<LossAcc> + '_> {
             Box::new(FixedLossSampler {
                 scales: &self.scales,
             })
+        }
+        fn max_samples(&self, eps_prime: f64, delta: f64) -> usize {
+            hoeffding_samples(eps_prime, delta, self.scales.len())
+        }
+    }
+
+    /// Subscribers with an empty exact part, so ε is the per-hypothesis
+    /// target on the approximate distribution.
+    fn subs<'a, A: BlockAcc>(
+        problems: &[&'a dyn HrProblem<A>],
+        eps: &[f64],
+    ) -> Vec<Subscriber<'a, A>> {
+        problems
+            .iter()
+            .zip(eps)
+            .map(|(&problem, &eps)| Subscriber {
+                problem,
+                exact: ExactPart::trivial(problem.num_hypotheses()),
+                eps,
+                delta: 0.1,
+                adaptive: true,
+            })
+            .collect()
+    }
+
+    fn assert_same_bits(a: &[SaphyraEstimate], b: &[SaphyraEstimate], what: &str) {
+        for (a, b) in a.iter().zip(b) {
+            let (a, b) = (&a.outcome, &b.outcome);
+            assert_eq!(a.samples_used, b.samples_used, "{what}");
+            assert_eq!(a.rounds_run, b.rounds_run, "{what}");
+            assert_eq!(a.converged_early, b.converged_early, "{what}");
+            for (x, y) in a.estimates.iter().zip(&b.estimates) {
+                assert_eq!(x.to_bits(), y.to_bits(), "{what}: estimates diverged");
+            }
+            assert_eq!(a.achieved_eps.to_bits(), b.achieved_eps.to_bits(), "{what}");
         }
     }
 
@@ -652,54 +327,47 @@ mod tests {
             probs: vec![0.6, 0.2, 0.01],
         };
         let problems: Vec<&Fixed> = vec![&p1, &p2];
-        let cfgs = vec![
-            AdaptiveConfig::new(0.05, 0.1),
-            AdaptiveConfig::new(0.08, 0.1),
-        ];
-        let local = estimate_risks_multi(&problems, &cfgs, 42);
+        let subs = subs(&[&p1, &p2], &[0.05, 0.08]);
+        let local = estimate(&subs, 42, &mut LocalExec::new(&problems)).unwrap();
         for backends in [1usize, 2, 3, 7] {
             let mut exec = SplitHitExec {
                 problems: &problems,
-                master: 42,
                 backends,
             };
-            let split = estimate_risks_multi_exec(&problems, &cfgs, &mut exec).unwrap();
-            for (a, b) in local.iter().zip(&split) {
-                assert_eq!(a.estimates, b.estimates, "{backends} backends");
-                assert_eq!(a.samples_used, b.samples_used);
-                assert_eq!(a.rounds_run, b.rounds_run);
-                assert_eq!(a.converged_early, b.converged_early);
-                assert_eq!(a.achieved_eps.to_bits(), b.achieved_eps.to_bits());
-            }
+            let split = estimate(&subs, 42, &mut exec).unwrap();
+            assert_same_bits(&local, &split, &format!("{backends} backends"));
         }
     }
 
     #[test]
     fn split_loss_units_are_bit_identical_to_local() {
-        // Unit-level check: recomputing each demand from loss_unit_ranges
-        // through exec_loss_unit, merged in unit order, must reproduce the
-        // engine's totals bit-for-bit (f64 association order included).
+        // Unit-level check: recomputing each demand from unit_ranges
+        // through exec_unit, merged in unit order, must reproduce the
+        // local pass bit-for-bit (f64 association order included).
         let p = FixedLoss {
             scales: vec![0.9, 0.4, 0.1],
         };
         let problems: Vec<&FixedLoss> = vec![&p];
-        let cfgs = vec![AdaptiveConfig::new(0.05, 0.1)];
-        let local = estimate_weighted_risks_multi(&problems, &cfgs, 7);
+        let subs = subs(&[&p], &[0.05]);
+        let local = estimate(&subs, 7, &mut LocalExec::new(&problems)).unwrap();
 
         struct UnitExec<'a> {
             problems: &'a [&'a FixedLoss],
-            master: u64,
         }
         impl BlockExec<LossAcc> for UnitExec<'_> {
-            fn run(&mut self, reqs: &[(usize, Demand)]) -> Result<Vec<Vec<LossAcc>>, ExecError> {
+            fn run(
+                &mut self,
+                master: u64,
+                reqs: &[(usize, Demand)],
+            ) -> Result<Vec<Vec<LossAcc>>, ExecError> {
                 Ok(reqs
                     .iter()
                     .map(|&(sub, d)| {
                         let p = self.problems[sub];
                         let k = p.num_hypotheses();
                         let mut total = vec![LossAcc::default(); k];
-                        for r in loss_unit_ranges(k, &d) {
-                            let part = exec_loss_unit(p, self.master, &d, r);
+                        for r in unit_ranges::<LossAcc>(k, &d) {
+                            let part = exec_unit(p, master, &d, r);
                             for (t, x) in total.iter_mut().zip(&part) {
                                 t.add(x);
                             }
@@ -711,30 +379,25 @@ mod tests {
         }
         let mut exec = UnitExec {
             problems: &problems,
-            master: 7,
         };
-        let split = estimate_weighted_risks_multi_exec(&problems, &cfgs, &mut exec).unwrap();
-        for (a, b) in local.iter().zip(&split) {
-            assert_eq!(a.samples_used, b.samples_used);
-            for (x, y) in a.estimates.iter().zip(&b.estimates) {
-                assert_eq!(x.to_bits(), y.to_bits(), "f64 association order diverged");
-            }
-            assert_eq!(a.achieved_eps.to_bits(), b.achieved_eps.to_bits());
-        }
+        let split = estimate(&subs, 7, &mut exec).unwrap();
+        assert_same_bits(&local, &split, "loss units");
     }
 
     #[test]
     fn exec_error_propagates_out_of_drive() {
         struct Failing;
         impl BlockExec<u64> for Failing {
-            fn run(&mut self, _reqs: &[(usize, Demand)]) -> Result<Vec<Vec<u64>>, ExecError> {
+            fn run(
+                &mut self,
+                _master: u64,
+                _reqs: &[(usize, Demand)],
+            ) -> Result<Vec<Vec<u64>>, ExecError> {
                 Err(ExecError("backend down".into()))
             }
         }
         let p = Fixed { probs: vec![0.5] };
-        let problems: Vec<&Fixed> = vec![&p];
-        let cfgs = vec![AdaptiveConfig::new(0.1, 0.1)];
-        let err = estimate_risks_multi_exec(&problems, &cfgs, &mut Failing).unwrap_err();
+        let err = estimate(&subs(&[&p], &[0.1]), 1, &mut Failing).unwrap_err();
         assert!(err.0.contains("backend down"));
         assert!(err.to_string().contains("block execution failed"));
     }

@@ -2,10 +2,12 @@
 //! sampling contract behind the parallel `Gen(·)` engine.
 //!
 //! A problem owns the approximate sample space `X̃`, its distribution `D̃`,
-//! and a hypothesis class `H = {h₁ … h_k}` with 0-1 losses. Because a
-//! single sample touches few hypotheses (a shortest path contains few
-//! target nodes), losses are reported *sparsely*: one sample yields the
-//! list of hypothesis indices with loss 1.
+//! and a hypothesis class `H = {h₁ … h_k}` with losses in `[0, 1]`.
+//! Because a single sample touches few hypotheses (a shortest path contains
+//! few target nodes), losses are reported *sparsely*: one sample yields the
+//! hypotheses with a nonzero loss, as [`BlockAcc::Hit`]s — bare indices for
+//! 0-1 losses (`u64` hit counts), `(index, loss)` pairs for fractional
+//! losses ([`super::LossAcc`] moments).
 //!
 //! Sampling is split in two roles so the estimator can fan out across
 //! cores:
@@ -21,6 +23,8 @@
 //!   for every thread count.
 
 use rand::RngCore;
+
+use super::tracker::BlockAcc;
 
 /// Result of the `Exact(·)` oracle (Algorithm 1, line 3): the probability
 /// mass `λ̂` of the exact subspace and the per-hypothesis exact risks `ℓ̂ᵢ`
@@ -47,46 +51,42 @@ impl ExactPart {
 /// A per-worker drawing head for one [`HrProblem`].
 ///
 /// A sampler owns every mutable buffer one draw needs, so
-/// [`HrSampler::sample_hits_into`] performs no allocation on the hot path
-/// and samplers on different threads never share mutable state. Samplers
-/// are `Send` (they may be created on one thread and driven on another)
-/// but need not be `Sync` — each worker drives exactly one.
-pub trait HrSampler: Send {
-    /// Draws one sample `x ∼ D̃` (the `Gen(·)` oracle) and appends to
-    /// `hits` the indices of all hypotheses with `L(hᵢ(x), f(x)) = 1`.
-    /// `hits` arrives empty.
-    fn sample_hits_into(&mut self, rng: &mut dyn RngCore, hits: &mut Vec<u32>);
+/// [`HrSampler::sample_into`] performs no allocation on the hot path and
+/// samplers on different threads never share mutable state. Samplers are
+/// `Send` (they may be created on one thread and driven on another) but
+/// need not be `Sync` — each worker drives exactly one.
+pub trait HrSampler<A: BlockAcc>: Send {
+    /// Draws one sample `x ∼ D̃` (the `Gen(·)` oracle) and appends one hit
+    /// per hypothesis with a nonzero loss on `x`. `hits` arrives empty.
+    fn sample_into(&mut self, rng: &mut dyn RngCore, hits: &mut Vec<A::Hit>);
 }
 
 /// A hypothesis-ranking problem over the approximate subspace.
 ///
 /// Implementors: [`crate::bc::BcApproxProblem`] (random intra-component
-/// shortest paths), [`crate::kpath::KPathApproxProblem`] (random walks).
+/// shortest paths) and [`crate::kpath::KPathApproxProblem`] (random walks)
+/// with 0-1 losses; [`crate::closeness::HarmonicApproxProblem`] (uniform
+/// BFS sources) with fractional losses.
 ///
 /// The problem itself is the shared read-only half of the contract (hence
 /// the `Sync` bound); all drawing state lives in the [`HrSampler`] values
 /// it hands out.
-pub trait HrProblem: Sync {
+pub trait HrProblem<A: BlockAcc>: Sync {
     /// Number of hypotheses `k`.
     fn num_hypotheses(&self) -> usize;
 
-    /// Creates a drawing head with its own scratch buffers. The estimator
-    /// calls this once per worker, then draws whole chunks through it.
-    fn sampler(&self) -> Box<dyn HrSampler + '_>;
+    /// Creates a drawing head with its own scratch buffers. The executors
+    /// call this once per worker, then draw whole chunks through it.
+    fn sampler(&self) -> Box<dyn HrSampler<A> + '_>;
 
-    /// An upper bound on the VC dimension of the hypothesis class over the
-    /// approximate subspace, used for the worst-case budget `N_max`
-    /// (Lemma 4). Implementations should return the tightest bound they can
-    /// prove (Lemma 5 / Corollary 22); `log2(k) + 1` is always sound
-    /// because π_max ≤ k.
-    fn vc_dimension(&self) -> usize;
-
-    /// Single-sample convenience path: a thin adapter over a one-chunk
-    /// batch. Creates a fresh sampler per call — use [`HrProblem::sampler`]
-    /// directly in loops.
-    fn sample_hits(&mut self, rng: &mut dyn RngCore, hits: &mut Vec<u32>) {
-        self.sampler().sample_hits_into(rng, hits);
-    }
+    /// The worst-case budget `N_max` (Algorithm 1 line 7) after which every
+    /// hypothesis is an (ε′, δ)-estimate without any Bernstein check. For
+    /// 0-1 losses this is Lemma 4's VC bound with the tightest VC bound the
+    /// problem can prove (Lemma 5 / Corollary 22; `⌊log₂ k⌋ + 1` is always
+    /// sound because π_max ≤ k). Real-valued classes have no VC dimension;
+    /// they fall back to Hoeffding plus a union bound over the `k`
+    /// hypotheses.
+    fn max_samples(&self, eps_prime: f64, delta: f64) -> usize;
 }
 
 /// A problem whose `Gen(·)` draw is **independent of the hypothesis set**,
@@ -103,12 +103,12 @@ pub trait HrProblem: Sync {
 ///
 /// For every implementor, `{ draw_artifact(rng, buf); score_artifact(&buf,
 /// hits) }` must consume exactly the RNG values — and push exactly the hit
-/// indices — that [`HrSampler::sample_hits_into`] would on the same `rng`.
+/// indices — that [`HrSampler::sample_into`] would on the same `rng`.
 /// And because the batched engine lets problems score *each other's*
 /// artifacts, `draw_artifact` must behave identically for every problem
 /// instance over the same shared sample space (same graph, same walk
 /// parameters): it may read the hypothesis set for nothing.
-pub trait SharedDraw: HrProblem {
+pub trait SharedDraw: HrProblem<u64> {
     /// Draws one sample's target-independent artifact (e.g. the walk's
     /// node sequence) into `buf` (cleared first).
     fn draw_artifact(&self, rng: &mut dyn RngCore, buf: &mut Vec<u32>);
@@ -121,59 +121,11 @@ pub trait SharedDraw: HrProblem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
 
     #[test]
     fn trivial_exact_part() {
         let e = ExactPart::trivial(3);
         assert_eq!(e.lambda_hat, 0.0);
         assert_eq!(e.exact_risks, vec![0.0; 3]);
-    }
-
-    /// A minimal problem exercising the default `sample_hits` adapter.
-    struct Coin;
-    struct CoinSampler;
-
-    impl HrSampler for CoinSampler {
-        fn sample_hits_into(&mut self, rng: &mut dyn RngCore, hits: &mut Vec<u32>) {
-            if rng.gen::<f64>() < 0.5 {
-                hits.push(0);
-            }
-        }
-    }
-
-    impl HrProblem for Coin {
-        fn num_hypotheses(&self) -> usize {
-            1
-        }
-        fn sampler(&self) -> Box<dyn HrSampler + '_> {
-            Box::new(CoinSampler)
-        }
-        fn vc_dimension(&self) -> usize {
-            1
-        }
-    }
-
-    #[test]
-    fn default_single_sample_adapter_matches_sampler() {
-        let mut p = Coin;
-        let mut via_adapter = 0u32;
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut hits = Vec::new();
-        for _ in 0..1000 {
-            hits.clear();
-            p.sample_hits(&mut rng, &mut hits);
-            via_adapter += hits.len() as u32;
-        }
-        let mut via_sampler = 0u32;
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut sampler = p.sampler();
-        for _ in 0..1000 {
-            hits.clear();
-            sampler.sample_hits_into(&mut rng, &mut hits);
-            via_sampler += hits.len() as u32;
-        }
-        assert_eq!(via_adapter, via_sampler);
     }
 }

@@ -3,124 +3,77 @@
 //! closeness centrality", §VI).
 //!
 //! Algorithm 1 only needs losses in `[0, 1]` — nothing about it is specific
-//! to 0-1 losses except the Bernoulli variance shortcut. This module
-//! generalizes the adaptive estimator to bounded real losses: per-hypothesis
+//! to 0-1 losses except the Bernoulli variance shortcut. [`LossAcc`] is the
+//! accumulator that generalizes it to bounded real losses: per-hypothesis
 //! sums and sums of squares give the unbiased sample variance for the
-//! empirical-Bernstein check, and the worst-case budget falls back to
+//! empirical-Bernstein check. The worst-case budget falls back to
 //! Hoeffding + union bound over the `k` hypotheses (the
 //! `O(1/ε²(ln k + ln 1/δ))` of §II-A) since the VC argument of Lemma 4 does
-//! not apply to real-valued classes.
+//! not apply to real-valued classes; problems supply it through
+//! [`super::HrProblem::max_samples`].
 //!
-//! Like the 0-1 estimator, sampling runs through the parallel batch engine
-//! ([`super::batch`]): per-worker [`WeightedHrSampler`] heads, counter-based
-//! chunk RNG streams, and a fixed `f64` merge order, so results are
-//! bit-identical for every thread count.
+//! Fractional losses run through the same round loop and executors as 0-1
+//! losses; only the `f64` fold order needs care. Every demand folds in
+//! thread-count-independent groups ([`super::unit_ranges`]) that merge
+//! left-to-right, so results are bit-identical for every thread count.
 
-use rand::RngCore;
-use saphyra_stats::hoeffding_samples;
+use saphyra_stats::stream;
 
-use super::adaptive::{AdaptiveConfig, AdaptiveOutcome};
-use super::batch::{sample_loss_accs, LossAcc};
-use super::problem::ExactPart;
-use super::tracker::{pilot_budget, Tracker};
-use super::SaphyraEstimate;
+use super::tracker::BlockAcc;
 
-/// A per-worker drawing head for one [`WeightedHrProblem`] (the
-/// fractional-loss analogue of [`super::problem::HrSampler`]).
-pub trait WeightedHrSampler: Send {
-    /// Draws one sample `x ∼ D̃` and appends `(hypothesis, loss)` for every
-    /// hypothesis with a nonzero loss on `x`. Losses must lie in `[0, 1]`.
-    /// `out` arrives empty.
-    fn sample_losses_into(&mut self, rng: &mut dyn RngCore, out: &mut Vec<(u32, f64)>);
-}
-
-/// A hypothesis-ranking problem with losses in `[0, 1]`.
+/// Streaming first and second moments of one hypothesis' losses.
 ///
-/// The problem is the shared read-only half (`Sync`); mutable drawing
-/// scratch lives in the [`WeightedHrSampler`] values it hands out.
-pub trait WeightedHrProblem: Sync {
-    /// Number of hypotheses `k`.
-    fn num_hypotheses(&self) -> usize;
-
-    /// Creates a drawing head with its own scratch buffers.
-    fn sampler(&self) -> Box<dyn WeightedHrSampler + '_>;
-
-    /// Single-sample convenience path: a thin adapter over a one-chunk
-    /// batch. Creates a fresh sampler per call — use
-    /// [`WeightedHrProblem::sampler`] directly in loops.
-    fn sample_losses(&mut self, rng: &mut dyn RngCore, out: &mut Vec<(u32, f64)>) {
-        self.sampler().sample_losses_into(rng, out);
-    }
+/// Public so remote executors can carry per-unit partials over the wire:
+/// the pair merges exactly (field-wise sums) and, merged in the fixed unit
+/// order of [`super::unit_ranges`], reproduces the local `f64` association
+/// order bit-for-bit.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct LossAcc {
+    /// `Σ x`.
+    pub sum: f64,
+    /// `Σ x²`.
+    pub sumsq: f64,
 }
 
-/// The adaptive estimator of Algorithm 1 for fractional losses.
-///
-/// The caller's `rng` contributes one master seed; sample blocks are drawn
-/// by the parallel batch engine. Like the 0-1 estimator, the schedule is a
-/// [`Tracker`] driven as a one-subscriber stream (the worst-case budget
-/// falls back to Hoeffding over `k` hypotheses instead of the VC bound).
-pub fn estimate_weighted_risks<P: WeightedHrProblem + ?Sized>(
-    problem: &P,
-    cfg: &AdaptiveConfig,
-    rng: &mut dyn RngCore,
-) -> AdaptiveOutcome {
-    let k = problem.num_hypotheses();
-    if k == 0 {
-        return AdaptiveOutcome::empty();
+impl BlockAcc for LossAcc {
+    type Hit = (u32, f64);
+    fn zero() -> Self {
+        LossAcc::default()
     }
-    let master = rng.next_u64();
-    let n0 = pilot_budget(cfg);
-    let nmax = hoeffding_samples(cfg.eps_prime, cfg.delta, k).max(n0);
-    let mut tracker = Tracker::<LossAcc>::new(k, cfg, n0, nmax);
-    while let Some(d) = tracker.demand() {
-        let block = sample_loss_accs(problem, k, master, d.stream, d.first_chunk, d.count);
-        tracker.absorb(&block);
+    fn add(&mut self, other: &Self) {
+        self.sum += other.sum;
+        self.sumsq += other.sumsq;
     }
-    tracker.finish()
-}
-
-/// The full SaPHyRa pipeline for fractional-loss problems (combination rule
-/// Eq. 8, identical to the 0-1 case).
-pub fn saphyra_estimate_weighted<P: WeightedHrProblem + ?Sized>(
-    problem: &P,
-    exact: &ExactPart,
-    eps: f64,
-    delta: f64,
-    rng: &mut dyn RngCore,
-) -> SaphyraEstimate {
-    let k = exact.exact_risks.len();
-    assert_eq!(k, problem.num_hypotheses(), "exact part size mismatch");
-    let lambda = (1.0 - exact.lambda_hat).clamp(0.0, 1.0);
-    if lambda <= f64::EPSILON {
-        return SaphyraEstimate {
-            combined: exact.exact_risks.clone(),
-            exact_part: exact.exact_risks.clone(),
-            approx_part: vec![0.0; k],
-            lambda,
-            outcome: AdaptiveOutcome::empty(),
-        };
+    #[inline]
+    fn record(accs: &mut [Self], (i, x): (u32, f64)) {
+        debug_assert!((0.0..=1.0 + 1e-9).contains(&x), "loss out of range: {x}");
+        let acc = &mut accs[i as usize];
+        acc.sum += x;
+        acc.sumsq += x * x;
     }
-    let outcome = estimate_weighted_risks(problem, &AdaptiveConfig::new(eps / lambda, delta), rng);
-    let combined: Vec<f64> = exact
-        .exact_risks
-        .iter()
-        .zip(&outcome.estimates)
-        .map(|(&e, &a)| e + lambda * a)
-        .collect();
-    SaphyraEstimate {
-        combined,
-        exact_part: exact.exact_risks.clone(),
-        approx_part: outcome.estimates.clone(),
-        lambda,
-        outcome,
+    /// `(Σx² − (Σx)²/N) / (N−1)`.
+    fn variance(&self, n: usize) -> f64 {
+        if n < 2 {
+            return 0.0;
+        }
+        ((self.sumsq - self.sum * self.sum / n as f64) / (n as f64 - 1.0)).max(0.0)
+    }
+    fn mean(&self, n: usize) -> f64 {
+        self.sum / n as f64
+    }
+    /// `f64` sums are association-sensitive: a thread-count-independent
+    /// group count, capped by accumulator memory.
+    fn fold_groups(k: usize) -> usize {
+        stream::f64_groups(k * std::mem::size_of::<LossAcc>())
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::{estimate, ExactPart, HrProblem, HrSampler, LocalExec, Subscriber};
     use super::*;
-    use rand::Rng;
-    use rand::SeedableRng;
+    use rand::{Rng, RngCore, SeedableRng};
+    use saphyra_stats::hoeffding_samples;
 
     /// Hypotheses whose losses are `value` with probability `p`, else 0.
     struct Mock {
@@ -131,8 +84,8 @@ mod tests {
         params: &'a [(f64, f64)],
     }
 
-    impl WeightedHrSampler for MockSampler<'_> {
-        fn sample_losses_into(&mut self, rng: &mut dyn RngCore, out: &mut Vec<(u32, f64)>) {
+    impl HrSampler<LossAcc> for MockSampler<'_> {
+        fn sample_into(&mut self, rng: &mut dyn RngCore, out: &mut Vec<(u32, f64)>) {
             for (i, &(p, v)) in self.params.iter().enumerate() {
                 if rng.gen::<f64>() < p {
                     out.push((i as u32, v));
@@ -141,19 +94,44 @@ mod tests {
         }
     }
 
-    impl WeightedHrProblem for Mock {
+    impl HrProblem<LossAcc> for Mock {
         fn num_hypotheses(&self) -> usize {
             self.params.len()
         }
-        fn sampler(&self) -> Box<dyn WeightedHrSampler + '_> {
+        fn sampler(&self) -> Box<dyn HrSampler<LossAcc> + '_> {
             Box::new(MockSampler {
                 params: &self.params,
             })
         }
+        fn max_samples(&self, eps_prime: f64, delta: f64) -> usize {
+            hoeffding_samples(eps_prime, delta, self.params.len())
+        }
     }
 
-    fn rng(seed: u64) -> rand::rngs::StdRng {
-        rand::rngs::StdRng::seed_from_u64(seed)
+    /// One subscriber through the local executor, seeded like a caller's
+    /// `rng` would seed it.
+    fn run(
+        p: &Mock,
+        exact: ExactPart,
+        (eps, delta): (f64, f64),
+        adaptive: bool,
+        seed: u64,
+    ) -> super::super::SaphyraEstimate {
+        let sub = Subscriber {
+            problem: p,
+            exact,
+            eps,
+            delta,
+            adaptive,
+        };
+        let master = rand::rngs::StdRng::seed_from_u64(seed).next_u64();
+        estimate(&[sub], master, &mut LocalExec::new(&[p]))
+            .expect("local execution is infallible")
+            .remove(0)
+    }
+
+    fn trivial(p: &Mock) -> ExactPart {
+        ExactPart::trivial(p.params.len())
     }
 
     #[test]
@@ -161,7 +139,7 @@ mod tests {
         let p = Mock {
             params: vec![(0.5, 0.4), (0.1, 1.0), (0.9, 0.05), (0.0, 1.0)],
         };
-        let out = estimate_weighted_risks(&p, &AdaptiveConfig::new(0.02, 0.05), &mut rng(1));
+        let out = run(&p, trivial(&p), (0.02, 0.05), true, 1).outcome;
         let expect = [0.2, 0.1, 0.045, 0.0];
         for (e, t) in out.estimates.iter().zip(expect) {
             assert!((e - t).abs() < 0.02, "est {e} expect {t}");
@@ -173,7 +151,7 @@ mod tests {
         let p = Mock {
             params: vec![(0.0, 1.0); 5],
         };
-        let out = estimate_weighted_risks(&p, &AdaptiveConfig::new(0.05, 0.05), &mut rng(2));
+        let out = run(&p, trivial(&p), (0.05, 0.05), true, 2).outcome;
         assert!(out.converged_early);
         assert_eq!(out.samples_used, out.n0);
     }
@@ -183,8 +161,7 @@ mod tests {
         let p = Mock {
             params: vec![(0.3, 0.5)],
         };
-        let cfg = AdaptiveConfig::new(0.1, 0.1).with_fixed_budget();
-        let out = estimate_weighted_risks(&p, &cfg, &mut rng(3));
+        let out = run(&p, trivial(&p), (0.1, 0.1), false, 3).outcome;
         assert!(!out.converged_early);
         assert_eq!(out.samples_used, out.nmax);
         assert!((out.estimates[0] - 0.15).abs() < 0.05);
@@ -199,7 +176,7 @@ mod tests {
             lambda_hat: 0.25,
             exact_risks: vec![0.05, 0.01],
         };
-        let est = saphyra_estimate_weighted(&p, &exact, 0.02, 0.05, &mut rng(4));
+        let est = run(&p, exact.clone(), (0.02, 0.05), true, 4);
         assert!((est.lambda - 0.75).abs() < 1e-12);
         for i in 0..2 {
             let expect = exact.exact_risks[i] + est.lambda * est.approx_part[i];
@@ -216,7 +193,7 @@ mod tests {
             lambda_hat: 1.0,
             exact_risks: vec![0.2],
         };
-        let est = saphyra_estimate_weighted(&p, &exact, 0.02, 0.05, &mut rng(5));
+        let est = run(&p, exact, (0.02, 0.05), true, 5);
         assert_eq!(est.outcome.samples_used, 0);
         assert_eq!(est.combined, vec![0.2]);
     }
@@ -226,17 +203,16 @@ mod tests {
         let p = Mock {
             params: vec![(0.5, 0.8), (0.05, 0.3), (0.9, 0.1)],
         };
-        let cfg = AdaptiveConfig::new(0.03, 0.1);
-        let run = |threads: usize| {
+        let in_pool = |threads: usize| {
             rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)
                 .build()
                 .unwrap()
-                .install(|| estimate_weighted_risks(&p, &cfg, &mut rng(42)))
+                .install(|| run(&p, trivial(&p), (0.03, 0.1), true, 42).outcome)
         };
-        let reference = run(1);
+        let reference = in_pool(1);
         for threads in [2, 4, 8] {
-            let out = run(threads);
+            let out = in_pool(threads);
             // f64 accumulators merge in a fixed group order: bit equality,
             // not approximate equality.
             assert_eq!(out.estimates, reference.estimates, "{threads} threads");

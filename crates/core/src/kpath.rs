@@ -20,9 +20,11 @@ use rand::Rng;
 use rand::RngCore;
 use saphyra_graph::{Graph, NodeId};
 
+use saphyra_stats::vc_sample_bound;
+
 use crate::framework::{
-    saphyra_estimate, saphyra_estimate_batch_shared, saphyra_estimate_batch_with, BatchSubscriber,
-    ExactPart, ExecError, HrProblem, HrSampler, SaphyraEstimate, SharedDraw,
+    estimate, BlockExec, ExactPart, ExecError, HrProblem, HrSampler, LocalSharedExec,
+    SaphyraEstimate, SharedDraw, Subscriber,
 };
 
 const NONE: u32 = u32::MAX;
@@ -75,6 +77,13 @@ impl<'a> KPathApproxProblem<'a> {
         }
     }
 
+    /// VC dimension bound of Lemma 5: π_max ≤ min(k, |A|), since a walk
+    /// visits at most k nodes after the start.
+    fn vc_dimension(&self) -> usize {
+        let pi_max = self.k.min(self.num_targets) as u32;
+        crate::bc::vcbound::log2_floor_plus1(pi_max)
+    }
+
     /// Performs one `l ≥ 2` walk into the internal buffer and returns it.
     pub fn sample_walk<R: Rng + ?Sized>(&mut self, rng: &mut R) -> &[NodeId] {
         walk_into(self.g, self.k, &mut self.walk, rng);
@@ -125,8 +134,8 @@ pub struct KPathSampler<'p> {
     walk: Vec<NodeId>,
 }
 
-impl HrSampler for KPathSampler<'_> {
-    fn sample_hits_into(&mut self, rng: &mut dyn RngCore, hits: &mut Vec<u32>) {
+impl HrSampler<u64> for KPathSampler<'_> {
+    fn sample_into(&mut self, rng: &mut dyn RngCore, hits: &mut Vec<u32>) {
         // Draw + score through the same halves the SharedDraw impl uses,
         // so the split contract holds structurally.
         walk_into(self.g, self.k, &mut self.walk, rng);
@@ -134,12 +143,12 @@ impl HrSampler for KPathSampler<'_> {
     }
 }
 
-impl HrProblem for KPathApproxProblem<'_> {
+impl HrProblem<u64> for KPathApproxProblem<'_> {
     fn num_hypotheses(&self) -> usize {
         self.num_targets
     }
 
-    fn sampler(&self) -> Box<dyn HrSampler + '_> {
+    fn sampler(&self) -> Box<dyn HrSampler<u64> + '_> {
         Box::new(KPathSampler {
             g: self.g,
             a_index: &self.a_index,
@@ -148,11 +157,8 @@ impl HrProblem for KPathApproxProblem<'_> {
         })
     }
 
-    fn vc_dimension(&self) -> usize {
-        // π_max ≤ min(k, |A|): a walk visits at most k nodes after the
-        // start (Lemma 5).
-        let pi_max = self.k.min(self.num_targets) as u32;
-        crate::bc::vcbound::log2_floor_plus1(pi_max)
+    fn max_samples(&self, eps_prime: f64, delta: f64) -> usize {
+        vc_sample_bound(eps_prime, delta, self.vc_dimension().max(1))
     }
 }
 
@@ -177,114 +183,53 @@ pub struct KPathEstimate {
     pub inner: SaphyraEstimate,
 }
 
-/// Ranks `targets` by k-path centrality with the SaPHyRa partition.
-pub fn rank_kpath(
-    g: &Graph,
-    targets: &[NodeId],
-    k: usize,
-    eps: f64,
-    delta: f64,
-    rng: &mut dyn RngCore,
-) -> KPathEstimate {
-    assert!(k >= 2, "k-path ranking needs k >= 2");
-    let exact = kpath_exact_part(g, targets, k);
-    let prob = KPathApproxProblem::new(g, targets, k);
-    let inner = saphyra_estimate(&prob, &exact, eps, delta, rng);
-    KPathEstimate {
-        targets: targets.to_vec(),
-        kpc: inner.combined.clone(),
-        inner,
-    }
-}
-
-/// Ranks several target sets at once against **one shared walk stream**.
+/// Ranks each target set of `sets` by k-path centrality (walks of up to
+/// `k ≥ 2` hops) with the SaPHyRa partition. Draws exactly one master seed
+/// from `rng`.
 ///
 /// k-path is the measure where cross-request batching is strongest: the
 /// random walk ([`SharedDraw::draw_artifact`]) never looks at the target
-/// set, so every subscriber scores the *same* walks. Each `(est, eps)`
-/// pair is bit-identical to [`rank_kpath`] run alone with the same `rng`
-/// seed — a subscriber whose ε target is met detaches while the stream
-/// keeps serving stricter ones.
-pub fn rank_kpath_multi(
+/// set, so locally every set scores the *same* walks
+/// ([`LocalSharedExec`]), and a set whose ε target is met detaches while
+/// the stream keeps serving stricter ones. With `remote` set (e.g. a
+/// sharded executor) each set draws through its own sampler instead; the
+/// two are bit-identical because drawing is target-independent and
+/// scoring consumes no RNG, so per-demand hit counts — and therefore every
+/// stopping decision — coincide. Either way each estimate is bit-identical
+/// to ranking its set alone under the same seed.
+pub fn rank_kpath(
     g: &Graph,
     sets: &[Vec<NodeId>],
     k: usize,
     eps: f64,
     delta: f64,
     rng: &mut dyn RngCore,
-) -> Vec<KPathEstimate> {
-    assert!(k >= 2, "k-path ranking needs k >= 2");
-    let exacts: Vec<ExactPart> = sets.iter().map(|t| kpath_exact_part(g, t, k)).collect();
-    let probs: Vec<KPathApproxProblem> = sets
-        .iter()
-        .map(|t| KPathApproxProblem::new(g, t, k))
-        .collect();
-    let subs: Vec<BatchSubscriber<KPathApproxProblem>> = probs
-        .iter()
-        .zip(&exacts)
-        .map(|(problem, exact)| BatchSubscriber {
-            problem,
-            exact,
-            eps,
-            delta,
-        })
-        .collect();
-    let inners = saphyra_estimate_batch_shared(&subs, true, rng);
-    sets.iter()
-        .zip(inners)
-        .map(|(targets, inner)| KPathEstimate {
-            targets: targets.clone(),
-            kpc: inner.combined.clone(),
-            inner,
-        })
-        .collect()
-}
-
-/// [`rank_kpath_multi`] against a caller-supplied estimation engine (e.g.
-/// a sharded [`crate::framework::BlockExec`]).
-///
-/// The engine receives the `λ > 0` subscribers with their original set
-/// indices (k-path has no measure-level prefilter — `λ̂ = 1/k < 1` always —
-/// so they are simply `0..sets.len()`). The engine runs the *per-problem*
-/// hit path rather than the shared-draw path; the two are bit-identical
-/// for [`SharedDraw`] problems (drawing is target-independent and scoring
-/// consumes no RNG, so per-demand hit counts — and therefore every tracker
-/// decision — coincide), which is also covered by a test in
-/// `tests/other_measures.rs`.
-pub fn rank_kpath_multi_with(
-    g: &Graph,
-    sets: &[Vec<NodeId>],
-    k: usize,
-    eps: f64,
-    delta: f64,
-    rng: &mut dyn RngCore,
-    engine: impl FnOnce(
-        &[usize],
-        &[&dyn HrProblem],
-        &[crate::framework::AdaptiveConfig],
-        u64,
-    ) -> Result<Vec<crate::framework::AdaptiveOutcome>, ExecError>,
+    remote: Option<&mut dyn BlockExec<u64>>,
 ) -> Result<Vec<KPathEstimate>, ExecError> {
     assert!(k >= 2, "k-path ranking needs k >= 2");
-    let exacts: Vec<ExactPart> = sets.iter().map(|t| kpath_exact_part(g, t, k)).collect();
     let probs: Vec<KPathApproxProblem> = sets
         .iter()
         .map(|t| KPathApproxProblem::new(g, t, k))
         .collect();
-    let subs: Vec<BatchSubscriber<KPathApproxProblem>> = probs
+    let subs: Vec<Subscriber<u64>> = sets
         .iter()
-        .zip(&exacts)
-        .map(|(problem, exact)| BatchSubscriber {
+        .zip(&probs)
+        .map(|(t, problem)| Subscriber {
             problem,
-            exact,
+            exact: kpath_exact_part(g, t, k),
             eps,
             delta,
+            adaptive: true,
         })
         .collect();
-    let inners = saphyra_estimate_batch_with(&subs, true, rng, |inner, problems, cfgs, master| {
-        let dyns: Vec<&dyn HrProblem> = problems.iter().map(|&p| p as _).collect();
-        engine(inner, &dyns, cfgs, master)
-    })?;
+    let master = rng.next_u64();
+    let inners = match remote {
+        Some(exec) => estimate(&subs, master, exec)?,
+        None => {
+            let refs: Vec<&KPathApproxProblem> = probs.iter().collect();
+            estimate(&subs, master, &mut LocalSharedExec::new(&refs))?
+        }
+    };
     Ok(sets
         .iter()
         .zip(inners)
@@ -344,6 +289,19 @@ mod tests {
     use rand::SeedableRng;
     use saphyra_graph::fixtures;
 
+    /// Ranks one target set with the local executor.
+    fn rank_one(
+        g: &Graph,
+        targets: &[NodeId],
+        k: usize,
+        eps: f64,
+        rng: &mut dyn RngCore,
+    ) -> KPathEstimate {
+        rank_kpath(g, &[targets.to_vec()], k, eps, 0.1, rng, None)
+            .expect("local execution is infallible")
+            .remove(0)
+    }
+
     #[test]
     fn exact_part_closed_form_on_star() {
         // Star center: Σ_{u∈leaves} 1/deg(u) = (n−1)/1; ℓ̂ = (n−1)/(nk).
@@ -361,7 +319,7 @@ mod tests {
         let targets: Vec<u32> = vec![7, 8, 14, 21, 22];
         let k = 5;
         let mut rng = StdRng::seed_from_u64(3);
-        let est = rank_kpath(&g, &targets, k, 0.02, 0.1, &mut rng);
+        let est = rank_one(&g, &targets, k, 0.02, &mut rng);
         let mut rng2 = StdRng::seed_from_u64(4);
         let direct = kpath_direct_monte_carlo(&g, &targets, k, 400_000, &mut rng2);
         for (i, (&a, &b)) in est.kpc.iter().zip(&direct).enumerate() {
@@ -391,12 +349,13 @@ mod tests {
         // Path of 2 nodes: walks bounce between them; a node can be visited
         // many times but must be reported once.
         let g = fixtures::path_graph(2);
-        let mut p = KPathApproxProblem::new(&g, &[0, 1], 6);
+        let p = KPathApproxProblem::new(&g, &[0, 1], 6);
+        let mut sampler = p.sampler();
         let mut rng = StdRng::seed_from_u64(6);
         let mut hits = Vec::new();
         for _ in 0..200 {
             hits.clear();
-            p.sample_hits(&mut rng, &mut hits);
+            sampler.sample_into(&mut rng, &mut hits);
             let mut sorted = hits.clone();
             sorted.dedup();
             assert_eq!(sorted.len(), hits.len());
@@ -409,7 +368,7 @@ mod tests {
         let g = fixtures::lollipop_graph(6, 6);
         let targets: Vec<u32> = vec![0, 11]; // clique member vs path tip
         let mut rng = StdRng::seed_from_u64(7);
-        let est = rank_kpath(&g, &targets, 4, 0.05, 0.1, &mut rng);
+        let est = rank_one(&g, &targets, 4, 0.05, &mut rng);
         assert!(est.kpc[0] > est.kpc[1]);
         assert_eq!(est.inner.ranking()[0], 0);
     }
@@ -427,7 +386,7 @@ mod tests {
         let g = fixtures::disconnected_mix();
         let targets: Vec<u32> = vec![0, 5];
         let mut rng = StdRng::seed_from_u64(8);
-        let est = rank_kpath(&g, &targets, 3, 0.1, 0.1, &mut rng);
+        let est = rank_one(&g, &targets, 3, 0.1, &mut rng);
         // Node 5 is isolated: never visited.
         assert_eq!(est.kpc[1], 0.0);
         assert!(est.kpc[0] > 0.0);

@@ -29,21 +29,25 @@
 //!   subspace, the `Gen_bc` multistage sampler and personalized VC bounds.
 //! * [`kpath`] — a second instantiation on k-path centrality (§II-A),
 //!   demonstrating framework generality.
+//! * [`closeness`] — harmonic centrality with fractional losses (the
+//!   extension §VI proposes).
 //!
 //! ## Quick start
 //!
 //! ```
 //! use rand::SeedableRng;
-//! use saphyra::bc::{BcIndex, SaphyraBcConfig};
+//! use saphyra::bc::{BcDecomposition, SaphyraBcConfig};
 //! use saphyra_graph::fixtures;
 //!
 //! let g = fixtures::grid_graph(8, 6);
-//! let index = BcIndex::new(&g);
-//! let targets: Vec<u32> = vec![3, 11, 17, 25, 33];
+//! let dec = BcDecomposition::compute(&g); // reusable across target sets
+//! let sets = vec![vec![3, 11, 17, 25, 33], vec![0, 47]];
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-//! let est = index.rank_subset(&targets, &SaphyraBcConfig::new(0.05, 0.1), &mut rng);
-//! let ranking = est.ranking(); // best-first target indices
-//! assert_eq!(ranking.len(), targets.len());
+//! let cfg = SaphyraBcConfig::new(0.05, 0.1);
+//! // One estimate per set; `None` samples in-process.
+//! let ests = dec.rank(&g, &sets, &cfg, &mut rng, None).expect("local execution");
+//! let ranking = ests[0].ranking(); // best-first target indices
+//! assert_eq!(ranking.len(), sets[0].len());
 //! ```
 
 pub mod bc;
@@ -52,5 +56,5 @@ pub mod framework;
 pub mod kpath;
 pub mod params;
 
-pub use bc::{BcEstimate, BcIndex, SaphyraBcConfig};
+pub use bc::{BcDecomposition, BcEstimate, SaphyraBcConfig};
 pub use framework::{AdaptiveOutcome, ExactPart, HrProblem, SaphyraEstimate};

@@ -10,10 +10,10 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use saphyra::bc::{build_a_index, BcApproxProblem, BcIndex, Outreach, SaphyraBcConfig};
-use saphyra::closeness::{rank_harmonic, rank_harmonic_multi};
-use saphyra::framework::{estimate_risks, estimate_risks_multi, AdaptiveConfig};
-use saphyra::kpath::{rank_kpath, rank_kpath_multi};
+use saphyra::bc::{build_a_index, BcApproxProblem, BcDecomposition, Outreach, SaphyraBcConfig};
+use saphyra::closeness::rank_harmonic;
+use saphyra::framework::{estimate, ExactPart, LocalExec, Subscriber};
+use saphyra::kpath::rank_kpath;
 use saphyra_graph::{fixtures, Bicomps, BlockCutTree};
 
 fn in_pool<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
@@ -29,7 +29,7 @@ fn grid_sets() -> Vec<Vec<u32>> {
     vec![vec![0, 1, 6, 7], vec![14, 15, 20, 21], vec![28, 29, 34, 35]]
 }
 
-/// The raw multi driver vs. solo `estimate_risks`, on the real `Gen_bc`
+/// The raw driver on three subscribers vs. solo `estimate`, on the real `Gen_bc`
 /// problem (personalized rejection: fused scheduling, no draw sharing).
 /// Subscribers carry *different* accuracy targets, so they detach at
 /// different rounds — the stream must keep serving the stricter ones.
@@ -50,21 +50,29 @@ fn bc_multi_outcomes_match_solo_runs() {
         .map(|(t, ai)| BcApproxProblem::new(&g, &bic, &outreach, t, ai, 3))
         .collect();
     let prob_refs: Vec<&BcApproxProblem> = probs.iter().collect();
-    let cfgs = [
-        AdaptiveConfig::new(0.10, 0.1),
-        AdaptiveConfig::new(0.05, 0.1),
-        AdaptiveConfig::new(0.03, 0.1),
-    ];
+    let eps = [0.10, 0.05, 0.03];
+    let sub = |i: usize| Subscriber {
+        problem: prob_refs[i],
+        exact: ExactPart::trivial(sets[i].len()),
+        eps: eps[i],
+        delta: 0.1,
+        adaptive: true,
+    };
+    let subs: Vec<Subscriber<u64>> = (0..3).map(sub).collect();
     let master = StdRng::seed_from_u64(2022).next_u64();
 
     for threads in [1, 2, 4] {
-        let batched = in_pool(threads, || estimate_risks_multi(&prob_refs, &cfgs, master));
+        let batched = in_pool(threads, || {
+            estimate(&subs, master, &mut LocalExec::new(&prob_refs)).unwrap()
+        });
         for (i, out) in batched.iter().enumerate() {
             // Solo run with an rng yielding the same master seed.
             let solo = in_pool(threads, || {
                 let mut rng = StdRng::seed_from_u64(2022);
-                estimate_risks(prob_refs[i], &cfgs[i], &mut rng)
+                let exec = &mut LocalExec::new(&prob_refs[i..=i]);
+                estimate(&[sub(i)], rng.next_u64(), exec).unwrap().remove(0)
             });
+            let (out, solo) = (&out.outcome, &solo.outcome);
             assert_eq!(out.estimates, solo.estimates, "sub {i}, {threads} threads");
             assert_eq!(out.samples_used, solo.samples_used, "sub {i}");
             assert_eq!(out.rounds_run, solo.rounds_run, "sub {i}");
@@ -74,22 +82,25 @@ fn bc_multi_outcomes_match_solo_runs() {
     }
 }
 
-/// End-to-end BC ranking: `rank_subset_multi` vs. per-set `rank_subset`,
+/// End-to-end BC ranking: every set at once vs. each set alone,
 /// including the telemetry (samples, rejections, ε_inner).
 #[test]
 fn bc_rank_subset_multi_matches_solo() {
     let g = fixtures::grid_graph(6, 6);
-    let index = BcIndex::new(&g);
+    let dec = BcDecomposition::compute(&g);
     let sets = grid_sets();
     let cfg = SaphyraBcConfig::new(0.05, 0.1);
     let batched = {
         let mut rng = StdRng::seed_from_u64(11);
-        index.dec.rank_subset_multi(&g, &sets, &cfg, &mut rng)
+        dec.rank(&g, &sets, &cfg, &mut rng, None).unwrap()
     };
     assert_eq!(batched.len(), sets.len());
     for (i, set) in sets.iter().enumerate() {
         let mut rng = StdRng::seed_from_u64(11);
-        let solo = index.rank_subset(set, &cfg, &mut rng);
+        let solo = dec
+            .rank(&g, std::slice::from_ref(set), &cfg, &mut rng, None)
+            .unwrap()
+            .remove(0);
         assert_eq!(batched[i].bc, solo.bc, "set {i}");
         assert_eq!(batched[i].bca_part, solo.bca_part, "set {i}");
         assert_eq!(batched[i].exact_path_part, solo.exact_path_part);
@@ -105,14 +116,17 @@ fn bc_rank_subset_multi_matches_solo() {
 #[test]
 fn bc_multi_handles_no_pisp_members() {
     let g = fixtures::disconnected_mix();
-    let index = BcIndex::new(&g);
+    let dec = BcDecomposition::compute(&g);
     let sets: Vec<Vec<u32>> = vec![vec![5], vec![0, 1, 3]];
     let cfg = SaphyraBcConfig::new(0.1, 0.1);
     let mut rng = StdRng::seed_from_u64(3);
-    let batched = index.dec.rank_subset_multi(&g, &sets, &cfg, &mut rng);
+    let batched = dec.rank(&g, &sets, &cfg, &mut rng, None).unwrap();
     for (i, set) in sets.iter().enumerate() {
         let mut rng = StdRng::seed_from_u64(3);
-        let solo = index.rank_subset(set, &cfg, &mut rng);
+        let solo = dec
+            .rank(&g, std::slice::from_ref(set), &cfg, &mut rng, None)
+            .unwrap()
+            .remove(0);
         assert_eq!(batched[i].bc, solo.bc, "set {i}");
         assert_eq!(batched[i].stats.samples, solo.stats.samples, "set {i}");
     }
@@ -131,11 +145,13 @@ fn harmonic_multi_matches_solo_including_degenerate() {
     sets.push(g.nodes().collect()); // A = V: no approximate subspace
     let batched = {
         let mut rng = StdRng::seed_from_u64(17);
-        rank_harmonic_multi(&g, &sets, 0.05, 0.1, &mut rng)
+        rank_harmonic(&g, &sets, 0.05, 0.1, &mut rng, None).unwrap()
     };
     for (i, set) in sets.iter().enumerate() {
         let mut rng = StdRng::seed_from_u64(17);
-        let solo = rank_harmonic(&g, set, 0.05, 0.1, &mut rng);
+        let solo = rank_harmonic(&g, std::slice::from_ref(set), 0.05, 0.1, &mut rng, None)
+            .unwrap()
+            .remove(0);
         assert_eq!(batched[i].hc, solo.hc, "set {i}");
         assert_eq!(
             batched[i].inner.outcome.samples_used,
@@ -164,12 +180,12 @@ proptest! {
         for threads in [1usize, 2, 4] {
             let batched = in_pool(threads, || {
                 let mut rng = StdRng::seed_from_u64(seed);
-                rank_kpath_multi(&g, &sets, 6, eps, 0.1, &mut rng)
+                rank_kpath(&g, &sets, 6, eps, 0.1, &mut rng, None).unwrap()
             });
             for (i, set) in sets.iter().enumerate() {
                 let solo = in_pool(threads, || {
                     let mut rng = StdRng::seed_from_u64(seed);
-                    rank_kpath(&g, set, 6, eps, 0.1, &mut rng)
+                    rank_kpath(&g, std::slice::from_ref(set), 6, eps, 0.1, &mut rng, None).unwrap().remove(0)
                 });
                 prop_assert_eq!(&batched[i].kpc, &solo.kpc, "set {} threads {}", i, threads);
                 prop_assert_eq!(

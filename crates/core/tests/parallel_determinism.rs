@@ -1,5 +1,5 @@
 //! Cross-thread-count determinism of the parallel sampling engine, and
-//! distributional agreement between the batch path and the legacy
+//! distributional agreement between the batch path and the problem's own
 //! single-sample path.
 //!
 //! The contract under test: a fixed master seed fully determines every
@@ -8,11 +8,29 @@
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
-use saphyra::bc::{build_a_index, BcApproxProblem, BcIndex, Outreach, SaphyraBcConfig};
-use saphyra::framework::{estimate_risks, AdaptiveConfig, HrProblem};
+use rand::{RngCore, SeedableRng};
+use saphyra::bc::{build_a_index, BcApproxProblem, BcDecomposition, Outreach, SaphyraBcConfig};
+use saphyra::framework::{estimate, AdaptiveOutcome, ExactPart, HrProblem, LocalExec, Subscriber};
 use saphyra::kpath::KPathApproxProblem;
 use saphyra_graph::{fixtures, Bicomps, BlockCutTree};
+
+/// Algorithm 1 on one problem's approximate distribution alone (empty
+/// exact part, so `eps` is the per-hypothesis target); `rng` contributes
+/// the master seed.
+fn estimate_solo(problem: &dyn HrProblem<u64>, eps: f64, rng: &mut StdRng) -> AdaptiveOutcome {
+    let sub = Subscriber {
+        problem,
+        exact: ExactPart::trivial(problem.num_hypotheses()),
+        eps,
+        delta: 0.1,
+        adaptive: true,
+    };
+    let master = rng.next_u64();
+    estimate(&[sub], master, &mut LocalExec::new(&[problem]))
+        .unwrap()
+        .remove(0)
+        .outcome
+}
 
 fn in_pool<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
     rayon::ThreadPoolBuilder::new()
@@ -22,7 +40,7 @@ fn in_pool<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
         .install(f)
 }
 
-/// ISSUE acceptance: `estimate_risks` with the same seed yields identical
+/// ISSUE acceptance: `estimate` with the same seed yields identical
 /// `AdaptiveOutcome.estimates` at 1 thread vs 8 threads, on the real
 /// `Gen_bc` problem.
 #[test]
@@ -34,12 +52,11 @@ fn estimate_risks_identical_at_1_and_8_threads() {
     let targets: Vec<u32> = vec![9, 17, 25, 33, 41];
     let a_index = build_a_index(g.num_nodes(), &targets);
     let prob = BcApproxProblem::new(&g, &bic, &outreach, &targets, &a_index, 3);
-    let cfg = AdaptiveConfig::new(0.05, 0.1);
 
     let run = |threads: usize| {
         in_pool(threads, || {
             let mut rng = StdRng::seed_from_u64(2022);
-            estimate_risks(&prob, &cfg, &mut rng)
+            estimate_solo(&prob, 0.05, &mut rng)
         })
     };
     let one = run(1);
@@ -56,13 +73,13 @@ fn estimate_risks_identical_at_1_and_8_threads() {
 #[test]
 fn rank_subset_identical_across_thread_counts() {
     let g = fixtures::lollipop_graph(8, 8);
-    let index = BcIndex::new(&g);
-    let targets: Vec<u32> = (0..16).collect();
+    let dec = BcDecomposition::compute(&g);
+    let sets = vec![(0..16).collect::<Vec<u32>>()];
     let cfg = SaphyraBcConfig::new(0.05, 0.1);
     let run = |threads: usize| {
         in_pool(threads, || {
             let mut rng = StdRng::seed_from_u64(7);
-            index.rank_subset(&targets, &cfg, &mut rng)
+            dec.rank(&g, &sets, &cfg, &mut rng, None).unwrap().remove(0)
         })
     };
     let reference = run(1);
@@ -104,9 +121,10 @@ fn chi_square_hits(counts_a: &[u64], counts_b: &[u64], trials: u64) -> f64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// ISSUE satellite: the batch sampler and the legacy single-sample
-    /// path draw from the same distribution — χ² homogeneity on hit
-    /// counts over a fixed small graph stays below the critical value.
+    /// ISSUE satellite: the batch sampler and the problem's own
+    /// single-sample rejection path draw from the same distribution — χ²
+    /// homogeneity on hit counts over a fixed small graph stays below the
+    /// critical value.
     #[test]
     fn batch_and_legacy_paths_agree_in_distribution(seed in 0u64..1000) {
         let g = fixtures::grid_graph(5, 4);
@@ -125,17 +143,17 @@ proptest! {
             let mut hits = Vec::new();
             for _ in 0..trials {
                 hits.clear();
-                sampler.sample_hits_into(&mut rng, &mut hits);
+                sampler.sample_into(&mut rng, &mut hits);
                 for &h in &hits { batch[h as usize] += 1; }
             }
         }
         let mut legacy = vec![0u64; targets.len()];
         let mut rng = StdRng::seed_from_u64(seed ^ 0xdead_beef);
-        let mut hits = Vec::new();
         for _ in 0..trials {
-            hits.clear();
-            prob.sample_hits(&mut rng, &mut hits);
-            for &h in &hits { legacy[h as usize] += 1; }
+            let path = prob.sample_approx_path(&mut rng);
+            for &v in &path[1..path.len() - 1] {
+                if let Some(h) = targets.iter().position(|&t| t == v) { legacy[h] += 1; }
+            }
         }
         // 4 hypotheses x 1 dof each; χ²(4 dof) critical value at
         // p = 0.001 is 18.47. A systematic distribution mismatch blows
@@ -151,14 +169,14 @@ proptest! {
         let g = fixtures::grid_graph(6, 5);
         let targets: Vec<u32> = vec![7, 8, 14, 21, 22];
         let prob = KPathApproxProblem::new(&g, &targets, 5);
-        let cfg = AdaptiveConfig::new(eps_i as f64 / 100.0, 0.1);
+        let eps = eps_i as f64 / 100.0;
         let one = in_pool(1, || {
             let mut rng = StdRng::seed_from_u64(seed);
-            estimate_risks(&prob, &cfg, &mut rng)
+            estimate_solo(&prob, eps, &mut rng)
         });
         let many = in_pool(7, || {
             let mut rng = StdRng::seed_from_u64(seed);
-            estimate_risks(&prob, &cfg, &mut rng)
+            estimate_solo(&prob, eps, &mut rng)
         });
         prop_assert_eq!(one.estimates, many.estimates);
         prop_assert_eq!(one.samples_used, many.samples_used);

@@ -205,8 +205,9 @@ proptest! {
         }
 
         let cfg = SaphyraBcConfig::new(0.2, 0.1);
-        let before = dec.rank_subset(&g, &targets, &cfg, &mut StdRng::seed_from_u64(7));
-        let after = out.dec.rank_subset(&out.graph, &targets, &cfg, &mut StdRng::seed_from_u64(7));
+        let sets = [targets.clone()];
+        let before = dec.rank(&g, &sets, &cfg, &mut StdRng::seed_from_u64(7), None).unwrap().remove(0);
+        let after = out.dec.rank(&out.graph, &sets, &cfg, &mut StdRng::seed_from_u64(7), None).unwrap().remove(0);
         for (x, y) in before.bc.iter().zip(&after.bc) {
             prop_assert_eq!(x.to_bits(), y.to_bits(), "bc bits changed for clean target");
         }

@@ -6,8 +6,8 @@
 //! LiveJournal, Orkut, USA-road) that are not available offline. Each
 //! generator here reproduces the *structural regime* that drives the
 //! corresponding experiment — degree distribution, diameter scale,
-//! true-zero fraction, bicomponent structure — at laptop scale (see
-//! DESIGN.md §4 for the substitution argument).
+//! true-zero fraction, bicomponent structure — at laptop scale (the
+//! [`datasets`] table lists the regime each stand-in preserves).
 //!
 //! * [`er`]: Erdős–Rényi `G(n, m)`;
 //! * [`ba`]: Barabási–Albert preferential attachment, with optional pendant

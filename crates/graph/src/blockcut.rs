@@ -27,7 +27,9 @@ pub struct BlockCutTree {
     /// nodes (≠ c) reached from cutpoint `c` through component `b`.
     pub cut_branch: Vec<u32>,
     /// Per biconnected component: the number of graph nodes in the connected
-    /// component containing it ("n_c" in DESIGN.md §2).
+    /// component containing it — the `n_c` that replaces `n` in the pair
+    /// counts of γ and bcₐ, so that pairs split across components (which
+    /// have no shortest path) are never counted.
     pub comp_total_of_bicomp: Vec<u32>,
 }
 

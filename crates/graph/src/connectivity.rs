@@ -2,7 +2,8 @@
 //!
 //! The SaPHyRa distributions (γ, η, out-reach) are defined per connected
 //! component; the paper implicitly assumes connectivity and we generalize by
-//! computing pair weights within each component (DESIGN.md §2).
+//! computing pair weights within each component: a pair split across two
+//! components has no shortest path, so it carries no betweenness mass.
 
 use crate::bfs::BfsWorkspace;
 use crate::csr::{Graph, NodeId};

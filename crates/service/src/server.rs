@@ -13,10 +13,10 @@
 //! `X-Saphyra-Cache` header (`hit` / `miss` / `shared` / `batched`).
 //!
 //! Cross-request batching preserves the contract: every computation runs
-//! through the batched estimators (`rank_subset_multi` & co.), which are
-//! bit-identical *per subscriber* to solo runs with the same seed — so the
-//! bytes of a response are the same whether its batch had one member or
-//! eight. Batching changes only scheduling, never content.
+//! one ranking call per measure over the batch's target sets, which is
+//! bit-identical *per set* to ranking that set alone with the same seed —
+//! so the bytes of a response are the same whether its batch had one
+//! member or eight. Batching changes only scheduling, never content.
 //!
 //! ## Concurrency model
 //!
@@ -73,11 +73,9 @@ use std::time::{Duration, Instant, SystemTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use saphyra::bc::{DeltaOutcome, SaphyraBcConfig};
-use saphyra::closeness::{rank_harmonic_multi, rank_harmonic_multi_with};
-use saphyra::framework::{
-    estimate_risks_multi_exec, estimate_weighted_risks_multi_exec, ExecError,
-};
-use saphyra::kpath::{rank_kpath_multi, rank_kpath_multi_with};
+use saphyra::closeness::rank_harmonic;
+use saphyra::framework::{BlockExec, ExecError, LossAcc, SaphyraEstimate};
+use saphyra::kpath::rank_kpath;
 use saphyra::params;
 use saphyra_gen::datasets::{SimNetwork, SizeClass};
 use saphyra_graph::{io as graph_io, EdgeDelta, NodeId};
@@ -354,8 +352,8 @@ impl Drop for InflightGuard<'_> {
 
 /// The coalescing class of a `/rank` request: [`RankKey`] minus the target
 /// set. Cold requests that agree on everything *except* targets can share
-/// one sample stream — the batched estimators score every target set from
-/// the same master seed and are bit-identical per member to solo runs.
+/// one sample stream — one ranking call scores every target set from the
+/// same master seed, bit-identical per member to ranking it alone.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct BatchKey {
     graph: String,
@@ -1968,11 +1966,11 @@ fn graph_info(entry: &GraphEntry) -> Json {
 }
 
 /// Computes the deterministic `/rank` response bodies for one batch: one
-/// master seed, one batched estimator pass over every target set, one body
-/// per set. A batch of one *is* the quiet-server path — the batched
-/// estimators are bit-identical per subscriber to solo runs with the same
-/// seed (pinned by `crates/core/tests/batched_determinism.rs`), so a
-/// response never depends on who else was in flight. `p` carries the
+/// master seed, one ranking call over every target set, one body per set.
+/// A batch of one *is* the quiet-server path — each set's estimate is
+/// bit-identical to ranking that set alone with the same seed (pinned by
+/// `crates/core/tests/batched_determinism.rs`), so a response never
+/// depends on who else was in flight. `p` carries the
 /// fields every member shares (everything but the targets).
 ///
 /// With `pool` set (router ranking a split graph), the sampling passes run
@@ -1991,34 +1989,26 @@ fn compute_rank_bodies(
         entry.graph.num_nodes() as u64,
         entry.graph.num_edges() as u64,
     );
+    let sharded = |measure: u8, reject_exact: bool| {
+        pool.map(|pool| {
+            let graph = entry.name.as_str();
+            ShardedExec::new(
+                pool,
+                graph,
+                fingerprint,
+                measure,
+                p.khops,
+                reject_exact,
+                sets,
+            )
+        })
+    };
     let per_set: Vec<(Vec<f64>, Json)> = match p.measure {
         Measure::Betweenness => {
             let cfg = SaphyraBcConfig::new(p.eps, p.delta);
-            let ests = match pool {
-                None => entry
-                    .dec
-                    .rank_subset_multi(&entry.graph, sets, &cfg, &mut rng),
-                Some(pool) => entry.dec.rank_subset_multi_with(
-                    &entry.graph,
-                    sets,
-                    &cfg,
-                    &mut rng,
-                    |orig, problems, cfgs, master| {
-                        let sub_sets = orig.iter().map(|&i| sets[i].clone()).collect();
-                        let mut exec = ShardedExec::new(
-                            pool,
-                            &entry.name,
-                            fingerprint,
-                            shard::MEASURE_BC,
-                            p.khops,
-                            cfg.use_exact_subspace,
-                            sub_sets,
-                            master,
-                        );
-                        estimate_risks_multi_exec(problems, cfgs, &mut exec)
-                    },
-                )?,
-            };
+            let mut remote = sharded(shard::MEASURE_BC, cfg.use_exact_subspace);
+            let remote = remote.as_mut().map(|e| e as &mut dyn BlockExec<u64>);
+            let ests = entry.dec.rank(&entry.graph, sets, &cfg, &mut rng, remote)?;
             ests.into_iter()
                 .map(|est| {
                     let stats = obj(vec![
@@ -2033,89 +2023,30 @@ fn compute_rank_bodies(
                 .collect()
         }
         Measure::KPath => {
-            let ests = match pool {
-                None => rank_kpath_multi(&entry.graph, sets, p.khops, p.eps, p.delta, &mut rng),
-                // The hit-unit engine: bit-identical to the shared-draw
-                // local pass because k-path drawing is target-independent
-                // and scoring is RNG-free (pinned by
-                // `kpath_hit_engine_matches_shared` in
-                // `tests/other_measures.rs`).
-                Some(pool) => rank_kpath_multi_with(
-                    &entry.graph,
-                    sets,
-                    p.khops,
-                    p.eps,
-                    p.delta,
-                    &mut rng,
-                    |orig, problems, cfgs, master| {
-                        let sub_sets = orig.iter().map(|&i| sets[i].clone()).collect();
-                        let mut exec = ShardedExec::new(
-                            pool,
-                            &entry.name,
-                            fingerprint,
-                            shard::MEASURE_KPATH,
-                            p.khops,
-                            true,
-                            sub_sets,
-                            master,
-                        );
-                        estimate_risks_multi_exec(problems, cfgs, &mut exec)
-                    },
-                )?,
-            };
+            // Split graphs run the per-set hit engine, bit-identical to the
+            // local shared-draw pass (pinned by `kpath_hit_engine_matches_shared`
+            // in `tests/other_measures.rs`).
+            let mut remote = sharded(shard::MEASURE_KPATH, true);
+            let remote = remote.as_mut().map(|e| e as &mut dyn BlockExec<u64>);
+            let ests = rank_kpath(
+                &entry.graph,
+                sets,
+                p.khops,
+                p.eps,
+                p.delta,
+                &mut rng,
+                remote,
+            )?;
             ests.into_iter()
-                .map(|est| {
-                    let stats = obj(vec![
-                        ("samples", Json::from(est.inner.outcome.samples_used)),
-                        ("nmax", Json::from(est.inner.outcome.nmax)),
-                        (
-                            "converged_early",
-                            Json::from(est.inner.outcome.converged_early),
-                        ),
-                        ("lambda", Json::Num(est.inner.lambda)),
-                    ]);
-                    (est.kpc, stats)
-                })
+                .map(|est| (est.kpc, inner_stats(&est.inner)))
                 .collect()
         }
         Measure::Harmonic => {
-            let ests = match pool {
-                None => rank_harmonic_multi(&entry.graph, sets, p.eps, p.delta, &mut rng),
-                Some(pool) => rank_harmonic_multi_with(
-                    &entry.graph,
-                    sets,
-                    p.eps,
-                    p.delta,
-                    &mut rng,
-                    |orig, problems, cfgs, master| {
-                        let sub_sets = orig.iter().map(|&i| sets[i].clone()).collect();
-                        let mut exec = ShardedExec::new(
-                            pool,
-                            &entry.name,
-                            fingerprint,
-                            shard::MEASURE_HARMONIC,
-                            p.khops,
-                            true,
-                            sub_sets,
-                            master,
-                        );
-                        estimate_weighted_risks_multi_exec(problems, cfgs, &mut exec)
-                    },
-                )?,
-            };
+            let mut remote = sharded(shard::MEASURE_HARMONIC, true);
+            let remote = remote.as_mut().map(|e| e as &mut dyn BlockExec<LossAcc>);
+            let ests = rank_harmonic(&entry.graph, sets, p.eps, p.delta, &mut rng, remote)?;
             ests.into_iter()
-                .map(|est| {
-                    let stats = obj(vec![
-                        ("samples", Json::from(est.inner.outcome.samples_used)),
-                        ("nmax", Json::from(est.inner.outcome.nmax)),
-                        (
-                            "converged_early",
-                            Json::from(est.inner.outcome.converged_early),
-                        ),
-                        ("lambda", Json::Num(est.inner.lambda)),
-                    ]);
-                    (est.hc, stats)
-                })
+                .map(|est| (est.hc, inner_stats(&est.inner)))
                 .collect()
         }
     };
@@ -2149,6 +2080,16 @@ fn compute_rank_bodies(
             .to_string()
         })
         .collect())
+}
+
+/// The `stats` object of a k-path or harmonic body.
+fn inner_stats(inner: &SaphyraEstimate) -> Json {
+    obj(vec![
+        ("samples", Json::from(inner.outcome.samples_used)),
+        ("nmax", Json::from(inner.outcome.nmax)),
+        ("converged_early", Json::from(inner.outcome.converged_early)),
+        ("lambda", Json::Num(inner.lambda)),
+    ])
 }
 
 /// Shutdown latch shared by the reactor, the workers and the handle:

@@ -9,25 +9,23 @@
 //!
 //! The executor never invents sample coordinates: every work unit is a
 //! `(subscriber, Demand, chunk sub-range)` triple, and a shard draws it
-//! with [`saphyra::framework::exec_hit_unit`] /
-//! [`saphyra::framework::exec_loss_unit`] — the *same* chunk-keyed RNG
+//! with [`saphyra::framework::exec_unit`] — the *same* chunk-keyed RNG
 //! streams the in-process pass uses. Hit counts (`u64`) merge exactly
 //! under any partition, so the router splits each demand's chunks evenly
 //! across shards. Fractional losses (`LossAcc`) are `f64` sums, where
 //! association order matters: the router ships only *whole* units from
-//! [`saphyra::framework::loss_unit_ranges`] (a pure function of the
-//! demand, so router and shard agree without coordination), each shard
-//! folds its unit's chunks sequentially, and the router merges unit
-//! partials in global unit order — the exact left-to-right association
-//! the solo path uses. Solo == local == sharded, bit for bit, by
-//! construction.
+//! [`saphyra::framework::unit_ranges`] (a pure function of the demand, so
+//! router and shard agree without coordination), each shard folds its
+//! unit's chunks sequentially, and the router merges unit partials in
+//! global unit order — the exact left-to-right association the local pass
+//! uses. Local == sharded, bit for bit, by construction.
 //!
 //! ## Statelessness
 //!
 //! Every round's request carries the full context a shard needs — graph
-//! name, a `(nodes, edges)` fingerprint, measure, and the subscriber
-//! target sets — so shards keep no session state and any round can be
-//! retried on a fresh connection. Epochs are process-local and never
+//! name, a `(nodes, edges)` fingerprint, measure, and the target sets of
+//! the subscribers demanding in that round — so shards keep no session
+//! state and any round can be retried on a fresh connection. Epochs are process-local and never
 //! cross the wire; the fingerprint is what catches a shard serving a
 //! different graph under the same name (HTTP 409).
 
@@ -39,8 +37,7 @@ use std::time::Instant;
 use saphyra::bc::{build_a_index, vc_bounds_from, BcApproxProblem};
 use saphyra::closeness::HarmonicApproxProblem;
 use saphyra::framework::{
-    demand_chunks, exec_hit_unit, exec_loss_unit, loss_unit_ranges, BlockExec, Demand, ExecError,
-    LossAcc,
+    demand_chunks, exec_unit, unit_ranges, BlockExec, Demand, ExecError, LossAcc,
 };
 use saphyra::kpath::KPathApproxProblem;
 use saphyra::params;
@@ -142,13 +139,13 @@ impl ShardPool {
 }
 
 /// One work unit in a round's fan-out plan: request index `ri` (position
-/// in the `BlockExec::run` input), unit index `uj` (fold position for
-/// loss merges), and the wire triple.
+/// in the `BlockExec::run` input, which is also the unit's subscriber on
+/// the wire), unit index `uj` (fold position for loss merges), the demand
+/// and its chunk sub-range.
 #[derive(Debug, Clone)]
 struct PlanUnit {
     ri: usize,
     uj: usize,
-    sub: usize,
     d: Demand,
     chunks: Range<usize>,
 }
@@ -185,17 +182,16 @@ pub struct ShardedExec<'a> {
     measure: u8,
     khops: usize,
     reject_exact: bool,
-    master: u64,
-    /// Target sets of the subscribers that sample, in subscriber order
-    /// (the engine's original-index translation resolves these).
-    sets: Vec<Vec<NodeId>>,
+    /// Every target set of the ranked batch, by original set index.
+    sets: &'a [Vec<NodeId>],
 }
 
 impl<'a> ShardedExec<'a> {
-    /// An executor for one estimation pass. `fingerprint` is the
-    /// `(nodes, edges)` pair shards validate before computing; `sets`
-    /// are the sampling subscribers' target sets in subscriber order.
-    #[allow(clippy::too_many_arguments)]
+    /// An executor for one ranked batch. `fingerprint` is the `(nodes,
+    /// edges)` pair shards validate before computing; `sets` are the
+    /// batch's target sets, indexed like the demands' subscribers. Each
+    /// round ships only the sets demanding in it, so a set that never
+    /// samples (e.g. harmonic `A = V`) never reaches a shard.
     pub fn new(
         pool: &'a ShardPool,
         graph: &'a str,
@@ -203,8 +199,7 @@ impl<'a> ShardedExec<'a> {
         measure: u8,
         khops: usize,
         reject_exact: bool,
-        sets: Vec<Vec<NodeId>>,
-        master: u64,
+        sets: &'a [Vec<NodeId>],
     ) -> Self {
         ShardedExec {
             pool,
@@ -214,13 +209,19 @@ impl<'a> ShardedExec<'a> {
             measure,
             khops,
             reject_exact,
-            master,
             sets,
         }
     }
 
-    /// Encodes one shard's round request: header, subscriber sets, units.
-    fn encode_request(&self, acc: u8, units: &[PlanUnit]) -> Vec<u8> {
+    /// Encodes one shard's round request: header, the round's subscriber
+    /// sets (one per request, in request order), units.
+    fn encode_request(
+        &self,
+        acc: u8,
+        master: u64,
+        sets: &[&[NodeId]],
+        units: &[PlanUnit],
+    ) -> Vec<u8> {
         let mut out = Vec::new();
         wire::put_u8(&mut out, WIRE_VERSION);
         wire::put_str(&mut out, self.graph);
@@ -229,15 +230,15 @@ impl<'a> ShardedExec<'a> {
         wire::put_u8(&mut out, self.measure);
         wire::put_usize(&mut out, self.khops);
         wire::put_u8(&mut out, self.reject_exact as u8);
-        wire::put_u64(&mut out, self.master);
+        wire::put_u64(&mut out, master);
         wire::put_u8(&mut out, acc);
-        wire::put_usize(&mut out, self.sets.len());
-        for s in &self.sets {
+        wire::put_usize(&mut out, sets.len());
+        for s in sets {
             wire::put_vec_u32(&mut out, s);
         }
         wire::put_usize(&mut out, units.len());
         for u in units {
-            wire::put_usize(&mut out, u.sub);
+            wire::put_usize(&mut out, u.ri);
             wire::put_u64(&mut out, u.d.stream);
             wire::put_u64(&mut out, u.d.first_chunk);
             wire::put_usize(&mut out, u.d.count);
@@ -253,6 +254,8 @@ impl<'a> ShardedExec<'a> {
     /// with an [`ExecError`] naming the shard.
     fn fan_out<T: Send>(
         &self,
+        master: u64,
+        sets: &[&[NodeId]],
         plan: &[Vec<PlanUnit>],
         acc: u8,
         decode: fn(&mut Reader<'_>, usize) -> Result<Vec<T>, String>,
@@ -267,7 +270,7 @@ impl<'a> ShardedExec<'a> {
                             return Ok(Vec::new());
                         }
                         let addr = &self.pool.addrs[i];
-                        let body = self.encode_request(acc, units);
+                        let body = self.encode_request(acc, master, sets, units);
                         let resp = self.pool.clients[i]
                             .lock_ok()
                             .request_bytes("POST", "/shard/exec", &body)
@@ -279,7 +282,7 @@ impl<'a> ShardedExec<'a> {
                                 String::from_utf8_lossy(&resp.body)
                             )));
                         }
-                        decode_response(&resp.body, acc, units, &self.sets, decode)
+                        decode_response(&resp.body, acc, units, sets, decode)
                             .map_err(|e| ExecError(format!("shard {addr}: {e}")))
                     })
                 })
@@ -292,6 +295,19 @@ impl<'a> ShardedExec<'a> {
                 })
                 .collect()
         })
+    }
+
+    /// The target sets of one round's demands, in request order — the
+    /// round's subscriber list on the wire.
+    fn round_sets(&self, reqs: &[(usize, Demand)]) -> Result<Vec<&'a [NodeId]>, ExecError> {
+        reqs.iter()
+            .map(|&(sub, _)| {
+                self.sets
+                    .get(sub)
+                    .map(Vec::as_slice)
+                    .ok_or_else(|| ExecError(format!("demand for unknown target set {sub}")))
+            })
+            .collect()
     }
 
     fn note_merge(&self, t0: Instant) {
@@ -309,7 +325,7 @@ fn decode_response<T>(
     bytes: &[u8],
     acc: u8,
     units: &[PlanUnit],
-    sets: &[Vec<NodeId>],
+    sets: &[&[NodeId]],
     decode: fn(&mut Reader<'_>, usize) -> Result<Vec<T>, String>,
 ) -> Result<Vec<Vec<T>>, String> {
     let mut r = Reader::new(bytes);
@@ -331,11 +347,11 @@ fn decode_response<T>(
     let mut out = Vec::with_capacity(n);
     for u in units {
         let k = r.usize_().map_err(err)?;
-        if k != sets[u.sub].len() {
+        if k != sets[u.ri].len() {
             return Err(format!(
                 "unit for subscriber {} has {k} hypotheses, expected {}",
-                u.sub,
-                sets[u.sub].len()
+                u.ri,
+                sets[u.ri].len()
             ));
         }
         out.push(decode(&mut r, k)?);
@@ -361,31 +377,28 @@ fn decode_losses(r: &mut Reader<'_>, k: usize) -> Result<Vec<LossAcc>, String> {
 }
 
 impl BlockExec<u64> for ShardedExec<'_> {
-    fn run(&mut self, reqs: &[(usize, Demand)]) -> Result<Vec<Vec<u64>>, ExecError> {
+    fn run(&mut self, master: u64, reqs: &[(usize, Demand)]) -> Result<Vec<Vec<u64>>, ExecError> {
         let ns = self.pool.len();
+        let sets = self.round_sets(reqs)?;
         // Plan: split every demand's chunk range evenly across shards —
         // integer hit counts merge exactly under any partition.
         let mut plan: Vec<Vec<PlanUnit>> = vec![Vec::new(); ns];
-        for (ri, &(sub, d)) in reqs.iter().enumerate() {
+        for (ri, &(_, d)) in reqs.iter().enumerate() {
             for (s, chunks) in split_chunks(demand_chunks(&d), ns).into_iter().enumerate() {
                 if !chunks.is_empty() {
                     plan[s].push(PlanUnit {
                         ri,
                         uj: 0,
-                        sub,
                         d,
                         chunks,
                     });
                 }
             }
         }
-        let partials = self.fan_out(&plan, ACC_HITS, decode_hits)?;
+        let partials = self.fan_out(master, &sets, &plan, ACC_HITS, decode_hits)?;
 
         let t0 = Instant::now();
-        let mut out: Vec<Vec<u64>> = reqs
-            .iter()
-            .map(|&(sub, _)| vec![0u64; self.sets[sub].len()])
-            .collect();
+        let mut out: Vec<Vec<u64>> = sets.iter().map(|s| vec![0u64; s.len()]).collect();
         for (units, shard_parts) in plan.iter().zip(&partials) {
             for (u, part) in units.iter().zip(shard_parts) {
                 for (a, &p) in out[u.ri].iter_mut().zip(part) {
@@ -399,33 +412,31 @@ impl BlockExec<u64> for ShardedExec<'_> {
 }
 
 impl BlockExec<LossAcc> for ShardedExec<'_> {
-    fn run(&mut self, reqs: &[(usize, Demand)]) -> Result<Vec<Vec<LossAcc>>, ExecError> {
+    fn run(
+        &mut self,
+        master: u64,
+        reqs: &[(usize, Demand)],
+    ) -> Result<Vec<Vec<LossAcc>>, ExecError> {
         let ns = self.pool.len();
+        let sets = self.round_sets(reqs)?;
         // Plan: f64 losses are association-sensitive, so ship only whole
-        // solo-path fold units (round-robin across shards for balance)
+        // local-pass fold units (round-robin across shards for balance)
         // and remember each unit's fold position `uj`.
         let mut plan: Vec<Vec<PlanUnit>> = vec![Vec::new(); ns];
         let mut unit_counts: Vec<usize> = Vec::with_capacity(reqs.len());
         let mut rr = 0usize;
-        for (ri, &(sub, d)) in reqs.iter().enumerate() {
-            let k = self.sets[sub].len();
-            let ranges = loss_unit_ranges(k, &d);
+        for (ri, (&(_, d), set)) in reqs.iter().zip(&sets).enumerate() {
+            let ranges = unit_ranges::<LossAcc>(set.len(), &d);
             unit_counts.push(ranges.len());
             for (uj, chunks) in ranges.into_iter().enumerate() {
-                plan[rr % ns].push(PlanUnit {
-                    ri,
-                    uj,
-                    sub,
-                    d,
-                    chunks,
-                });
+                plan[rr % ns].push(PlanUnit { ri, uj, d, chunks });
                 rr += 1;
             }
         }
-        let partials = self.fan_out(&plan, ACC_LOSS, decode_losses)?;
+        let partials = self.fan_out(master, &sets, &plan, ACC_LOSS, decode_losses)?;
 
         // Merge unit partials in global unit order — the same
-        // left-to-right association the solo path folds in.
+        // left-to-right association the local pass folds in.
         let t0 = Instant::now();
         let mut slots: Vec<Vec<Option<Vec<LossAcc>>>> =
             unit_counts.iter().map(|&c| vec![None; c]).collect();
@@ -435,8 +446,8 @@ impl BlockExec<LossAcc> for ShardedExec<'_> {
             }
         }
         let mut out = Vec::with_capacity(reqs.len());
-        for (slot_row, &(sub, _)) in slots.into_iter().zip(reqs) {
-            let mut accs = vec![LossAcc::default(); self.sets[sub].len()];
+        for (slot_row, set) in slots.into_iter().zip(&sets) {
+            let mut accs = vec![LossAcc::default(); set.len()];
             for part in slot_row {
                 let part = part.expect("every planned unit was assigned to a shard");
                 for (a, p) in accs.iter_mut().zip(&part) {
@@ -533,8 +544,8 @@ fn decode_request(bytes: &[u8]) -> Result<ExecRequest, String> {
 /// decode (400 on garbage), resolve the graph (404 unknown, 409 on a
 /// `(nodes, edges)` fingerprint mismatch — epochs are process-local and
 /// never compared across nodes), rebuild the subscriber sampling problems
-/// exactly as the solo rankers build them, run each work unit through the
-/// shared unit executors, and return the binary partial accumulators.
+/// exactly as the rankers build them, run each work unit through
+/// [`exec_unit`], and return the binary partial accumulators.
 pub fn handle_exec(registry: &Registry, body: &[u8]) -> Response {
     let req = match decode_request(body) {
         Ok(r) => r,
@@ -615,7 +626,7 @@ pub fn handle_exec(registry: &Registry, body: &[u8]) -> Response {
                 }
             }
             for (sub, d, chunks) in &req.units {
-                let counts = exec_hit_unit(&probs[*sub], req.master, d, chunks.clone());
+                let counts = exec_unit(&probs[*sub], req.master, d, chunks.clone());
                 put_hits(&mut out, &counts);
             }
         }
@@ -629,7 +640,7 @@ pub fn handle_exec(registry: &Registry, body: &[u8]) -> Response {
                 .map(|t| KPathApproxProblem::new(&entry.graph, t, req.khops))
                 .collect();
             for (sub, d, chunks) in &req.units {
-                let counts = exec_hit_unit(&probs[*sub], req.master, d, chunks.clone());
+                let counts = exec_unit(&probs[*sub], req.master, d, chunks.clone());
                 put_hits(&mut out, &counts);
             }
         }
@@ -645,7 +656,7 @@ pub fn handle_exec(registry: &Registry, body: &[u8]) -> Response {
                 .map(|t| HarmonicApproxProblem::new(&entry.graph, t))
                 .collect();
             for (sub, d, chunks) in &req.units {
-                let accs = exec_loss_unit(&probs[*sub], req.master, d, chunks.clone());
+                let accs = exec_unit(&probs[*sub], req.master, d, chunks.clone());
                 wire::put_usize(&mut out, accs.len());
                 for a in &accs {
                     wire::put_f64(&mut out, a.sum);
@@ -787,7 +798,7 @@ mod tests {
     #[test]
     fn exec_unit_round_trips_bc_hits() {
         // A unit computed over the wire equals the same unit computed
-        // in-process: handle_exec is exec_hit_unit behind a codec.
+        // in-process: handle_exec is exec_unit behind a codec.
         let g = fixtures::grid_graph(5, 5);
         let (n, m) = (g.num_nodes() as u64, g.num_edges() as u64);
         let targets: Vec<u32> = vec![0, 7, 12];
@@ -817,7 +828,53 @@ mod tests {
         let ai = build_a_index(g.num_nodes(), &targets);
         let vc = vc_bounds_from(&dec.vc_precomp, &g, &dec.bic, &targets);
         let prob = BcApproxProblem::new(&g, &dec.bic, &dec.outreach, &targets, &ai, vc.vc_subset);
-        let want = exec_hit_unit(&prob, 42, &d, chunks);
+        let want: Vec<u64> = exec_unit(&prob, 42, &d, chunks);
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn sets_that_never_sample_are_never_shipped() {
+        // A harmonic A = V set is covered by its exact part, so it never
+        // demands a block and never reaches a shard (whose handle_exec
+        // answers 400 for it); the batch still ranks bit-identically to
+        // in-process execution.
+        use crate::server::{serve_with, Role, Service, ServiceConfig};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use saphyra::closeness::rank_harmonic;
+        use saphyra_gen::datasets::{SimNetwork, SizeClass};
+
+        let shard = serve_with(
+            "127.0.0.1:0",
+            std::sync::Arc::new(Service::new(ServiceConfig {
+                workers: 1,
+                role: Role::Shard,
+                ..ServiceConfig::default()
+            })),
+        )
+        .expect("bind ephemeral port");
+        let pool = ShardPool::new(vec![shard.addr().to_string()]);
+        let load = r#"{"name":"g","network":"flickr","size":"tiny","seed":7}"#;
+        let loaded = pool.request(0, "POST", "/graphs", Some(load)).unwrap();
+        assert_eq!(loaded.status, 200, "{}", loaded.body);
+
+        let g = SimNetwork::Flickr.build(SizeClass::Tiny, 7);
+        let sets = vec![vec![0, 3, 9, 17], g.nodes().collect::<Vec<NodeId>>()];
+        let fingerprint = (g.num_nodes() as u64, g.num_edges() as u64);
+        let mut exec = ShardedExec::new(&pool, "g", fingerprint, MEASURE_HARMONIC, 4, true, &sets);
+        let rank = |remote: Option<&mut dyn BlockExec<LossAcc>>| {
+            let mut rng = StdRng::seed_from_u64(3);
+            rank_harmonic(&g, &sets, 0.2, 0.1, &mut rng, remote).unwrap()
+        };
+        let sharded = rank(Some(&mut exec));
+        let local = rank(None);
+        for (a, b) in sharded.iter().zip(&local) {
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            assert_eq!(bits(&a.hc), bits(&b.hc));
+        }
+        assert!(sharded[0].inner.outcome.samples_used > 0);
+        assert_eq!(sharded[1].inner.outcome.samples_used, 0);
+        assert!(pool.stats().rounds.load(Ordering::Relaxed) > 0);
+        shard.shutdown_and_join();
     }
 }

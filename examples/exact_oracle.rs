@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example exact_oracle`
 
-use saphyra::bc::BcIndex;
+use saphyra::bc::BcDecomposition;
 use saphyra_gen::datasets::{flickr_sim, SizeClass};
 use saphyra_graph::brandes::betweenness_exact;
 
@@ -17,14 +17,14 @@ fn main() {
     );
 
     let t0 = std::time::Instant::now();
-    let index = BcIndex::new(&g);
-    let shattered = index.exact_betweenness_shattered();
+    let dec = BcDecomposition::compute(&g);
+    let shattered = dec.exact_betweenness_shattered(&g);
     let t_shattered = t0.elapsed().as_secs_f64();
     println!(
         "decomposition: {} bi-components (largest {})",
-        index.bic.num_bicomps,
-        (0..index.bic.num_bicomps as u32)
-            .map(|b| index.bic.size_of(b))
+        dec.bic.num_bicomps,
+        (0..dec.bic.num_bicomps as u32)
+            .map(|b| dec.bic.size_of(b))
             .max()
             .unwrap_or(0)
     );

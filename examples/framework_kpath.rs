@@ -25,7 +25,10 @@ fn main() {
     // SaPHyRa partition: exact mass of the l = 1 walks (λ̂ = 1/k) plus
     // adaptive sampling of the l ≥ 2 walks.
     let t0 = std::time::Instant::now();
-    let est = rank_kpath(&g, &targets, k, 0.01, 0.05, &mut rng);
+    let sets = [targets.clone()];
+    let est = rank_kpath(&g, &sets, k, 0.01, 0.05, &mut rng, None)
+        .expect("local execution is infallible")
+        .remove(0);
     let t_part = t0.elapsed().as_secs_f64();
 
     // Reference: brute-force Monte Carlo over the full walk space.

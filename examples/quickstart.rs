@@ -5,7 +5,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use saphyra::bc::{BcIndex, SaphyraBcConfig};
+use saphyra::bc::{BcDecomposition, SaphyraBcConfig};
 use saphyra_graph::brandes::betweenness_exact;
 use saphyra_graph::fixtures;
 
@@ -21,18 +21,23 @@ fn main() {
 
     // One-time preprocessing: biconnected decomposition, block-cut tree,
     // out-reach sets (O(n + m)).
-    let index = BcIndex::new(&g);
+    let dec = BcDecomposition::compute(&g);
     println!(
         "decomposition: {} bi-components, γ = {:.4}",
-        index.bic.num_bicomps, index.gamma
+        dec.bic.num_bicomps, dec.gamma
     );
 
-    // Rank a target subset with an (ε, δ) guarantee.
+    // Rank a target subset with an (ε, δ) guarantee. `rank` takes any
+    // number of target sets and samples in-process when no remote
+    // executor is given.
     let targets: Vec<u32> = vec![0, 2, 3, 6, 8]; // a, c, d, g, i
     let names = ["a", "c", "d", "g", "i"];
     let cfg = SaphyraBcConfig::new(0.02, 0.05);
     let mut rng = StdRng::seed_from_u64(42);
-    let est = index.rank_subset(&targets, &cfg, &mut rng);
+    let est = dec
+        .rank(&g, std::slice::from_ref(&targets), &cfg, &mut rng, None)
+        .expect("local execution is infallible")
+        .remove(0);
 
     let exact = betweenness_exact(&g);
     println!(

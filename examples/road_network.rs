@@ -6,7 +6,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use saphyra::bc::{BcIndex, SaphyraBcConfig};
+use saphyra::bc::{BcDecomposition, SaphyraBcConfig};
 use saphyra_baselines::exact_betweenness;
 use saphyra_gen::datasets::{road_sim, SizeClass};
 use saphyra_stats::{rank_deviation, spearman_vs_truth};
@@ -22,12 +22,12 @@ fn main() {
         road.height
     );
 
-    let index = BcIndex::new(g);
+    let dec = BcDecomposition::compute(g);
     println!(
         "decomposition: {} bi-components, {} cutpoints, γ = {:.4}",
-        index.bic.num_bicomps,
-        index.bic.is_cutpoint.iter().filter(|&&c| c).count(),
-        index.gamma
+        dec.bic.num_bicomps,
+        dec.bic.is_cutpoint.iter().filter(|&&c| c).count(),
+        dec.gamma
     );
 
     println!("computing exact ground truth (parallel Brandes)...");
@@ -42,7 +42,11 @@ fn main() {
         let targets = area.nodes(&road);
         let truth_sub: Vec<f64> = targets.iter().map(|&v| truth[v as usize]).collect();
         let t0 = std::time::Instant::now();
-        let est = index.rank_subset(&targets, &SaphyraBcConfig::new(0.05, 0.01), &mut rng);
+        let cfg = SaphyraBcConfig::new(0.05, 0.01);
+        let est = dec
+            .rank(g, std::slice::from_ref(&targets), &cfg, &mut rng, None)
+            .expect("local execution is infallible")
+            .remove(0);
         let secs = t0.elapsed().as_secs_f64();
         println!(
             "{:<6} {:>7} {:>9.3} {:>10} {:>12.3} {:>9.1}",

@@ -6,7 +6,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use saphyra::bc::{BcIndex, SaphyraBcConfig};
+use saphyra::bc::{BcDecomposition, SaphyraBcConfig};
 use saphyra_baselines::{exact_betweenness, kadabra, KadabraConfig};
 use saphyra_gen::datasets::{flickr_sim, SizeClass};
 use saphyra_stats::{relative_errors, spearman_vs_truth};
@@ -38,8 +38,12 @@ fn main() {
 
     // SaPHyRa_bc on the subset.
     let t0 = std::time::Instant::now();
-    let index = BcIndex::new(&g);
-    let est = index.rank_subset(&targets, &SaphyraBcConfig::new(eps, delta), &mut rng);
+    let dec = BcDecomposition::compute(&g);
+    let cfg = SaphyraBcConfig::new(eps, delta);
+    let est = dec
+        .rank(&g, std::slice::from_ref(&targets), &cfg, &mut rng, None)
+        .expect("local execution is infallible")
+        .remove(0);
     let t_saphyra = t0.elapsed().as_secs_f64();
 
     // KADABRA must estimate the whole network to answer the same query.

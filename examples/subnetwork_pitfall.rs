@@ -8,7 +8,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use saphyra::bc::{BcIndex, SaphyraBcConfig};
+use saphyra::bc::{BcDecomposition, SaphyraBcConfig};
 use saphyra_gen::datasets::{road_sim, SizeClass};
 use saphyra_graph::brandes::betweenness_exact_parallel;
 use saphyra_graph::subgraph::Subgraph;
@@ -42,9 +42,13 @@ fn main() {
 
     // The remedy: SaPHyRa_bc on the full network, targets = the area.
     let t0 = std::time::Instant::now();
-    let index = BcIndex::new(g);
+    let dec = BcDecomposition::compute(g);
     let mut rng = StdRng::seed_from_u64(4);
-    let est = index.rank_subset(&targets, &SaphyraBcConfig::new(0.02, 0.05), &mut rng);
+    let cfg = SaphyraBcConfig::new(0.02, 0.05);
+    let est = dec
+        .rank(g, std::slice::from_ref(&targets), &cfg, &mut rng, None)
+        .expect("local execution is infallible")
+        .remove(0);
     let t_saphyra = t0.elapsed().as_secs_f64();
 
     let rho_cut = spearman_vs_truth(&bc_cut, &truth_sub);

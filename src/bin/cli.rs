@@ -44,7 +44,7 @@ use std::process::ExitCode;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use saphyra::bc::{BcIndex, SaphyraBcConfig};
+use saphyra::bc::{BcDecomposition, SaphyraBcConfig};
 use saphyra::closeness::rank_harmonic;
 use saphyra::kpath::rank_kpath;
 use saphyra_graph::{io, Graph, NodeId};
@@ -595,18 +595,18 @@ fn run(cmd: Command) -> Result<(), String> {
     match cmd {
         Command::Info { path } => {
             let g = load(&path)?;
-            let index = BcIndex::new(&g);
+            let dec = BcDecomposition::compute(&g);
             let comps = saphyra_graph::connectivity::Components::compute(&g);
             println!("nodes            {}", g.num_nodes());
             println!("edges            {}", g.num_edges());
             println!("max degree       {}", g.max_degree());
             println!("components       {}", comps.count());
-            println!("bi-components    {}", index.bic.num_bicomps);
+            println!("bi-components    {}", dec.bic.num_bicomps);
             println!(
                 "cutpoints        {}",
-                index.bic.is_cutpoint.iter().filter(|&&c| c).count()
+                dec.bic.is_cutpoint.iter().filter(|&&c| c).count()
             );
-            println!("gamma (Eq. 19)   {:.6}", index.gamma);
+            println!("gamma (Eq. 19)   {:.6}", dec.gamma);
             Ok(())
         }
         Command::Exact { path, top, threads } => {
@@ -633,25 +633,30 @@ fn run(cmd: Command) -> Result<(), String> {
             let g = load(&path)?;
             let mut rng = StdRng::seed_from_u64(seed);
             let targets = resolve_targets(&g, targets, &mut rng)?;
+            let sets = [targets.clone()];
+            let local = "local execution is infallible";
             let (values, label): (Vec<f64>, &str) = match measure {
                 Measure::Betweenness => {
-                    let index = BcIndex::new(&g);
-                    let est =
-                        index.rank_subset(&targets, &SaphyraBcConfig::new(eps, delta), &mut rng);
+                    let dec = BcDecomposition::compute(&g);
+                    let cfg = SaphyraBcConfig::new(eps, delta);
+                    let est = dec
+                        .rank(&g, &sets, &cfg, &mut rng, None)
+                        .expect(local)
+                        .remove(0);
                     eprintln!(
                         "samples {} (λ̂ {:.3}, VC {})",
                         est.stats.samples, est.stats.lambda_hat, est.stats.vc.vc_subset
                     );
                     (est.bc, "betweenness")
                 }
-                Measure::KPath => (
-                    rank_kpath(&g, &targets, khops, eps, delta, &mut rng).kpc,
-                    "k-path",
-                ),
-                Measure::Harmonic => (
-                    rank_harmonic(&g, &targets, eps, delta, &mut rng).hc,
-                    "harmonic",
-                ),
+                Measure::KPath => {
+                    let ests = rank_kpath(&g, &sets, khops, eps, delta, &mut rng, None);
+                    (ests.expect(local).remove(0).kpc, "k-path")
+                }
+                Measure::Harmonic => {
+                    let ests = rank_harmonic(&g, &sets, eps, delta, &mut rng, None);
+                    (ests.expect(local).remove(0).hc, "harmonic")
+                }
             };
             let ranks = saphyra_stats::ranks_by_value(&values);
             let mut order: Vec<usize> = (0..targets.len()).collect();

@@ -3,12 +3,26 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use saphyra::bc::{BcIndex, SaphyraBcConfig};
+use saphyra::bc::{BcDecomposition, BcEstimate, SaphyraBcConfig};
 use saphyra_baselines::{
     abra, exact_betweenness, kadabra, rk, AbraConfig, KadabraConfig, RkConfig,
 };
 use saphyra_gen::datasets::{SimNetwork, SizeClass};
+use saphyra_graph::Graph;
 use saphyra_stats::spearman_vs_truth;
+
+/// SaPHyRa_bc on one target set with the local executor.
+fn rank_one(
+    dec: &BcDecomposition,
+    g: &Graph,
+    targets: &[u32],
+    cfg: &SaphyraBcConfig,
+    rng: &mut StdRng,
+) -> BcEstimate {
+    dec.rank(g, &[targets.to_vec()], cfg, rng, None)
+        .expect("local execution is infallible")
+        .remove(0)
+}
 
 fn random_targets(n: usize, k: usize, rng: &mut StdRng) -> Vec<u32> {
     let mut set = std::collections::BTreeSet::new();
@@ -28,8 +42,14 @@ fn all_estimators_meet_epsilon_on_all_tiny_networks() {
         let targets = random_targets(g.num_nodes(), 40, &mut rng);
         let truth_sub: Vec<f64> = targets.iter().map(|&v| truth[v as usize]).collect();
 
-        let index = BcIndex::new(&g);
-        let sap = index.rank_subset(&targets, &SaphyraBcConfig::new(eps, 0.05), &mut rng);
+        let dec = BcDecomposition::compute(&g);
+        let sap = rank_one(
+            &dec,
+            &g,
+            &targets,
+            &SaphyraBcConfig::new(eps, 0.05),
+            &mut rng,
+        );
         let kad = kadabra(&g, &KadabraConfig::new(eps, 0.05), &mut rng).subset(&targets);
         let ab = abra(&g, &AbraConfig::new(eps, 0.05), &mut rng).subset(&targets);
         let rk_est = rk(&g, &RkConfig::new(eps, 0.05), &mut rng).subset(&targets);
@@ -63,13 +83,19 @@ fn saphyra_rank_quality_dominates_baselines_at_loose_eps() {
 
     let mut rho_sap = Vec::new();
     let mut rho_kad = Vec::new();
-    let index = BcIndex::new(&g);
+    let dec = BcDecomposition::compute(&g);
     let kad = kadabra(&g, &KadabraConfig::new(eps, 0.05), &mut rng);
     for trial in 0..5 {
         let mut srng = StdRng::seed_from_u64(100 + trial);
         let targets = random_targets(g.num_nodes(), 50, &mut srng);
         let truth_sub: Vec<f64> = targets.iter().map(|&v| truth[v as usize]).collect();
-        let sap = index.rank_subset(&targets, &SaphyraBcConfig::new(eps, 0.05), &mut srng);
+        let sap = rank_one(
+            &dec,
+            &g,
+            &targets,
+            &SaphyraBcConfig::new(eps, 0.05),
+            &mut srng,
+        );
         rho_sap.push(spearman_vs_truth(&sap.bc, &truth_sub));
         rho_kad.push(spearman_vs_truth(&kad.subset(&targets), &truth_sub));
     }
@@ -90,9 +116,15 @@ fn no_false_zeros_end_to_end() {
         let truth = exact_betweenness(&g, 0);
         let mut rng = StdRng::seed_from_u64(7);
         let targets = random_targets(g.num_nodes(), 60, &mut rng);
-        let index = BcIndex::new(&g);
+        let dec = BcDecomposition::compute(&g);
         // Deliberately coarse ε: the sampling phase may see nothing.
-        let est = index.rank_subset(&targets, &SaphyraBcConfig::new(0.3, 0.1), &mut rng);
+        let est = rank_one(
+            &dec,
+            &g,
+            &targets,
+            &SaphyraBcConfig::new(0.3, 0.1),
+            &mut rng,
+        );
         for (i, &v) in targets.iter().enumerate() {
             if truth[v as usize] > 0.0 {
                 assert!(
@@ -110,11 +142,17 @@ fn no_false_zeros_end_to_end() {
 fn index_reuse_across_subsets_is_consistent() {
     let g = SimNetwork::Flickr.build(SizeClass::Tiny, 2);
     let truth = exact_betweenness(&g, 0);
-    let index = BcIndex::new(&g);
+    let dec = BcDecomposition::compute(&g);
     for seed in 0..3u64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let targets = random_targets(g.num_nodes(), 30, &mut rng);
-        let est = index.rank_subset(&targets, &SaphyraBcConfig::new(0.05, 0.1), &mut rng);
+        let est = rank_one(
+            &dec,
+            &g,
+            &targets,
+            &SaphyraBcConfig::new(0.05, 0.1),
+            &mut rng,
+        );
         for (i, &v) in targets.iter().enumerate() {
             assert!((est.bc[i] - truth[v as usize]).abs() < 0.05);
         }

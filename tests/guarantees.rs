@@ -3,9 +3,22 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use saphyra::bc::{BcIndex, SaphyraBcConfig};
+use saphyra::bc::{BcDecomposition, BcEstimate, SaphyraBcConfig};
 use saphyra_graph::brandes::betweenness_exact;
-use saphyra_graph::fixtures;
+use saphyra_graph::{fixtures, Graph};
+
+/// SaPHyRa_bc on one target set with the local executor.
+fn rank_one(
+    dec: &BcDecomposition,
+    g: &Graph,
+    targets: &[u32],
+    cfg: &SaphyraBcConfig,
+    rng: &mut StdRng,
+) -> BcEstimate {
+    dec.rank(g, &[targets.to_vec()], cfg, rng, None)
+        .expect("local execution is infallible")
+        .remove(0)
+}
 
 #[test]
 fn theorem24_failure_rate_within_delta() {
@@ -14,13 +27,19 @@ fn theorem24_failure_rate_within_delta() {
     // < 1e-4, so the assertion is both meaningful and stable.
     let g = fixtures::grid_graph(8, 8);
     let truth = betweenness_exact(&g);
-    let index = BcIndex::new(&g);
+    let dec = BcDecomposition::compute(&g);
     let targets: Vec<u32> = (0..64u32).step_by(3).collect();
     let (eps, delta) = (0.03, 0.2);
     let mut failures = 0;
     for seed in 0..25u64 {
         let mut rng = StdRng::seed_from_u64(seed);
-        let est = index.rank_subset(&targets, &SaphyraBcConfig::new(eps, delta), &mut rng);
+        let est = rank_one(
+            &dec,
+            &g,
+            &targets,
+            &SaphyraBcConfig::new(eps, delta),
+            &mut rng,
+        );
         let bad = targets
             .iter()
             .enumerate()
@@ -35,12 +54,19 @@ fn theorem24_failure_rate_within_delta() {
 #[test]
 fn subset_and_full_agree_within_two_epsilon() {
     let g = fixtures::grid_graph(7, 7);
-    let index = BcIndex::new(&g);
+    let dec = BcDecomposition::compute(&g);
     let targets: Vec<u32> = vec![8, 16, 24, 32, 40];
     let eps = 0.04;
     let mut rng = StdRng::seed_from_u64(3);
-    let sub = index.rank_subset(&targets, &SaphyraBcConfig::new(eps, 0.05), &mut rng);
-    let full = index.rank_full(&SaphyraBcConfig::new(eps, 0.05), &mut rng);
+    let sub = rank_one(
+        &dec,
+        &g,
+        &targets,
+        &SaphyraBcConfig::new(eps, 0.05),
+        &mut rng,
+    );
+    let all: Vec<u32> = g.nodes().collect();
+    let full = rank_one(&dec, &g, &all, &SaphyraBcConfig::new(eps, 0.05), &mut rng);
     for (i, &v) in targets.iter().enumerate() {
         let f = full.bc[full.targets.binary_search(&v).unwrap()];
         assert!(
@@ -55,12 +81,18 @@ fn subset_and_full_agree_within_two_epsilon() {
 fn exact_components_are_deterministic_across_seeds() {
     // bcₐ and the 2-hop exact part must not depend on the RNG.
     let g = fixtures::lollipop_graph(6, 5);
-    let index = BcIndex::new(&g);
+    let dec = BcDecomposition::compute(&g);
     let targets: Vec<u32> = g.nodes().collect();
     let runs: Vec<_> = (0..3u64)
         .map(|seed| {
             let mut rng = StdRng::seed_from_u64(seed);
-            index.rank_subset(&targets, &SaphyraBcConfig::new(0.05, 0.1), &mut rng)
+            rank_one(
+                &dec,
+                &g,
+                &targets,
+                &SaphyraBcConfig::new(0.05, 0.1),
+                &mut rng,
+            )
         })
         .collect();
     for est in &runs[1..] {
@@ -72,12 +104,18 @@ fn exact_components_are_deterministic_across_seeds() {
 #[test]
 fn tighter_epsilon_means_no_fewer_samples() {
     let g = fixtures::grid_graph(10, 8);
-    let index = BcIndex::new(&g);
+    let dec = BcDecomposition::compute(&g);
     let targets: Vec<u32> = (0..80u32).step_by(5).collect();
     let mut samples = Vec::new();
     for eps in [0.2, 0.05, 0.02] {
         let mut rng = StdRng::seed_from_u64(1);
-        let est = index.rank_subset(&targets, &SaphyraBcConfig::new(eps, 0.05), &mut rng);
+        let est = rank_one(
+            &dec,
+            &g,
+            &targets,
+            &SaphyraBcConfig::new(eps, 0.05),
+            &mut rng,
+        );
         samples.push(est.stats.samples);
     }
     assert!(

@@ -3,13 +3,26 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use saphyra::closeness::{harmonic_exact, rank_harmonic};
-use saphyra::framework::{estimate_risks_multi_exec, LocalExec};
-use saphyra::kpath::{
-    kpath_direct_monte_carlo, rank_kpath, rank_kpath_multi, rank_kpath_multi_with,
-};
+use saphyra::closeness::{harmonic_exact, rank_harmonic, HarmonicEstimate};
+use saphyra::framework::LocalExec;
+use saphyra::kpath::{kpath_direct_monte_carlo, rank_kpath, KPathApproxProblem, KPathEstimate};
 use saphyra_gen::datasets::{flickr_sim, road_sim, SizeClass};
+use saphyra_graph::Graph;
 use saphyra_stats::spearman_vs_truth;
+
+/// Harmonic ranking of one target set with the local executor.
+fn harmonic_one(g: &Graph, targets: &[u32], eps: f64, rng: &mut StdRng) -> HarmonicEstimate {
+    rank_harmonic(g, &[targets.to_vec()], eps, 0.1, rng, None)
+        .expect("local execution is infallible")
+        .remove(0)
+}
+
+/// k-path ranking of one target set with the local executor.
+fn kpath_one(g: &Graph, targets: &[u32], k: usize, rng: &mut StdRng) -> KPathEstimate {
+    rank_kpath(g, &[targets.to_vec()], k, 0.02, 0.1, rng, None)
+        .expect("local execution is infallible")
+        .remove(0)
+}
 
 #[test]
 fn harmonic_meets_epsilon_on_generated_networks() {
@@ -17,7 +30,7 @@ fn harmonic_meets_epsilon_on_generated_networks() {
     let truth = harmonic_exact(&g);
     let targets: Vec<u32> = (0..g.num_nodes() as u32).step_by(17).collect();
     let mut rng = StdRng::seed_from_u64(5);
-    let est = rank_harmonic(&g, &targets, 0.05, 0.1, &mut rng);
+    let est = harmonic_one(&g, &targets, 0.05, &mut rng);
     for (i, &v) in targets.iter().enumerate() {
         let err = (est.hc[i] - truth[v as usize]).abs();
         assert!(err < 0.05, "node {v}: err {err}");
@@ -38,7 +51,7 @@ fn harmonic_exact_subspace_separates_close_targets() {
     let area = &road.case_study_areas()[3];
     let targets = area.nodes(&road);
     let mut rng = StdRng::seed_from_u64(9);
-    let est = rank_harmonic(g, &targets, 0.02, 0.1, &mut rng);
+    let est = harmonic_one(g, &targets, 0.02, &mut rng);
     let truth_sub: Vec<f64> = targets.iter().map(|&v| truth[v as usize]).collect();
     let rho = spearman_vs_truth(&est.hc, &truth_sub);
     assert!(rho > 0.7, "area harmonic rho {rho}");
@@ -51,7 +64,7 @@ fn kpath_framework_agrees_with_direct_monte_carlo() {
     let targets: Vec<u32> = (0..g.num_nodes() as u32).step_by(23).collect();
     let k = 4;
     let mut rng = StdRng::seed_from_u64(11);
-    let est = rank_kpath(&g, &targets, k, 0.02, 0.1, &mut rng);
+    let est = kpath_one(&g, &targets, k, &mut rng);
     let reference = kpath_direct_monte_carlo(&g, &targets, k, 300_000, &mut rng);
     for (i, (&a, &b)) in est.kpc.iter().zip(&reference).enumerate() {
         assert!((a - b).abs() < 0.02, "target {i}: {a} vs {b}");
@@ -60,8 +73,8 @@ fn kpath_framework_agrees_with_direct_monte_carlo() {
 
 #[test]
 fn kpath_hit_engine_matches_shared() {
-    // The shared-draw stream (`rank_kpath_multi`) and the per-problem hit
-    // engine (`rank_kpath_multi_with` over a `BlockExec`) must produce
+    // The shared-draw stream (the local default) and the per-problem hit
+    // engine (a `LocalExec` passed as the remote executor) must produce
     // bit-identical estimates: walk drawing never looks at the target set
     // and scoring consumes no RNG, so per-demand hit counts coincide.
     // This is the contract that lets a router answer a split graph's
@@ -76,20 +89,15 @@ fn kpath_hit_engine_matches_shared() {
     let k = 4;
     for seed in [3u64, 11, 29] {
         let mut rng_a = StdRng::seed_from_u64(seed);
-        let shared = rank_kpath_multi(&g, &sets, k, 0.05, 0.1, &mut rng_a);
+        let shared = rank_kpath(&g, &sets, k, 0.05, 0.1, &mut rng_a, None).unwrap();
         let mut rng_b = StdRng::seed_from_u64(seed);
-        let via_exec = rank_kpath_multi_with(
-            &g,
-            &sets,
-            k,
-            0.05,
-            0.1,
-            &mut rng_b,
-            |_orig, problems, cfgs, master| {
-                estimate_risks_multi_exec(problems, cfgs, &mut LocalExec::new(problems, master))
-            },
-        )
-        .unwrap();
+        let probs: Vec<KPathApproxProblem> = sets
+            .iter()
+            .map(|t| KPathApproxProblem::new(&g, t, k))
+            .collect();
+        let refs: Vec<&KPathApproxProblem> = probs.iter().collect();
+        let hit_engine = &mut LocalExec::new(&refs);
+        let via_exec = rank_kpath(&g, &sets, k, 0.05, 0.1, &mut rng_b, Some(hit_engine)).unwrap();
         for (a, b) in shared.iter().zip(&via_exec) {
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
             assert_eq!(bits(&a.kpc), bits(&b.kpc), "seed {seed}: estimates diverge");
@@ -109,8 +117,8 @@ fn measures_rank_different_things() {
     let tip = (g.num_nodes() - 1) as u32;
     let targets = vec![0u32, tip];
     let mut rng = StdRng::seed_from_u64(13);
-    let h = rank_harmonic(&g, &targets, 0.02, 0.1, &mut rng);
-    let p = rank_kpath(&g, &targets, 5, 0.02, 0.1, &mut rng);
+    let h = harmonic_one(&g, &targets, 0.02, &mut rng);
+    let p = kpath_one(&g, &targets, 5, &mut rng);
     assert!(h.hc[1] > 0.0, "tail tip is reachable: harmonic > 0");
     // Walks concentrate on the clique side; the tip still catches walks
     // that start on the tail, so the gap is a ratio, not a cliff.
