@@ -32,7 +32,7 @@ pub(crate) const STREAM_MAIN: u64 = 1;
 /// contents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Demand {
-    /// Logical stream id ([`STREAM_PILOT`] or [`STREAM_MAIN`]).
+    /// Logical stream id: 0 for the pilot pass, 1 for the main pass.
     pub stream: u64,
     /// First chunk of the block.
     pub first_chunk: u64,
