@@ -1,14 +1,15 @@
-//! Binary (de)serialization of the graph substrate: [`Graph`], [`Bicomps`]
-//! and [`BlockCutTree`], built on the checked primitives of [`crate::wire`].
+//! Binary (de)serialization of a graph's decomposition substrate:
+//! [`Bicomps`] and [`BlockCutTree`], built on the checked primitives of
+//! [`crate::wire`].
 //!
-//! These encoders back the service's registry snapshots: a large SNAP graph
-//! plus its full decomposition loads in O(bytes) instead of re-running the
-//! O(m + n) preprocessing. Deserialization *validates structure* (CSR
-//! well-formedness, cross-array length consistency) so a corrupted or
-//! hand-crafted buffer is rejected with a [`WireError`] rather than
-//! producing a graph that violates the invariants the whole engine assumes;
+//! These encoders back the decomposition section of the service's registry
+//! snapshots, so a large graph's full decomposition loads in O(bytes)
+//! instead of re-running the O(m + n) preprocessing. Deserialization
+//! *validates structure* (array lengths and id ranges against the graph)
+//! so a corrupted or hand-crafted buffer is rejected with a [`WireError`];
 //! end-to-end integrity is additionally guarded by the snapshot checksum
-//! one layer up.
+//! one layer up. The graph's own CSR arrays are validated by
+//! [`Graph::assemble`].
 
 use crate::bicomp::Bicomps;
 use crate::blockcut::BlockCutTree;
@@ -17,124 +18,6 @@ use crate::wire::{self, Reader, WireError};
 
 fn err<T>(msg: impl Into<String>) -> Result<T, WireError> {
     Err(WireError(msg.into()))
-}
-
-// ---------------------------------------------------------------------------
-// Graph
-// ---------------------------------------------------------------------------
-
-/// Appends the binary encoding of `g`.
-///
-/// Offsets are written through [`Graph::csr_offsets`]'s sequential decode,
-/// so plain- and succinct-backed graphs produce identical bytes (the
-/// length-prefixed `u64` layout of `wire::put_vec_usize`).
-pub fn write_graph(g: &Graph, out: &mut Vec<u8>) {
-    let (neighbors, edge_ids) = g.csr_slots();
-    wire::put_usize(out, g.num_nodes());
-    wire::put_usize(out, g.num_edges());
-    let offsets = g.csr_offsets();
-    wire::put_usize(out, offsets.len());
-    for off in offsets.iter() {
-        wire::put_usize(out, off);
-    }
-    wire::put_vec_u32(out, neighbors);
-    wire::put_vec_u32(out, edge_ids);
-}
-
-/// Decodes a graph, re-validating every CSR invariant the builder
-/// guarantees: monotone offsets, strictly sorted in-range adjacency, no
-/// self-loops, and exactly two twin slots per undirected edge id agreeing
-/// on their endpoints.
-pub fn read_graph(r: &mut Reader) -> Result<Graph, WireError> {
-    let n = r.usize_()?;
-    let m = r.usize_()?;
-    let offsets = r.vec_usize()?;
-    let neighbors = r.vec_u32()?;
-    let edge_ids = r.vec_u32()?;
-    graph_from_arrays(n, m, offsets, neighbors, edge_ids)
-}
-
-/// Builds a graph from raw untrusted CSR arrays with the same full
-/// validation as [`read_graph`] — also the byte-decode fallback of the
-/// mmap snapshot tier, which stores the arrays outside the wire format.
-pub fn graph_from_arrays(
-    n: usize,
-    m: usize,
-    offsets: Vec<usize>,
-    neighbors: Vec<NodeId>,
-    edge_ids: Vec<u32>,
-) -> Result<Graph, WireError> {
-    if n > u32::MAX as usize {
-        return err(format!("node count {n} exceeds the u32 id space"));
-    }
-    if offsets.len() != n + 1 {
-        return err(format!(
-            "offsets length {} != n + 1 = {}",
-            offsets.len(),
-            n + 1
-        ));
-    }
-    let slots = 2usize
-        .checked_mul(m)
-        .ok_or_else(|| WireError(format!("edge count {m} overflows")))?;
-    if neighbors.len() != slots || edge_ids.len() != slots {
-        return err(format!(
-            "slot arrays have {} / {} entries, want 2m = {slots}",
-            neighbors.len(),
-            edge_ids.len()
-        ));
-    }
-    if offsets[0] != 0 || offsets[n] != slots {
-        return err("offsets do not span the slot arrays");
-    }
-    if offsets.windows(2).any(|w| w[0] > w[1]) {
-        return err("offsets are not monotone");
-    }
-
-    // Per-node adjacency: strictly ascending (simple graph), in range, no
-    // self-loops, edge ids in range.
-    for v in 0..n {
-        let range = offsets[v]..offsets[v + 1];
-        let ns = &neighbors[range.clone()];
-        if ns.windows(2).any(|w| w[0] >= w[1]) {
-            return err(format!("adjacency of node {v} is not strictly sorted"));
-        }
-        for (&u, &id) in ns.iter().zip(&edge_ids[range]) {
-            if u as usize >= n {
-                return err(format!("neighbor {u} of node {v} out of range"));
-            }
-            if u as usize == v {
-                return err(format!("self-loop at node {v}"));
-            }
-            if id as usize >= m {
-                return err(format!("edge id {id} out of range for m = {m}"));
-            }
-        }
-    }
-
-    // Twin consistency: every undirected edge id labels exactly two slots,
-    // and those slots are the two directions of one edge {u, v}.
-    let mut seen: Vec<(u32, u32)> = vec![(u32::MAX, u32::MAX); m];
-    let mut counts = vec![0u8; m];
-    for v in 0..n {
-        for s in offsets[v]..offsets[v + 1] {
-            let (u, id) = (neighbors[s], edge_ids[s] as usize);
-            let key = (v.min(u as usize) as u32, v.max(u as usize) as u32);
-            match counts[id] {
-                0 => {
-                    seen[id] = key;
-                    counts[id] = 1;
-                }
-                1 if seen[id] == key => counts[id] = 2,
-                _ => return err(format!("edge id {id} labels inconsistent slots")),
-            }
-        }
-    }
-    if counts.iter().any(|&c| c != 2) {
-        return err("an edge id does not label exactly two twin slots");
-    }
-
-    Ok(Graph::from_parts(offsets, neighbors, edge_ids, m))
 }
 
 // ---------------------------------------------------------------------------
@@ -294,34 +177,6 @@ mod tests {
     }
 
     #[test]
-    fn graph_round_trip_is_structurally_identical() {
-        for g in graphs() {
-            let mut buf = Vec::new();
-            write_graph(&g, &mut buf);
-            let g2 = read_graph(&mut Reader::new(&buf)).unwrap();
-            assert_eq!(g.num_nodes(), g2.num_nodes());
-            assert_eq!(g.num_edges(), g2.num_edges());
-            let o1: Vec<usize> = g.csr_offsets().iter().collect();
-            let o2: Vec<usize> = g2.csr_offsets().iter().collect();
-            assert_eq!(o1, o2);
-            assert_eq!(g.csr_slots(), g2.csr_slots());
-        }
-    }
-
-    #[test]
-    fn succinct_backed_graph_encodes_identically() {
-        for g in graphs() {
-            let mut buf = Vec::new();
-            write_graph(&g, &mut buf);
-            let mut compacted = g.clone();
-            compacted.compact();
-            let mut buf2 = Vec::new();
-            write_graph(&compacted, &mut buf2);
-            assert_eq!(buf, buf2, "succinct backing changed the encoding");
-        }
-    }
-
-    #[test]
     fn bicomps_and_blockcut_round_trip() {
         for g in graphs() {
             let bic = Bicomps::compute(&g);
@@ -341,31 +196,6 @@ mod tests {
             assert_eq!(tree.cut_branch, tree2.cut_branch);
             assert_eq!(tree.comp_total_of_bicomp, tree2.comp_total_of_bicomp);
         }
-    }
-
-    #[test]
-    fn corrupt_graph_bytes_are_rejected() {
-        let g = fixtures::paper_fig2();
-        let mut buf = Vec::new();
-        write_graph(&g, &mut buf);
-        // Truncation fails cleanly.
-        assert!(read_graph(&mut Reader::new(&buf[..buf.len() / 2])).is_err());
-        // A mangled neighbor breaks sortedness / twin consistency.
-        for flip in [buf.len() - 1, buf.len() / 2, 20] {
-            let mut bad = buf.clone();
-            bad[flip] ^= 0xFF;
-            // Either a decode error or (rarely) a still-valid prefix with
-            // trailing garbage — never a panic.
-            let _ = read_graph(&mut Reader::new(&bad));
-        }
-        // Specifically: swapping two neighbors violates strict sorting.
-        let mut bad = Vec::new();
-        wire::put_usize(&mut bad, 3);
-        wire::put_usize(&mut bad, 2);
-        wire::put_vec_usize(&mut bad, &[0, 1, 3, 4]);
-        wire::put_vec_u32(&mut bad, &[1, 2, 0, 1]); // node 1's list {2, 0} unsorted
-        wire::put_vec_u32(&mut bad, &[0, 1, 0, 1]);
-        assert!(read_graph(&mut Reader::new(&bad)).is_err());
     }
 
     #[test]

@@ -7,130 +7,17 @@
 //! edge-partitioning algorithms (biconnected components, §IV-A) can label
 //! edges once and look the label up from either direction in O(1).
 //!
-//! Offsets live behind [`CsrOffsets`]: plain `Vec<usize>` on the build and
-//! delta paths, or the Elias–Fano form ([`crate::succinct`]) on the serving
-//! path after [`Graph::compact`]. Slot arrays live behind
-//! [`crate::succinct::U32s`] so a snapshot-mapped graph serves zero-copy
-//! straight from the page cache.
+//! All three arrays — the `n + 1` `u64` offsets and the two `u32` slot
+//! arrays — live in [`crate::mmap::Array`] storage: owned on the build,
+//! delta and decode paths, or windows into a mapped snapshot so a
+//! `--state-dir` boot serves zero-copy straight from the page cache. A slot
+//! range is two offset reads either way. [`Graph::assemble`] is the one
+//! validator for arrays that did not come from the builder.
 
-use crate::succinct::{EliasFano, U32s};
+use crate::mmap::{U32s, Words};
 
 /// Node identifier. Always `< Graph::num_nodes()`.
 pub type NodeId = u32;
-
-/// CSR offset storage: plain words or the succinct Elias–Fano form.
-///
-/// Both variants answer `offsets[i]` and the hot-path adjacent pair
-/// `(offsets[v], offsets[v + 1])`; the succinct form costs one sampled
-/// select per lookup in exchange for ~a tenth of the plain bytes.
-#[derive(Clone, Debug)]
-pub enum CsrOffsets {
-    /// `n + 1` plain offsets (build / delta path).
-    Plain(Vec<usize>),
-    /// Elias–Fano encoding of the same `n + 1` values (serving path).
-    Succinct(EliasFano),
-}
-
-impl CsrOffsets {
-    /// Number of stored offsets (`n + 1`).
-    #[inline]
-    pub fn len(&self) -> usize {
-        match self {
-            CsrOffsets::Plain(v) => v.len(),
-            CsrOffsets::Succinct(ef) => ef.len(),
-        }
-    }
-
-    /// Never true: a graph always stores at least `offsets[0]`.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// `offsets[i]`.
-    #[inline]
-    pub fn get(&self, i: usize) -> usize {
-        match self {
-            CsrOffsets::Plain(v) => v[i],
-            CsrOffsets::Succinct(ef) => ef.get(i) as usize,
-        }
-    }
-
-    /// `(offsets[v], offsets[v + 1])` — the slot-range hot path; a single
-    /// select in the succinct form.
-    #[inline]
-    pub fn pair(&self, v: usize) -> (usize, usize) {
-        match self {
-            CsrOffsets::Plain(o) => (o[v], o[v + 1]),
-            CsrOffsets::Succinct(ef) => {
-                let (a, b) = ef.pair(v);
-                (a as usize, b as usize)
-            }
-        }
-    }
-
-    /// Bytes occupied by this representation.
-    pub fn byte_len(&self) -> usize {
-        match self {
-            CsrOffsets::Plain(v) => v.len() * std::mem::size_of::<usize>(),
-            CsrOffsets::Succinct(ef) => ef.byte_len(),
-        }
-    }
-
-    /// Whether the succinct representation is active.
-    #[inline]
-    pub fn is_succinct(&self) -> bool {
-        matches!(self, CsrOffsets::Succinct(_))
-    }
-
-    /// Whether the backing storage is a mapped snapshot window.
-    pub fn is_mapped(&self) -> bool {
-        match self {
-            CsrOffsets::Plain(_) => false,
-            CsrOffsets::Succinct(ef) => ef.is_mapped(),
-        }
-    }
-
-    /// Sequential decode of all offsets (serialization path).
-    pub fn iter(&self) -> Box<dyn Iterator<Item = usize> + '_> {
-        match self {
-            CsrOffsets::Plain(v) => Box::new(v.iter().copied()),
-            CsrOffsets::Succinct(ef) => Box::new(ef.iter().map(|v| v as usize)),
-        }
-    }
-}
-
-/// Memory footprint of one graph's CSR arrays, for the `/graphs` and
-/// `/healthz` operator surfaces.
-#[derive(Clone, Copy, Debug)]
-pub struct GraphFootprint {
-    /// Bytes of the offset structure as stored (plain or succinct).
-    pub offsets_bytes: usize,
-    /// Bytes the plain `Vec<usize>` offsets would take (`(n + 1) × 8`).
-    pub plain_offsets_bytes: usize,
-    /// Bytes of the `neighbors` + `edge_ids` slot arrays.
-    pub slot_bytes: usize,
-    /// Whether offsets are in the succinct form.
-    pub succinct: bool,
-    /// Whether any array serves zero-copy from a mapped snapshot.
-    pub mapped: bool,
-}
-
-impl GraphFootprint {
-    /// Total CSR bytes (offsets representation + slot arrays).
-    pub fn csr_bytes(&self) -> usize {
-        self.offsets_bytes + self.slot_bytes
-    }
-
-    /// Bytes of the succinct offset structure (0 when plain).
-    pub fn succinct_bytes(&self) -> usize {
-        if self.succinct {
-            self.offsets_bytes
-        } else {
-            0
-        }
-    }
-}
 
 /// An immutable undirected simple graph in CSR form.
 ///
@@ -140,7 +27,7 @@ impl GraphFootprint {
 #[derive(Clone, Debug)]
 pub struct Graph {
     /// `offsets[v]..offsets[v + 1]` indexes `neighbors`/`edge_ids` for `v`.
-    offsets: CsrOffsets,
+    offsets: Words,
     /// Concatenated sorted adjacency lists; length `2m`.
     neighbors: U32s,
     /// Undirected edge id per slot; both directions of an edge share an id.
@@ -154,7 +41,7 @@ impl Graph {
     ///
     /// Callers must guarantee CSR well-formedness (monotone offsets, sorted
     /// per-node neighbor slices, twin slots sharing edge ids). Only the
-    /// builder and loaders in this crate construct graphs this way.
+    /// builder and the delta path in this crate construct graphs this way.
     pub(crate) fn from_parts(
         offsets: Vec<usize>,
         neighbors: Vec<NodeId>,
@@ -165,73 +52,92 @@ impl Graph {
         debug_assert_eq!(neighbors.len(), edge_ids.len());
         debug_assert_eq!(neighbors.len(), 2 * num_edges);
         Graph {
-            offsets: CsrOffsets::Plain(offsets),
-            neighbors: U32s::Owned(neighbors),
-            edge_ids: U32s::Owned(edge_ids),
+            offsets: Words::from(offsets.into_iter().map(|o| o as u64).collect::<Vec<_>>()),
+            neighbors: U32s::from(neighbors),
+            edge_ids: U32s::from(edge_ids),
             num_edges,
         }
     }
 
-    /// Assembles a graph from externally-stored CSR arrays (the mapped
-    /// snapshot load path), re-validating every invariant the accessors
-    /// need to stay panic-free: `n + 1` monotone offsets ending at `2m`,
-    /// slot arrays of length `2m`, neighbor ids `< n`, and edge ids `< m`.
-    ///
-    /// Per-node sortedness and twin-slot consistency are *not* re-checked
-    /// here — the snapshot CRC already vouches for writer output, and a
-    /// violation can only misroute queries, never index out of bounds. The
-    /// byte-decode path ([`crate::binio::read_graph`]) keeps the full
-    /// check for untrusted inputs.
+    /// Assembles a graph from untrusted CSR arrays — owned copies or mapped
+    /// windows of a snapshot — re-validating every invariant the builder
+    /// guarantees and the engine relies on: `n + 1` monotone offsets from 0
+    /// to `2m`, node ids within `u32`, strictly sorted in-range adjacency
+    /// without self-loops, edge ids `< m`, and exactly two twin slots per
+    /// edge id agreeing on their endpoints. [`Graph::edge_id`] binary-searches
+    /// adjacency and samplers unwrap its result, so an unsorted or one-sided
+    /// list must be rejected here, not discovered by a worker.
     pub fn assemble(
-        offsets: CsrOffsets,
+        offsets: Words,
         neighbors: U32s,
         edge_ids: U32s,
         num_edges: usize,
     ) -> Result<Graph, String> {
-        if offsets.is_empty() {
+        let (off, nbrs, ids) = (
+            offsets.as_slice(),
+            neighbors.as_slice(),
+            edge_ids.as_slice(),
+        );
+        let Some(n) = off.len().checked_sub(1) else {
             return Err("csr: offsets must hold at least one value".to_string());
+        };
+        if n > u32::MAX as usize {
+            return Err(format!("csr: node count {n} exceeds the u32 id space"));
         }
-        let n = offsets.len() - 1;
-        let slots = num_edges
+        let m = num_edges;
+        let slots = m
             .checked_mul(2)
-            .ok_or_else(|| "csr: edge count overflow".to_string())?;
-        if neighbors.as_slice().len() != slots || edge_ids.as_slice().len() != slots {
+            .ok_or_else(|| format!("csr: edge count {m} overflows"))?;
+        if nbrs.len() != slots || ids.len() != slots {
             return Err(format!(
-                "csr: slot arrays hold {}/{} entries, expected {slots}",
-                neighbors.as_slice().len(),
-                edge_ids.as_slice().len()
+                "csr: slot arrays hold {}/{} entries, expected 2m = {slots}",
+                nbrs.len(),
+                ids.len()
             ));
         }
-        let mut prev = 0usize;
-        for (i, off) in offsets.iter().enumerate() {
-            if i == 0 && off != 0 {
-                return Err(format!("csr: offsets[0] is {off}, expected 0"));
-            }
-            if off < prev {
-                return Err(format!(
-                    "csr: offsets[{i}] {off} < offsets[{}] {prev}",
-                    i - 1
-                ));
-            }
-            if off > slots {
-                return Err(format!("csr: offsets[{i}] {off} exceeds {slots} slots"));
-            }
-            prev = off;
+        if off[0] != 0 || off[n] != slots as u64 {
+            return Err("csr: offsets do not span the slot arrays".to_string());
         }
-        if prev != slots {
-            return Err(format!("csr: final offset {prev} != {slots} slots"));
+        if off.windows(2).any(|w| w[0] > w[1]) {
+            return Err("csr: offsets are not monotone".to_string());
         }
-        if let Some(bad) = neighbors.as_slice().iter().find(|&&v| v as usize >= n) {
-            return Err(format!("csr: neighbor id {bad} out of range for {n} nodes"));
+        // Per edge id: UNSEEN, then the `(min, max)` endpoint key of its
+        // first slot, then PAIRED once the twin slot agrees. Both markers
+        // have a high half of `u32::MAX`, which no node id (`< n`) reaches,
+        // so no key collides with them.
+        const UNSEEN: u64 = u64::MAX;
+        const PAIRED: u64 = u64::MAX - 1;
+        let mut twins = vec![UNSEEN; m];
+        for v in 0..n {
+            // Monotone offsets ending at `slots` keep both within usize.
+            let range = off[v] as usize..off[v + 1] as usize;
+            let mut prev = None;
+            for (&u, &id) in nbrs[range.clone()].iter().zip(&ids[range]) {
+                if prev >= Some(u) {
+                    return Err(format!("csr: adjacency of node {v} is not strictly sorted"));
+                }
+                prev = Some(u);
+                if u as usize >= n {
+                    return Err(format!("csr: neighbor {u} of node {v} out of range"));
+                }
+                if u as usize == v {
+                    return Err(format!("csr: self-loop at node {v}"));
+                }
+                let id = id as usize;
+                if id >= m {
+                    return Err(format!("csr: edge id {id} out of range for m = {m}"));
+                }
+                let (lo, hi) = ((v as u32).min(u), (v as u32).max(u));
+                let key = (u64::from(lo) << 32) | u64::from(hi);
+                twins[id] = match twins[id] {
+                    UNSEEN => key,
+                    first if first == key => PAIRED,
+                    _ => return Err(format!("csr: edge id {id} labels inconsistent slots")),
+                };
+            }
         }
-        if let Some(bad) = edge_ids
-            .as_slice()
-            .iter()
-            .find(|&&id| id as usize >= num_edges)
-        {
-            return Err(format!(
-                "csr: edge id {bad} out of range for {num_edges} edges"
-            ));
+        if twins.iter().any(|&t| t != PAIRED) {
+            return Err("csr: an edge id does not label exactly two twin slots".to_string());
         }
         Ok(Graph {
             offsets,
@@ -241,47 +147,36 @@ impl Graph {
         })
     }
 
-    /// The offset structure, for the snapshot serializer.
-    pub fn csr_offsets(&self) -> &CsrOffsets {
-        &self.offsets
+    /// The raw CSR arrays `(offsets, neighbors, edge_ids)`, for serializers.
+    pub fn csr_arrays(&self) -> (&[u64], &[NodeId], &[u32]) {
+        (
+            self.offsets.as_slice(),
+            self.neighbors.as_slice(),
+            self.edge_ids.as_slice(),
+        )
     }
 
-    /// The raw slot arrays `(neighbors, edge_ids)`, for serializers.
-    pub fn csr_slots(&self) -> (&[NodeId], &[u32]) {
-        (self.neighbors.as_slice(), self.edge_ids.as_slice())
+    /// Bytes of the three CSR arrays, whether owned or mapped.
+    pub fn csr_bytes(&self) -> usize {
+        self.offsets.byte_len() + self.neighbors.byte_len() + self.edge_ids.byte_len()
     }
 
-    /// Converts plain offsets to the succinct Elias–Fano form in place.
-    ///
-    /// Idempotent; slot arrays are untouched. Serving paths call this after
-    /// decomposition so resident graphs pay succinct bytes; the delta path
-    /// re-inflates by rebuilding through [`Graph::from_parts`].
-    pub fn compact(&mut self) {
-        if let CsrOffsets::Plain(v) = &self.offsets {
-            self.offsets = CsrOffsets::Succinct(EliasFano::from_values(v));
-        }
-    }
-
-    /// Memory footprint of the CSR arrays as currently stored.
-    pub fn footprint(&self) -> GraphFootprint {
-        GraphFootprint {
-            offsets_bytes: self.offsets.byte_len(),
-            plain_offsets_bytes: self.offsets.len() * std::mem::size_of::<usize>(),
-            slot_bytes: self.neighbors.byte_len() + self.edge_ids.byte_len(),
-            succinct: self.offsets.is_succinct(),
-            mapped: self.is_mapped(),
-        }
-    }
-
-    /// Whether any CSR array serves zero-copy from a mapped snapshot.
+    /// Whether the CSR arrays serve zero-copy from a mapped snapshot.
     pub fn is_mapped(&self) -> bool {
         self.offsets.is_mapped() || self.neighbors.is_mapped() || self.edge_ids.is_mapped()
+    }
+
+    /// `(offsets[v], offsets[v + 1])`: the slot range of `v`.
+    #[inline]
+    fn pair(&self, v: NodeId) -> (usize, usize) {
+        let off = self.offsets.as_slice();
+        (off[v as usize] as usize, off[v as usize + 1] as usize)
     }
 
     /// Number of nodes `n`.
     #[inline]
     pub fn num_nodes(&self) -> usize {
-        self.offsets.len() - 1
+        self.offsets.as_slice().len() - 1
     }
 
     /// Number of undirected edges `m`.
@@ -293,14 +188,14 @@ impl Graph {
     /// Degree of `v`.
     #[inline]
     pub fn degree(&self, v: NodeId) -> usize {
-        let (a, b) = self.offsets.pair(v as usize);
+        let (a, b) = self.pair(v);
         b - a
     }
 
     /// Sorted neighbors of `v`.
     #[inline]
     pub fn neighbors(&self, v: NodeId) -> &[NodeId] {
-        let (a, b) = self.offsets.pair(v as usize);
+        let (a, b) = self.pair(v);
         &self.neighbors.as_slice()[a..b]
     }
 
@@ -308,7 +203,7 @@ impl Graph {
     /// `self.edge_id_at(i)`.
     #[inline]
     pub fn slot_range(&self, v: NodeId) -> std::ops::Range<usize> {
-        let (a, b) = self.offsets.pair(v as usize);
+        let (a, b) = self.pair(v);
         a..b
     }
 
@@ -332,7 +227,7 @@ impl Graph {
 
     /// The undirected edge id of `{u, v}`, if the edge exists.
     pub fn edge_id(&self, u: NodeId, v: NodeId) -> Option<u32> {
-        let (base, end) = self.offsets.pair(u as usize);
+        let (base, end) = self.pair(u);
         self.neighbors.as_slice()[base..end]
             .binary_search(&v)
             .ok()
@@ -441,105 +336,105 @@ mod tests {
     }
 
     #[test]
-    fn compact_preserves_every_accessor() {
-        let mut g = GraphBuilder::new(6)
-            .edges([(0, 1), (1, 2), (2, 0), (2, 3), (4, 5), (0, 3)])
-            .build()
-            .unwrap();
-        let before: Vec<_> = g.edges().collect();
-        let degrees: Vec<_> = g.nodes().map(|v| g.degree(v)).collect();
-        assert!(!g.csr_offsets().is_succinct());
-        g.compact();
-        assert!(g.csr_offsets().is_succinct());
-        assert_eq!(g.edges().collect::<Vec<_>>(), before);
-        assert_eq!(g.nodes().map(|v| g.degree(v)).collect::<Vec<_>>(), degrees);
-        assert!(g.has_edge(4, 5));
-        assert!(!g.has_edge(1, 3));
-        assert_eq!(g.neighbors(2), &[0, 1, 3]);
-        // Idempotent.
-        g.compact();
-        assert!(g.csr_offsets().is_succinct());
-    }
-
-    #[test]
-    fn compact_on_edgeless_and_isolated_nodes() {
-        let mut g = GraphBuilder::new(4).edges([(1, 2)]).build().unwrap();
-        g.compact();
-        assert_eq!(g.degree(0), 0);
-        assert_eq!(g.degree(3), 0);
-        assert_eq!(g.neighbors(1), &[2]);
-
-        let mut empty = GraphBuilder::new(1).build().unwrap();
-        empty.compact();
-        assert_eq!(empty.num_nodes(), 1);
-        assert_eq!(empty.degree(0), 0);
-    }
-
-    #[test]
     fn footprint_reports_the_tier() {
-        let mut g = GraphBuilder::new(100)
+        let g = GraphBuilder::new(100)
             .edges((0u32..99).map(|i| (i, i + 1)))
             .build()
             .unwrap();
-        let plain = g.footprint();
-        assert!(!plain.succinct);
-        assert!(!plain.mapped);
-        assert_eq!(plain.offsets_bytes, plain.plain_offsets_bytes);
-        assert_eq!(plain.succinct_bytes(), 0);
-        assert_eq!(plain.slot_bytes, 2 * 99 * 2 * 4);
-        g.compact();
-        let tiered = g.footprint();
-        assert!(tiered.succinct);
-        assert!(tiered.offsets_bytes < plain.offsets_bytes);
-        assert_eq!(tiered.succinct_bytes(), tiered.offsets_bytes);
-        assert_eq!(tiered.slot_bytes, plain.slot_bytes);
+        assert!(!g.is_mapped());
+        // 101 u64 offsets plus two u32 slot arrays of 2m = 198 entries.
+        assert_eq!(g.csr_bytes(), 101 * 8 + 2 * 99 * 2 * 4);
+        let (offsets, neighbors, edge_ids) = g.csr_arrays();
+        assert_eq!(offsets.len(), 101);
+        assert_eq!((neighbors.len(), edge_ids.len()), (198, 198));
+    }
+
+    /// Re-validates `g`'s arrays after `mutate` edits owned copies of them.
+    fn reassemble(
+        g: &Graph,
+        mutate: impl FnOnce(&mut Vec<u64>, &mut Vec<u32>, &mut Vec<u32>),
+    ) -> Result<Graph, String> {
+        let (o, nb, ids) = g.csr_arrays();
+        let (mut o, mut nb, mut ids) = (o.to_vec(), nb.to_vec(), ids.to_vec());
+        mutate(&mut o, &mut nb, &mut ids);
+        Graph::assemble(
+            Words::from(o),
+            U32s::from(nb),
+            U32s::from(ids),
+            g.num_edges(),
+        )
     }
 
     #[test]
     fn assemble_validates_structure() {
-        use crate::succinct::U32s;
-        let ok = Graph::assemble(
-            CsrOffsets::Plain(vec![0, 2, 4]),
-            U32s::Owned(vec![1, 1, 0, 0]),
-            U32s::Owned(vec![0, 1, 0, 1]),
-            2,
-        );
-        assert!(ok.is_ok());
-
+        // Path 0-1-2: edge {0,1} has id 0, edge {1,2} id 1.
+        let check = |o: &[u64], nb: &[u32], ids: &[u32]| {
+            Graph::assemble(
+                Words::from(o.to_vec()),
+                U32s::from(nb.to_vec()),
+                U32s::from(ids.to_vec()),
+                2,
+            )
+        };
+        let g = check(&[0, 1, 3, 4], &[1, 0, 2, 1], &[0, 0, 1, 1]).unwrap();
+        assert_eq!(g.neighbors(1), &[0, 2]);
+        assert_eq!(g.edge_id(2, 1), Some(1));
         // Final offset disagrees with slot count.
-        assert!(Graph::assemble(
-            CsrOffsets::Plain(vec![0, 2, 3]),
-            U32s::Owned(vec![1, 1, 0, 0]),
-            U32s::Owned(vec![0, 1, 0, 1]),
-            2,
-        )
-        .is_err());
-
+        assert!(check(&[0, 1, 3, 3], &[1, 0, 2, 1], &[0, 0, 1, 1]).is_err());
         // Non-monotone offsets.
-        assert!(Graph::assemble(
-            CsrOffsets::Plain(vec![0, 3, 2, 4]),
-            U32s::Owned(vec![1, 1, 0, 0]),
-            U32s::Owned(vec![0, 1, 0, 1]),
-            2,
-        )
-        .is_err());
-
+        assert!(check(&[0, 3, 1, 4], &[1, 0, 2, 1], &[0, 0, 1, 1]).is_err());
         // Neighbor id out of range.
-        assert!(Graph::assemble(
-            CsrOffsets::Plain(vec![0, 2, 4]),
-            U32s::Owned(vec![1, 9, 0, 0]),
-            U32s::Owned(vec![0, 1, 0, 1]),
-            2,
-        )
-        .is_err());
-
+        assert!(check(&[0, 1, 3, 4], &[1, 0, 9, 1], &[0, 0, 1, 1]).is_err());
         // Edge id out of range.
-        assert!(Graph::assemble(
-            CsrOffsets::Plain(vec![0, 2, 4]),
-            U32s::Owned(vec![1, 1, 0, 0]),
-            U32s::Owned(vec![0, 7, 0, 1]),
-            2,
-        )
+        assert!(check(&[0, 1, 3, 4], &[1, 0, 2, 1], &[0, 0, 7, 1]).is_err());
+        // No offsets at all.
+        assert!(check(&[], &[], &[]).is_err());
+    }
+
+    #[test]
+    fn corrupt_graph_bytes_are_rejected() {
+        let g = crate::fixtures::paper_fig2();
+        assert!(reassemble(&g, |_, _, _| {}).is_ok());
+        // A truncated slot array fails cleanly.
+        assert!(reassemble(&g, |_, nb, _| {
+            nb.pop();
+        })
         .is_err());
+        // Any single mangled value is an error or (rarely) another valid
+        // graph — never a panic.
+        let (o, nb, ids) = g.csr_arrays();
+        for mask in [1u32, 0x80, 0xFFFF_FFFF] {
+            for i in 0..o.len() {
+                let _ = reassemble(&g, |o, _, _| o[i] ^= u64::from(mask));
+            }
+            for i in 0..nb.len() {
+                let _ = reassemble(&g, |_, nb, _| nb[i] ^= mask);
+            }
+            for i in 0..ids.len() {
+                let _ = reassemble(&g, |_, _, ids| ids[i] ^= mask);
+            }
+        }
+        // Swapping two neighbors (with their edge ids) breaks sortedness.
+        let err = reassemble(&g, |o, nb, ids| {
+            let s = o[0] as usize;
+            nb.swap(s, s + 1);
+            ids.swap(s, s + 1);
+        })
+        .unwrap_err();
+        assert!(err.contains("not strictly sorted"), "{err}");
+        // Swapping only the edge ids leaves each twin pair one-sided.
+        let err = reassemble(&g, |o, _, ids| {
+            let s = o[0] as usize;
+            ids.swap(s, s + 1);
+        })
+        .unwrap_err();
+        assert!(err.contains("inconsistent slots"), "{err}");
+        // A slot pointing back at its own node is a self-loop.
+        let err = reassemble(&g, |o, nb, _| {
+            let s = o[1] as usize;
+            nb[s] = 1;
+        })
+        .unwrap_err();
+        assert!(err.contains("self-loop"), "{err}");
     }
 }

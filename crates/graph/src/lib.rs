@@ -7,7 +7,13 @@
 //!
 //! * [`Graph`]: a compressed-sparse-row (CSR) representation of undirected,
 //!   unweighted simple graphs with per-slot *undirected edge ids* (needed by
-//!   the biconnected-component machinery).
+//!   the biconnected-component machinery). [`Graph::assemble`] validates
+//!   CSR arrays that did not come from the builder.
+//! * [`mmap`]: read-only file mappings and [`mmap::Array`], the
+//!   owned-or-mapped storage behind every CSR array, so a snapshot boot
+//!   serves a graph zero-copy.
+//! * [`wire`] / [`binio`]: checked little-endian primitives and the binary
+//!   encoding of the biconnected decomposition and block-cut tree.
 //! * [`builder::GraphBuilder`]: deduplicating, self-loop-dropping
 //!   construction from edge lists.
 //! * [`bfs`]: breadth-first searches with reusable, stamp-cleared workspaces
@@ -43,14 +49,13 @@ pub mod fixtures;
 pub mod io;
 pub mod mmap;
 pub mod subgraph;
-pub mod succinct;
 pub mod wire;
 
 pub use bicomp::Bicomps;
 pub use blockcut::BlockCutTree;
 pub use builder::GraphBuilder;
 pub use connectivity::Components;
-pub use csr::{CsrOffsets, Graph, GraphFootprint, NodeId};
+pub use csr::{Graph, NodeId};
 pub use delta::{AppliedDelta, DeltaError, EdgeDelta};
 pub use error::GraphError;
-pub use mmap::MmapRegion;
+pub use mmap::{MmapRegion, U32s, Words};

@@ -13,10 +13,16 @@
 //!   for its whole lifetime and cannot fault on a shrunk file;
 //! * the region owns the mapping and `munmap`s exactly once on drop, and is
 //!   shared between graph storage arrays via `Arc`.
+//!
+//! [`Array`] is the storage every CSR array of a [`crate::Graph`] lives
+//! in: an owned vector (build, delta and decode paths) or a typed window
+//! into a shared region (the zero-copy snapshot boot). [`Words`] holds the
+//! `n + 1` offsets, [`U32s`] the neighbor and edge-id slot arrays.
 
 use std::fs::File;
 use std::ops::Deref;
 use std::os::unix::io::AsRawFd;
+use std::sync::Arc;
 
 #[allow(non_camel_case_types)]
 type c_int = i32;
@@ -144,6 +150,155 @@ impl std::fmt::Debug for MmapRegion {
     }
 }
 
+impl MmapRegion {
+    /// Base pointer of the mapping, for alignment checks and window casts.
+    #[inline]
+    pub fn as_ptr(&self) -> *const u8 {
+        self[..].as_ptr()
+    }
+}
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for u32 {}
+    impl Sealed for u64 {}
+}
+
+/// The element types an [`Array`] may hold: fixed-width integers, valid
+/// for every bit pattern, stored little-endian on disk. Sealed, because
+/// the mapped view reinterprets raw file bytes as `Self`.
+pub trait Scalar: sealed::Sealed + Copy {
+    /// Decodes one value from exactly `size_of::<Self>()` bytes.
+    fn from_le(bytes: &[u8]) -> Self;
+}
+
+impl Scalar for u32 {
+    fn from_le(bytes: &[u8]) -> Self {
+        u32::from_le_bytes(bytes.try_into().expect("4-byte chunk"))
+    }
+}
+
+impl Scalar for u64 {
+    fn from_le(bytes: &[u8]) -> Self {
+        u64::from_le_bytes(bytes.try_into().expect("8-byte chunk"))
+    }
+}
+
+/// An integer array that is either owned or a window into a mapped region.
+/// The storage is private: only [`Array::mapped`], after checking the
+/// window, can build the mapped form that [`Array::as_slice`] trusts.
+#[derive(Clone, Debug)]
+pub struct Array<T>(Storage<T>);
+
+#[derive(Clone, Debug)]
+enum Storage<T> {
+    /// Heap-allocated (build, delta and decode paths).
+    Owned(Vec<T>),
+    /// `len` values starting `byte_off` bytes into a shared mapping.
+    Mapped {
+        region: Arc<MmapRegion>,
+        byte_off: usize,
+        len: usize,
+    },
+}
+
+impl<T> From<Vec<T>> for Array<T> {
+    fn from(values: Vec<T>) -> Self {
+        Array(Storage::Owned(values))
+    }
+}
+
+/// `u64` storage: the CSR offsets.
+pub type Words = Array<u64>;
+/// `u32` storage: the CSR neighbor and edge-id slot arrays.
+pub type U32s = Array<u32>;
+
+/// Byte length of `len` values of `T` at `byte_off`, if the window fits
+/// in `total` bytes.
+fn window_end<T>(byte_off: usize, len: usize, total: usize) -> Result<usize, String> {
+    len.checked_mul(std::mem::size_of::<T>())
+        .and_then(|b| b.checked_add(byte_off))
+        .filter(|&end| end <= total)
+        .ok_or_else(|| {
+            format!(
+                "array window {byte_off}+{len}x{} exceeds {total} bytes",
+                std::mem::size_of::<T>()
+            )
+        })
+}
+
+impl<T: Scalar> Array<T> {
+    /// Decodes `len` little-endian values starting `byte_off` bytes into
+    /// `bytes` as an owned array: the load path of hosts that cannot map.
+    pub fn copied(bytes: &[u8], byte_off: usize, len: usize) -> Result<Self, String> {
+        let end = window_end::<T>(byte_off, len, bytes.len())?;
+        let values: Vec<T> = bytes[byte_off..end]
+            .chunks_exact(std::mem::size_of::<T>())
+            .map(T::from_le)
+            .collect();
+        Ok(values.into())
+    }
+
+    /// Wraps a window of a mapped region as a typed array.
+    ///
+    /// Fails on big-endian hosts, misaligned offsets, or windows that
+    /// overrun the mapping — never panics.
+    pub fn mapped(region: Arc<MmapRegion>, byte_off: usize, len: usize) -> Result<Self, String> {
+        if cfg!(target_endian = "big") {
+            return Err("mapped arrays require a little-endian host".to_string());
+        }
+        window_end::<T>(byte_off, len, region.len())?;
+        if !(region.as_ptr() as usize + byte_off).is_multiple_of(std::mem::align_of::<T>()) {
+            return Err(format!(
+                "mapped array at byte {byte_off} is not {}-byte aligned",
+                std::mem::align_of::<T>()
+            ));
+        }
+        Ok(Array(Storage::Mapped {
+            region,
+            byte_off,
+            len,
+        }))
+    }
+
+    /// The values as a slice; zero-copy for both variants.
+    #[inline]
+    pub fn as_slice(&self) -> &[T] {
+        match &self.0 {
+            Storage::Owned(v) => v,
+            Storage::Mapped {
+                region,
+                byte_off,
+                len,
+            } => {
+                // SAFETY: only `mapped` builds this variant (the storage is
+                // private), and it proved the window lies inside the region
+                // (`byte_off + len * size_of::<T>() <= region.len()`), is
+                // aligned for `T`, and the host is little-endian; `T` is a
+                // sealed plain integer type, valid for every bit pattern, so
+                // the reinterpretation is value-preserving. The region is
+                // read-only and kept alive by the `Arc` for `&self`'s
+                // lifetime, so the slice cannot dangle or alias a write.
+                unsafe {
+                    std::slice::from_raw_parts(region.as_ptr().add(*byte_off) as *const T, *len)
+                }
+            }
+        }
+    }
+
+    /// Bytes occupied by the array (same for owned and mapped).
+    #[inline]
+    pub fn byte_len(&self) -> usize {
+        std::mem::size_of_val(self.as_slice())
+    }
+
+    /// Whether the storage is a mapped window.
+    #[inline]
+    pub fn is_mapped(&self) -> bool {
+        matches!(self.0, Storage::Mapped { .. })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,6 +331,37 @@ mod tests {
         std::fs::File::create(&path).unwrap();
         let err = MmapRegion::map(&File::open(&path).unwrap()).unwrap_err();
         assert!(err.contains("empty"), "unexpected error: {err}");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn arrays_copy_or_map_the_same_values() {
+        let path = temp_path("array");
+        let mut bytes = Vec::new();
+        for v in [7u64, 0, u64::MAX] {
+            bytes.extend_from_slice(&v.to_le_bytes());
+        }
+        for v in [1u32, 2, 3] {
+            bytes.extend_from_slice(&v.to_le_bytes());
+        }
+        std::fs::write(&path, &bytes).unwrap();
+        let region = Arc::new(MmapRegion::map(&File::open(&path).unwrap()).unwrap());
+        let words = Words::mapped(Arc::clone(&region), 0, 3).unwrap();
+        assert!(words.is_mapped());
+        assert_eq!(words.as_slice(), &[7, 0, u64::MAX]);
+        assert_eq!(
+            words.as_slice(),
+            Words::copied(&bytes, 0, 3).unwrap().as_slice()
+        );
+        let u32s = U32s::mapped(Arc::clone(&region), 24, 3).unwrap();
+        assert_eq!(u32s.as_slice(), &[1, 2, 3]);
+        assert_eq!(u32s.byte_len(), 12);
+        assert!(!U32s::copied(&bytes, 24, 3).unwrap().is_mapped());
+        // Misaligned and overrunning windows are refused, never read.
+        assert!(Words::mapped(Arc::clone(&region), 4, 1).is_err());
+        assert!(U32s::mapped(Arc::clone(&region), 28, 3).is_err());
+        assert!(Words::copied(&bytes, 8, 4).is_err());
+        drop((words, u32s, region));
         std::fs::remove_file(&path).unwrap();
     }
 

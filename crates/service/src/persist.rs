@@ -2,7 +2,7 @@
 //! snapshots of loaded graphs (CSR + full [`BcDecomposition`]) plus an
 //! append-only request journal.
 //!
-//! ## Snapshot format (version 3)
+//! ## Snapshot format (version 4)
 //!
 //! A page-aligned container designed so the graph section can be served
 //! zero-copy from a read-only `mmap`:
@@ -16,20 +16,26 @@
 //! [  48..  72)  warm extent    same shape
 //! [  72..  96)  dec extent     same shape
 //! [  96..    )  name           length-prefixed UTF-8
-//! [       4096) graph section  fixed-field header, Elias-Fano offset
-//!                              arrays, neighbor + edge-id slot arrays —
-//!                              every array naturally aligned in the file
+//! [       4096) graph section  u64 n | u64 m | (n + 1) u64 offsets |
+//!                              2m u32 neighbors | 2m u32 edge ids
 //! [           ) warm section   cached /rank responses worth pre-warming
 //! [           ) dec section    BcDecomposition (own DEC_FORMAT_VERSION)
 //! ```
 //!
-//! The graph section starts at file offset 4096 (one page) and stores its
-//! arrays little-endian at 8-byte-aligned offsets, so a boot can `mmap`
-//! the file read-only and serve CSR queries straight off the kernel page
-//! cache ([`load_snapshot_mapped`]) — no decode, no heap copy. The
-//! section CRC is verified once at open. Snapshot files are only ever
-//! *replaced* by an atomic rename, never truncated in place, so a live
-//! mapping cannot be torn out from under a reader.
+//! The graph section starts at file offset 4096 (one page) and every
+//! array in it is naturally aligned, so a boot can `mmap` the file
+//! read-only and serve CSR queries straight off the kernel page cache
+//! ([`load_snapshot_mapped`]) — no decode, no heap copy. The section CRC
+//! is verified once at open. Snapshot files are only ever *replaced* by an
+//! atomic rename, never truncated in place, so a live mapping cannot be
+//! torn out from under a reader.
+//!
+//! One loader serves both paths; its only branch is whether the CSR
+//! arrays are owned copies ([`load_snapshot`], and every boot on a host
+//! that cannot map) or mapped windows. Either way [`Graph::assemble`]
+//! re-validates the full CSR structure — sorted adjacency, no self-loops,
+//! twin edge ids — so a hand-crafted file whose CRC was forged along with
+//! its bytes still cannot put an invariant-breaking graph in the engine.
 //!
 //! `delta_seq` counts the journaled edge deltas (`PATCH /graphs/<name>`)
 //! already folded into the snapshotted graph, so boot replay applies only
@@ -44,9 +50,10 @@
 //! caller recomputes the decomposition, trading the startup win for
 //! correctness, never a crash.
 //!
-//! Version-1/2 files (sequential `u64 len | payload | u32 CRC` sections
-//! with the graph serialized via `saphyra_graph::binio`) still load
-//! through the byte-decode path.
+//! Version 4 is the only container version written or read. A file of any
+//! other version (1–3 were earlier layouts) fails to load with an error
+//! naming its version; re-save it by re-`POST`ing the graph or with
+//! `snapshot save`.
 //!
 //! ## Atomic writes
 //!
@@ -79,10 +86,9 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use saphyra::bc::{self, BcDecomposition};
-use saphyra_graph::binio;
-use saphyra_graph::succinct::{EliasFano, U32s, Words};
+use saphyra_graph::mmap::{Array, Scalar};
 use saphyra_graph::wire::{self, Reader};
-use saphyra_graph::{CsrOffsets, Graph, MmapRegion};
+use saphyra_graph::{Graph, MmapRegion};
 
 use crate::http::Request;
 use crate::json::Json;
@@ -91,21 +97,16 @@ use crate::sync::LockExt;
 
 /// Magic bytes opening every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"SAPHSNAP";
-/// Snapshot container format version. Version 3 made the container
-/// page-aligned and mmap-servable and added the warm-cache section;
-/// version 2 added `delta_seq`. Older files still load via byte decode.
-pub const SNAPSHOT_VERSION: u32 = 3;
-/// Oldest snapshot container version this build still reads.
-pub const SNAPSHOT_MIN_VERSION: u32 = 1;
-/// Bytes reserved for the v3 fixed header (magic, version, extents,
-/// name). The graph section starts here — one page, so arrays stored at
-/// aligned offsets within the section stay aligned in a page-aligned
-/// mapping.
+/// Snapshot container format version, the only one this build writes or
+/// reads. Version 4 stores the CSR offsets as plain `u64`s.
+pub const SNAPSHOT_VERSION: u32 = 4;
+/// Bytes reserved for the fixed header (magic, version, extents, name).
+/// The graph section starts here — one page, so arrays stored at aligned
+/// offsets within the section stay aligned in a page-aligned mapping.
 pub const GRAPH_SECTION_OFFSET: usize = 4096;
-/// Size of the fixed-field prefix of a v3 graph section: `u64` n, m,
-/// ef_len, universe; `u32` low_bits + pad; `u64` low/upper/sample word
-/// counts. 64 bytes, so the arrays that follow start 8-byte aligned.
-const GRAPH_FIELDS_BYTES: usize = 64;
+/// Size of the fixed-field prefix of a graph section: `u64` n and m. 16
+/// bytes, so the offsets that follow start 8-byte aligned.
+const GRAPH_FIELDS_BYTES: usize = 16;
 /// File name of the append-only request journal inside a state dir.
 pub const JOURNAL_FILE: &str = "journal.log";
 
@@ -151,14 +152,11 @@ pub struct LoadedSnapshot {
     /// The restored decomposition, or the reason it must be recomputed.
     pub dec: Result<BcDecomposition, String>,
     /// How many journaled edge deltas the snapshotted graph already
-    /// contains (0 for version-1 snapshots, which predate deltas).
+    /// contains.
     pub delta_seq: u64,
-    /// Cached responses persisted for cache pre-warming. Empty for
-    /// version-1/2 snapshots and when the warm section was damaged.
+    /// Cached responses persisted for cache pre-warming. Empty when the
+    /// warm section was damaged.
     pub warm: Vec<WarmEntry>,
-    /// Whether the graph's CSR arrays serve zero-copy from a mapped
-    /// snapshot file ([`load_snapshot_mapped`] on a v3 container).
-    pub mapped: bool,
 }
 
 /// One cached `/rank` response persisted into a snapshot's warm section,
@@ -233,46 +231,7 @@ fn warm_from_bytes(bytes: &[u8]) -> Result<Vec<WarmEntry>, String> {
     Ok(out)
 }
 
-/// Writer half of the v1/v2 section format (`usize len | payload | crc`).
-/// The v3 writer uses header extents instead; tests still build legacy
-/// containers with this to pin the compatibility path.
-#[cfg(test)]
-fn put_section(out: &mut Vec<u8>, payload: &[u8]) {
-    wire::put_usize(out, payload.len());
-    out.extend_from_slice(payload);
-    wire::put_u32(out, wire::crc32(payload));
-}
-
-fn take_section<'a>(r: &mut Reader<'a>, what: &str) -> Result<&'a [u8], PersistError> {
-    let len = r
-        .usize_()
-        .map_err(|e| PersistError::Format(format!("{what} section length: {e}")))?;
-    // The section must hold `len` payload bytes PLUS its 4-byte CRC. The
-    // two-sided check matters: with `remaining < 4` a declared length of 0
-    // would pass a naive `len > remaining - 4` guard and the CRC read
-    // below would fail — a snapshot load must never panic on any input.
-    let need = len
-        .checked_add(4)
-        .filter(|&need| need <= r.remaining())
-        .ok_or_else(|| {
-            PersistError::Format(format!(
-                "{what} section truncated: {len} payload bytes + CRC declared, {} available",
-                r.remaining()
-            ))
-        })?;
-    debug_assert!(need <= r.remaining());
-    let payload = r.bytes(len).expect("length checked above");
-    let stored = r.u32().expect("length checked above");
-    let actual = wire::crc32(payload);
-    if stored != actual {
-        return format_err(format!(
-            "{what} section checksum mismatch: stored {stored:#010x}, computed {actual:#010x}"
-        ));
-    }
-    Ok(payload)
-}
-
-/// One section's location in a v3 container: file offset, byte length,
+/// One section's location in the container: file offset, byte length,
 /// and the CRC-32 of the section bytes.
 #[derive(Debug, Clone, Copy)]
 struct Extent {
@@ -287,9 +246,9 @@ impl Extent {
     }
 }
 
-/// The decoded fixed header of a v3 container.
+/// The decoded fixed header of a container.
 #[derive(Debug)]
-struct V3Header {
+struct Header {
     delta_seq: u64,
     graph: Extent,
     warm: Extent,
@@ -320,14 +279,31 @@ fn read_extent(r: &mut Reader<'_>, what: &str) -> Result<Extent, PersistError> {
     Ok(Extent { off, len, crc })
 }
 
-/// Parses and sanity-checks a v3 fixed header. The header carries no CRC
-/// of its own; the invariants checked here (one-page size, contiguous
-/// extents in graph → warm → dec order) are what stand between a
-/// bit-flipped header and an out-of-bounds slice below.
-fn parse_v3_header(bytes: &[u8]) -> Result<V3Header, PersistError> {
+/// Parses and sanity-checks the fixed header: magic, version, then the
+/// extents. The header carries no CRC of its own; the invariants checked
+/// here (one-page size, contiguous extents in graph → warm → dec order)
+/// are what stand between a bit-flipped header and an out-of-bounds slice
+/// below.
+fn parse_header(bytes: &[u8]) -> Result<Header, PersistError> {
+    let mut r = Reader::new(bytes);
+    let magic = r
+        .bytes(SNAPSHOT_MAGIC.len())
+        .map_err(|_| PersistError::Format("shorter than the magic header".into()))?;
+    if magic != SNAPSHOT_MAGIC {
+        return format_err("bad magic (not a saphyra snapshot)");
+    }
+    let version = r
+        .u32()
+        .map_err(|e| PersistError::Format(format!("container version: {e}")))?;
+    if version != SNAPSHOT_VERSION {
+        return format_err(format!(
+            "container version {version} is not supported (this build reads only version \
+             {SNAPSHOT_VERSION}); re-save it: re-POST the graph or run `snapshot save`"
+        ));
+    }
     if bytes.len() < GRAPH_SECTION_OFFSET {
         return format_err(format!(
-            "header truncated: {} bytes, a v3 container reserves {GRAPH_SECTION_OFFSET}",
+            "header truncated: {} bytes, a container reserves {GRAPH_SECTION_OFFSET}",
             bytes.len()
         ));
     }
@@ -370,7 +346,7 @@ fn parse_v3_header(bytes: &[u8]) -> Result<V3Header, PersistError> {
     }
     dec.end()
         .ok_or_else(|| PersistError::Format("dec extent overflows".into()))?;
-    Ok(V3Header {
+    Ok(Header {
         delta_seq,
         graph,
         warm,
@@ -379,7 +355,7 @@ fn parse_v3_header(bytes: &[u8]) -> Result<V3Header, PersistError> {
     })
 }
 
-/// Slices one section out of a v3 container and verifies its CRC.
+/// Slices one section out of a container and verifies its CRC.
 fn read_section<'a>(bytes: &'a [u8], ext: &Extent, what: &str) -> Result<&'a [u8], String> {
     let end = ext
         .end()
@@ -401,187 +377,79 @@ fn read_section<'a>(bytes: &'a [u8], ext: &Extent, what: &str) -> Result<&'a [u8
     Ok(payload)
 }
 
-/// Field header of a v3 graph section, decoded and size-checked against
-/// the section it came from.
-struct GraphFields {
-    n: usize,
-    m: usize,
-    ef_len: usize,
-    universe: u64,
-    low_bits: u32,
-    low_words: usize,
-    upper_words: usize,
-    sample_words: usize,
-    /// `2m`, the length of each slot array.
-    slots: usize,
-}
-
-fn read_graph_fields(sec: &[u8]) -> Result<GraphFields, String> {
-    fn u64_field(r: &mut Reader<'_>, what: &str) -> Result<u64, String> {
-        r.u64().map_err(|e| format!("graph {what}: {e}"))
-    }
+/// Reads a graph section's `n` and `m` and checks that the arrays they
+/// declare fill the section exactly.
+fn read_graph_fields(sec: &[u8]) -> Result<(usize, usize), String> {
     let mut r = Reader::new(sec);
-    let n = u64_field(&mut r, "node count")? as usize;
-    let m = u64_field(&mut r, "edge count")? as usize;
-    let ef_len = u64_field(&mut r, "offset count")? as usize;
-    let universe = u64_field(&mut r, "offset universe")?;
-    let low_bits = r.u32().map_err(|e| format!("graph low_bits: {e}"))?;
-    let _pad = r.u32().map_err(|e| format!("graph padding: {e}"))?;
-    let low_words = u64_field(&mut r, "low words")? as usize;
-    let upper_words = u64_field(&mut r, "upper words")? as usize;
-    let sample_words = u64_field(&mut r, "sample words")? as usize;
-    let slots = m
-        .checked_mul(2)
-        .ok_or_else(|| "graph edge count overflows".to_string())?;
-    if Some(ef_len) != n.checked_add(1) {
-        return Err(format!("graph offset count {ef_len} != n + 1 (n = {n})"));
-    }
-    // The declared arrays must fill the section exactly. Checked
-    // arithmetic throughout: every count is attacker-placeable.
-    let want = [low_words, upper_words, sample_words]
-        .iter()
-        .try_fold(GRAPH_FIELDS_BYTES, |acc, &w| {
-            w.checked_mul(8).and_then(|b| acc.checked_add(b))
-        })
-        .and_then(|acc| slots.checked_mul(4)?.checked_mul(2)?.checked_add(acc))
-        .ok_or_else(|| "graph section size overflows".to_string())?;
-    if want != sec.len() {
+    let n = r.u64().map_err(|e| format!("graph node count: {e}"))?;
+    let m = r.u64().map_err(|e| format!("graph edge count: {e}"))?;
+    // Checked arithmetic: both counts are attacker-placeable. Each edge
+    // takes two slots of a `u32` neighbor and a `u32` edge id.
+    let want = n
+        .checked_add(1)
+        .and_then(|offsets| offsets.checked_mul(8))
+        .and_then(|b| m.checked_mul(16)?.checked_add(b))
+        .and_then(|b| b.checked_add(GRAPH_FIELDS_BYTES as u64));
+    if want != Some(sec.len() as u64) {
         return Err(format!(
-            "graph section holds {} bytes, header declares {want}",
+            "graph section holds {} bytes, which does not fit n = {n}, m = {m}",
             sec.len()
         ));
     }
-    Ok(GraphFields {
-        n,
-        m,
-        ef_len,
-        universe,
-        low_bits,
-        low_words,
-        upper_words,
-        sample_words,
-        slots,
-    })
+    // Both fit in usize: the section they describe is in memory.
+    Ok((n as usize, m as usize))
 }
 
-/// Serializes a graph into the v3 graph-section layout: the 64-byte field
-/// header, the three Elias–Fano offset arrays, then the neighbor and
-/// edge-id slot arrays. A plain-offset graph is compacted on the fly; a
-/// succinct one serializes its existing encoding verbatim, so the bytes
-/// are identical either way.
+/// Serializes a graph into the graph-section layout: `n`, `m`, the `n + 1`
+/// offsets, then the neighbor and edge-id slot arrays.
 fn graph_section_to_bytes(graph: &Graph) -> Vec<u8> {
-    let n = graph.num_nodes();
-    let m = graph.num_edges();
-    let rebuilt;
-    let ef = match graph.csr_offsets() {
-        CsrOffsets::Succinct(ef) => ef,
-        CsrOffsets::Plain(v) => {
-            rebuilt = EliasFano::from_values(v);
-            &rebuilt
-        }
-    };
-    let (low, upper, samples) = ef.parts();
-    let (low, upper, samples) = (low.as_slice(), upper.as_slice(), samples.as_slice());
-    let (neighbors, edge_ids) = graph.csr_slots();
+    let (offsets, neighbors, edge_ids) = graph.csr_arrays();
     let mut out = Vec::with_capacity(
-        GRAPH_FIELDS_BYTES
-            + 8 * (low.len() + upper.len() + samples.len())
-            + 4 * (neighbors.len() + edge_ids.len()),
+        GRAPH_FIELDS_BYTES + 8 * offsets.len() + 4 * (neighbors.len() + edge_ids.len()),
     );
-    wire::put_u64(&mut out, n as u64);
-    wire::put_u64(&mut out, m as u64);
-    wire::put_u64(&mut out, ef.len() as u64);
-    wire::put_u64(&mut out, ef.universe());
-    wire::put_u32(&mut out, ef.low_bits());
-    wire::put_u32(&mut out, 0); // pad to the next u64 boundary
-    wire::put_u64(&mut out, low.len() as u64);
-    wire::put_u64(&mut out, upper.len() as u64);
-    wire::put_u64(&mut out, samples.len() as u64);
-    debug_assert_eq!(out.len(), GRAPH_FIELDS_BYTES);
-    for &w in low {
-        wire::put_u64(&mut out, w);
+    wire::put_u64(&mut out, graph.num_nodes() as u64);
+    wire::put_u64(&mut out, graph.num_edges() as u64);
+    for &off in offsets {
+        wire::put_u64(&mut out, off);
     }
-    for &w in upper {
-        wire::put_u64(&mut out, w);
-    }
-    for &w in samples {
-        wire::put_u64(&mut out, w);
-    }
-    for &v in neighbors {
+    for &v in neighbors.iter().chain(edge_ids) {
         wire::put_u32(&mut out, v);
-    }
-    for &id in edge_ids {
-        wire::put_u32(&mut out, id);
     }
     out
 }
 
-/// Decodes a v3 graph section into an owned graph, with the *full*
-/// untrusted-input validation of [`binio::graph_from_arrays`] (per-node
-/// sortedness and twin-slot consistency included) — this is the path a
-/// plain `fs::read` load takes, where nothing but the CRC vouches for
-/// the bytes and the CRC may itself be forged along with them.
-fn graph_from_section_bytes(sec: &[u8]) -> Result<Graph, PersistError> {
-    let f = read_graph_fields(sec).map_err(PersistError::Format)?;
-    let mut r = Reader::new(&sec[GRAPH_FIELDS_BYTES..]);
-    let read_words = |r: &mut Reader<'_>, count: usize| -> Result<Vec<u64>, PersistError> {
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            out.push(r.u64().map_err(|e| PersistError::Format(e.to_string()))?);
-        }
-        Ok(out)
-    };
-    let low = read_words(&mut r, f.low_words)?;
-    let upper = read_words(&mut r, f.upper_words)?;
-    let samples = read_words(&mut r, f.sample_words)?;
-    let read_u32s = |r: &mut Reader<'_>, count: usize| -> Result<Vec<u32>, PersistError> {
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            out.push(r.u32().map_err(|e| PersistError::Format(e.to_string()))?);
-        }
-        Ok(out)
-    };
-    let neighbors = read_u32s(&mut r, f.slots)?;
-    let edge_ids = read_u32s(&mut r, f.slots)?;
-    debug_assert!(r.is_empty(), "read_graph_fields matched the section size");
-    let ef = EliasFano::from_parts(
-        f.ef_len,
-        f.universe,
-        f.low_bits,
-        Words::Owned(low),
-        Words::Owned(upper),
-        Words::Owned(samples),
+/// Assembles the graph of a CRC-checked section `sec` found `off` bytes
+/// into `bytes`, with [`Graph::assemble`]'s full validation.
+fn graph_from_section(
+    bytes: &[u8],
+    region: Option<&Arc<MmapRegion>>,
+    off: usize,
+    sec: &[u8],
+) -> Result<Graph, String> {
+    let (n, m) = read_graph_fields(sec)?;
+    let offsets_at = off + GRAPH_FIELDS_BYTES;
+    let neighbors_at = offsets_at + 8 * (n + 1);
+    let edge_ids_at = neighbors_at + 8 * m;
+    Graph::assemble(
+        csr_array(bytes, region, offsets_at, n + 1)?,
+        csr_array(bytes, region, neighbors_at, 2 * m)?,
+        csr_array(bytes, region, edge_ids_at, 2 * m)?,
+        m,
     )
-    .map_err(PersistError::Format)?;
-    let offsets: Vec<usize> = ef.iter().map(|v| v as usize).collect();
-    binio::graph_from_arrays(f.n, f.m, offsets, neighbors, edge_ids)
-        .map_err(|e| PersistError::Format(e.to_string()))
 }
 
-/// Assembles a graph whose CSR arrays are windows into a mapped v3 file.
-/// `off`/`len` locate the (already CRC-verified) graph section inside
-/// `region`. [`EliasFano::from_parts`] and [`Graph::assemble`] re-check
-/// every invariant the accessors need to stay panic-free.
-fn graph_from_mapped_section(
-    region: &Arc<MmapRegion>,
-    off: usize,
+/// One CSR array of `len` values at byte `at`: a window into `region`
+/// (the mapping `bytes` views) when there is one, else an owned copy.
+fn csr_array<T: Scalar>(
+    bytes: &[u8],
+    region: Option<&Arc<MmapRegion>>,
+    at: usize,
     len: usize,
-) -> Result<Graph, String> {
-    let f = read_graph_fields(&region[off..off + len])?;
-    let mut pos = off + GRAPH_FIELDS_BYTES;
-    let low = Words::mapped(Arc::clone(region), pos, f.low_words)?;
-    pos += f.low_words * 8;
-    let upper = Words::mapped(Arc::clone(region), pos, f.upper_words)?;
-    pos += f.upper_words * 8;
-    let samples = Words::mapped(Arc::clone(region), pos, f.sample_words)?;
-    pos += f.sample_words * 8;
-    let neighbors = U32s::mapped(Arc::clone(region), pos, f.slots)?;
-    pos += f.slots * 4;
-    let edge_ids = U32s::mapped(Arc::clone(region), pos, f.slots)?;
-    pos += f.slots * 4;
-    debug_assert_eq!(pos, off + len, "read_graph_fields matched the section size");
-    let ef = EliasFano::from_parts(f.ef_len, f.universe, f.low_bits, low, upper, samples)?;
-    Graph::assemble(CsrOffsets::Succinct(ef), neighbors, edge_ids, f.m)
+) -> Result<Array<T>, String> {
+    match region {
+        Some(region) => Array::mapped(Arc::clone(region), at, len),
+        None => Array::copied(bytes, at, len),
+    }
 }
 
 /// Serializes one registry entry to snapshot bytes (always the current
@@ -643,76 +511,12 @@ pub fn snapshot_to_bytes_with_warm(
     out
 }
 
-/// Decodes snapshot bytes, validating magic, container version and every
-/// section checksum. Graph-section damage is fatal, warm-section damage
-/// degrades to an empty warm cache, and decomposition-section damage
-/// degrades to `dec: Err(reason)`.
+/// Decodes snapshot bytes into owned memory, validating magic, container
+/// version and every section checksum. Graph-section damage is fatal,
+/// warm-section damage degrades to an empty warm cache, and
+/// decomposition-section damage degrades to `dec: Err(reason)`.
 pub fn snapshot_from_bytes(bytes: &[u8]) -> Result<LoadedSnapshot, PersistError> {
-    let mut r = Reader::new(bytes);
-    let magic = r
-        .bytes(SNAPSHOT_MAGIC.len())
-        .map_err(|_| PersistError::Format("shorter than the magic header".into()))?;
-    if magic != SNAPSHOT_MAGIC {
-        return format_err("bad magic (not a saphyra snapshot)");
-    }
-    let version = r.u32().map_err(|e| PersistError::Format(e.to_string()))?;
-    if !(SNAPSHOT_MIN_VERSION..=SNAPSHOT_VERSION).contains(&version) {
-        return format_err(format!(
-            "snapshot version {version} outside supported {SNAPSHOT_MIN_VERSION}..={SNAPSHOT_VERSION}"
-        ));
-    }
-    if version >= 3 {
-        return snapshot_from_bytes_v3(bytes);
-    }
-
-    let graph_payload = take_section(&mut r, "graph")?;
-    let mut gr = Reader::new(graph_payload);
-    let name = gr
-        .str_()
-        .map_err(|e| PersistError::Format(format!("graph name: {e}")))?;
-    let graph = binio::read_graph(&mut gr).map_err(|e| PersistError::Format(e.to_string()))?;
-    let delta_seq = if version >= 2 {
-        gr.u64()
-            .map_err(|e| PersistError::Format(format!("graph delta_seq: {e}")))?
-    } else {
-        0
-    };
-    if !gr.is_empty() {
-        return format_err("trailing bytes in graph section");
-    }
-
-    // The decomposition section degrades instead of failing the load.
-    let dec = match take_section(&mut r, "decomposition") {
-        Err(e) => Err(e.to_string()),
-        Ok(payload) => {
-            let mut dr = Reader::new(payload);
-            match bc::read_decomposition(&mut dr, &graph) {
-                Err(e) => Err(e.to_string()),
-                Ok(_) if !dr.is_empty() => Err("trailing bytes in decomposition section".into()),
-                Ok(dec) => Ok(dec),
-            }
-        }
-    };
-    // A v1 container ends exactly after the second section. Trailing bytes
-    // after a *well-formed* decomposition section mean the file is not
-    // v1 (a concatenation, or a future format with more sections) —
-    // reject it rather than silently treating a prefix as the whole
-    // snapshot. When the section itself was damaged the reader position
-    // is meaningless, so that case keeps degrading to recompute.
-    if dec.is_ok() && !r.is_empty() {
-        return format_err(format!(
-            "{} trailing bytes after the decomposition section",
-            r.remaining()
-        ));
-    }
-    Ok(LoadedSnapshot {
-        name,
-        graph,
-        dec,
-        delta_seq,
-        warm: Vec::new(),
-        mapped: false,
-    })
+    load_container(bytes, None)
 }
 
 /// Decodes a warm section, degrading any damage (bad extent, bad CRC,
@@ -746,49 +550,25 @@ fn decode_dec_section(
     }
 }
 
-/// The v3 byte-decode path: fully-validated owned arrays, no mapping.
-/// [`load_snapshot_mapped`] is the zero-copy counterpart.
-fn snapshot_from_bytes_v3(bytes: &[u8]) -> Result<LoadedSnapshot, PersistError> {
-    let h = parse_v3_header(bytes)?;
+/// The one container loader. With `region` — the mapping `bytes` views —
+/// the graph's CSR arrays are windows into it; without, owned copies.
+/// Warm and dec sections are small and always decode to owned data.
+fn load_container(
+    bytes: &[u8],
+    region: Option<&Arc<MmapRegion>>,
+) -> Result<LoadedSnapshot, PersistError> {
+    let h = parse_header(bytes)?;
     let graph_sec = read_section(bytes, &h.graph, "graph").map_err(PersistError::Format)?;
     // The dec section ends the container; a longer file is not this
     // snapshot (a concatenation, or junk appended past the CRCs' reach).
-    let dec_end = h.dec.end().expect("checked in parse_v3_header");
+    let dec_end = h.dec.end().expect("checked in parse_header");
     if (bytes.len() as u64) > dec_end {
         return format_err(format!(
             "{} trailing bytes after the decomposition section",
             bytes.len() as u64 - dec_end
         ));
     }
-    let graph = graph_from_section_bytes(graph_sec)?;
-    let warm = decode_warm_section(bytes, &h.warm);
-    let dec = decode_dec_section(bytes, &h.dec, &graph);
-    Ok(LoadedSnapshot {
-        name: h.name,
-        graph,
-        dec,
-        delta_seq: h.delta_seq,
-        warm,
-        mapped: false,
-    })
-}
-
-/// The zero-copy load path for a mapped v3 container: CRC the graph
-/// section once, then assemble a graph whose CSR arrays are windows into
-/// the mapping. Warm and dec sections are small and decode to owned data
-/// as usual.
-fn snapshot_from_mapped(region: &Arc<MmapRegion>) -> Result<LoadedSnapshot, PersistError> {
-    let bytes: &[u8] = region;
-    let h = parse_v3_header(bytes)?;
-    let graph_sec = read_section(bytes, &h.graph, "graph").map_err(PersistError::Format)?;
-    let dec_end = h.dec.end().expect("checked in parse_v3_header");
-    if (bytes.len() as u64) > dec_end {
-        return format_err(format!(
-            "{} trailing bytes after the decomposition section",
-            bytes.len() as u64 - dec_end
-        ));
-    }
-    let graph = graph_from_mapped_section(region, h.graph.off as usize, graph_sec.len())
+    let graph = graph_from_section(bytes, region, h.graph.off as usize, graph_sec)
         .map_err(PersistError::Format)?;
     let warm = decode_warm_section(bytes, &h.warm);
     let dec = decode_dec_section(bytes, &h.dec, &graph);
@@ -798,7 +578,6 @@ fn snapshot_from_mapped(region: &Arc<MmapRegion>) -> Result<LoadedSnapshot, Pers
         dec,
         delta_seq: h.delta_seq,
         warm,
-        mapped: true,
     })
 }
 
@@ -890,19 +669,15 @@ pub fn load_snapshot(path: &Path) -> Result<LoadedSnapshot, PersistError> {
     snapshot_from_bytes(&fs::read(path)?)
 }
 
-/// Loads a snapshot zero-copy where possible: a v3 file is `mmap`ed
-/// read-only and the graph's CSR arrays serve straight off the mapping
-/// (`mapped: true`), with the section CRC verified once here. Anything
-/// that prevents mapping — an older container version, a damaged v3
-/// layout, a big-endian host, the `SAPHYRA_NO_MMAP` escape hatch, or the
-/// mmap syscall failing — falls back to the owned byte-decode path with
-/// a warning. Corruption yields a clean error either way, never
+/// Loads a snapshot zero-copy: the file is `mmap`ed read-only and the
+/// graph's CSR arrays serve straight off the mapping
+/// ([`Graph::is_mapped`]), with the section CRC verified once here. On a
+/// non-unix or big-endian host, or when the `mmap` syscall fails, it
+/// decodes through [`load_snapshot`] instead. Both run the same loader
+/// and validation, so a file loads or errors alike on either path — never
 /// undefined behavior.
 pub fn load_snapshot_mapped(path: &Path) -> Result<LoadedSnapshot, PersistError> {
-    if cfg!(not(unix))
-        || cfg!(target_endian = "big")
-        || std::env::var_os("SAPHYRA_NO_MMAP").is_some()
-    {
+    if cfg!(not(unix)) || cfg!(target_endian = "big") {
         return load_snapshot(path);
     }
     let file = File::open(path)?;
@@ -914,26 +689,7 @@ pub fn load_snapshot_mapped(path: &Path) -> Result<LoadedSnapshot, PersistError>
         }
     };
     drop(file); // the mapping outlives the descriptor
-    let bytes: &[u8] = &region;
-    let v3 = bytes.len() >= SNAPSHOT_MAGIC.len() + 4
-        && bytes[..SNAPSHOT_MAGIC.len()] == SNAPSHOT_MAGIC
-        && u32::from_le_bytes(
-            bytes[SNAPSHOT_MAGIC.len()..SNAPSHOT_MAGIC.len() + 4]
-                .try_into()
-                .expect("4 bytes"),
-        ) >= 3;
-    if !v3 {
-        // v1/v2 (or not a snapshot at all): decode owned straight from
-        // the mapping; it is dropped once the copy is done.
-        return snapshot_from_bytes(bytes);
-    }
-    match snapshot_from_mapped(&region) {
-        Ok(snap) => Ok(snap),
-        Err(e) => {
-            eprintln!("warning: mapped load of {path:?} failed ({e}); falling back to byte decode");
-            load_snapshot(path)
-        }
-    }
+    load_container(&region, Some(&region))
 }
 
 /// Per-section accounting of one snapshot container — what the
@@ -942,7 +698,8 @@ pub fn load_snapshot_mapped(path: &Path) -> Result<LoadedSnapshot, PersistError>
 /// (possibly with a degraded dec/warm section).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotInfo {
-    /// Container version the file was written with.
+    /// Container version the file was written with (only
+    /// [`SNAPSHOT_VERSION`] loads).
     pub version: u32,
     /// Registry name the snapshot was saved under.
     pub name: String,
@@ -952,7 +709,7 @@ pub struct SnapshotInfo {
     pub total_bytes: u64,
     /// Graph section payload bytes.
     pub graph_bytes: u64,
-    /// Warm section payload bytes (0 for v1/v2 containers).
+    /// Warm section payload bytes.
     pub warm_bytes: u64,
     /// Decomposition section payload bytes.
     pub dec_bytes: u64,
@@ -971,34 +728,15 @@ pub fn inspect_snapshot(path: &Path) -> Result<SnapshotInfo, PersistError> {
 /// [`inspect_snapshot`] over in-memory bytes.
 pub fn inspect_snapshot_bytes(bytes: &[u8]) -> Result<SnapshotInfo, PersistError> {
     let snap = snapshot_from_bytes(bytes)?;
-    let version = u32::from_le_bytes(
-        bytes[SNAPSHOT_MAGIC.len()..SNAPSHOT_MAGIC.len() + 4]
-            .try_into()
-            .expect("snapshot_from_bytes checked the header"),
-    );
-    let (graph_bytes, warm_bytes, dec_bytes) = if version >= 3 {
-        let h = parse_v3_header(bytes)?;
-        (h.graph.len, h.warm.len, h.dec.len)
-    } else {
-        // v1/v2: sequential `u64 len | payload | u32 CRC` sections, both
-        // already validated by the load above.
-        let mut r = Reader::new(&bytes[SNAPSHOT_MAGIC.len() + 4..]);
-        let glen = r
-            .usize_()
-            .map_err(|e| PersistError::Format(e.to_string()))?;
-        r.bytes(glen + 4)
-            .map_err(|e| PersistError::Format(e.to_string()))?;
-        let dlen = r.usize_().unwrap_or(0);
-        (glen as u64, 0, dlen as u64)
-    };
+    let h = parse_header(bytes)?;
     Ok(SnapshotInfo {
-        version,
+        version: SNAPSHOT_VERSION,
         name: snap.name,
         delta_seq: snap.delta_seq,
         total_bytes: bytes.len() as u64,
-        graph_bytes,
-        warm_bytes,
-        dec_bytes,
+        graph_bytes: h.graph.len,
+        warm_bytes: h.warm.len,
+        dec_bytes: h.dec.len,
         warm_entries: snap.warm.len(),
         dec_ok: snap.dec.is_ok(),
     })
@@ -1362,15 +1100,6 @@ mod tests {
                 "prefix of {cut} bytes parsed as a whole snapshot"
             );
         }
-        // The v2 regression that motivated this test: magic + version + a
-        // zero section length with NO room for the 4-byte CRC used to
-        // slip past the length guard and panic on the CRC read.
-        let mut v2 = Vec::new();
-        v2.extend_from_slice(&SNAPSHOT_MAGIC);
-        wire::put_u32(&mut v2, 2);
-        wire::put_usize(&mut v2, 0); // graph section: len 0, no CRC
-        let err = snapshot_from_bytes(&v2).unwrap_err();
-        assert!(err.to_string().contains("truncated"), "{err}");
     }
 
     #[test]
@@ -1539,75 +1268,89 @@ mod tests {
         let snap = snapshot_from_bytes(&snapshot_to_bytes("g", &g, &dec, 7)).unwrap();
         assert_eq!(snap.delta_seq, 7);
         assert!(snap.dec.is_ok());
-
-        // Hand-roll a version-1 container: same sections, no delta_seq in
-        // the graph payload. It must load with delta_seq = 0 (nothing in
-        // the journal predates it).
-        let mut v1 = Vec::new();
-        v1.extend_from_slice(&SNAPSHOT_MAGIC);
-        wire::put_u32(&mut v1, 1);
-        let mut graph_payload = Vec::new();
-        wire::put_str(&mut graph_payload, "g");
-        binio::write_graph(&g, &mut graph_payload);
-        put_section(&mut v1, &graph_payload);
-        let mut dec_payload = Vec::new();
-        bc::write_decomposition(&dec, &mut dec_payload);
-        put_section(&mut v1, &dec_payload);
-        let snap = snapshot_from_bytes(&v1).unwrap();
-        assert_eq!(snap.name, "g");
-        assert_eq!(snap.delta_seq, 0);
-        assert!(snap.dec.is_ok());
-
-        // A v2 graph section truncated before the delta_seq is an error,
-        // not a silent zero.
-        let mut short = Vec::new();
-        wire::put_str(&mut short, "g");
-        binio::write_graph(&g, &mut short); // no delta_seq follows
-        let mut bad = Vec::new();
-        bad.extend_from_slice(&SNAPSHOT_MAGIC);
-        wire::put_u32(&mut bad, 2);
-        put_section(&mut bad, &short);
-        put_section(&mut bad, &[]);
-        let err = snapshot_from_bytes(&bad).unwrap_err();
-        assert!(err.to_string().contains("delta_seq"), "{err}");
+        // Version-1 files no longer load at all, so none can be read as a
+        // delta_seq of 0 (see only_version_4_loads_...).
     }
 
-    /// Hand-rolls a full version-2 container (the pre-mmap sequential
-    /// format this build no longer writes).
-    fn v2_container(name: &str, g: &Graph, dec: &BcDecomposition, delta_seq: u64) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&SNAPSHOT_MAGIC);
-        wire::put_u32(&mut out, 2);
-        let mut graph_payload = Vec::new();
-        wire::put_str(&mut graph_payload, name);
-        binio::write_graph(g, &mut graph_payload);
-        wire::put_u64(&mut graph_payload, delta_seq);
-        put_section(&mut out, &graph_payload);
-        let mut dec_payload = Vec::new();
-        bc::write_decomposition(dec, &mut dec_payload);
-        put_section(&mut out, &dec_payload);
-        out
+    /// A valid container re-stamped with `version`; versions 1 and 2 also
+    /// lose everything past their sequential-section prefix, as their
+    /// files never reserved a header page.
+    fn container_with_version(version: u32) -> Vec<u8> {
+        let g = fixtures::grid_graph(3, 3);
+        let mut bytes = snapshot_to_bytes("g", &g, &BcDecomposition::compute(&g), 0);
+        bytes[SNAPSHOT_MAGIC.len()..SNAPSHOT_MAGIC.len() + 4]
+            .copy_from_slice(&version.to_le_bytes());
+        if version < 3 {
+            bytes.truncate(64);
+        }
+        bytes
     }
 
     #[test]
-    fn v2_containers_still_load_fully() {
-        let g = fixtures::grid_graph(4, 4);
-        let dec = BcDecomposition::compute(&g);
-        let snap = snapshot_from_bytes(&v2_container("old", &g, &dec, 5)).unwrap();
-        assert_eq!(snap.name, "old");
-        assert_eq!(snap.delta_seq, 5);
-        assert_eq!(snap.graph.num_nodes(), 16);
-        assert!(snap.dec.is_ok());
-        assert!(snap.warm.is_empty());
-        assert!(!snap.mapped);
-        // The mapped loader takes the decode path for old containers.
-        let dir = tmp_dir("v2compat");
-        let path = snapshot_path(&dir, "old");
-        fs::write(&path, v2_container("old", &g, &dec, 5)).unwrap();
-        let snap = load_snapshot_mapped(&path).unwrap();
-        assert!(!snap.mapped);
-        assert_eq!(snap.delta_seq, 5);
-        assert!(snap.dec.is_ok());
+    fn only_version_4_loads_and_others_name_the_resave_remedy() {
+        let dir = tmp_dir("versions");
+        let path = snapshot_path(&dir, "g");
+        fs::write(&path, container_with_version(SNAPSHOT_VERSION)).unwrap();
+        assert!(load_snapshot_mapped(&path).is_ok());
+        for version in [1u32, 2, 3, 5] {
+            let bytes = container_with_version(version);
+            fs::write(&path, &bytes).unwrap();
+            let errors = [
+                snapshot_from_bytes(&bytes).map(|_| ()),
+                load_snapshot_mapped(&path).map(|_| ()),
+                inspect_snapshot_bytes(&bytes).map(|_| ()),
+            ];
+            for err in errors {
+                let err = err.expect_err("only version 4 may load").to_string();
+                assert!(err.contains(&format!("version {version} ")), "{err}");
+                assert!(
+                    err.contains("re-POST the graph") && err.contains("snapshot save"),
+                    "{err}"
+                );
+            }
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Swaps the edge ids — and, with `neighbors`, the neighbors too — of
+    /// node 0's first two CSR slots in a saved container, then re-stamps
+    /// the graph CRC, so only the CSR validator stands between the file
+    /// and the engine.
+    fn tamper_node0_slots(bytes: &mut [u8], neighbors: bool) {
+        let sec = GRAPH_SECTION_OFFSET;
+        let field = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+        let (n, m, first) = (field(sec), field(sec + 8), field(sec + GRAPH_FIELDS_BYTES));
+        let len = field(32); // the graph extent's length
+        let neighbors_at = sec + GRAPH_FIELDS_BYTES + 8 * (n + 1) + 4 * first;
+        let mut swap = |at: usize| {
+            let (a, b) = bytes[at..at + 8].split_at_mut(4);
+            a.swap_with_slice(b);
+        };
+        if neighbors {
+            swap(neighbors_at);
+        }
+        swap(neighbors_at + 8 * m);
+        let crc = wire::crc32(&bytes[sec..sec + len]);
+        bytes[40..44].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    #[test]
+    fn both_loaders_reject_unsorted_and_one_sided_adjacency() {
+        let dir = tmp_dir("tamper");
+        let g = fixtures::grid_graph(5, 7);
+        let pristine = snapshot_to_bytes("g", &g, &BcDecomposition::compute(&g), 0);
+        let path = snapshot_path(&dir, "g");
+        for (neighbors, want) in [(true, "not strictly sorted"), (false, "inconsistent slots")] {
+            let mut bytes = pristine.clone();
+            tamper_node0_slots(&mut bytes, neighbors);
+            fs::write(&path, &bytes).unwrap();
+            for err in [
+                load_snapshot(&path).unwrap_err(),
+                load_snapshot_mapped(&path).unwrap_err(),
+            ] {
+                assert!(err.to_string().contains(want), "{err}");
+            }
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1620,17 +1363,15 @@ mod tests {
         save_snapshot(&path, "g", &g, &dec, 4).unwrap();
 
         let mapped = load_snapshot_mapped(&path).unwrap();
-        assert!(mapped.mapped);
         assert!(mapped.graph.is_mapped());
-        assert!(mapped.graph.csr_offsets().is_succinct());
         assert_eq!(mapped.name, "g");
         assert_eq!(mapped.delta_seq, 4);
         assert!(mapped.dec.is_ok());
 
         // Byte-for-byte the same answers as the owned decode path.
         let owned = load_snapshot(&path).unwrap();
-        assert!(!owned.mapped);
         assert!(!owned.graph.is_mapped());
+        assert_eq!(owned.graph.csr_bytes(), mapped.graph.csr_bytes());
         assert_eq!(owned.graph.num_nodes(), mapped.graph.num_nodes());
         assert_eq!(owned.graph.num_edges(), mapped.graph.num_edges());
         for v in owned.graph.nodes() {
@@ -1646,10 +1387,10 @@ mod tests {
 
     #[test]
     fn truncated_mapped_snapshots_fail_cleanly_or_degrade() {
-        // Satellite of the memory tier: truncating a v3 file anywhere
-        // must never be UB through the mapped path — the graph either
-        // assembles fully validated or the load errors; a cut inside the
-        // dec section degrades exactly like the decode path.
+        // Truncating a snapshot file anywhere must never be UB through the
+        // mapped path — the graph either assembles fully validated or the
+        // load errors; a cut inside the dec section degrades exactly like
+        // the decode path.
         let dir = tmp_dir("mapcut");
         let g = fixtures::grid_graph(4, 4);
         let dec = BcDecomposition::compute(&g);
@@ -1671,7 +1412,10 @@ mod tests {
         let dec_cut = full.len() - 10;
         fs::write(&cut_path, &full[..dec_cut]).unwrap();
         let snap = load_snapshot_mapped(&cut_path).unwrap();
-        assert!(snap.mapped, "graph section intact, should still map");
+        assert!(
+            snap.graph.is_mapped(),
+            "graph section intact, should still map"
+        );
         assert!(snap.dec.is_err());
         assert_eq!(snap.graph.num_nodes(), 16);
         let _ = fs::remove_dir_all(&dir);
@@ -1715,7 +1459,7 @@ mod tests {
         let path = snapshot_path(&dir, "g");
         save_snapshot_with_warm(&path, "g", &g, &dec, 2, &warm).unwrap();
         let snap = load_snapshot_mapped(&path).unwrap();
-        assert!(snap.mapped);
+        assert!(snap.graph.is_mapped());
         assert_eq!(snap.warm, warm);
 
         // Damage inside the warm section: the load still succeeds, the
@@ -1752,44 +1496,10 @@ mod tests {
             GRAPH_SECTION_OFFSET as u64 + info.graph_bytes + info.warm_bytes + info.dec_bytes
         );
 
-        // v1 containers report their sequential section sizes.
-        let mut v1 = Vec::new();
-        v1.extend_from_slice(&SNAPSHOT_MAGIC);
-        wire::put_u32(&mut v1, 1);
-        let mut graph_payload = Vec::new();
-        wire::put_str(&mut graph_payload, "old");
-        binio::write_graph(&g, &mut graph_payload);
-        put_section(&mut v1, &graph_payload);
-        let mut dec_payload = Vec::new();
-        bc::write_decomposition(&dec, &mut dec_payload);
-        put_section(&mut v1, &dec_payload);
-        let info = inspect_snapshot_bytes(&v1).unwrap();
-        assert_eq!(info.version, 1);
-        assert_eq!(info.name, "old");
-        assert_eq!(info.graph_bytes, graph_payload.len() as u64);
-        assert_eq!(info.warm_bytes, 0);
-        assert_eq!(info.dec_bytes, dec_payload.len() as u64);
-        assert_eq!(info.warm_entries, 0);
-
         // Damage is a verdict, not a panic.
         let mut bad = snapshot_to_bytes("g", &g, &dec, 0);
         bad[GRAPH_SECTION_OFFSET + 100] ^= 0xFF;
         assert!(inspect_snapshot_bytes(&bad).is_err());
-    }
-
-    #[test]
-    fn compacted_and_plain_graphs_snapshot_identically() {
-        // The writer compacts plain offsets on the fly; a pre-compacted
-        // graph must serialize to byte-identical snapshots so re-saves
-        // never churn.
-        let g = fixtures::grid_graph(4, 5);
-        let dec = BcDecomposition::compute(&g);
-        let mut c = g.clone();
-        c.compact();
-        assert_eq!(
-            snapshot_to_bytes("g", &g, &dec, 1),
-            snapshot_to_bytes("g", &c, &dec, 1)
-        );
     }
 
     #[test]

@@ -63,18 +63,12 @@ impl GraphEntry {
     /// [`GraphEntry::from_parts`] with an explicit delta sequence number —
     /// the patch path (`seq + 1`) and snapshot restoration (the persisted
     /// seq) use this; fresh uploads start at 0.
-    ///
-    /// The graph is compacted here — after decomposition, which walks the
-    /// plain offsets hot — so every *published* entry serves from the
-    /// succinct memory tier. A no-op for graphs that arrive already
-    /// succinct (mmap-restored snapshots).
     pub fn from_parts_seq(
         name: impl Into<String>,
-        mut graph: Graph,
+        graph: Graph,
         dec: BcDecomposition,
         delta_seq: u64,
     ) -> Self {
-        graph.compact();
         GraphEntry {
             name: name.into(),
             graph,
@@ -327,20 +321,6 @@ mod tests {
                 assert!(c.get(&key).is_some(), "index holds dead key {key:?}");
             }
         }
-    }
-
-    #[test]
-    fn entries_publish_compacted_graphs() {
-        // Every constructor funnels through from_parts_seq, which compacts
-        // the CSR offsets into the succinct tier before publication.
-        let e = GraphEntry::build("g", fixtures::grid_graph(4, 4));
-        assert!(e.graph.csr_offsets().is_succinct());
-        let g = fixtures::path_graph(5);
-        let dec = saphyra::bc::BcDecomposition::compute(&g);
-        assert!(GraphEntry::from_parts("g", g, dec)
-            .graph
-            .csr_offsets()
-            .is_succinct());
     }
 
     #[test]

@@ -547,20 +547,22 @@ impl Service {
     }
 
     /// Restores every `*.snap` snapshot in `dir` into the registry
-    /// (name-sorted). Version-3 snapshots on unix serve their graph
-    /// sections zero-copy from a private read-only mapping of the file
-    /// ([`persist::load_snapshot_mapped`]); older containers and any
-    /// mapping failure decode into owned memory. Intact snapshots skip
-    /// decomposition entirely; a snapshot whose decomposition section is
-    /// damaged or version-mismatched falls back to recomputing it from
-    /// the restored graph with a warning (and rewrites the repaired
-    /// snapshot, so the recompute cost is paid once, not on every
-    /// subsequent boot); a snapshot whose graph section is damaged, or
-    /// whose embedded name does not match its file stem, is skipped with
-    /// a warning. Warm-section entries are re-inserted into the ranking
-    /// cache under the fresh entry epoch, so the hottest pre-restart
-    /// requests answer without recomputation. Returns
-    /// `(restored, recomputed)` counts.
+    /// (name-sorted). On unix each graph section serves zero-copy from a
+    /// private read-only mapping of the file
+    /// ([`persist::load_snapshot_mapped`]), validated by the same CSR
+    /// checks as the owned decode that non-unix and big-endian hosts, or a
+    /// failed `mmap`, fall back to. Intact snapshots skip decomposition
+    /// entirely; a snapshot whose decomposition section is damaged or
+    /// version-mismatched falls back to recomputing it from the restored
+    /// graph with a warning (and rewrites the repaired snapshot, so the
+    /// recompute cost is paid once, not on every subsequent boot); a
+    /// snapshot whose graph section is damaged or fails CSR validation,
+    /// whose container version is not [`persist::SNAPSHOT_VERSION`] (the
+    /// warning names the version and how to re-save), or whose embedded
+    /// name does not match its file stem, is skipped with a warning.
+    /// Warm-section entries are re-inserted into the ranking cache under
+    /// the fresh entry epoch, so the hottest pre-restart requests answer
+    /// without recomputation. Returns `(restored, recomputed)` counts.
     ///
     /// `serve --state-dir` boots call this through [`Service::new`]; the
     /// offline `saphyra snapshot replay` path calls it directly on a
@@ -603,7 +605,6 @@ impl Service {
                 dec,
                 delta_seq,
                 warm,
-                mapped: _,
             } = snap;
             let entry = match dec {
                 Ok(dec) => {
@@ -1004,16 +1005,17 @@ impl Service {
                 )
             })
             .unwrap_or((0, 0));
-        // Memory-tier gauges: bytes the registry's CSR arrays occupy as
-        // stored (succinct offsets counted at their compressed size) and
-        // how many graphs serve zero-copy from mapped snapshots.
+        // Memory gauges: bytes the registry's CSR arrays occupy, owned or
+        // mapped, and how many graphs serve zero-copy from mapped snapshots.
         let (resident_graph_bytes, mmap_graphs) =
             self.registry
                 .list()
                 .iter()
                 .fold((0usize, 0usize), |(bytes, mapped), e| {
-                    let f = e.graph.footprint();
-                    (bytes + f.csr_bytes(), mapped + usize::from(f.mapped))
+                    (
+                        bytes + e.graph.csr_bytes(),
+                        mapped + usize::from(e.graph.is_mapped()),
+                    )
                 });
         let body = obj(vec![
             ("status", Json::from("ok")),
@@ -1952,16 +1954,14 @@ fn opt_edges(body: &Json, key: &str) -> Result<Vec<(NodeId, NodeId)>, String> {
 }
 
 fn graph_info(entry: &GraphEntry) -> Json {
-    let f = entry.graph.footprint();
     obj(vec![
         ("name", Json::from(entry.name.as_str())),
         ("nodes", Json::from(entry.graph.num_nodes())),
         ("edges", Json::from(entry.graph.num_edges())),
         ("bicomps", Json::from(entry.dec.bic.num_bicomps)),
         ("gamma", Json::Num(entry.dec.gamma)),
-        ("csr_bytes", Json::from(f.csr_bytes())),
-        ("succinct_bytes", Json::from(f.succinct_bytes())),
-        ("mapped", Json::Bool(f.mapped)),
+        ("csr_bytes", Json::from(entry.graph.csr_bytes())),
+        ("mapped", Json::Bool(entry.graph.is_mapped())),
     ])
 }
 

@@ -243,46 +243,106 @@ fn read_only_state_dir_still_restores_snapshots() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// Reads the little-endian `u64` at byte `at` of a snapshot.
+fn u64_at(bytes: &[u8], at: usize) -> usize {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize
+}
+
+/// `pristine` with one node's first two neighbor slots (and their edge
+/// ids) swapped and the graph CRC re-stamped: every checksum holds, and
+/// only CSR validation can tell the adjacency list is no longer sorted.
+/// Layout per the container docs: the header's graph extent is
+/// `offset | length | CRC` at bytes 24/32/40, and the graph section is
+/// `u64 n | u64 m | (n + 1) u64 offsets | 2m u32 neighbors | 2m u32 ids`.
+fn swapped_slots(pristine: &[u8]) -> Vec<u8> {
+    let mut bytes = pristine.to_vec();
+    let sec = persist::GRAPH_SECTION_OFFSET;
+    let (n, m, offsets) = (u64_at(&bytes, sec), u64_at(&bytes, sec + 8), sec + 16);
+    let offset = |v: usize| u64_at(pristine, offsets + 8 * v);
+    let v = (0..n).find(|&v| offset(v + 1) - offset(v) >= 2).unwrap();
+    let slot = offsets + 8 * (n + 1) + 4 * offset(v);
+    for at in [slot, slot + 8 * m] {
+        let (a, b) = bytes[at..at + 8].split_at_mut(4);
+        a.swap_with_slice(b);
+    }
+    let len = u64_at(&bytes, 32);
+    let crc = saphyra_graph::wire::crc32(&bytes[sec..sec + len]);
+    bytes[40..44].copy_from_slice(&crc.to_le_bytes());
+    bytes
+}
+
+/// Every unloadable `g.snap` — damaged header, damaged graph section, an
+/// old container version, or a well-checksummed but invalid CSR — must
+/// boot, skip that one file with a warning, keep serving the other
+/// snapshot, and accept a re-`POST` of `g` that writes a good file.
 #[test]
 fn damaged_graph_section_is_skipped_not_fatal() {
     let dir = state_dir("graph_corrupt");
+    const G: &str = r#"{"name":"g","network":"flickr","size":"tiny","seed":5}"#;
     {
         let handle = serve("127.0.0.1:0", cfg_with(&dir)).unwrap();
         let addr = handle.addr().to_string();
-        request(
-            &addr,
-            "POST",
-            "/graphs",
-            Some(r#"{"name":"g","network":"flickr","size":"tiny","seed":5}"#),
-        )
-        .unwrap();
+        for body in [
+            G,
+            r#"{"name":"other","network":"usa-road","size":"tiny","seed":1}"#,
+        ] {
+            assert_eq!(
+                request(&addr, "POST", "/graphs", Some(body))
+                    .unwrap()
+                    .status,
+                200
+            );
+        }
         handle.shutdown_and_join();
     }
-
-    // Corrupt the graph section (just past magic + version + length).
     let path = persist::snapshot_path(&dir, "g");
-    let mut bytes = fs::read(&path).unwrap();
-    bytes[25] ^= 0xFF;
-    fs::write(&path, bytes).unwrap();
+    let pristine = fs::read(&path).unwrap();
+    let flipped = |at: usize| {
+        let mut bytes = pristine.clone();
+        bytes[at] ^= 0xFF;
+        bytes
+    };
+    let mut version_3 = pristine.clone();
+    version_3[8..12].copy_from_slice(&3u32.to_le_bytes());
+    let cases = [
+        // Byte 25 is inside the header's graph-extent offset field.
+        ("header byte", flipped(25), "graph section at offset"),
+        (
+            "graph section byte",
+            flipped(persist::GRAPH_SECTION_OFFSET + 100),
+            "graph section checksum mismatch",
+        ),
+        ("version word of 3", version_3, "container version 3 "),
+        (
+            "swapped slots",
+            swapped_slots(&pristine),
+            "not strictly sorted",
+        ),
+    ];
+    for (what, bytes, reason) in cases {
+        fs::write(&path, &bytes).unwrap();
+        // The boot's warning prints this error.
+        let err = persist::load_snapshot_mapped(&path)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains(reason), "{what}: {err}");
 
-    // The boot survives; the snapshot is just skipped.
-    let handle = serve("127.0.0.1:0", cfg_with(&dir)).unwrap();
-    let addr = handle.addr().to_string();
-    let h = health(&addr);
-    assert_eq!(counter(&h, "graphs"), 0, "damaged snapshot must be skipped");
-    assert_eq!(counter(&h, "snapshots_loaded"), 0);
-    // The server still works: loading the graph again overwrites the
-    // damaged snapshot with a good one.
-    let resp = request(
-        &addr,
-        "POST",
-        "/graphs",
-        Some(r#"{"name":"g","network":"flickr","size":"tiny","seed":5}"#),
-    )
-    .unwrap();
-    assert_eq!(resp.status, 200);
-    handle.shutdown_and_join();
-    assert!(persist::load_snapshot(&path).unwrap().dec.is_ok());
+        // The boot survives; only g.snap is skipped.
+        let handle = serve("127.0.0.1:0", cfg_with(&dir)).unwrap();
+        let addr = handle.addr().to_string();
+        let h = health(&addr);
+        assert_eq!(counter(&h, "graphs"), 1, "{what}: other snapshot lost");
+        assert_eq!(counter(&h, "snapshots_loaded"), 1, "{what}");
+        let resp = request(&addr, "GET", "/graphs", None).unwrap();
+        let v = Json::parse(&resp.body).unwrap();
+        let graphs = v.get("graphs").unwrap().as_arr().unwrap();
+        assert_eq!(graphs[0].get("name").unwrap().as_str(), Some("other"));
+        // Loading the graph again overwrites the damaged snapshot.
+        let resp = request(&addr, "POST", "/graphs", Some(G)).unwrap();
+        assert_eq!(resp.status, 200, "{what}: {}", resp.body);
+        handle.shutdown_and_join();
+        assert!(persist::load_snapshot(&path).unwrap().dec.is_ok(), "{what}");
+    }
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -650,7 +710,7 @@ fn warm_section_round_trips_hot_responses_across_restart() {
         if cfg!(unix) {
             assert!(
                 counter(&h, "mmap_graphs") >= 1,
-                "v3 snapshot did not restore zero-copy: {h}"
+                "snapshot did not restore zero-copy: {h}"
             );
             assert!(counter(&h, "resident_graph_bytes") > 0);
         }
