@@ -42,7 +42,7 @@ fn bench_ablation(c: &mut Criterion) {
             b.iter(|| {
                 seed += 1;
                 let mut rng = StdRng::seed_from_u64(seed);
-                let ests = dec.rank(&g, &sets, &cfg, &mut rng, None).unwrap();
+                let ests = dec.rank(&g, &sets, &cfg, &mut rng);
                 std::hint::black_box(ests[0].stats.samples)
             })
         });

@@ -32,7 +32,7 @@ fn bench_fig4(c: &mut Criterion) {
                 seed += 1;
                 let mut rng = StdRng::seed_from_u64(seed);
                 let cfg = SaphyraBcConfig::new(eps, 0.1);
-                let ests = dec.rank(&g, &sets, &cfg, &mut rng, None).unwrap();
+                let ests = dec.rank(&g, &sets, &cfg, &mut rng);
                 std::hint::black_box(spearman_vs_truth(&ests[0].bc, &truth_sub))
             })
         });

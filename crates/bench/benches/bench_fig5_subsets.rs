@@ -28,7 +28,7 @@ fn bench_fig5(c: &mut Criterion) {
                 seed += 1;
                 let mut rng = StdRng::seed_from_u64(seed);
                 let cfg = SaphyraBcConfig::new(0.05, 0.1);
-                let ests = dec.rank(&g, &sets, &cfg, &mut rng, None).unwrap();
+                let ests = dec.rank(&g, &sets, &cfg, &mut rng);
                 std::hint::black_box(ests[0].stats.samples)
             })
         });

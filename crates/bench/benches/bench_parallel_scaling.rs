@@ -71,7 +71,6 @@ fn bench_scaling(c: &mut Criterion) {
         };
         let master = StdRng::seed_from_u64(7).next_u64();
         estimate(&[sub], master, &mut LocalExec::new(&[&prob]))
-            .unwrap()
             .remove(0)
             .outcome
     };

@@ -27,10 +27,10 @@
 //! gathering server and an unbatched one; the batched arm must be ≥ 2x,
 //! since one shared walk stream replaces 8 independent ones.
 //!
-//! The **sharded_rank** round prices the sharded topology: the same cold
-//! round served through a router fanning sampling rounds out to two shard
-//! backends vs the standalone server, plus the router's per-round merge
-//! cost from its `/healthz` telemetry. Recorded in `BENCH_service.json`.
+//! The **routed_rank** round prices the sharded topology: the same cold
+//! round served through a router that forwards each request to the shard
+//! its graph name hashes to (one of two standalone backends) vs the
+//! standalone server. Recorded in `BENCH_service.json`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -325,17 +325,15 @@ fn bench_service(c: &mut Criterion) {
     );
     eprintln!();
 
-    // ISSUE satellite `sharded_rank`: router + 2 shards serving the same
-    // graph split, against the standalone server above. Cold seeds on both
-    // sides so every request actually samples; the router's extra cost is
-    // wire round trips per sampling round plus the partial-accumulator
-    // merges, which its pool telemetry times.
+    // `routed_rank`: router + 2 shards, the graph whole on the shard its
+    // name hashes to, against the standalone server above. Cold seeds on
+    // both sides so every request actually samples; the router's extra
+    // cost is one proxied round trip per request.
     let shard_servers: Vec<_> = (0..2)
         .map(|_| {
             let cfg = ServiceConfig {
                 workers: 2,
                 cache_capacity: 64,
-                role: Role::Shard,
                 ..ServiceConfig::default()
             };
             serve_with("127.0.0.1:0", Arc::new(Service::new(cfg))).expect("bind shard")
@@ -357,34 +355,29 @@ fn bench_service(c: &mut Criterion) {
         .request(
             "POST",
             "/graphs",
-            Some(r#"{"name":"bench","network":"flickr","size":"tiny","seed":1,"split":true}"#),
+            Some(r#"{"name":"bench","network":"flickr","size":"tiny","seed":1}"#),
         )
-        .expect("split load");
+        .expect("routed load");
     assert_eq!(loaded.status, 200, "{}", loaded.body);
     let base = round_seed.fetch_add(2 * REQUESTS_PER_ROUND as u64, Ordering::Relaxed);
-    let sharded_dt = fire_round(&r_addr, true, |i| base + i as u64);
+    let routed_dt = fire_round(&r_addr, true, |i| base + i as u64);
     let solo_dt = fire_round(&addr, true, |i| base + REQUESTS_PER_ROUND as u64 + i as u64);
-    let (sharded_rps, solo_rps) = (
-        REQUESTS_PER_ROUND as f64 / sharded_dt,
+    let (routed_rps, solo_rps) = (
+        REQUESTS_PER_ROUND as f64 / routed_dt,
         REQUESTS_PER_ROUND as f64 / solo_dt,
     );
-    let health = rc.request("GET", "/healthz", None).expect("healthz");
-    let hj = saphyra_service::json::Json::parse(&health.body).expect("healthz json");
-    let merge_rounds = hj.get("sharded_rounds").unwrap().as_u64().unwrap();
-    let merge_nanos = hj.get("sharded_merge_nanos").unwrap().as_u64().unwrap();
-    assert!(merge_rounds > 0, "router never fanned a round out");
-    let merge_us_per_round = merge_nanos as f64 / merge_rounds as f64 / 1e3;
     drop(rc);
     router.shutdown_and_join();
     for s in shard_servers {
         s.shutdown_and_join();
     }
-    eprintln!("sharded_rank (cold bc round, router + 2 shards vs standalone):");
+    eprintln!("routed_rank (cold bc round, router + 2 shards vs standalone):");
     eprintln!("{:>24} {:>12}", "scenario", "req/s");
     eprintln!("{:>24} {solo_rps:>12.1}", "standalone");
     eprintln!(
-        "{:>24} {sharded_rps:>12.1}  ({:.2}x, {merge_rounds} rounds, {merge_us_per_round:.1} us/round merge)",
-        "router-proxied", sharded_rps / solo_rps
+        "{:>24} {routed_rps:>12.1}  ({:.2}x)",
+        "router-proxied",
+        routed_rps / solo_rps
     );
     eprintln!();
 
@@ -397,13 +390,11 @@ fn bench_service(c: &mut Criterion) {
          \"unbatched_rps\":{unbatched_rps:.1},\"batched_rps\":{batched_rps:.1},\
          \"batch_speedup\":{batch_speedup:.3},\"sample_passes\":{batch_passes},\
          \"batched_members\":{batch_members}}},\
-         \"sharded_rank\":{{\"shards\":2,\"standalone_rps\":{solo_rps:.1},\
-         \"router_rps\":{sharded_rps:.1},\"router_ratio\":{:.3},\
-         \"sharded_rounds\":{merge_rounds},\
-         \"merge_us_per_round\":{merge_us_per_round:.1}}}}}\n",
+         \"routed_rank\":{{\"shards\":2,\"standalone_rps\":{solo_rps:.1},\
+         \"router_rps\":{routed_rps:.1},\"router_ratio\":{:.3}}}}}\n",
         pipe_rps / ka_rps,
         loris_rps / ka_rps,
-        sharded_rps / solo_rps
+        routed_rps / solo_rps
     );
     let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_service.json");
     if let Err(e) = std::fs::write(&out, json) {

@@ -60,7 +60,7 @@ fn main() {
                 let t0 = Instant::now();
                 let dec = BcDecomposition::compute(g);
                 let sets = [subset.clone()];
-                let est = dec.rank(g, &sets, cfg, &mut rng, None).unwrap().remove(0);
+                let est = dec.rank(g, &sets, cfg, &mut rng).remove(0);
                 times.push(t0.elapsed().as_secs_f64());
                 let truth_sub: Vec<f64> = subset.iter().map(|&v| truth[v as usize]).collect();
                 rhos.push(spearman_vs_truth(&est.bc, &truth_sub));

@@ -197,10 +197,7 @@ pub fn run_algo(
             let cfg = SaphyraBcConfig::new(eps, delta);
             let sets = [g.nodes().collect()];
             let dec = BcDecomposition::compute(g);
-            let est = dec
-                .rank(g, &sets, &cfg, &mut rng, None)
-                .expect("local execution")
-                .remove(0);
+            let est = dec.rank(g, &sets, &cfg, &mut rng).remove(0);
             let seconds = t0.elapsed().as_secs_f64();
             let subset_bc = targets
                 .iter()
@@ -216,10 +213,7 @@ pub fn run_algo(
             let cfg = SaphyraBcConfig::new(eps, delta);
             let sets = [targets.to_vec()];
             let dec = BcDecomposition::compute(g);
-            let est = dec
-                .rank(g, &sets, &cfg, &mut rng, None)
-                .expect("local execution")
-                .remove(0);
+            let est = dec.rank(g, &sets, &cfg, &mut rng).remove(0);
             RunOutput {
                 seconds: t0.elapsed().as_secs_f64(),
                 subset_bc: est.bc,

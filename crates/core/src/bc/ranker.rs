@@ -9,7 +9,7 @@ use super::exact2hop::{build_a_index, exact_bc};
 use super::gen::BcApproxProblem;
 use super::outreach::{bca_values, gamma, Outreach};
 use super::vcbound::{vc_bounds_from, VcBoundReport, VcPrecomp};
-use crate::framework::{estimate, BlockExec, ExactPart, ExecError, LocalExec, Subscriber};
+use crate::framework::{estimate, ExactPart, LocalExec, Subscriber};
 
 /// Accuracy configuration of a SaPHyRa_bc run.
 #[derive(Debug, Clone, Copy)]
@@ -271,17 +271,14 @@ impl BcDecomposition {
     /// *personalized* — the rejection step consults each set's exact
     /// subspace — so sets never share draws; their doubling schedules fuse
     /// into one parallel pass per round instead, and every estimate is
-    /// bit-identical to ranking its set alone under the same seed. With
-    /// `remote` set (e.g. a sharded executor), the passes run there; it
-    /// receives each demand with its original set index.
+    /// bit-identical to ranking its set alone under the same seed.
     pub fn rank(
         &self,
         graph: &Graph,
         sets: &[Vec<NodeId>],
         cfg: &SaphyraBcConfig,
         rng: &mut dyn RngCore,
-        remote: Option<&mut dyn BlockExec<u64>>,
-    ) -> Result<Vec<BcEstimate>, ExecError> {
+    ) -> Vec<BcEstimate> {
         let n = graph.num_nodes();
         let a_indexes: Vec<Vec<u32>> = sets.iter().map(|t| build_a_index(n, t)).collect();
         let vcs: Vec<VcBoundReport> = sets
@@ -337,17 +334,10 @@ impl BcDecomposition {
                 adaptive: cfg.adaptive,
             });
         }
-        let master = rng.next_u64();
-        let ests = match remote {
-            Some(exec) => estimate(&subs, master, exec)?,
-            None => {
-                let refs: Vec<&BcApproxProblem> = probs.iter().collect();
-                estimate(&subs, master, &mut LocalExec::new(&refs))?
-            }
-        };
+        let refs: Vec<&BcApproxProblem> = probs.iter().collect();
+        let ests = estimate(&subs, rng.next_u64(), &mut LocalExec::new(&refs));
 
-        Ok(ests
-            .into_iter()
+        ests.into_iter()
             .enumerate()
             .map(|(i, est)| {
                 let (targets, sub, p) = (&sets[i], &subs[i], &probs[i]);
@@ -391,7 +381,7 @@ impl BcDecomposition {
                     },
                 }
             })
-            .collect())
+            .collect()
     }
 }
 
@@ -411,9 +401,7 @@ mod tests {
         cfg: &SaphyraBcConfig,
         rng: &mut dyn RngCore,
     ) -> BcEstimate {
-        dec.rank(g, &[targets.to_vec()], cfg, rng, None)
-            .expect("local execution is infallible")
-            .remove(0)
+        dec.rank(g, &[targets.to_vec()], cfg, rng).remove(0)
     }
 
     fn check_accuracy(g: &Graph, targets: &[NodeId], eps: f64, seed: u64) {

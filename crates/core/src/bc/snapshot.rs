@@ -158,7 +158,7 @@ mod tests {
         let cfg = SaphyraBcConfig::new(0.1, 0.1);
         let rank = |dec: &BcDecomposition| {
             let mut rng = StdRng::seed_from_u64(42);
-            dec.rank(&g, &sets, &cfg, &mut rng, None).unwrap().remove(0)
+            dec.rank(&g, &sets, &cfg, &mut rng).remove(0)
         };
         let (fresh, restored) = (rank(&dec), rank(&dec2));
         for (a, b) in fresh.bc.iter().zip(&restored.bc) {

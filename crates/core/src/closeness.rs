@@ -23,8 +23,7 @@ use saphyra_graph::{Graph, NodeId};
 use saphyra_stats::hoeffding_samples;
 
 use crate::framework::{
-    estimate, BlockExec, ExactPart, ExecError, HrProblem, HrSampler, LocalExec, LossAcc,
-    SaphyraEstimate, Subscriber,
+    estimate, ExactPart, HrProblem, HrSampler, LocalExec, LossAcc, SaphyraEstimate, Subscriber,
 };
 
 const NONE: u32 = u32::MAX;
@@ -177,17 +176,14 @@ pub struct HarmonicEstimate {
 /// demanded blocks, and sets whose ε target is met detach while the pass
 /// keeps serving stricter ones. A set with `A = V` is covered by its exact
 /// part and never samples. Each estimate is bit-identical to ranking its
-/// set alone under the same seed. With `remote` set (e.g. a sharded
-/// executor over [`LossAcc`] partials), the passes run there; it receives
-/// each demand with its original set index.
+/// set alone under the same seed.
 pub fn rank_harmonic(
     g: &Graph,
     sets: &[Vec<NodeId>],
     eps: f64,
     delta: f64,
     rng: &mut dyn RngCore,
-    remote: Option<&mut dyn BlockExec<LossAcc>>,
-) -> Result<Vec<HarmonicEstimate>, ExecError> {
+) -> Vec<HarmonicEstimate> {
     let probs: Vec<HarmonicApproxProblem> = sets
         .iter()
         .map(|t| {
@@ -206,23 +202,16 @@ pub fn rank_harmonic(
             adaptive: true,
         })
         .collect();
-    let master = rng.next_u64();
-    let inners = match remote {
-        Some(exec) => estimate(&subs, master, exec)?,
-        None => {
-            let refs: Vec<&HarmonicApproxProblem> = probs.iter().collect();
-            estimate(&subs, master, &mut LocalExec::new(&refs))?
-        }
-    };
-    Ok(sets
-        .iter()
+    let refs: Vec<&HarmonicApproxProblem> = probs.iter().collect();
+    let inners = estimate(&subs, rng.next_u64(), &mut LocalExec::new(&refs));
+    sets.iter()
         .zip(inners)
         .map(|(targets, inner)| HarmonicEstimate {
             targets: targets.clone(),
             hc: inner.combined.clone(),
             inner,
         })
-        .collect())
+        .collect()
 }
 
 #[cfg(test)]
@@ -239,9 +228,7 @@ mod tests {
         eps: f64,
         rng: &mut dyn RngCore,
     ) -> HarmonicEstimate {
-        rank_harmonic(g, &[targets.to_vec()], eps, 0.1, rng, None)
-            .expect("local execution is infallible")
-            .remove(0)
+        rank_harmonic(g, &[targets.to_vec()], eps, 0.1, rng).remove(0)
     }
 
     #[test]

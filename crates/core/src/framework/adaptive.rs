@@ -15,7 +15,7 @@
 //! function of `(master, stream, chunk)`, so a subscriber's result is
 //! bit-identical for every thread count, batch composition and executor.
 
-use super::multi::{BlockExec, ExecError};
+use super::multi::BlockExec;
 use super::problem::{ExactPart, HrProblem};
 use super::tracker::{AdaptiveOutcome, BlockAcc, Demand, Tracker};
 use super::SaphyraEstimate;
@@ -43,13 +43,12 @@ pub struct Subscriber<'a, A: BlockAcc> {
 /// A subscriber whose exact part covers the whole space (`λ = 1 − λ̂ ≈ 0`)
 /// never samples. The others estimate the approximate subspace to
 /// `ε′ = ε/λ` under the shared `master` seed; the executor receives each
-/// demand with the subscriber's index in `subs`. An executor failure (e.g.
-/// an unreachable shard) aborts the whole pass.
+/// demand with the subscriber's index in `subs`.
 pub fn estimate<A: BlockAcc>(
     subs: &[Subscriber<'_, A>],
     master: u64,
     exec: &mut dyn BlockExec<A>,
-) -> Result<Vec<SaphyraEstimate>, ExecError> {
+) -> Vec<SaphyraEstimate> {
     let lambdas: Vec<f64> = subs
         .iter()
         .map(|s| (1.0 - s.exact.lambda_hat).clamp(0.0, 1.0))
@@ -76,7 +75,7 @@ pub fn estimate<A: BlockAcc>(
         if reqs.is_empty() {
             break;
         }
-        let blocks = exec.run(master, &reqs)?;
+        let blocks = exec.run(master, &reqs);
         debug_assert_eq!(blocks.len(), reqs.len());
         for (&(i, _), block) in reqs.iter().zip(&blocks) {
             if let Some(t) = trackers[i].as_mut() {
@@ -84,8 +83,7 @@ pub fn estimate<A: BlockAcc>(
             }
         }
     }
-    Ok(subs
-        .iter()
+    subs.iter()
         .zip(lambdas)
         .zip(trackers)
         .map(|((s, lambda), tracker)| {
@@ -115,7 +113,7 @@ pub fn estimate<A: BlockAcc>(
                 },
             }
         })
-        .collect())
+        .collect()
 }
 
 #[cfg(test)]
@@ -172,7 +170,6 @@ mod tests {
         };
         let master = rand::rngs::StdRng::seed_from_u64(seed).next_u64();
         estimate(&[sub], master, &mut LocalExec::new(&[p]))
-            .expect("local execution is infallible")
             .remove(0)
             .outcome
     }

@@ -1,5 +1,5 @@
-//! Work units: the chunked, counter-seeded drawing engine behind every
-//! executor.
+//! Work units: the chunked, counter-seeded drawing engine behind
+//! [`super::LocalExec`].
 //!
 //! A demand of `count` samples is partitioned into fixed
 //! [`stream::CHUNK`]-sized chunks; chunk `c` is drawn by an independent
@@ -13,12 +13,11 @@
 //!   first-chunk cursor, so a doubling round never replays chunks.
 //!
 //! A *work unit* is a contiguous chunk sub-range of one demand, folded
-//! sequentially through one sampler. The local pass ([`run_blocks`]) splits
-//! every demand into its [`unit_ranges`] and merges the unit partials
-//! left-to-right in unit order; a distributed executor reproduces it
-//! bit-exactly from [`exec_unit`]. Integer hit counts merge exactly under
-//! any partition of a demand's chunks; `f64` losses need each unit kept
-//! whole and the partials merged in unit order.
+//! sequentially through one sampler. [`run_blocks`] splits every demand
+//! into its [`unit_ranges`] and merges the unit partials left-to-right in
+//! unit order. Integer hit counts merge exactly under any partition of a
+//! demand's chunks; `f64` losses need the unit boundaries and the merge
+//! order fixed independently of the thread count.
 
 use std::ops::Range;
 
@@ -28,27 +27,23 @@ use saphyra_stats::stream;
 use super::problem::{HrProblem, HrSampler};
 use super::tracker::{BlockAcc, Demand};
 
-/// Number of [`stream::CHUNK`]-sized chunks a demand spans — the unit
-/// coordinate space distributed executors partition.
-pub fn demand_chunks(d: &Demand) -> usize {
+/// Number of [`stream::CHUNK`]-sized chunks a demand spans.
+fn demand_chunks(d: &Demand) -> usize {
     stream::num_chunks(d.count, stream::CHUNK)
 }
 
 /// The fold-unit boundaries of demand `d` for a `k`-hypothesis subscriber:
-/// the chunk sub-ranges the local pass folds sequentially and merges
+/// the chunk sub-ranges [`run_blocks`] folds sequentially and merges
 /// left-to-right. For `f64` losses this is a pure function of `(k,
-/// d.count)`, so router and shard compute identical boundaries without
-/// coordination; a distributed executor must keep each unit atomic and
-/// merge unit partials in the order returned here to reproduce the local
-/// association order. Integer hit counts merge exactly under any
-/// partition, so their grouping follows the worker count.
-pub fn unit_ranges<A: BlockAcc>(k: usize, d: &Demand) -> Vec<Range<usize>> {
+/// d.count)`, which fixes the association order for every thread count.
+/// Integer hit counts merge exactly under any partition, so their
+/// grouping follows the worker count.
+fn unit_ranges<A: BlockAcc>(k: usize, d: &Demand) -> Vec<Range<usize>> {
     stream::group_bounds(demand_chunks(d), A::fold_groups(k))
 }
 
 /// Draws the chunk sub-range `chunks` of demand `d` through `sampler` into
-/// `accs`. The one shared body behind the local pass and [`exec_unit`], so
-/// in-process and remote units cannot diverge.
+/// `accs`: one work unit.
 fn unit_into<A: BlockAcc>(
     sampler: &mut dyn HrSampler<A>,
     hits: &mut Vec<A::Hit>,
@@ -68,30 +63,6 @@ fn unit_into<A: BlockAcc>(
             }
         }
     }
-}
-
-/// Executes one work unit — the chunk sub-range `chunks` of demand `d` —
-/// through a fresh sampler and returns the per-hypothesis accumulators.
-/// The chunks fold sequentially, so the unit's partial is bit-identical
-/// wherever it runs; only the merge order across units (see
-/// [`unit_ranges`]) carries `f64` association sensitivity.
-pub fn exec_unit<A: BlockAcc, P: HrProblem<A> + ?Sized>(
-    problem: &P,
-    master: u64,
-    d: &Demand,
-    chunks: Range<usize>,
-) -> Vec<A> {
-    let mut accs = vec![A::zero(); problem.num_hypotheses()];
-    let mut hits = Vec::new();
-    unit_into(
-        problem.sampler().as_mut(),
-        &mut hits,
-        &mut accs,
-        master,
-        d,
-        chunks,
-    );
-    accs
 }
 
 /// Executes one round of demands as one rayon pass: every demand splits
@@ -149,6 +120,21 @@ mod tests {
     use super::super::tracker::{STREAM_MAIN, STREAM_PILOT};
     use super::*;
     use rand::{Rng, RngCore};
+
+    /// One work unit — the chunk sub-range `chunks` of demand `d` — folded
+    /// sequentially through a fresh sampler.
+    fn exec_unit(p: &Fixed, master: u64, d: &Demand, chunks: Range<usize>) -> Vec<u64> {
+        let mut accs = vec![0u64; p.num_hypotheses()];
+        unit_into(
+            p.sampler().as_mut(),
+            &mut Vec::new(),
+            &mut accs,
+            master,
+            d,
+            chunks,
+        );
+        accs
+    }
 
     struct Fixed {
         probs: Vec<f64>,

@@ -4,9 +4,9 @@
 //!
 //! [`estimate`] is the one driver: it runs every [`Subscriber`] — a
 //! problem, its exact part and its accuracy target — through Algorithm 1
-//! against a [`BlockExec`], which draws each round's demands locally
-//! ([`LocalExec`], [`LocalSharedExec`]) or remotely. A solo run is a slice
-//! of one subscriber.
+//! against a [`BlockExec`], which draws each round's demands in-process:
+//! [`LocalExec`] per problem, or [`LocalSharedExec`] once for every
+//! subscriber. A solo run is a slice of one subscriber.
 
 mod adaptive;
 mod batch;
@@ -17,8 +17,7 @@ mod variance;
 mod weighted;
 
 pub use adaptive::{estimate, Subscriber};
-pub use batch::{demand_chunks, exec_unit, unit_ranges};
-pub use multi::{BlockExec, ExecError, LocalExec, LocalSharedExec};
+pub use multi::{BlockExec, LocalExec, LocalSharedExec};
 pub use problem::{ExactPart, HrProblem, HrSampler, SharedDraw};
 pub use tracker::{AdaptiveOutcome, BlockAcc, Demand};
 pub use variance::{partitioned_variance_ratio, variance_reduction_factor};
@@ -101,9 +100,7 @@ mod tests {
             adaptive: true,
         };
         let master = rand::rngs::StdRng::seed_from_u64(seed).next_u64();
-        estimate(&[sub], master, &mut LocalExec::new(&[p]))
-            .expect("local execution is infallible")
-            .remove(0)
+        estimate(&[sub], master, &mut LocalExec::new(&[p])).remove(0)
     }
 
     #[test]

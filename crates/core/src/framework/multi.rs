@@ -19,12 +19,9 @@
 //!   them. Serving `s` subscribers costs one draw pass plus `s` cheap score
 //!   scans instead of `s` draw passes.
 //!
-//! A distributed executor reproduces the local pass bit-exactly from the
-//! published unit helpers ([`super::demand_chunks`],
-//! [`super::unit_ranges`], [`super::exec_unit`]).
+//! Both draw in-process, so a round cannot fail.
 
 use std::collections::BTreeMap;
-use std::fmt;
 
 use rayon::prelude::*;
 use saphyra_stats::stream;
@@ -33,19 +30,6 @@ use super::batch::run_blocks;
 use super::problem::{HrProblem, SharedDraw};
 use super::tracker::{BlockAcc, Demand};
 
-/// Failure of a pluggable [`BlockExec`] backend (an unreachable shard, a
-/// wire decode error, ...). Local executors never produce it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExecError(pub String);
-
-impl fmt::Display for ExecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "block execution failed: {}", self.0)
-    }
-}
-
-impl std::error::Error for ExecError {}
-
 /// Where sample blocks are drawn. One round's demands go in under the
 /// pass's `master` seed — one entry per active subscriber, each a pure
 /// `(stream, first_chunk, count)` coordinate paired with the subscriber's
@@ -53,14 +37,13 @@ impl std::error::Error for ExecError {}
 /// original target-set index). Per-subscriber accumulator vectors come
 /// back, aligned with `reqs`.
 ///
-/// The contract that makes executors interchangeable **bit-for-bit**: the
-/// accumulators returned for a demand must equal the ones
-/// [`super::exec_unit`] produces from the same master seed, with `f64`
-/// unit partials merged in [`super::unit_ranges`] order. Under that
-/// contract local == distributed by construction.
+/// The contract that makes the two executors interchangeable
+/// **bit-for-bit**: the accumulators returned for a demand are a pure
+/// function of the master seed and the demand's chunk coordinates, with
+/// `f64` partials merged in a thread-count-independent order.
 pub trait BlockExec<A: BlockAcc> {
     /// Executes one round of demands.
-    fn run(&mut self, master: u64, reqs: &[(usize, Demand)]) -> Result<Vec<Vec<A>>, ExecError>;
+    fn run(&mut self, master: u64, reqs: &[(usize, Demand)]) -> Vec<Vec<A>>;
 }
 
 /// Executes hit-count demands with **shared draws**: the union of demanded
@@ -157,8 +140,8 @@ impl<'a, P: ?Sized> LocalExec<'a, P> {
 }
 
 impl<A: BlockAcc, P: HrProblem<A> + ?Sized> BlockExec<A> for LocalExec<'_, P> {
-    fn run(&mut self, master: u64, reqs: &[(usize, Demand)]) -> Result<Vec<Vec<A>>, ExecError> {
-        Ok(run_blocks(self.problems, master, reqs))
+    fn run(&mut self, master: u64, reqs: &[(usize, Demand)]) -> Vec<Vec<A>> {
+        run_blocks(self.problems, master, reqs)
     }
 }
 
@@ -176,229 +159,7 @@ impl<'a, P: SharedDraw + ?Sized> LocalSharedExec<'a, P> {
 }
 
 impl<P: SharedDraw + ?Sized> BlockExec<u64> for LocalSharedExec<'_, P> {
-    fn run(&mut self, master: u64, reqs: &[(usize, Demand)]) -> Result<Vec<Vec<u64>>, ExecError> {
-        Ok(run_shared_blocks(self.problems, master, reqs))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::super::{
-        demand_chunks, estimate, exec_unit, unit_ranges, ExactPart, HrSampler, LossAcc,
-        SaphyraEstimate, Subscriber,
-    };
-    use super::*;
-    use saphyra_stats::{hoeffding_samples, vc_sample_bound};
-
-    /// A "sharded" hit executor built purely from the published unit
-    /// helpers: every demand's chunks are split into contiguous per-backend
-    /// sub-ranges, each unit runs through [`exec_unit`] with a fresh
-    /// sampler, partials sum per demand. Must be bit-identical to the
-    /// local pass.
-    struct SplitHitExec<'a, P: HrProblem<u64> + ?Sized> {
-        problems: &'a [&'a P],
-        backends: usize,
-    }
-
-    impl<P: HrProblem<u64> + ?Sized> BlockExec<u64> for SplitHitExec<'_, P> {
-        fn run(
-            &mut self,
-            master: u64,
-            reqs: &[(usize, Demand)],
-        ) -> Result<Vec<Vec<u64>>, ExecError> {
-            Ok(reqs
-                .iter()
-                .map(|&(sub, d)| {
-                    let p = self.problems[sub];
-                    let mut total = vec![0u64; p.num_hypotheses()];
-                    let chunks = demand_chunks(&d);
-                    for r in stream::group_bounds(chunks, self.backends) {
-                        for (t, x) in total.iter_mut().zip(exec_unit(p, master, &d, r)) {
-                            *t += x;
-                        }
-                    }
-                    total
-                })
-                .collect())
-        }
-    }
-
-    struct Fixed {
-        probs: Vec<f64>,
-    }
-
-    struct FixedSampler<'a> {
-        probs: &'a [f64],
-    }
-
-    impl HrSampler<u64> for FixedSampler<'_> {
-        fn sample_into(&mut self, rng: &mut dyn rand::RngCore, hits: &mut Vec<u32>) {
-            use rand::Rng as _;
-            for (i, &p) in self.probs.iter().enumerate() {
-                if rng.gen::<f64>() < p {
-                    hits.push(i as u32);
-                }
-            }
-        }
-    }
-
-    impl HrProblem<u64> for Fixed {
-        fn num_hypotheses(&self) -> usize {
-            self.probs.len()
-        }
-        fn sampler(&self) -> Box<dyn HrSampler<u64> + '_> {
-            Box::new(FixedSampler { probs: &self.probs })
-        }
-        fn max_samples(&self, eps_prime: f64, delta: f64) -> usize {
-            vc_sample_bound(eps_prime, delta, 2)
-        }
-    }
-
-    struct FixedLoss {
-        scales: Vec<f64>,
-    }
-
-    struct FixedLossSampler<'a> {
-        scales: &'a [f64],
-    }
-
-    impl HrSampler<LossAcc> for FixedLossSampler<'_> {
-        fn sample_into(&mut self, rng: &mut dyn rand::RngCore, out: &mut Vec<(u32, f64)>) {
-            use rand::Rng as _;
-            let x: f64 = rng.gen();
-            for (i, &s) in self.scales.iter().enumerate() {
-                out.push((i as u32, (x * s).min(1.0)));
-            }
-        }
-    }
-
-    impl HrProblem<LossAcc> for FixedLoss {
-        fn num_hypotheses(&self) -> usize {
-            self.scales.len()
-        }
-        fn sampler(&self) -> Box<dyn HrSampler<LossAcc> + '_> {
-            Box::new(FixedLossSampler {
-                scales: &self.scales,
-            })
-        }
-        fn max_samples(&self, eps_prime: f64, delta: f64) -> usize {
-            hoeffding_samples(eps_prime, delta, self.scales.len())
-        }
-    }
-
-    /// Subscribers with an empty exact part, so ε is the per-hypothesis
-    /// target on the approximate distribution.
-    fn subs<'a, A: BlockAcc>(
-        problems: &[&'a dyn HrProblem<A>],
-        eps: &[f64],
-    ) -> Vec<Subscriber<'a, A>> {
-        problems
-            .iter()
-            .zip(eps)
-            .map(|(&problem, &eps)| Subscriber {
-                problem,
-                exact: ExactPart::trivial(problem.num_hypotheses()),
-                eps,
-                delta: 0.1,
-                adaptive: true,
-            })
-            .collect()
-    }
-
-    fn assert_same_bits(a: &[SaphyraEstimate], b: &[SaphyraEstimate], what: &str) {
-        for (a, b) in a.iter().zip(b) {
-            let (a, b) = (&a.outcome, &b.outcome);
-            assert_eq!(a.samples_used, b.samples_used, "{what}");
-            assert_eq!(a.rounds_run, b.rounds_run, "{what}");
-            assert_eq!(a.converged_early, b.converged_early, "{what}");
-            for (x, y) in a.estimates.iter().zip(&b.estimates) {
-                assert_eq!(x.to_bits(), y.to_bits(), "{what}: estimates diverged");
-            }
-            assert_eq!(a.achieved_eps.to_bits(), b.achieved_eps.to_bits(), "{what}");
-        }
-    }
-
-    #[test]
-    fn split_hit_exec_is_bit_identical_to_local() {
-        let p1 = Fixed {
-            probs: vec![0.3, 0.05],
-        };
-        let p2 = Fixed {
-            probs: vec![0.6, 0.2, 0.01],
-        };
-        let problems: Vec<&Fixed> = vec![&p1, &p2];
-        let subs = subs(&[&p1, &p2], &[0.05, 0.08]);
-        let local = estimate(&subs, 42, &mut LocalExec::new(&problems)).unwrap();
-        for backends in [1usize, 2, 3, 7] {
-            let mut exec = SplitHitExec {
-                problems: &problems,
-                backends,
-            };
-            let split = estimate(&subs, 42, &mut exec).unwrap();
-            assert_same_bits(&local, &split, &format!("{backends} backends"));
-        }
-    }
-
-    #[test]
-    fn split_loss_units_are_bit_identical_to_local() {
-        // Unit-level check: recomputing each demand from unit_ranges
-        // through exec_unit, merged in unit order, must reproduce the
-        // local pass bit-for-bit (f64 association order included).
-        let p = FixedLoss {
-            scales: vec![0.9, 0.4, 0.1],
-        };
-        let problems: Vec<&FixedLoss> = vec![&p];
-        let subs = subs(&[&p], &[0.05]);
-        let local = estimate(&subs, 7, &mut LocalExec::new(&problems)).unwrap();
-
-        struct UnitExec<'a> {
-            problems: &'a [&'a FixedLoss],
-        }
-        impl BlockExec<LossAcc> for UnitExec<'_> {
-            fn run(
-                &mut self,
-                master: u64,
-                reqs: &[(usize, Demand)],
-            ) -> Result<Vec<Vec<LossAcc>>, ExecError> {
-                Ok(reqs
-                    .iter()
-                    .map(|&(sub, d)| {
-                        let p = self.problems[sub];
-                        let k = p.num_hypotheses();
-                        let mut total = vec![LossAcc::default(); k];
-                        for r in unit_ranges::<LossAcc>(k, &d) {
-                            let part = exec_unit(p, master, &d, r);
-                            for (t, x) in total.iter_mut().zip(&part) {
-                                t.add(x);
-                            }
-                        }
-                        total
-                    })
-                    .collect())
-            }
-        }
-        let mut exec = UnitExec {
-            problems: &problems,
-        };
-        let split = estimate(&subs, 7, &mut exec).unwrap();
-        assert_same_bits(&local, &split, "loss units");
-    }
-
-    #[test]
-    fn exec_error_propagates_out_of_drive() {
-        struct Failing;
-        impl BlockExec<u64> for Failing {
-            fn run(
-                &mut self,
-                _master: u64,
-                _reqs: &[(usize, Demand)],
-            ) -> Result<Vec<Vec<u64>>, ExecError> {
-                Err(ExecError("backend down".into()))
-            }
-        }
-        let p = Fixed { probs: vec![0.5] };
-        let err = estimate(&subs(&[&p], &[0.1]), 1, &mut Failing).unwrap_err();
-        assert!(err.0.contains("backend down"));
-        assert!(err.to_string().contains("block execution failed"));
+    fn run(&mut self, master: u64, reqs: &[(usize, Demand)]) -> Vec<Vec<u64>> {
+        run_shared_blocks(self.problems, master, reqs)
     }
 }

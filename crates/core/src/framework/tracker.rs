@@ -58,8 +58,8 @@ pub trait BlockAcc: Clone + Send {
     fn variance(&self, n: usize) -> f64;
     /// Mean loss over `n` observations.
     fn mean(&self, n: usize) -> f64;
-    /// How many contiguous fold groups the local pass splits a demand of a
-    /// `k`-hypothesis subscriber into (see [`super::unit_ranges`]).
+    /// How many contiguous fold groups [`super::LocalExec`] splits a demand
+    /// of a `k`-hypothesis subscriber into; the groups merge left-to-right.
     fn fold_groups(k: usize) -> usize;
 }
 

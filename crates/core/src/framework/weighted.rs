@@ -14,7 +14,7 @@
 //!
 //! Fractional losses run through the same round loop and executors as 0-1
 //! losses; only the `f64` fold order needs care. Every demand folds in
-//! thread-count-independent groups ([`super::unit_ranges`]) that merge
+//! thread-count-independent groups ([`BlockAcc::fold_groups`]) that merge
 //! left-to-right, so results are bit-identical for every thread count.
 
 use saphyra_stats::stream;
@@ -23,10 +23,10 @@ use super::tracker::BlockAcc;
 
 /// Streaming first and second moments of one hypothesis' losses.
 ///
-/// Public so remote executors can carry per-unit partials over the wire:
-/// the pair merges exactly (field-wise sums) and, merged in the fixed unit
-/// order of [`super::unit_ranges`], reproduces the local `f64` association
-/// order bit-for-bit.
+/// Public because it is the accumulator type of the public fractional-loss
+/// API: a caller implementing [`super::HrProblem<LossAcc>`] names it, and
+/// so does every [`super::BlockExec<LossAcc>`] and [`super::Subscriber`]
+/// that estimates such a problem.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LossAcc {
     /// `Σ x`.
@@ -125,9 +125,7 @@ mod tests {
             adaptive,
         };
         let master = rand::rngs::StdRng::seed_from_u64(seed).next_u64();
-        estimate(&[sub], master, &mut LocalExec::new(&[p]))
-            .expect("local execution is infallible")
-            .remove(0)
+        estimate(&[sub], master, &mut LocalExec::new(&[p])).remove(0)
     }
 
     fn trivial(p: &Mock) -> ExactPart {

@@ -23,8 +23,8 @@ use saphyra_graph::{Graph, NodeId};
 use saphyra_stats::vc_sample_bound;
 
 use crate::framework::{
-    estimate, BlockExec, ExactPart, ExecError, HrProblem, HrSampler, LocalSharedExec,
-    SaphyraEstimate, SharedDraw, Subscriber,
+    estimate, ExactPart, HrProblem, HrSampler, LocalSharedExec, SaphyraEstimate, SharedDraw,
+    Subscriber,
 };
 
 const NONE: u32 = u32::MAX;
@@ -189,14 +189,11 @@ pub struct KPathEstimate {
 ///
 /// k-path is the measure where cross-request batching is strongest: the
 /// random walk ([`SharedDraw::draw_artifact`]) never looks at the target
-/// set, so locally every set scores the *same* walks
-/// ([`LocalSharedExec`]), and a set whose ε target is met detaches while
-/// the stream keeps serving stricter ones. With `remote` set (e.g. a
-/// sharded executor) each set draws through its own sampler instead; the
-/// two are bit-identical because drawing is target-independent and
-/// scoring consumes no RNG, so per-demand hit counts — and therefore every
-/// stopping decision — coincide. Either way each estimate is bit-identical
-/// to ranking its set alone under the same seed.
+/// set, so every set scores the *same* walks ([`LocalSharedExec`]), and a
+/// set whose ε target is met detaches while the stream keeps serving
+/// stricter ones. Drawing is target-independent and scoring consumes no
+/// RNG, so each estimate is bit-identical to ranking its set alone under
+/// the same seed.
 pub fn rank_kpath(
     g: &Graph,
     sets: &[Vec<NodeId>],
@@ -204,8 +201,7 @@ pub fn rank_kpath(
     eps: f64,
     delta: f64,
     rng: &mut dyn RngCore,
-    remote: Option<&mut dyn BlockExec<u64>>,
-) -> Result<Vec<KPathEstimate>, ExecError> {
+) -> Vec<KPathEstimate> {
     assert!(k >= 2, "k-path ranking needs k >= 2");
     let probs: Vec<KPathApproxProblem> = sets
         .iter()
@@ -222,23 +218,16 @@ pub fn rank_kpath(
             adaptive: true,
         })
         .collect();
-    let master = rng.next_u64();
-    let inners = match remote {
-        Some(exec) => estimate(&subs, master, exec)?,
-        None => {
-            let refs: Vec<&KPathApproxProblem> = probs.iter().collect();
-            estimate(&subs, master, &mut LocalSharedExec::new(&refs))?
-        }
-    };
-    Ok(sets
-        .iter()
+    let refs: Vec<&KPathApproxProblem> = probs.iter().collect();
+    let inners = estimate(&subs, rng.next_u64(), &mut LocalSharedExec::new(&refs));
+    sets.iter()
         .zip(inners)
         .map(|(targets, inner)| KPathEstimate {
             targets: targets.clone(),
             kpc: inner.combined.clone(),
             inner,
         })
-        .collect())
+        .collect()
 }
 
 /// Direct Monte-Carlo estimator over the *full* walk space (`l ∈ 1..=k`),
@@ -297,9 +286,7 @@ mod tests {
         eps: f64,
         rng: &mut dyn RngCore,
     ) -> KPathEstimate {
-        rank_kpath(g, &[targets.to_vec()], k, eps, 0.1, rng, None)
-            .expect("local execution is infallible")
-            .remove(0)
+        rank_kpath(g, &[targets.to_vec()], k, eps, 0.1, rng).remove(0)
     }
 
     #[test]

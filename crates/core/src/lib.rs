@@ -44,8 +44,8 @@
 //! let sets = vec![vec![3, 11, 17, 25, 33], vec![0, 47]];
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
 //! let cfg = SaphyraBcConfig::new(0.05, 0.1);
-//! // One estimate per set; `None` samples in-process.
-//! let ests = dec.rank(&g, &sets, &cfg, &mut rng, None).expect("local execution");
+//! // One estimate per set, sampled in-process from one master seed.
+//! let ests = dec.rank(&g, &sets, &cfg, &mut rng);
 //! let ranking = ests[0].ranking(); // best-first target indices
 //! assert_eq!(ranking.len(), sets[0].len());
 //! ```

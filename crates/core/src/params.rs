@@ -93,8 +93,8 @@ pub fn check_edge_delta(
 }
 
 /// Checks a shard address list for a router (`--shards`): non-empty, no
-/// duplicates, and never the router's own listen address (a router fanning
-/// work out to itself would deadlock its own accept loop).
+/// duplicates, and never the router's own listen address (a router
+/// forwarding to itself would tie up its own workers until they run out).
 ///
 /// Addresses are compared textually after trimming — `host:port`
 /// canonicalization (DNS, `0.0.0.0` vs `127.0.0.1`) is out of scope here;

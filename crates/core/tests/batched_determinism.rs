@@ -63,14 +63,14 @@ fn bc_multi_outcomes_match_solo_runs() {
 
     for threads in [1, 2, 4] {
         let batched = in_pool(threads, || {
-            estimate(&subs, master, &mut LocalExec::new(&prob_refs)).unwrap()
+            estimate(&subs, master, &mut LocalExec::new(&prob_refs))
         });
         for (i, out) in batched.iter().enumerate() {
             // Solo run with an rng yielding the same master seed.
             let solo = in_pool(threads, || {
                 let mut rng = StdRng::seed_from_u64(2022);
                 let exec = &mut LocalExec::new(&prob_refs[i..=i]);
-                estimate(&[sub(i)], rng.next_u64(), exec).unwrap().remove(0)
+                estimate(&[sub(i)], rng.next_u64(), exec).remove(0)
             });
             let (out, solo) = (&out.outcome, &solo.outcome);
             assert_eq!(out.estimates, solo.estimates, "sub {i}, {threads} threads");
@@ -92,14 +92,13 @@ fn bc_rank_subset_multi_matches_solo() {
     let cfg = SaphyraBcConfig::new(0.05, 0.1);
     let batched = {
         let mut rng = StdRng::seed_from_u64(11);
-        dec.rank(&g, &sets, &cfg, &mut rng, None).unwrap()
+        dec.rank(&g, &sets, &cfg, &mut rng)
     };
     assert_eq!(batched.len(), sets.len());
     for (i, set) in sets.iter().enumerate() {
         let mut rng = StdRng::seed_from_u64(11);
         let solo = dec
-            .rank(&g, std::slice::from_ref(set), &cfg, &mut rng, None)
-            .unwrap()
+            .rank(&g, std::slice::from_ref(set), &cfg, &mut rng)
             .remove(0);
         assert_eq!(batched[i].bc, solo.bc, "set {i}");
         assert_eq!(batched[i].bca_part, solo.bca_part, "set {i}");
@@ -120,12 +119,11 @@ fn bc_multi_handles_no_pisp_members() {
     let sets: Vec<Vec<u32>> = vec![vec![5], vec![0, 1, 3]];
     let cfg = SaphyraBcConfig::new(0.1, 0.1);
     let mut rng = StdRng::seed_from_u64(3);
-    let batched = dec.rank(&g, &sets, &cfg, &mut rng, None).unwrap();
+    let batched = dec.rank(&g, &sets, &cfg, &mut rng);
     for (i, set) in sets.iter().enumerate() {
         let mut rng = StdRng::seed_from_u64(3);
         let solo = dec
-            .rank(&g, std::slice::from_ref(set), &cfg, &mut rng, None)
-            .unwrap()
+            .rank(&g, std::slice::from_ref(set), &cfg, &mut rng)
             .remove(0);
         assert_eq!(batched[i].bc, solo.bc, "set {i}");
         assert_eq!(batched[i].stats.samples, solo.stats.samples, "set {i}");
@@ -145,13 +143,11 @@ fn harmonic_multi_matches_solo_including_degenerate() {
     sets.push(g.nodes().collect()); // A = V: no approximate subspace
     let batched = {
         let mut rng = StdRng::seed_from_u64(17);
-        rank_harmonic(&g, &sets, 0.05, 0.1, &mut rng, None).unwrap()
+        rank_harmonic(&g, &sets, 0.05, 0.1, &mut rng)
     };
     for (i, set) in sets.iter().enumerate() {
         let mut rng = StdRng::seed_from_u64(17);
-        let solo = rank_harmonic(&g, std::slice::from_ref(set), 0.05, 0.1, &mut rng, None)
-            .unwrap()
-            .remove(0);
+        let solo = rank_harmonic(&g, std::slice::from_ref(set), 0.05, 0.1, &mut rng).remove(0);
         assert_eq!(batched[i].hc, solo.hc, "set {i}");
         assert_eq!(
             batched[i].inner.outcome.samples_used,
@@ -180,12 +176,12 @@ proptest! {
         for threads in [1usize, 2, 4] {
             let batched = in_pool(threads, || {
                 let mut rng = StdRng::seed_from_u64(seed);
-                rank_kpath(&g, &sets, 6, eps, 0.1, &mut rng, None).unwrap()
+                rank_kpath(&g, &sets, 6, eps, 0.1, &mut rng)
             });
             for (i, set) in sets.iter().enumerate() {
                 let solo = in_pool(threads, || {
                     let mut rng = StdRng::seed_from_u64(seed);
-                    rank_kpath(&g, std::slice::from_ref(set), 6, eps, 0.1, &mut rng, None).unwrap().remove(0)
+                    rank_kpath(&g, std::slice::from_ref(set), 6, eps, 0.1, &mut rng).remove(0)
                 });
                 prop_assert_eq!(&batched[i].kpc, &solo.kpc, "set {} threads {}", i, threads);
                 prop_assert_eq!(

@@ -27,7 +27,6 @@ fn estimate_solo(problem: &dyn HrProblem<u64>, eps: f64, rng: &mut StdRng) -> Ad
     };
     let master = rng.next_u64();
     estimate(&[sub], master, &mut LocalExec::new(&[problem]))
-        .unwrap()
         .remove(0)
         .outcome
 }
@@ -79,7 +78,7 @@ fn rank_subset_identical_across_thread_counts() {
     let run = |threads: usize| {
         in_pool(threads, || {
             let mut rng = StdRng::seed_from_u64(7);
-            dec.rank(&g, &sets, &cfg, &mut rng, None).unwrap().remove(0)
+            dec.rank(&g, &sets, &cfg, &mut rng).remove(0)
         })
     };
     let reference = run(1);

@@ -206,8 +206,8 @@ proptest! {
 
         let cfg = SaphyraBcConfig::new(0.2, 0.1);
         let sets = [targets.clone()];
-        let before = dec.rank(&g, &sets, &cfg, &mut StdRng::seed_from_u64(7), None).unwrap().remove(0);
-        let after = out.dec.rank(&out.graph, &sets, &cfg, &mut StdRng::seed_from_u64(7), None).unwrap().remove(0);
+        let before = dec.rank(&g, &sets, &cfg, &mut StdRng::seed_from_u64(7)).remove(0);
+        let after = out.dec.rank(&out.graph, &sets, &cfg, &mut StdRng::seed_from_u64(7)).remove(0);
         for (x, y) in before.bc.iter().zip(&after.bc) {
             prop_assert_eq!(x.to_bits(), y.to_bits(), "bc bits changed for clean target");
         }

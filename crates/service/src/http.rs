@@ -323,17 +323,14 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Option<Request>> {
     }
 }
 
-/// An HTTP response about to be written.
+/// An HTTP response about to be written. Every response is JSON.
 #[derive(Debug, Clone)]
 pub struct Response {
     /// Status code (200, 400, ...).
     pub status: u16,
     /// Extra headers beyond Content-Type/Content-Length/Connection.
     pub headers: Vec<(String, String)>,
-    /// `Content-Type` header value.
-    pub content_type: &'static str,
-    /// Raw body bytes: JSON text on every public endpoint, wire-encoded
-    /// binary on the internal shard endpoint.
+    /// Body bytes (JSON text).
     pub body: Vec<u8>,
 }
 
@@ -343,23 +340,11 @@ impl Response {
         Response {
             status,
             headers: Vec::new(),
-            content_type: "application/json",
             body: body.into().into_bytes(),
         }
     }
 
-    /// A binary (`application/octet-stream`) response.
-    pub fn binary(status: u16, body: Vec<u8>) -> Self {
-        Response {
-            status,
-            headers: Vec::new(),
-            content_type: "application/octet-stream",
-            body,
-        }
-    }
-
-    /// The body as text (lossy on the binary endpoint — for logs and
-    /// tests, which only inspect JSON responses).
+    /// The body as text (for logs and tests).
     pub fn body_str(&self) -> &str {
         std::str::from_utf8(&self.body).unwrap_or("")
     }
@@ -388,10 +373,9 @@ impl Response {
         let mut out = String::with_capacity(256);
         let _ = write!(
             out,
-            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
+            "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n",
             self.status,
             status_text(self.status),
-            self.content_type,
             self.body.len(),
             if keep_alive { "keep-alive" } else { "close" }
         );
@@ -420,7 +404,6 @@ pub fn status_text(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
-        409 => "Conflict",
         500 => "Internal Server Error",
         503 => "Service Unavailable",
         _ => "Unknown",
@@ -439,29 +422,6 @@ pub struct ClientResponse {
 }
 
 impl ClientResponse {
-    /// Case-insensitive header lookup.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(k, _)| *k == name)
-            .map(|(_, v)| v.as_str())
-    }
-}
-
-/// A response whose body is kept as raw bytes (the shard wire protocol is
-/// binary; forcing UTF-8 there would corrupt it).
-#[derive(Debug)]
-pub struct RawResponse {
-    /// Status code.
-    pub status: u16,
-    /// Headers, names lowercased.
-    pub headers: Vec<(String, String)>,
-    /// Body bytes.
-    pub body: Vec<u8>,
-}
-
-impl RawResponse {
     /// Case-insensitive header lookup.
     pub fn header(&self, name: &str) -> Option<&str> {
         let name = name.to_ascii_lowercase();
@@ -582,66 +542,6 @@ impl Client {
         }
     }
 
-    /// Sends one request with a binary (`application/octet-stream`) body
-    /// over the pooled connection and reads the raw response, with the
-    /// same one-shot stale-connection retry as [`Client::request`] — a
-    /// shard's idle timeout between estimation rounds closes the pooled
-    /// connection, and the next round's demand redials transparently.
-    pub fn request_bytes(
-        &mut self,
-        method: &str,
-        path: &str,
-        body: &[u8],
-    ) -> io::Result<RawResponse> {
-        if self.conn.is_some() {
-            match self.request_bytes_once(method, path, body) {
-                Ok(resp) => return Ok(resp),
-                Err(e) if stale_connection(&e) => {} // request_bytes_once dropped conn
-                Err(e) => return Err(e),
-            }
-        }
-        self.request_bytes_once(method, path, body)
-    }
-
-    fn request_bytes_once(
-        &mut self,
-        method: &str,
-        path: &str,
-        body: &[u8],
-    ) -> io::Result<RawResponse> {
-        use std::fmt::Write as _;
-        self.ensure_conn()?;
-        let reader = self.conn.as_mut().unwrap();
-        let mut head = String::new();
-        let _ = write!(
-            head,
-            "{method} {path} HTTP/1.1\r\nHost: {}\r\nContent-Type: application/octet-stream\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n",
-            self.addr,
-            body.len(),
-        );
-        // Single write for head + body — see `write_request_head` on why
-        // fragmenting is pathological on persistent connections.
-        let mut buf = head.into_bytes();
-        buf.extend_from_slice(body);
-        let result = reader
-            .get_mut()
-            .write_all(&buf)
-            .and_then(|()| reader.get_mut().flush())
-            .and_then(|()| read_response_raw(reader));
-        match result {
-            Ok((resp, reusable)) => {
-                if !reusable {
-                    self.conn = None;
-                }
-                Ok(resp)
-            }
-            Err(e) => {
-                self.conn = None;
-                Err(e)
-            }
-        }
-    }
-
     fn request_once(
         &mut self,
         method: &str,
@@ -729,27 +629,11 @@ fn connection_has_close(value: &str) -> bool {
         .any(|t| t.trim().eq_ignore_ascii_case("close"))
 }
 
-/// Reads one response as text (UTF-8-validated body over
-/// [`read_response_raw`]).
-fn read_response<R: BufRead>(reader: &mut R) -> io::Result<(ClientResponse, bool)> {
-    let (raw, reusable) = read_response_raw(reader)?;
-    let body = String::from_utf8(raw.body)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "response body not UTF-8"))?;
-    Ok((
-        ClientResponse {
-            status: raw.status,
-            headers: raw.headers,
-            body,
-        },
-        reusable,
-    ))
-}
-
-/// Reads one response with raw body bytes. The boolean says whether the
+/// Reads one response with a UTF-8 body. The boolean says whether the
 /// connection can carry another request (the server did not answer
 /// `Connection: close`, and the body had an explicit length so the stream
 /// position is known).
-fn read_response_raw<R: BufRead>(reader: &mut R) -> io::Result<(RawResponse, bool)> {
+fn read_response<R: BufRead>(reader: &mut R) -> io::Result<(ClientResponse, bool)> {
     let mut status_line = String::new();
     reader.read_line(&mut status_line)?;
     if status_line.is_empty() {
@@ -817,7 +701,9 @@ fn read_response_raw<R: BufRead>(reader: &mut R) -> io::Result<(RawResponse, boo
         }
     };
 
-    let resp = RawResponse {
+    let body = String::from_utf8(body)
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "response body not UTF-8"))?;
+    let resp = ClientResponse {
         status,
         headers,
         body,

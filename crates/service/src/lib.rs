@@ -14,21 +14,21 @@
 //! | GET    | `/healthz`  | — (status, graph count, request/cache counters) |
 //! | GET    | `/graphs`   | — (loaded graphs, name-sorted) |
 //! | POST   | `/graphs`   | `{"name", "path"}` or `{"name", "network", "size"?, "seed"?}` |
+//! | PATCH  | `/graphs/<name>` | `{"insert"?, "delete"?}` edge-pair arrays |
 //! | POST   | `/rank`     | `{"graph", "targets", "measure"?, "eps"?, "delta"?, "seed"?, "khops"?}` |
 //! | POST   | `/shutdown` | — (graceful stop) |
-//! | POST   | `/shard/exec` | internal (shard role): binary sampling round → partial accumulators |
 //!
 //! ## Roles
 //!
 //! [`ServiceConfig::role`] selects the node's place in a sharded
-//! deployment: `Standalone` (default) serves everything locally; `Shard`
-//! additionally answers the internal `/shard/exec` endpoint; `Router`
-//! places whole graphs on shards (crc32 of the name) and proxies their
-//! requests, or — for `"split": true` loads — loads the graph everywhere
-//! and drives each `/rank`'s sampling rounds across all shards via
-//! [`shard::ShardedExec`], merging partial accumulators so the response
-//! bytes match a standalone server exactly. See [`shard`] for the wire
-//! protocol and the determinism contract.
+//! deployment. `Standalone` (the default) owns graphs and ranks them
+//! in-process; a shard is a plain standalone server. `Router` owns no
+//! graphs: it forwards `POST /graphs`, `PATCH /graphs/<name>` and
+//! `POST /rank` to shard `crc32(name) % shards` and lists `GET /graphs`
+//! from every shard ([`shard::ShardPool`]). The placement is a pure
+//! function of the name, so any router over the same shard list reaches
+//! every graph, and `/rank` bytes through a router equal a standalone
+//! server's.
 //!
 //! Loading a graph builds its [`saphyra::bc::BcDecomposition`] — bicomps,
 //! block-cut tree, out-reach/ISP tables, bcₐ, γ, VC-bound precomputation —

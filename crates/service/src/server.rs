@@ -74,7 +74,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use saphyra::bc::{DeltaOutcome, SaphyraBcConfig};
 use saphyra::closeness::rank_harmonic;
-use saphyra::framework::{BlockExec, ExecError, LossAcc, SaphyraEstimate};
+use saphyra::framework::SaphyraEstimate;
 use saphyra::kpath::rank_kpath;
 use saphyra::params;
 use saphyra_gen::datasets::{SimNetwork, SizeClass};
@@ -86,30 +86,24 @@ use crate::json::Json;
 use crate::persist::{self, valid_graph_name};
 use crate::reactor::{new_poller, Event, Poller, TimerWheel, WakePipe};
 use crate::registry::{GraphEntry, KeyIndex, Registry};
-use crate::shard::{self, ShardPool, ShardedExec};
+use crate::shard::ShardPool;
 use crate::sync::{CondvarExt, LockExt};
 
-/// What a node does with the registry and the `/rank` path.
+/// What a node does with graph-scoped requests.
 ///
-/// - `Standalone` (the default): owns graphs, computes every ranking
-///   in-process — the pre-sharding behavior, unchanged.
-/// - `Router`: owns the registry *view*. Whole graphs are placed on one
-///   shard by hashing the graph name and `/rank`/`/graphs` are proxied
-///   there; graphs loaded with `"split": true` live on every shard and
-///   the router drives their estimation rounds across all of them
-///   ([`crate::shard::ShardedExec`]), merging partial accumulators so
-///   results are bit-identical to a standalone run.
-/// - `Shard`: a standalone node that additionally serves the internal
-///   binary `POST /shard/exec` endpoint for routers.
+/// - `Standalone` (the default): owns graphs and computes every ranking
+///   in-process. A shard behind a router is a plain standalone node.
+/// - `Router`: owns no graphs. It forwards `POST /graphs`,
+///   `PATCH /graphs/<name>` and `POST /rank` to shard
+///   `crc32(name) % shards` and merges `GET /graphs` from every shard
+///   ([`crate::shard::ShardPool::route`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Role {
     /// Compute everything locally (default).
     #[default]
     Standalone,
-    /// Place graphs on shards and route/drive requests to them.
+    /// Forward graph-scoped requests to the shard each graph hashes to.
     Router,
-    /// Standalone plus the internal `/shard/exec` endpoint.
-    Shard,
 }
 
 impl Role {
@@ -118,7 +112,6 @@ impl Role {
         match self {
             Role::Standalone => "standalone",
             Role::Router => "router",
-            Role::Shard => "shard",
         }
     }
 
@@ -127,20 +120,9 @@ impl Role {
         match s {
             "standalone" => Some(Role::Standalone),
             "router" => Some(Role::Router),
-            "shard" => Some(Role::Shard),
             _ => None,
         }
     }
-}
-
-/// Where a router placed a graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Placement {
-    /// The whole graph lives on one shard; requests are proxied.
-    Remote(usize),
-    /// The graph lives on every shard (and on the router, which owns the
-    /// decomposition and drives sharded estimation).
-    Split,
 }
 
 /// Service tuning knobs.
@@ -189,8 +171,9 @@ pub struct ServiceConfig {
     pub batch_window: Duration,
     /// What this node does with the registry and `/rank` (see [`Role`]).
     pub role: Role,
-    /// Shard backend addresses (`host:port`), router role only. Validate
-    /// with [`saphyra::params::check_shard_addrs`] before serving.
+    /// Shard backend addresses (`host:port`), router role only. A list
+    /// that fails [`saphyra::params::check_shard_addrs`] answers 400 on
+    /// every routed request; the CLI rejects it before serving.
     pub shards: Vec<String>,
     /// Re-snapshot cadence for `PATCH /graphs/<name>`: every this-many
     /// applied deltas (per graph), the patched graph is written out as a
@@ -313,7 +296,7 @@ fn obj(fields: Vec<(&str, Json)>) -> Json {
     )
 }
 
-fn error_response(status: u16, message: impl Into<String>) -> Response {
+pub(crate) fn error_response(status: u16, message: impl Into<String>) -> Response {
     Response::json(
         status,
         obj(vec![("error", Json::from(message.into()))]).to_string(),
@@ -449,8 +432,6 @@ pub struct Service {
     role: Role,
     /// Shard backends (router role only).
     shards: Option<ShardPool>,
-    /// Router-side registry view: where each loaded graph lives.
-    placements: Mutex<BTreeMap<String, Placement>>,
     workers: usize,
     idle_timeout: Duration,
     max_requests_per_conn: usize,
@@ -526,7 +507,6 @@ impl Service {
             load_publish: Mutex::new(()),
             role: cfg.role,
             shards: (cfg.role == Role::Router).then(|| ShardPool::new(cfg.shards.clone())),
-            placements: Mutex::new(BTreeMap::new()),
             workers,
             idle_timeout: cfg.idle_timeout,
             max_requests_per_conn: cfg.max_requests_per_conn,
@@ -918,47 +898,27 @@ impl Service {
         })
     }
 
-    /// Routes one request. The boolean asks the runtime to shut down.
+    /// Routes one request. The boolean asks the runtime to shut down. A
+    /// router hands graph-scoped requests to its [`ShardPool`]; everything
+    /// else, and every request on a standalone node, is served here.
     pub fn handle(&self, req: &Request) -> (Response, bool) {
         self.requests.fetch_add(1, Ordering::Relaxed);
+        if let Some(resp) = self.shards.as_ref().and_then(|pool| pool.route(req)) {
+            return (resp, false);
+        }
         let resp = match (req.method.as_str(), req.path.as_str()) {
             ("GET", "/healthz") => self.healthz(),
-            ("GET", "/graphs") => match self.role {
-                Role::Router => self.router_list_graphs(),
-                _ => self.list_graphs(),
+            ("GET", "/graphs") => self.list_graphs(),
+            ("POST", "/graphs") => match json_body(req) {
+                Ok(json) => self.load_graph(&json),
+                Err(e) => error_response(400, e),
             },
-            ("POST", "/graphs") => {
-                let body = req
-                    .body_str()
-                    .map_err(|e| e.to_string())
-                    .and_then(|t| Json::parse(t).map_err(|e| format!("invalid JSON body: {e}")));
-                match &body {
-                    Ok(json) => self.load_graph(json),
-                    Err(e) => error_response(400, e.clone()),
-                }
-            }
-            ("POST", "/shard/exec") => {
-                if self.role == Role::Shard {
-                    shard::handle_exec(&self.registry, &req.body)
-                } else {
-                    error_response(
-                        400,
-                        "/shard/exec is internal to shard nodes (start with --role shard)",
-                    )
-                }
-            }
             ("POST", "/rank") => {
                 // Parse the body exactly once; ranking and the journal
                 // both consume the same parsed value.
-                let body = req
-                    .body_str()
-                    .map_err(|e| e.to_string())
-                    .and_then(|t| Json::parse(t).map_err(|e| format!("invalid JSON body: {e}")));
+                let body = json_body(req);
                 let resp = match &body {
-                    Ok(json) => match self.router_proxy_rank(json) {
-                        Some(proxied) => proxied,
-                        None => self.rank(json),
-                    },
+                    Ok(json) => self.rank(json),
                     Err(e) => error_response(400, e.clone()),
                 };
                 self.journal_rank(body.ok(), &resp);
@@ -978,15 +938,10 @@ impl Service {
             }
             ("PATCH", path) => match path.strip_prefix("/graphs/").filter(|n| !n.is_empty()) {
                 None => error_response(404, format!("no such endpoint {}", req.path)),
-                Some(name) => {
-                    let body = req.body_str().map_err(|e| e.to_string()).and_then(|t| {
-                        Json::parse(t).map_err(|e| format!("invalid JSON body: {e}"))
-                    });
-                    match &body {
-                        Ok(json) => self.patch_graph(name, json),
-                        Err(e) => error_response(400, e.clone()),
-                    }
-                }
+                Some(name) => match json_body(req) {
+                    Ok(json) => self.patch_graph(name, &json),
+                    Err(e) => error_response(400, e),
+                },
             },
             ("GET" | "POST", _) => error_response(404, format!("no such endpoint {}", req.path)),
             _ => error_response(405, format!("method {} not allowed", req.method)),
@@ -995,16 +950,6 @@ impl Service {
     }
 
     fn healthz(&self) -> Response {
-        let (rounds, merge_nanos) = self
-            .shards
-            .as_ref()
-            .map(|p| {
-                (
-                    p.stats().rounds.load(Ordering::Relaxed),
-                    p.stats().merge_nanos.load(Ordering::Relaxed),
-                )
-            })
-            .unwrap_or((0, 0));
         // Memory gauges: bytes the registry's CSR arrays occupy, owned or
         // mapped, and how many graphs serve zero-copy from mapped snapshots.
         let (resident_graph_bytes, mmap_graphs) =
@@ -1024,8 +969,6 @@ impl Service {
                 "shards",
                 Json::from(self.shards.as_ref().map_or(0, ShardPool::len)),
             ),
-            ("sharded_rounds", Json::from(rounds)),
-            ("sharded_merge_nanos", Json::from(merge_nanos)),
             ("graphs", Json::from(self.registry.len())),
             ("workers", Json::from(self.workers)),
             (
@@ -1079,29 +1022,8 @@ impl Service {
         Response::json(200, obj(vec![("graphs", Json::Arr(graphs))]).to_string())
     }
 
-    /// Routes a parsed `POST /graphs` body by role: routers place the
-    /// graph on shards ([`Service::router_load_graph`]); other roles load
-    /// locally, rejecting the router-only `"split"` flag.
+    /// Loads a graph into this node's registry (`POST /graphs`).
     fn load_graph(&self, body: &Json) -> Response {
-        let split = match body.get("split") {
-            None => false,
-            Some(v) => match v.as_bool() {
-                Some(b) => b,
-                None => return error_response(400, "field \"split\" must be a boolean"),
-            },
-        };
-        if self.role == Role::Router {
-            return self.router_load_graph(body, split);
-        }
-        if split {
-            return error_response(400, "\"split\": true requires a router (--role router)");
-        }
-        self.load_graph_local(body)
-    }
-
-    /// Loads a graph into this node's own registry (the standalone path,
-    /// and what a router does for its local copy of a split graph).
-    fn load_graph_local(&self, body: &Json) -> Response {
         let name = match body.get("name").and_then(Json::as_str) {
             Some(n) if valid_graph_name(n) => n.to_string(),
             Some(n) => {
@@ -1198,16 +1120,6 @@ impl Service {
         Response::json(200, Json::Obj(fields).to_string())
     }
 
-    /// Routes a parsed `PATCH /graphs/<name>` body by role: routers fan
-    /// the delta to the owning shard(s)
-    /// ([`Service::router_patch_graph`]); other roles apply it locally.
-    fn patch_graph(&self, name: &str, body: &Json) -> Response {
-        if self.role == Role::Router {
-            return self.router_patch_graph(name, body);
-        }
-        self.patch_graph_local(name, body)
-    }
-
     /// Applies an edge delta to a loaded graph: incremental decomposition
     /// refresh ([`saphyra::bc::BcDecomposition::apply_delta`] — only
     /// components the delta touches are re-derived), registry swap under a
@@ -1218,7 +1130,7 @@ impl Service {
     /// `crates/core/tests/proptest_bc.rs`), so their cached bodies are
     /// re-keyed under the new epoch and keep serving hits; everything else
     /// for this graph is purged.
-    fn patch_graph_local(&self, name: &str, body: &Json) -> Response {
+    fn patch_graph(&self, name: &str, body: &Json) -> Response {
         let (insert, delete) = match (opt_edges(body, "insert"), opt_edges(body, "delete")) {
             (Ok(i), Ok(d)) => (i, d),
             (Err(e), _) | (_, Err(e)) => return error_response(400, e),
@@ -1392,263 +1304,6 @@ impl Service {
         Response::json(200, Json::Obj(fields).to_string())
     }
 
-    /// Router placement for `PATCH /graphs/<name>`: whole graphs forward
-    /// the delta verbatim to the owning shard; split graphs patch the
-    /// router's local copy first (one authoritative validation, and the
-    /// response payload) and then fan the delta to every shard. The
-    /// router's registry swap bumps the `(nodes, edges)` fingerprint sent
-    /// with every sharded work unit, so a shard that missed the fan-out
-    /// answers later rounds with a fingerprint mismatch instead of
-    /// silently computing on a stale graph.
-    fn router_patch_graph(&self, name: &str, body: &Json) -> Response {
-        let Some(pool) = self.shards.as_ref() else {
-            return error_response(500, "router misconfigured: no shard pool");
-        };
-        let placement = self.placements.lock_ok().get(name).copied();
-        let path = format!("/graphs/{name}");
-        match placement {
-            None => error_response(404, format!("unknown graph {name:?} (POST /graphs first)")),
-            Some(Placement::Remote(idx)) => {
-                let Some(addr) = pool.addrs().get(idx) else {
-                    return error_response(500, "router misconfigured: placement has no shard");
-                };
-                match pool.request(idx, "PATCH", &path, Some(&body.to_string())) {
-                    Err(e) => error_response(503, format!("shard {addr}: {e}")),
-                    Ok(r) => Response::json(r.status, r.body),
-                }
-            }
-            Some(Placement::Split) => {
-                let local = self.patch_graph_local(name, body);
-                if local.status != 200 {
-                    return local;
-                }
-                let forwarded = body.to_string();
-                for (i, addr) in pool.addrs().iter().enumerate() {
-                    let ok = match pool.request(i, "PATCH", &path, Some(&forwarded)) {
-                        Err(e) => Err(format!("shard {addr}: {e}")),
-                        Ok(r) if r.status != 200 => {
-                            Err(format!("shard {addr}: HTTP {}: {}", r.status, r.body))
-                        }
-                        Ok(_) => Ok(()),
-                    };
-                    if let Err(e) = ok {
-                        // The router's copy is already patched; the stale
-                        // shard fails sharded rounds loudly (fingerprint
-                        // mismatch) until it is patched or reloaded.
-                        return error_response(503, format!("split patch of {name:?} failed: {e}"));
-                    }
-                }
-                let Ok(Json::Obj(mut fields)) = Json::parse(local.body_str()) else {
-                    unreachable!("patch_graph_local emits a JSON object");
-                };
-                fields.push(("shards".to_string(), Json::from(pool.len())));
-                Response::json(200, Json::Obj(fields).to_string())
-            }
-        }
-    }
-
-    /// Router placement for `POST /graphs`: whole graphs go to one shard
-    /// (graph name hashed with the snapshot CRC — stable across restarts
-    /// and router instances); `"split": true` graphs are loaded on the
-    /// router (which owns the decomposition and drives estimation) *and*
-    /// on every shard.
-    fn router_load_graph(&self, body: &Json, split: bool) -> Response {
-        // `shards` is Some for every Router by construction; answer 500
-        // instead of panicking if an embedder ever builds one without.
-        let Some(pool) = self.shards.as_ref() else {
-            return error_response(500, "router misconfigured: no shard pool");
-        };
-        // The CLI validates `--shards` at parse time; embedders building a
-        // `ServiceConfig` directly get the same checks here, as a 400.
-        if let Err(e) = saphyra::params::check_shard_addrs(pool.addrs(), "") {
-            return error_response(400, format!("shard configuration invalid: {e}"));
-        }
-        let name = match body.get("name").and_then(Json::as_str) {
-            Some(n) if valid_graph_name(n) => n.to_string(),
-            Some(n) => {
-                let why = "want 1-64 chars of [A-Za-z0-9._-], no leading dot";
-                return error_response(400, format!("invalid graph name {n:?} ({why})"));
-            }
-            None => return error_response(400, "missing required string field \"name\""),
-        };
-        // Shards load the graph whole; "split" is router-only vocabulary.
-        let forwarded = match body {
-            Json::Obj(fields) => {
-                let kept: Vec<(String, Json)> = fields
-                    .iter()
-                    .filter(|(k, _)| k != "split")
-                    .cloned()
-                    .collect();
-                Json::Obj(kept).to_string()
-            }
-            _ => body.to_string(),
-        };
-
-        if split {
-            let local = self.load_graph_local(body);
-            if local.status != 200 {
-                return local;
-            }
-            // Every shard must hold the graph before the placement is
-            // published; a failed shard leaves the graph served locally
-            // (correct, just not sharded) and the load reported failed.
-            for (i, addr) in pool.addrs().iter().enumerate() {
-                let ok = match pool.request(i, "POST", "/graphs", Some(&forwarded)) {
-                    Err(e) => Err(format!("shard {addr}: {e}")),
-                    Ok(r) if r.status != 200 => {
-                        Err(format!("shard {addr}: HTTP {}: {}", r.status, r.body))
-                    }
-                    Ok(_) => Ok(()),
-                };
-                if let Err(e) = ok {
-                    return error_response(503, format!("split load of {name:?} failed: {e}"));
-                }
-            }
-            self.placements.lock_ok().insert(name, Placement::Split);
-            let Ok(Json::Obj(mut fields)) = Json::parse(local.body_str()) else {
-                unreachable!("load_graph_local emits a JSON object");
-            };
-            fields.push(("split".to_string(), Json::Bool(true)));
-            fields.push(("shards".to_string(), Json::from(pool.len())));
-            return Response::json(200, Json::Obj(fields).to_string());
-        }
-
-        let idx = saphyra_graph::wire::crc32(name.as_bytes()) as usize % pool.len();
-        let addr = &pool.addrs()[idx];
-        match pool.request(idx, "POST", "/graphs", Some(&forwarded)) {
-            Err(e) => error_response(503, format!("shard {addr}: {e}")),
-            Ok(r) if r.status != 200 => Response::json(r.status, r.body),
-            Ok(r) => {
-                self.placements
-                    .lock_ok()
-                    .insert(name, Placement::Remote(idx));
-                match Json::parse(&r.body) {
-                    Ok(Json::Obj(mut fields)) => {
-                        fields.push(("shard".to_string(), Json::from(addr.as_str())));
-                        Response::json(200, Json::Obj(fields).to_string())
-                    }
-                    _ => Response::json(200, r.body),
-                }
-            }
-        }
-    }
-
-    /// The router's merged registry view: split graphs from its own
-    /// registry, whole graphs from the shard that owns them (one
-    /// `GET /graphs` per owning shard). An unreachable shard fails the
-    /// listing with 503 — the view would otherwise silently lie.
-    fn router_list_graphs(&self) -> Response {
-        let Some(pool) = self.shards.as_ref() else {
-            return error_response(500, "router misconfigured: no shard pool");
-        };
-        let placements = self.placements.lock_ok().clone();
-        let needed: Vec<usize> = {
-            let mut idxs: Vec<usize> = placements
-                .values()
-                .filter_map(|p| match p {
-                    Placement::Remote(i) => Some(*i),
-                    Placement::Split => None,
-                })
-                .collect();
-            idxs.sort_unstable();
-            idxs.dedup();
-            idxs
-        };
-        let mut shard_infos: HashMap<usize, HashMap<String, Json>> = HashMap::new();
-        for i in needed {
-            let addr = &pool.addrs()[i];
-            let listing = match pool.request(i, "GET", "/graphs", None) {
-                Err(e) => return error_response(503, format!("shard {addr}: {e}")),
-                Ok(r) if r.status != 200 => {
-                    return error_response(503, format!("shard {addr}: HTTP {}", r.status))
-                }
-                Ok(r) => r,
-            };
-            let mut by_name = HashMap::new();
-            if let Ok(json) = Json::parse(&listing.body) {
-                if let Some(graphs) = json.get("graphs").and_then(Json::as_arr) {
-                    for g in graphs {
-                        if let Some(n) = g.get("name").and_then(Json::as_str) {
-                            by_name.insert(n.to_string(), g.clone());
-                        }
-                    }
-                }
-            }
-            shard_infos.insert(i, by_name);
-        }
-        let graphs: Vec<Json> = placements
-            .iter()
-            .filter_map(|(name, placement)| match placement {
-                Placement::Split => self.registry.get(name).map(|entry| {
-                    let Json::Obj(mut fields) = graph_info(&entry) else {
-                        unreachable!()
-                    };
-                    fields.push(("split".to_string(), Json::Bool(true)));
-                    Json::Obj(fields)
-                }),
-                Placement::Remote(i) => {
-                    let addr = pool.addrs()[*i].as_str();
-                    let info = shard_infos.get(i).and_then(|m| m.get(name));
-                    Some(match info {
-                        Some(Json::Obj(fields)) => {
-                            let mut fields = fields.clone();
-                            fields.push(("shard".to_string(), Json::from(addr)));
-                            Json::Obj(fields)
-                        }
-                        _ => obj(vec![
-                            ("name", Json::from(name.as_str())),
-                            ("shard", Json::from(addr)),
-                            ("error", Json::from("missing on shard")),
-                        ]),
-                    })
-                }
-            })
-            .collect();
-        Response::json(200, obj(vec![("graphs", Json::Arr(graphs))]).to_string())
-    }
-
-    /// Router fast path for `POST /rank`: a graph placed whole on one
-    /// shard is proxied there verbatim (the shard batches, single-flights
-    /// and caches as usual; its cache header is relayed). Returns `None`
-    /// when the request should be computed here — split graphs (driven
-    /// across shards by [`Service::rank`]) and non-router roles.
-    fn router_proxy_rank(&self, body: &Json) -> Option<Response> {
-        if self.role != Role::Router {
-            return None;
-        }
-        let name = body.get("graph").and_then(Json::as_str)?;
-        let idx = match self.placements.lock_ok().get(name) {
-            Some(Placement::Remote(i)) => *i,
-            _ => return None,
-        };
-        let Some(pool) = self.shards.as_ref() else {
-            return Some(error_response(500, "router misconfigured: no shard pool"));
-        };
-        let addr = &pool.addrs()[idx];
-        Some(
-            match pool.request(idx, "POST", "/rank", Some(&body.to_string())) {
-                Err(e) => error_response(503, format!("shard {addr}: {e}")),
-                Ok(r) => {
-                    let cache = r.header("X-Saphyra-Cache").map(str::to_string);
-                    let mut resp = Response::json(r.status, r.body);
-                    if let Some(cache) = cache {
-                        resp = resp.with_header("X-Saphyra-Cache", &cache);
-                    }
-                    resp
-                }
-            },
-        )
-    }
-
-    /// The shard pool to drive `name`'s estimation across, if this node
-    /// is a router and the graph was loaded split.
-    fn sharded_pool_for(&self, name: &str) -> Option<&ShardPool> {
-        match self.placements.lock_ok().get(name) {
-            Some(Placement::Split) => self.shards.as_ref(),
-            _ => None,
-        }
-    }
-
     fn rank(&self, body: &Json) -> Response {
         let p = match self.parse_rank_request(body) {
             Ok(p) => p,
@@ -1808,19 +1463,7 @@ impl Service {
         // covers its slot as before.
         let bguard = BatchGuard { members: &members };
         let sets: Vec<Vec<NodeId>> = members.iter().map(|m| m.targets.clone()).collect();
-        let pool = self.sharded_pool_for(&p.graph);
-        let bodies = match compute_rank_bodies(&entry, &p, &sets, pool) {
-            Ok(bodies) => bodies,
-            Err(e) => {
-                // Dropping the guards answers every parked member and
-                // same-key waiter ("leader died" → 500); the leader's own
-                // response names the failed shard. Nothing is cached — a
-                // retry after the shard recovers recomputes.
-                drop(bguard);
-                drop(guard);
-                return error_response(503, format!("sharded execution failed: {e}"));
-            }
-        };
+        let bodies = compute_rank_bodies(&entry, &p, &sets);
         debug_assert_eq!(bodies.len(), members.len());
         let mut own = None;
         for (m, body) in members.iter().zip(bodies) {
@@ -1953,6 +1596,12 @@ fn opt_edges(body: &Json, key: &str) -> Result<Vec<(NodeId, NodeId)>, String> {
     Ok(out)
 }
 
+/// The request body parsed as JSON; the error is the 400 message.
+pub(crate) fn json_body(req: &Request) -> Result<Json, String> {
+    let text = req.body_str()?;
+    Json::parse(text).map_err(|e| format!("invalid JSON body: {e}"))
+}
+
 fn graph_info(entry: &GraphEntry) -> Json {
     obj(vec![
         ("name", Json::from(entry.name.as_str())),
@@ -1972,43 +1621,12 @@ fn graph_info(entry: &GraphEntry) -> Json {
 /// `crates/core/tests/batched_determinism.rs`), so a response never
 /// depends on who else was in flight. `p` carries the
 /// fields every member shares (everything but the targets).
-///
-/// With `pool` set (router ranking a split graph), the sampling passes run
-/// through a [`ShardedExec`] fanning work units out to the shard backends;
-/// the [`saphyra::framework::BlockExec`] contract makes the bodies
-/// byte-identical to the local path, so sharding never shows in a
-/// response. A shard failure surfaces as `Err` (the caller answers 503).
-fn compute_rank_bodies(
-    entry: &GraphEntry,
-    p: &RankParams,
-    sets: &[Vec<NodeId>],
-    pool: Option<&ShardPool>,
-) -> Result<Vec<String>, ExecError> {
+fn compute_rank_bodies(entry: &GraphEntry, p: &RankParams, sets: &[Vec<NodeId>]) -> Vec<String> {
     let mut rng = StdRng::seed_from_u64(p.seed);
-    let fingerprint = (
-        entry.graph.num_nodes() as u64,
-        entry.graph.num_edges() as u64,
-    );
-    let sharded = |measure: u8, reject_exact: bool| {
-        pool.map(|pool| {
-            let graph = entry.name.as_str();
-            ShardedExec::new(
-                pool,
-                graph,
-                fingerprint,
-                measure,
-                p.khops,
-                reject_exact,
-                sets,
-            )
-        })
-    };
     let per_set: Vec<(Vec<f64>, Json)> = match p.measure {
         Measure::Betweenness => {
             let cfg = SaphyraBcConfig::new(p.eps, p.delta);
-            let mut remote = sharded(shard::MEASURE_BC, cfg.use_exact_subspace);
-            let remote = remote.as_mut().map(|e| e as &mut dyn BlockExec<u64>);
-            let ests = entry.dec.rank(&entry.graph, sets, &cfg, &mut rng, remote)?;
+            let ests = entry.dec.rank(&entry.graph, sets, &cfg, &mut rng);
             ests.into_iter()
                 .map(|est| {
                     let stats = obj(vec![
@@ -2023,35 +1641,20 @@ fn compute_rank_bodies(
                 .collect()
         }
         Measure::KPath => {
-            // Split graphs run the per-set hit engine, bit-identical to the
-            // local shared-draw pass (pinned by `kpath_hit_engine_matches_shared`
-            // in `tests/other_measures.rs`).
-            let mut remote = sharded(shard::MEASURE_KPATH, true);
-            let remote = remote.as_mut().map(|e| e as &mut dyn BlockExec<u64>);
-            let ests = rank_kpath(
-                &entry.graph,
-                sets,
-                p.khops,
-                p.eps,
-                p.delta,
-                &mut rng,
-                remote,
-            )?;
+            let ests = rank_kpath(&entry.graph, sets, p.khops, p.eps, p.delta, &mut rng);
             ests.into_iter()
                 .map(|est| (est.kpc, inner_stats(&est.inner)))
                 .collect()
         }
         Measure::Harmonic => {
-            let mut remote = sharded(shard::MEASURE_HARMONIC, true);
-            let remote = remote.as_mut().map(|e| e as &mut dyn BlockExec<LossAcc>);
-            let ests = rank_harmonic(&entry.graph, sets, p.eps, p.delta, &mut rng, remote)?;
+            let ests = rank_harmonic(&entry.graph, sets, p.eps, p.delta, &mut rng);
             ests.into_iter()
                 .map(|est| (est.hc, inner_stats(&est.inner)))
                 .collect()
         }
     };
 
-    Ok(per_set
+    per_set
         .into_iter()
         .zip(sets)
         .map(|((scores, stats), targets)| {
@@ -2079,7 +1682,7 @@ fn compute_rank_bodies(
             ])
             .to_string()
         })
-        .collect())
+        .collect()
 }
 
 /// The `stats` object of a k-path or harmonic body.

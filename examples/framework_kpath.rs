@@ -26,9 +26,7 @@ fn main() {
     // adaptive sampling of the l ≥ 2 walks.
     let t0 = std::time::Instant::now();
     let sets = [targets.clone()];
-    let est = rank_kpath(&g, &sets, k, 0.01, 0.05, &mut rng, None)
-        .expect("local execution is infallible")
-        .remove(0);
+    let est = rank_kpath(&g, &sets, k, 0.01, 0.05, &mut rng).remove(0);
     let t_part = t0.elapsed().as_secs_f64();
 
     // Reference: brute-force Monte Carlo over the full walk space.

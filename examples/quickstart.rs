@@ -28,15 +28,13 @@ fn main() {
     );
 
     // Rank a target subset with an (ε, δ) guarantee. `rank` takes any
-    // number of target sets and samples in-process when no remote
-    // executor is given.
+    // number of target sets and returns one estimate per set.
     let targets: Vec<u32> = vec![0, 2, 3, 6, 8]; // a, c, d, g, i
     let names = ["a", "c", "d", "g", "i"];
     let cfg = SaphyraBcConfig::new(0.02, 0.05);
     let mut rng = StdRng::seed_from_u64(42);
     let est = dec
-        .rank(&g, std::slice::from_ref(&targets), &cfg, &mut rng, None)
-        .expect("local execution is infallible")
+        .rank(&g, std::slice::from_ref(&targets), &cfg, &mut rng)
         .remove(0);
 
     let exact = betweenness_exact(&g);

@@ -44,8 +44,7 @@ fn main() {
         let t0 = std::time::Instant::now();
         let cfg = SaphyraBcConfig::new(0.05, 0.01);
         let est = dec
-            .rank(g, std::slice::from_ref(&targets), &cfg, &mut rng, None)
-            .expect("local execution is infallible")
+            .rank(g, std::slice::from_ref(&targets), &cfg, &mut rng)
             .remove(0);
         let secs = t0.elapsed().as_secs_f64();
         println!(

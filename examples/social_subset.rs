@@ -41,8 +41,7 @@ fn main() {
     let dec = BcDecomposition::compute(&g);
     let cfg = SaphyraBcConfig::new(eps, delta);
     let est = dec
-        .rank(&g, std::slice::from_ref(&targets), &cfg, &mut rng, None)
-        .expect("local execution is infallible")
+        .rank(&g, std::slice::from_ref(&targets), &cfg, &mut rng)
         .remove(0);
     let t_saphyra = t0.elapsed().as_secs_f64();
 

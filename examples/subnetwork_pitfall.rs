@@ -46,8 +46,7 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(4);
     let cfg = SaphyraBcConfig::new(0.02, 0.05);
     let est = dec
-        .rank(g, std::slice::from_ref(&targets), &cfg, &mut rng, None)
-        .expect("local execution is infallible")
+        .rank(g, std::slice::from_ref(&targets), &cfg, &mut rng)
         .remove(0);
     let t_saphyra = t0.elapsed().as_secs_f64();
 

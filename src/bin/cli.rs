@@ -10,7 +10,7 @@
 //! saphyra-cli serve <addr> [--workers N] [--cache N] [--state-dir DIR]
 //!                   [--max-connections N] [--pipeline-depth N] [--journal-max-bytes N]
 //!                   [--resnapshot-deltas N] [--batch-window-ms N]
-//!                   [--role standalone|router|shard]
+//!                   [--role standalone|router]
 //!                   [--shards host:port,host:port,...]
 //! saphyra-cli snapshot save <edge-list> <out.snap> [--name G]
 //! saphyra-cli snapshot load <file.snap>
@@ -18,7 +18,7 @@
 //! saphyra-cli snapshot replay <state-dir>
 //! saphyra-cli query <addr> health
 //! saphyra-cli query <addr> graphs
-//! saphyra-cli query <addr> load --name G (--path <edge-list> | --gen <network>:<size>) [--seed S] [--split]
+//! saphyra-cli query <addr> load --name G (--path <edge-list> | --gen <network>:<size>) [--seed S]
 //! saphyra-cli query <addr> patch G [--insert u,v]... [--delete u,v]...
 //! saphyra-cli query <addr> rank --graph G --targets 1,2,3 [--measure M]
 //!                   [--eps 0.01] [--delta 0.01] [--seed 7] [--khops 5] [--repeat N]
@@ -289,7 +289,7 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
                     "--role" => {
                         let v = it.next().ok_or("--role needs a value")?;
                         role = saphyra_service::Role::parse(v).ok_or(format!(
-                            "--role: unknown role {v:?}; want standalone|router|shard"
+                            "--role: unknown role {v:?}; want standalone|router"
                         ))?;
                     }
                     "--shards" => {
@@ -410,14 +410,12 @@ fn parse_query<'a>(
         "shutdown" => query("POST", "/shutdown".to_string(), None, 1),
         "load" => {
             let (mut name, mut path, mut gen, mut seed) = (None, None, None, None::<u64>);
-            let mut split = false;
             while let Some(flag) = it.next() {
                 match flag.as_str() {
                     "--name" => name = Some(it.next().ok_or("--name needs a value")?.clone()),
                     "--path" => path = Some(it.next().ok_or("--path needs a value")?.clone()),
                     "--gen" => gen = Some(it.next().ok_or("--gen needs a value")?.clone()),
                     "--seed" => seed = Some(check_json_seed(next_parse(it, "--seed")?)?),
-                    "--split" => split = true,
                     other => return Err(format!("load: unknown flag {other}")),
                 }
             }
@@ -439,9 +437,6 @@ fn parse_query<'a>(
             }
             if let Some(s) = seed {
                 fields.push(("seed".to_string(), Json::from(s)));
-            }
-            if split {
-                fields.push(("split".to_string(), Json::Bool(true)));
             }
             query(
                 "POST",
@@ -634,15 +629,11 @@ fn run(cmd: Command) -> Result<(), String> {
             let mut rng = StdRng::seed_from_u64(seed);
             let targets = resolve_targets(&g, targets, &mut rng)?;
             let sets = [targets.clone()];
-            let local = "local execution is infallible";
             let (values, label): (Vec<f64>, &str) = match measure {
                 Measure::Betweenness => {
                     let dec = BcDecomposition::compute(&g);
                     let cfg = SaphyraBcConfig::new(eps, delta);
-                    let est = dec
-                        .rank(&g, &sets, &cfg, &mut rng, None)
-                        .expect(local)
-                        .remove(0);
+                    let est = dec.rank(&g, &sets, &cfg, &mut rng).remove(0);
                     eprintln!(
                         "samples {} (λ̂ {:.3}, VC {})",
                         est.stats.samples, est.stats.lambda_hat, est.stats.vc.vc_subset
@@ -650,12 +641,12 @@ fn run(cmd: Command) -> Result<(), String> {
                     (est.bc, "betweenness")
                 }
                 Measure::KPath => {
-                    let ests = rank_kpath(&g, &sets, khops, eps, delta, &mut rng, None);
-                    (ests.expect(local).remove(0).kpc, "k-path")
+                    let est = rank_kpath(&g, &sets, khops, eps, delta, &mut rng).remove(0);
+                    (est.kpc, "k-path")
                 }
                 Measure::Harmonic => {
-                    let ests = rank_harmonic(&g, &sets, eps, delta, &mut rng, None);
-                    (ests.expect(local).remove(0).hc, "harmonic")
+                    let est = rank_harmonic(&g, &sets, eps, delta, &mut rng).remove(0);
+                    (est.hc, "harmonic")
                 }
             };
             let ranks = saphyra_stats::ranks_by_value(&values);
@@ -1118,16 +1109,9 @@ mod tests {
             Command::Serve { role: saphyra_service::Role::Router, ref shards, .. }
                 if shards == &["127.0.0.1:7001".to_string(), "127.0.0.1:7002".to_string()]
         ));
-        let c = parse_args(&sv(&["serve", "127.0.0.1:0", "--role", "shard"])).unwrap();
-        assert!(matches!(
-            c,
-            Command::Serve {
-                role: saphyra_service::Role::Shard,
-                ..
-            }
-        ));
-        // Bad role spelling.
+        // Bad role spellings; a shard is a plain standalone server.
         assert!(parse_args(&sv(&["serve", "127.0.0.1:0", "--role", "primary"])).is_err());
+        assert!(parse_args(&sv(&["serve", "127.0.0.1:0", "--role", "shard"])).is_err());
         // A router must name shards; the list must be well-formed.
         assert!(parse_args(&sv(&["serve", "127.0.0.1:0", "--role", "router"])).is_err());
         assert!(parse_args(&sv(&[
@@ -1139,7 +1123,7 @@ mod tests {
             "127.0.0.1:7001,127.0.0.1:7001",
         ]))
         .is_err());
-        // A router fanning out to itself would deadlock.
+        // A router forwarding to itself would deadlock.
         assert!(parse_args(&sv(&[
             "serve",
             "127.0.0.1:7000",
@@ -1192,27 +1176,6 @@ mod tests {
                     r#"{"name":"g","network":"flickr","size":"tiny","seed":5}"#
                 );
             }
-            other => panic!("wrong parse: {other:?}"),
-        }
-
-        // --split rides along in the load body (routers split the graph
-        // across their shards; other roles reject the flag server-side).
-        let c = parse_args(&sv(&[
-            "query",
-            "h:1",
-            "load",
-            "--name",
-            "g",
-            "--gen",
-            "flickr:tiny",
-            "--split",
-        ]))
-        .unwrap();
-        match c {
-            Command::Query { body, .. } => assert_eq!(
-                body.unwrap(),
-                r#"{"name":"g","network":"flickr","size":"tiny","split":true}"#
-            ),
             other => panic!("wrong parse: {other:?}"),
         }
 

@@ -19,9 +19,7 @@ fn rank_one(
     cfg: &SaphyraBcConfig,
     rng: &mut StdRng,
 ) -> BcEstimate {
-    dec.rank(g, &[targets.to_vec()], cfg, rng, None)
-        .expect("local execution is infallible")
-        .remove(0)
+    dec.rank(g, &[targets.to_vec()], cfg, rng).remove(0)
 }
 
 fn random_targets(n: usize, k: usize, rng: &mut StdRng) -> Vec<u32> {

@@ -15,9 +15,7 @@ fn rank_one(
     cfg: &SaphyraBcConfig,
     rng: &mut StdRng,
 ) -> BcEstimate {
-    dec.rank(g, &[targets.to_vec()], cfg, rng, None)
-        .expect("local execution is infallible")
-        .remove(0)
+    dec.rank(g, &[targets.to_vec()], cfg, rng).remove(0)
 }
 
 #[test]

@@ -2,26 +2,25 @@
 //! harmonic §VI) on generated networks — the framework-generality claim.
 
 use rand::rngs::StdRng;
+use rand::RngCore;
 use rand::SeedableRng;
 use saphyra::closeness::{harmonic_exact, rank_harmonic, HarmonicEstimate};
-use saphyra::framework::LocalExec;
-use saphyra::kpath::{kpath_direct_monte_carlo, rank_kpath, KPathApproxProblem, KPathEstimate};
+use saphyra::framework::{estimate, LocalExec, LocalSharedExec, Subscriber};
+use saphyra::kpath::{
+    kpath_direct_monte_carlo, kpath_exact_part, rank_kpath, KPathApproxProblem, KPathEstimate,
+};
 use saphyra_gen::datasets::{flickr_sim, road_sim, SizeClass};
 use saphyra_graph::Graph;
 use saphyra_stats::spearman_vs_truth;
 
 /// Harmonic ranking of one target set with the local executor.
 fn harmonic_one(g: &Graph, targets: &[u32], eps: f64, rng: &mut StdRng) -> HarmonicEstimate {
-    rank_harmonic(g, &[targets.to_vec()], eps, 0.1, rng, None)
-        .expect("local execution is infallible")
-        .remove(0)
+    rank_harmonic(g, &[targets.to_vec()], eps, 0.1, rng).remove(0)
 }
 
 /// k-path ranking of one target set with the local executor.
 fn kpath_one(g: &Graph, targets: &[u32], k: usize, rng: &mut StdRng) -> KPathEstimate {
-    rank_kpath(g, &[targets.to_vec()], k, 0.02, 0.1, rng, None)
-        .expect("local execution is infallible")
-        .remove(0)
+    rank_kpath(g, &[targets.to_vec()], k, 0.02, 0.1, rng).remove(0)
 }
 
 #[test]
@@ -73,12 +72,10 @@ fn kpath_framework_agrees_with_direct_monte_carlo() {
 
 #[test]
 fn kpath_hit_engine_matches_shared() {
-    // The shared-draw stream (the local default) and the per-problem hit
-    // engine (a `LocalExec` passed as the remote executor) must produce
+    // The shared-draw stream (`LocalSharedExec`, what `rank_kpath` runs)
+    // and the per-problem hit engine (`LocalExec`) must produce
     // bit-identical estimates: walk drawing never looks at the target set
     // and scoring consumes no RNG, so per-demand hit counts coincide.
-    // This is the contract that lets a router answer a split graph's
-    // k-path request through shard backends without changing a byte.
     let g = flickr_sim(SizeClass::Tiny, 7);
     let n = g.num_nodes() as u32;
     let sets = vec![
@@ -87,23 +84,42 @@ fn kpath_hit_engine_matches_shared() {
         vec![0, n / 2, n - 1],
     ];
     let k = 4;
+    let probs: Vec<KPathApproxProblem> = sets
+        .iter()
+        .map(|t| KPathApproxProblem::new(&g, t, k))
+        .collect();
+    let refs: Vec<&KPathApproxProblem> = probs.iter().collect();
+    let subs: Vec<Subscriber<u64>> = sets
+        .iter()
+        .zip(&probs)
+        .map(|(t, problem)| Subscriber {
+            problem,
+            exact: kpath_exact_part(&g, t, k),
+            eps: 0.05,
+            delta: 0.1,
+            adaptive: true,
+        })
+        .collect();
     for seed in [3u64, 11, 29] {
-        let mut rng_a = StdRng::seed_from_u64(seed);
-        let shared = rank_kpath(&g, &sets, k, 0.05, 0.1, &mut rng_a, None).unwrap();
-        let mut rng_b = StdRng::seed_from_u64(seed);
-        let probs: Vec<KPathApproxProblem> = sets
-            .iter()
-            .map(|t| KPathApproxProblem::new(&g, t, k))
-            .collect();
-        let refs: Vec<&KPathApproxProblem> = probs.iter().collect();
-        let hit_engine = &mut LocalExec::new(&refs);
-        let via_exec = rank_kpath(&g, &sets, k, 0.05, 0.1, &mut rng_b, Some(hit_engine)).unwrap();
-        for (a, b) in shared.iter().zip(&via_exec) {
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-            assert_eq!(bits(&a.kpc), bits(&b.kpc), "seed {seed}: estimates diverge");
+        let master = StdRng::seed_from_u64(seed).next_u64();
+        let shared = estimate(&subs, master, &mut LocalSharedExec::new(&refs));
+        let via_exec = estimate(&subs, master, &mut LocalExec::new(&refs));
+        let ranked = rank_kpath(&g, &sets, k, 0.05, 0.1, &mut StdRng::seed_from_u64(seed));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        for ((a, b), r) in shared.iter().zip(&via_exec).zip(&ranked) {
             assert_eq!(
-                a.inner.outcome.samples_used, b.inner.outcome.samples_used,
+                bits(&a.combined),
+                bits(&b.combined),
+                "seed {seed}: estimates diverge"
+            );
+            assert_eq!(
+                a.outcome.samples_used, b.outcome.samples_used,
                 "seed {seed}"
+            );
+            assert_eq!(
+                bits(&a.combined),
+                bits(&r.kpc),
+                "seed {seed}: rank_kpath diverges"
             );
         }
     }

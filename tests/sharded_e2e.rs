@@ -1,8 +1,8 @@
-//! Docker-free three-process sharded deployment e2e: two `--role shard`
-//! server processes, one `--role router` process fronting them, plus a
-//! standalone process as the reference — the router's `/rank` bytes for a
-//! split graph must compare equal to the standalone server's for every
-//! measure, and a killed shard must surface as a clean 503.
+//! Docker-free multi-process sharded deployment e2e: two plain `serve`
+//! processes as shards, two `--role router` processes fronting them, plus
+//! a standalone process as the reference. The routers' `/rank` bytes must
+//! compare equal to the standalone server's for every measure, and a
+//! killed shard must surface as a clean 503 that names it.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
@@ -54,22 +54,20 @@ impl Drop for ServerProc {
     }
 }
 
-/// Loads the shared test graph through the `query load` CLI (exercising
-/// `--split` end-to-end when asked).
-fn cli_load(addr: &str, split: bool) {
+/// Loads the shared test graph through the `query load` CLI and returns
+/// the reply body it printed.
+fn cli_load(addr: &str) -> String {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_cli"));
     cmd.args(["query", addr, "load", "--name", "g", "--gen", "flickr:tiny"]);
     cmd.args(["--seed", "7"]);
-    if split {
-        cmd.arg("--split");
-    }
     let out = cmd.output().expect("run saphyra-cli query load");
+    let stdout = String::from_utf8_lossy(&out.stdout).to_string();
     assert!(
         out.status.success(),
-        "load on {addr} failed: {}{}",
-        String::from_utf8_lossy(&out.stdout),
+        "load on {addr} failed: {stdout}{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    stdout
 }
 
 fn rank_body(measure: &str, seed: u64) -> String {
@@ -80,20 +78,23 @@ fn rank_body(measure: &str, seed: u64) -> String {
 
 #[test]
 fn three_process_sharded_rank_matches_standalone_bytes() {
-    let shard_a = ServerProc::spawn(&["--role", "shard"]);
-    let shard_b = ServerProc::spawn(&["--role", "shard"]);
-    let router = ServerProc::spawn(&[
-        "--role",
-        "router",
-        "--shards",
-        &format!("{},{}", shard_a.addr, shard_b.addr),
-    ]);
+    let shard_a = ServerProc::spawn(&[]);
+    let shard_b = ServerProc::spawn(&[]);
+    let shard_list = format!("{},{}", shard_a.addr, shard_b.addr);
+    let router = ServerProc::spawn(&["--role", "router", "--shards", &shard_list]);
+    let second_router = ServerProc::spawn(&["--role", "router", "--shards", &shard_list]);
     let standalone = ServerProc::spawn(&[]);
 
-    cli_load(&router.addr, true);
-    cli_load(&standalone.addr, false);
+    let loaded = cli_load(&router.addr);
+    cli_load(&standalone.addr);
+    let owner = [&shard_a.addr, &shard_b.addr]
+        .into_iter()
+        .find(|a| loaded.contains(&format!("\"shard\":\"{a}\"")))
+        .unwrap_or_else(|| panic!("load reply names no shard: {loaded}"))
+        .clone();
 
     let mut via_router = Client::new(router.addr.clone());
+    let mut via_second = Client::new(second_router.addr.clone());
     let mut reference = Client::new(standalone.addr.clone());
 
     // Roles are visible in /healthz.
@@ -106,37 +107,49 @@ fn three_process_sharded_rank_matches_standalone_bytes() {
 
     for measure in ["bc", "kpath", "harmonic"] {
         let body = rank_body(measure, 41);
-        let sharded = via_router.request("POST", "/rank", Some(&body)).unwrap();
-        assert_eq!(sharded.status, 200, "{measure}: {}", sharded.body);
+        let routed = via_router.request("POST", "/rank", Some(&body)).unwrap();
+        assert_eq!(routed.status, 200, "{measure}: {}", routed.body);
         let solo = reference.request("POST", "/rank", Some(&body)).unwrap();
         assert_eq!(solo.status, 200, "{measure}: {}", solo.body);
         assert_eq!(
-            sharded.body, solo.body,
-            "{measure}: 3-process bytes diverge from standalone"
+            routed.body, solo.body,
+            "{measure}: routed bytes diverge from standalone"
         );
+        // A second router over the same shard list reaches the graph too.
+        let second = via_second.request("POST", "/rank", Some(&body)).unwrap();
+        assert_eq!(second.body, solo.body, "{measure}: second router diverges");
     }
 
-    // Kill the first shard (it owns the leading chunk share of every
-    // round): a cold request must come back as a clean JSON 503.
-    let dead_addr = shard_a.addr.clone();
-    shard_a.kill();
+    // Kill the shard the load reply named: a cold request must come back
+    // as a clean JSON 503 that names it.
+    let (dead, alive) = if owner == shard_a.addr {
+        (shard_a, shard_b)
+    } else {
+        (shard_b, shard_a)
+    };
+    dead.kill();
     let cold = rank_body("bc", 42);
     let resp = via_router.request("POST", "/rank", Some(&cold)).unwrap();
     assert_eq!(resp.status, 503, "{}", resp.body);
     assert!(resp.body.contains("error"), "{}", resp.body);
     assert!(
-        resp.body.contains(&dead_addr),
+        resp.body.contains(&owner),
         "503 does not name the dead shard: {}",
         resp.body
     );
 
     // Graceful shutdown of what's left.
-    for (client, proc_) in [(&mut via_router, router), (&mut reference, standalone)] {
+    for (client, proc_) in [
+        (&mut via_router, router),
+        (&mut via_second, second_router),
+        (&mut reference, standalone),
+    ] {
         let r = client.request("POST", "/shutdown", None).unwrap();
         assert_eq!(r.status, 200);
         proc_.kill();
     }
-    let mut b = Client::new(shard_b.addr.clone());
-    assert_eq!(b.request("POST", "/shutdown", None).unwrap().status, 200);
-    shard_b.kill();
+    let mut alive_client = Client::new(alive.addr.clone());
+    let r = alive_client.request("POST", "/shutdown", None).unwrap();
+    assert_eq!(r.status, 200);
+    alive.kill();
 }
