@@ -23,9 +23,11 @@
 //!
 //! The **distinct_cold_targets** round measures cross-request batching: 8
 //! clients fire barrier-synced waves of cold k-path requests with
-//! pairwise-disjoint target sets (same seed within a wave), against a
-//! gathering server and an unbatched one; the batched arm must be ≥ 2x,
-//! since one shared walk stream replaces 8 independent ones.
+//! pairwise-disjoint target sets. In the batched arm a wave shares one
+//! seed, so group commit runs its first arrival alone and the other 7 in
+//! one shared pass behind it; in the unbatched arm every client has its
+//! own seed, and distinct classes never batch. The batched arm must be
+//! ≥ 2x, since shared walk streams replace 8 independent ones.
 //!
 //! The **routed_rank** round prices the sharded topology: the same cold
 //! round served through a router that forwards each request to the shard
@@ -62,20 +64,9 @@ fn config() -> Criterion {
 }
 
 fn start_server(workers: usize) -> (saphyra_service::ServerHandle, String) {
-    // Gathering off: the legacy cold rounds measure per-request sampling
-    // cost, and a nonzero window would tax every distinct-seed request
-    // with a sleep it can never amortize (distinct seeds never coalesce).
-    start_server_with_window(workers, Duration::ZERO)
-}
-
-fn start_server_with_window(
-    workers: usize,
-    batch_window: Duration,
-) -> (saphyra_service::ServerHandle, String) {
     let cfg = ServiceConfig {
         workers,
         cache_capacity: 256,
-        batch_window,
         ..ServiceConfig::default()
     };
     let service = Arc::new(Service::new(cfg));
@@ -103,19 +94,24 @@ fn kpath_body(targets: &str, seed: u64) -> String {
 
 /// Barrier-synced waves: all `CLIENT_THREADS` keep-alive clients release
 /// together, each posting a COLD k-path request with its own disjoint
-/// target set and the wave's common seed (fresh seed per wave, so nothing
+/// target set and seed `seed_of(client, wave)` (fresh per wave, so nothing
 /// is ever cached). Returns elapsed seconds for all waves.
-fn fire_distinct_target_waves(addr: &str, sets: &[String], waves: usize, seed_base: u64) -> f64 {
+fn fire_distinct_target_waves(
+    addr: &str,
+    sets: &[String],
+    waves: usize,
+    seed_of: impl Fn(usize, usize) -> u64 + Sync,
+) -> f64 {
     let barrier = std::sync::Barrier::new(CLIENT_THREADS);
     let t0 = Instant::now();
     std::thread::scope(|scope| {
-        for set in sets.iter().take(CLIENT_THREADS) {
-            let barrier = &barrier;
+        for (c, set) in sets.iter().take(CLIENT_THREADS).enumerate() {
+            let (barrier, seed_of) = (&barrier, &seed_of);
             scope.spawn(move || {
                 let mut client = Client::new(addr);
                 for w in 0..waves {
                     barrier.wait();
-                    let body = kpath_body(set, seed_base + w as u64);
+                    let body = kpath_body(set, seed_of(c, w));
                     let resp = client
                         .request("POST", "/rank", Some(&body))
                         .expect("request");
@@ -293,23 +289,27 @@ fn bench_service(c: &mut Criterion) {
     );
     eprintln!();
 
-    // ISSUE satellite `distinct_cold_targets`: 8 clients, pairwise-disjoint
-    // target sets, one cold k-path request each per barrier-synced wave.
-    // Batched server (gather window) vs unbatched (window 0), fresh server
-    // per arm so caches and counters are clean. Batching must at least
-    // double throughput: one shared walk stream scores all 8 target sets
-    // instead of 8 independent streams drawing 8x the walks.
+    // `distinct_cold_targets`: 8 clients, pairwise-disjoint target sets,
+    // one cold k-path request each per barrier-synced wave. Batched arm:
+    // one seed per wave, so group commit seals the wave into 2 passes
+    // (its first arrival, then the 7 that queued behind it). Unbatched
+    // arm: one seed per client, so no two requests share a class. Fresh
+    // server per arm so caches and counters are clean. Batching must at
+    // least double throughput: shared walk streams score all 8 target
+    // sets instead of 8 independent streams drawing 8x the walks.
     let sets: Vec<String> = (0..CLIENT_THREADS)
         .map(|i| format!("[{},{},{}]", 3 * i, 3 * i + 1, 3 * i + 2))
         .collect();
     let waves = 6;
-    let (b_handle, b_addr) = start_server_with_window(CLIENT_THREADS, Duration::from_millis(5));
-    let batched_dt = fire_distinct_target_waves(&b_addr, &sets, waves, 7_000_000);
+    let (b_handle, b_addr) = start_server(CLIENT_THREADS);
+    let batched_dt = fire_distinct_target_waves(&b_addr, &sets, waves, |_, w| 7_000_000 + w as u64);
     let batch_passes = b_handle.service().sample_passes();
     let batch_members = b_handle.service().batched();
     b_handle.shutdown_and_join();
-    let (u_handle, u_addr) = start_server_with_window(CLIENT_THREADS, Duration::ZERO);
-    let unbatched_dt = fire_distinct_target_waves(&u_addr, &sets, waves, 7_000_000);
+    let (u_handle, u_addr) = start_server(CLIENT_THREADS);
+    let unbatched_dt = fire_distinct_target_waves(&u_addr, &sets, waves, |c, w| {
+        7_000_000 + (w * CLIENT_THREADS + c) as u64
+    });
     u_handle.shutdown_and_join();
     let total = (CLIENT_THREADS * waves) as f64;
     let (batched_rps, unbatched_rps) = (total / batched_dt, total / unbatched_dt);
@@ -318,10 +318,10 @@ fn bench_service(c: &mut Criterion) {
         "distinct_cold_targets ({CLIENT_THREADS} disjoint target sets, kpath, {waves} cold waves):"
     );
     eprintln!("{:>24} {:>12}", "scenario", "req/s");
-    eprintln!("{:>24} {unbatched_rps:>12.1}", "unbatched (window 0)");
+    eprintln!("{:>24} {unbatched_rps:>12.1}", "unbatched (seed/client)");
     eprintln!(
         "{:>24} {batched_rps:>12.1}  ({batch_speedup:.2}x, {batch_passes} passes / {} batched)",
-        "batched (window 5ms)", batch_members
+        "batched (seed/wave)", batch_members
     );
     eprintln!();
 

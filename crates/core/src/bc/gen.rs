@@ -8,8 +8,8 @@
 //! approximate distribution `D̃` of Eq. 31.
 //!
 //! The problem/sampler split follows the parallel batch contract: the
-//! [`BcApproxProblem`] owns the immutable PISP prefix-sum tables and index
-//! maps (shared across workers by reference — they are never copied), and
+//! [`BcApproxProblem`] holds the immutable PISP prefix-sum tables and index
+//! map (shared across workers by reference — they are never copied), and
 //! each [`BcSampler`] owns a private [`BiBfs`] workspace and path buffer,
 //! so concurrent workers draw without locks or allocation. Accept/reject
 //! telemetry flows back through relaxed atomic counters (totals only —
@@ -24,6 +24,7 @@
 //! per doubling round via [`crate::framework::LocalExec`]), never at the
 //! draw level.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use rand::{Rng, RngCore};
@@ -52,7 +53,7 @@ pub struct BcApproxProblem<'a> {
     g: &'a Graph,
     bic: &'a Bicomps,
     pisp: Pisp,
-    a_index: &'a [u32],
+    a_index: Cow<'a, [u32]>,
     vc_dim: usize,
     /// Samples accepted (returned to the estimator), summed over all
     /// workers.
@@ -141,13 +142,14 @@ fn draw_hits(
 
 impl<'a> BcApproxProblem<'a> {
     /// Builds the sampler. `a_index` maps node → target position (or
-    /// `u32::MAX`); `vc_dim` is the personalized VC bound (Corollary 22).
+    /// `u32::MAX`), borrowed or owned; `vc_dim` is the personalized VC
+    /// bound (Corollary 22).
     pub fn new(
         g: &'a Graph,
         bic: &'a Bicomps,
         outreach: &Outreach,
         targets: &[NodeId],
-        a_index: &'a [u32],
+        a_index: impl Into<Cow<'a, [u32]>>,
         vc_dim: usize,
     ) -> Self {
         let pisp = Pisp::new(bic, outreach, targets);
@@ -155,7 +157,7 @@ impl<'a> BcApproxProblem<'a> {
             g,
             bic,
             pisp,
-            a_index,
+            a_index: a_index.into(),
             vc_dim,
             accepted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
@@ -167,6 +169,11 @@ impl<'a> BcApproxProblem<'a> {
     /// The PISP tables (exposes `η` and `I(A)`).
     pub fn pisp(&self) -> &Pisp {
         &self.pisp
+    }
+
+    /// The node → target-position map the problem was built with.
+    pub(crate) fn a_index(&self) -> &[u32] {
+        &self.a_index
     }
 
     /// Samples accepted so far (all workers).
@@ -189,7 +196,7 @@ impl<'a> BcApproxProblem<'a> {
     /// Whether a path lies in the exact subspace `X̂` (Eq. 29).
     #[inline]
     pub fn in_exact_subspace(&self, path: &[NodeId]) -> bool {
-        path_in_exact_subspace(self.a_index, path)
+        path_in_exact_subspace(&self.a_index, path)
     }
 
     /// Draws one sample from `D̃` (rejection loop of Algorithm 2).
@@ -197,7 +204,7 @@ impl<'a> BcApproxProblem<'a> {
         let (mut accepted, mut rejected) = (0, 0);
         loop {
             sample_isp_into(self.g, self.bic, &self.pisp, &mut self.own, rng);
-            if path_in_exact_subspace(self.a_index, &self.own.path) {
+            if path_in_exact_subspace(&self.a_index, &self.own.path) {
                 rejected += 1;
                 continue;
             }
@@ -275,7 +282,7 @@ impl HrProblem<u64> for BcApproxProblem<'_> {
             g: self.g,
             bic: self.bic,
             pisp: &self.pisp,
-            a_index: self.a_index,
+            a_index: &self.a_index,
             reject_exact: self.reject_exact,
             scratch: BcScratch::new(self.g.num_nodes()),
             local_accepted: 0,

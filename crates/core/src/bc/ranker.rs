@@ -3,6 +3,7 @@
 //! `b̃c(v) = bcₐ(v) + γη·(ℓ̂_v + λ·ℓ̃_v)`.
 
 use rand::RngCore;
+use rayon::prelude::*;
 use saphyra_graph::{Bicomps, BlockCutTree, DeltaError, EdgeDelta, Graph, NodeId};
 
 use super::exact2hop::{build_a_index, exact_bc};
@@ -279,68 +280,34 @@ impl BcDecomposition {
         cfg: &SaphyraBcConfig,
         rng: &mut dyn RngCore,
     ) -> Vec<BcEstimate> {
-        let n = graph.num_nodes();
-        let a_indexes: Vec<Vec<u32>> = sets.iter().map(|t| build_a_index(n, t)).collect();
-        let vcs: Vec<VcBoundReport> = sets
-            .iter()
-            .map(|t| vc_bounds_from(&self.vc_precomp, graph, &self.bic, t))
+        // Each set's prologue is a pure function of the set, so a batch
+        // builds them in one ordered parallel map (a batch of one runs
+        // inline) without moving a byte of any estimate.
+        let prologues: Vec<SetPrologue> = (0..sets.len())
+            .into_par_iter()
+            .map(|i| self.prologue(graph, &sets[i as usize], cfg))
             .collect();
-        let probs: Vec<BcApproxProblem> = sets
+        // Theorem 24 chain: b̃c − bc = γη(ℓ − R), so the framework must
+        // reach ε/(γη) on the combined risk (it further divides by λ for
+        // the approximate subspace).
+        let subs: Vec<Subscriber<u64>> = prologues
             .iter()
-            .zip(&a_indexes)
-            .zip(&vcs)
-            .map(|((t, ai), vc)| {
-                let mut p =
-                    BcApproxProblem::new(graph, &self.bic, &self.outreach, t, ai, vc.vc_subset);
-                // The ablation degrades to direct ISP sampling with an empty
-                // exact subspace.
-                p.reject_exact = cfg.use_exact_subspace;
-                p
-            })
-            .collect();
-
-        // Per set: η, the exact oracle (Algorithm 1 line 3), and the inner
-        // target. Theorem 24 chain: b̃c − bc = γη(ℓ − R), so the framework
-        // must reach ε/(γη) on the combined risk (it further divides by λ
-        // for the approximate subspace). `exact_work` is `None` for a set
-        // with no PISP mass, whose betweenness is exactly bcₐ: λ̂ = 1 marks
-        // its (empty) sample space as fully exact, so it never samples.
-        let mut exact_work: Vec<Option<u64>> = Vec::with_capacity(sets.len());
-        let mut subs: Vec<Subscriber<u64>> = Vec::with_capacity(sets.len());
-        for ((t, ai), p) in sets.iter().zip(&a_indexes).zip(&probs) {
-            let gamma_eta = self.gamma * p.pisp().eta;
-            let (exact, work) = if p.pisp().is_empty() || gamma_eta <= 0.0 {
-                let none = ExactPart {
-                    lambda_hat: 1.0,
-                    exact_risks: vec![0.0; t.len()],
-                };
-                (none, None)
-            } else if cfg.use_exact_subspace {
-                let exact = exact_bc(graph, &self.bic, &self.outreach, t, ai);
-                let part = ExactPart {
-                    lambda_hat: (exact.lambda_raw / gamma_eta).clamp(0.0, 1.0),
-                    exact_risks: exact.exact_raw.iter().map(|&x| x / gamma_eta).collect(),
-                };
-                (part, Some(exact.work))
-            } else {
-                (ExactPart::trivial(t.len()), Some(0))
-            };
-            exact_work.push(work);
-            subs.push(Subscriber {
-                problem: p,
-                exact,
-                eps: cfg.eps / gamma_eta,
+            .map(|pro| Subscriber {
+                problem: &pro.problem,
+                exact: pro.exact.clone(),
+                eps: cfg.eps / (self.gamma * pro.problem.pisp().eta),
                 delta: cfg.delta,
                 adaptive: cfg.adaptive,
-            });
-        }
-        let refs: Vec<&BcApproxProblem> = probs.iter().collect();
+            })
+            .collect();
+        let refs: Vec<&BcApproxProblem> = prologues.iter().map(|pro| &pro.problem).collect();
         let ests = estimate(&subs, rng.next_u64(), &mut LocalExec::new(&refs));
 
         ests.into_iter()
             .enumerate()
             .map(|(i, est)| {
-                let (targets, sub, p) = (&sets[i], &subs[i], &probs[i]);
+                let (targets, sub, pro) = (&sets[i], &subs[i], &prologues[i]);
+                let p = &pro.problem;
                 let eta = p.pisp().eta;
                 let gamma_eta = self.gamma * eta;
                 let bca_part: Vec<f64> = targets.iter().map(|&v| self.bca[v as usize]).collect();
@@ -354,7 +321,7 @@ impl BcDecomposition {
                 let bc: Vec<f64> = (0..targets.len())
                     .map(|j| bca_part[j] + exact_path_part[j] + approx_part[j])
                     .collect();
-                let (lambda_hat, eps_inner, exact_work) = match exact_work[i] {
+                let (lambda_hat, eps_inner, exact_work) = match pro.exact_work {
                     Some(work) => (sub.exact.lambda_hat, sub.eps, work),
                     None => (0.0, cfg.eps, 0),
                 };
@@ -369,7 +336,7 @@ impl BcDecomposition {
                         gamma: self.gamma,
                         eta,
                         lambda_hat,
-                        vc: vcs[i],
+                        vc: pro.vc,
                         eps_inner,
                         samples: outcome.samples_used,
                         pilot_samples: outcome.pilot_samples,
@@ -383,6 +350,63 @@ impl BcDecomposition {
             })
             .collect()
     }
+
+    /// One set's work before sampling: its target index, VC bound
+    /// (Corollary 22), PISP problem and the exact oracle (Algorithm 1
+    /// line 3). `exact_work` is `None` for a set with no PISP mass, whose
+    /// betweenness is exactly bcₐ: λ̂ = 1 marks its (empty) sample space
+    /// as fully exact, so it never samples.
+    fn prologue<'g>(
+        &'g self,
+        graph: &'g Graph,
+        targets: &[NodeId],
+        cfg: &SaphyraBcConfig,
+    ) -> SetPrologue<'g> {
+        let a_index = build_a_index(graph.num_nodes(), targets);
+        let vc = vc_bounds_from(&self.vc_precomp, graph, &self.bic, targets);
+        let mut problem = BcApproxProblem::new(
+            graph,
+            &self.bic,
+            &self.outreach,
+            targets,
+            a_index,
+            vc.vc_subset,
+        );
+        // The ablation degrades to direct ISP sampling with an empty exact
+        // subspace.
+        problem.reject_exact = cfg.use_exact_subspace;
+        let gamma_eta = self.gamma * problem.pisp().eta;
+        let (exact, exact_work) = if problem.pisp().is_empty() || gamma_eta <= 0.0 {
+            let none = ExactPart {
+                lambda_hat: 1.0,
+                exact_risks: vec![0.0; targets.len()],
+            };
+            (none, None)
+        } else if cfg.use_exact_subspace {
+            let exact = exact_bc(graph, &self.bic, &self.outreach, targets, problem.a_index());
+            let part = ExactPart {
+                lambda_hat: (exact.lambda_raw / gamma_eta).clamp(0.0, 1.0),
+                exact_risks: exact.exact_raw.iter().map(|&x| x / gamma_eta).collect(),
+            };
+            (part, Some(exact.work))
+        } else {
+            (ExactPart::trivial(targets.len()), Some(0))
+        };
+        SetPrologue {
+            problem,
+            vc,
+            exact,
+            exact_work,
+        }
+    }
+}
+
+/// What [`BcDecomposition::rank`] builds for one set before sampling.
+struct SetPrologue<'g> {
+    problem: BcApproxProblem<'g>,
+    vc: VcBoundReport,
+    exact: ExactPart,
+    exact_work: Option<u64>,
 }
 
 #[cfg(test)]

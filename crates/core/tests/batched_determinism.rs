@@ -83,53 +83,63 @@ fn bc_multi_outcomes_match_solo_runs() {
 }
 
 /// End-to-end BC ranking: every set at once vs. each set alone,
-/// including the telemetry (samples, rejections, ε_inner).
+/// including the telemetry (samples, rejections, ε_inner), across
+/// {1, 2, 4} threads — a batch builds its per-set prologues in parallel.
 #[test]
 fn bc_rank_subset_multi_matches_solo() {
     let g = fixtures::grid_graph(6, 6);
     let dec = BcDecomposition::compute(&g);
     let sets = grid_sets();
     let cfg = SaphyraBcConfig::new(0.05, 0.1);
-    let batched = {
-        let mut rng = StdRng::seed_from_u64(11);
-        dec.rank(&g, &sets, &cfg, &mut rng)
-    };
-    assert_eq!(batched.len(), sets.len());
-    for (i, set) in sets.iter().enumerate() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let solo = dec
-            .rank(&g, std::slice::from_ref(set), &cfg, &mut rng)
-            .remove(0);
-        assert_eq!(batched[i].bc, solo.bc, "set {i}");
-        assert_eq!(batched[i].bca_part, solo.bca_part, "set {i}");
-        assert_eq!(batched[i].exact_path_part, solo.exact_path_part);
-        assert_eq!(batched[i].approx_part, solo.approx_part);
-        assert_eq!(batched[i].stats.samples, solo.stats.samples);
-        assert_eq!(batched[i].stats.eps_inner, solo.stats.eps_inner);
-        assert_eq!(batched[i].stats.lambda_hat, solo.stats.lambda_hat);
+    for threads in [1, 2, 4] {
+        let batched = in_pool(threads, || {
+            let mut rng = StdRng::seed_from_u64(11);
+            dec.rank(&g, &sets, &cfg, &mut rng)
+        });
+        assert_eq!(batched.len(), sets.len());
+        for (i, set) in sets.iter().enumerate() {
+            let solo = in_pool(threads, || {
+                let mut rng = StdRng::seed_from_u64(11);
+                dec.rank(&g, std::slice::from_ref(set), &cfg, &mut rng)
+                    .remove(0)
+            });
+            assert_eq!(batched[i].bc, solo.bc, "set {i}, {threads} threads");
+            assert_eq!(batched[i].bca_part, solo.bca_part, "set {i}");
+            assert_eq!(batched[i].exact_path_part, solo.exact_path_part);
+            assert_eq!(batched[i].approx_part, solo.approx_part);
+            assert_eq!(batched[i].stats.samples, solo.stats.samples);
+            assert_eq!(batched[i].stats.eps_inner, solo.stats.eps_inner);
+            assert_eq!(batched[i].stats.lambda_hat, solo.stats.lambda_hat);
+        }
     }
 }
 
 /// A batch member with no PISP mass (an isolated target) takes the
-/// pure-bcₐ early path without perturbing the other members.
+/// pure-bcₐ early path without perturbing the other members, across
+/// {1, 2, 4} threads.
 #[test]
 fn bc_multi_handles_no_pisp_members() {
     let g = fixtures::disconnected_mix();
     let dec = BcDecomposition::compute(&g);
     let sets: Vec<Vec<u32>> = vec![vec![5], vec![0, 1, 3]];
     let cfg = SaphyraBcConfig::new(0.1, 0.1);
-    let mut rng = StdRng::seed_from_u64(3);
-    let batched = dec.rank(&g, &sets, &cfg, &mut rng);
-    for (i, set) in sets.iter().enumerate() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let solo = dec
-            .rank(&g, std::slice::from_ref(set), &cfg, &mut rng)
-            .remove(0);
-        assert_eq!(batched[i].bc, solo.bc, "set {i}");
-        assert_eq!(batched[i].stats.samples, solo.stats.samples, "set {i}");
+    for threads in [1, 2, 4] {
+        let batched = in_pool(threads, || {
+            let mut rng = StdRng::seed_from_u64(3);
+            dec.rank(&g, &sets, &cfg, &mut rng)
+        });
+        for (i, set) in sets.iter().enumerate() {
+            let solo = in_pool(threads, || {
+                let mut rng = StdRng::seed_from_u64(3);
+                dec.rank(&g, std::slice::from_ref(set), &cfg, &mut rng)
+                    .remove(0)
+            });
+            assert_eq!(batched[i].bc, solo.bc, "set {i}, {threads} threads");
+            assert_eq!(batched[i].stats.samples, solo.stats.samples, "set {i}");
+        }
+        assert_eq!(batched[0].bc, vec![0.0]);
+        assert_eq!(batched[0].stats.samples, 0);
     }
-    assert_eq!(batched[0].bc, vec![0.0]);
-    assert_eq!(batched[0].stats.samples, 0);
 }
 
 /// Harmonic batching (weighted losses, fused pass): per-set results are

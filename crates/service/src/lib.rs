@@ -38,10 +38,10 @@
 //! queries are O(1) and replay byte-identical bodies. Identical requests
 //! racing a cold cache collapse behind one in-flight computation
 //! (single-flight), and cold requests that differ **only in their target
-//! set** coalesce into one shared sample stream during a short gather
-//! window ([`ServiceConfig::batch_window`]): one pass over the sample
-//! blocks scores every in-flight query's targets, with each member's body
-//! bit-identical to a quiet-server run. The `X-Saphyra-Cache` header
+//! set** coalesce by group commit: a request whose class is idle computes
+//! at once, and those arriving while its pass runs share the next pass,
+//! one pass over the sample blocks scoring every member's targets, with
+//! each member's body bit-identical to a quiet-server run. The `X-Saphyra-Cache` header
 //! reports `hit`, `miss`, `shared`, or `batched`; `/healthz` counts
 //! `batched` members and total `sample_passes`.
 //!

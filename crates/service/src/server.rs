@@ -30,15 +30,18 @@
 //! same bytes (`X-Saphyra-Cache: shared`).
 //!
 //! Cold requests that differ **only in their target set** — same graph,
-//! measure, ε, δ, seed and k — coalesce one level higher: the first such
-//! request opens a gather window of [`ServiceConfig::batch_window`], later
-//! arrivals enroll, and when the window closes the leader runs **one**
-//! shared sample pass that scores every member's target set
-//! (`X-Saphyra-Cache: batched`, counted in `/healthz` as `batched` /
-//! `sample_passes`). Members park on their own in-flight slots, so
-//! single-flight, caching and batching compose: identical requests
-//! collapse first, distinct-target ones batch, and every member's body is
-//! cached under its own key.
+//! measure, ε, δ, seed and k, one *class* — coalesce one level higher by
+//! group commit: a class runs one sample pass at a time. A request whose
+//! class is idle computes at once as a batch of one; requests arriving
+//! while a pass runs join the one batch forming behind it, whose first
+//! member seals it when that pass ends and runs **one** shared sample pass
+//! that scores every member's target set (`X-Saphyra-Cache: batched`,
+//! counted in `/healthz` as `batched` / `sample_passes`). No timer is
+//! involved: batches are exactly what arrived while the class was busy.
+//! Members park on their own in-flight slots, so single-flight, caching
+//! and batching compose: identical requests collapse first,
+//! distinct-target ones batch, and every member's body is cached under
+//! its own key.
 //!
 //! ## Connection model
 //!
@@ -161,14 +164,6 @@ pub struct ServiceConfig {
     /// pre-PR-4 behavior). Persistence failures degrade with a warning on
     /// stderr; they never fail a request or a boot.
     pub state_dir: Option<PathBuf>,
-    /// Gather window for cross-request batching: how long the first cold
-    /// `/rank` request of a `(graph, measure, eps, delta, seed, khops)`
-    /// class holds its computation open for other *distinct-target*
-    /// requests of the same class to coalesce into one shared sample
-    /// stream. Zero disables gathering (every cold request computes as a
-    /// batch of one). Batching never changes response bytes — each
-    /// member's body is bit-identical to a quiet-server run.
-    pub batch_window: Duration,
     /// What this node does with the registry and `/rank` (see [`Role`]).
     pub role: Role,
     /// Shard backend addresses (`host:port`), router role only. A list
@@ -194,7 +189,6 @@ impl Default for ServiceConfig {
             pipeline_depth: 32,
             journal_max_bytes: None,
             state_dir: None,
-            batch_window: Duration::from_millis(2),
             role: Role::Standalone,
             shards: Vec::new(),
             resnapshot_deltas: 16,
@@ -287,6 +281,21 @@ struct RankParams {
     khops: usize,
 }
 
+impl RankParams {
+    /// The request's coalescing class against graph load `epoch`.
+    fn batch_key(&self, epoch: u64) -> BatchKey {
+        BatchKey {
+            graph: self.graph.clone(),
+            epoch,
+            measure: self.measure,
+            eps_bits: self.eps.to_bits(),
+            delta_bits: self.delta.to_bits(),
+            seed: self.seed,
+            khops: self.khops,
+        }
+    }
+}
+
 fn obj(fields: Vec<(&str, Json)>) -> Json {
     Json::Obj(
         fields
@@ -311,6 +320,19 @@ pub(crate) fn error_response(status: u16, message: impl Into<String>) -> Respons
 struct Inflight {
     done: Mutex<Option<Option<Arc<String>>>>,
     cv: Condvar,
+}
+
+impl Inflight {
+    /// Blocks until the slot is filled; `None` means its computation died.
+    fn wait(&self) -> Option<Arc<String>> {
+        let mut done = self.done.lock_ok();
+        loop {
+            match done.as_ref() {
+                Some(r) => return r.clone(),
+                None => done = self.cv.wait_ok(done),
+            }
+        }
+    }
 }
 
 /// Removes the leader's in-flight entry on every exit path — including a
@@ -348,12 +370,32 @@ struct BatchKey {
     khops: usize,
 }
 
-/// An open gather window: the members enrolled so far. The first request
-/// of a class opens the window (becoming the batch leader) and seals it
-/// after [`ServiceConfig::batch_window`]; enrollment happens under the
-/// `Service::batches` lock, so a request that found the window in the map
-/// is always enrolled before the leader removes it.
-#[derive(Debug, Default)]
+/// Group-commit state of one [`BatchKey`] with a sample pass running: the
+/// in-flight slot of the leader now sampling, and the batch forming
+/// behind it. The first member of `next` parks on `running.done` and seals
+/// `next` once that pass ends, whether it published a body or died.
+#[derive(Debug)]
+struct Class {
+    running: Arc<Inflight>,
+    next: Option<Arc<Batch>>,
+}
+
+/// Where group commit seats a cold request in its class.
+enum Seat {
+    /// The class was idle: compute this batch of one at once.
+    Lead(Vec<BatchMember>),
+    /// Enrolled in the batch forming behind a running pass.
+    Joined,
+    /// First member of the batch forming behind the running slot: seal
+    /// that batch when the running pass ends.
+    Next(Arc<Inflight>, Arc<Batch>),
+}
+
+/// A batch forming behind a running pass: the members enrolled so far.
+/// Enrollment happens under the `Service::batches` lock, so a request that
+/// found the batch in its class is always enrolled before the batch's
+/// first member seals it.
+#[derive(Debug)]
 struct Batch {
     members: Mutex<Vec<BatchMember>>,
 }
@@ -389,6 +431,28 @@ impl Drop for BatchGuard<'_> {
     }
 }
 
+/// Removes a leader's [`Class`] entry on every exit path once its pass is
+/// over, unless a batch queued behind it: that batch's first member takes
+/// the entry over (it checks `running` is still this leader's slot, so a
+/// successor that already sealed is never evicted).
+struct ClassGuard<'a> {
+    service: &'a Service,
+    key: BatchKey,
+    slot: Arc<Inflight>,
+}
+
+impl Drop for ClassGuard<'_> {
+    fn drop(&mut self) {
+        let mut batches = self.service.batches.lock_ok();
+        let idle = batches
+            .get(&self.key)
+            .is_some_and(|c| c.next.is_none() && Arc::ptr_eq(&c.running, &self.slot));
+        if idle {
+            batches.remove(&self.key);
+        }
+    }
+}
+
 /// Shared service state: registry, cache, in-flight map, counters. Routing
 /// lives in [`Service::handle`], which is pure with respect to the network
 /// layer and therefore directly testable.
@@ -402,7 +466,7 @@ pub struct Service {
     /// invalidation walk it instead of scanning the whole cache.
     cache_index: KeyIndex<RankKey>,
     inflight: Mutex<HashMap<RankKey, Arc<Inflight>>>,
-    batches: Mutex<HashMap<BatchKey, Arc<Batch>>>,
+    batches: Mutex<HashMap<BatchKey, Class>>,
     /// Cache keys whose bodies were restored from a snapshot's warm
     /// section (`server.warm` in the lock hierarchy, taken after the
     /// cache lock). A hit on one of these counts in `warm_hits`: the
@@ -437,7 +501,6 @@ pub struct Service {
     max_requests_per_conn: usize,
     max_connections: usize,
     pipeline_depth: usize,
-    batch_window: Duration,
     resnapshot_deltas: usize,
 }
 
@@ -512,7 +575,6 @@ impl Service {
             max_requests_per_conn: cfg.max_requests_per_conn,
             max_connections: cfg.max_connections,
             pipeline_depth: cfg.pipeline_depth.max(1),
-            batch_window: cfg.batch_window,
             resnapshot_deltas: cfg.resnapshot_deltas.max(1),
         };
         // Restore straight from the configured dir, NOT via `persist`: a
@@ -1276,10 +1338,10 @@ impl Service {
                 }
             }
         });
-        // Open gather windows keyed to the old epoch can no longer gain
-        // members (new requests mint new-epoch keys and open fresh
-        // windows); dropping the map entries is hygiene — a leader
-        // mid-flight holds its own Arc and completes under old-epoch keys.
+        // Classes keyed to the old epoch can no longer gain members (new
+        // requests mint new-epoch keys); dropping the map entries is
+        // hygiene — a running leader and a queued batch's first member
+        // hold their own Arcs and complete under old-epoch keys.
         self.batches
             .lock_ok()
             .retain(|k, _| !(k.graph == name && k.epoch == old_epoch));
@@ -1349,15 +1411,7 @@ impl Service {
                 Some(slot) => {
                     let slot = Arc::clone(slot);
                     drop(inflight);
-                    let mut done = slot.done.lock_ok();
-                    let result = loop {
-                        match done.as_ref() {
-                            Some(r) => break r.clone(),
-                            None => done = slot.cv.wait_ok(done),
-                        }
-                    };
-                    drop(done);
-                    return match result {
+                    return match slot.wait() {
                         Some(body) => {
                             self.cache_shared.fetch_add(1, Ordering::Relaxed);
                             Response::json(200, body.as_str())
@@ -1380,76 +1434,88 @@ impl Service {
         self.cache_misses.fetch_add(1, Ordering::Relaxed);
         self.computations.fetch_add(1, Ordering::Relaxed);
 
-        // Cross-request batching: cold requests that differ *only* in
-        // their target set coalesce into one shared sample stream. The
-        // first request of a class opens a gather window and becomes the
-        // batch leader; later ones enroll and park on their own in-flight
-        // slot, exactly like single-flight waiters. Enrollment happens
-        // under the batches lock (lock order: batches → batch members), so
-        // a request that found the window in the map is always enrolled
-        // before the leader seals it.
-        let bkey = BatchKey {
-            graph: p.graph.clone(),
-            epoch: entry.epoch,
-            measure: p.measure,
-            eps_bits: p.eps.to_bits(),
-            delta_bits: p.delta.to_bits(),
-            seed: p.seed,
-            khops: p.khops,
-        };
+        // Cross-request batching by group commit: cold requests that
+        // differ *only* in their target set share a class, and a class
+        // runs one sample pass at a time. A request whose class is idle
+        // seals a batch of itself and computes at once. One that finds a
+        // pass running joins the single batch forming behind it; that
+        // batch's first member parks on the running leader's slot and
+        // seals whatever joined by the time the pass ends. Later members
+        // park on their own in-flight slots, exactly like single-flight
+        // waiters. Enrollment and sealing happen under the batches lock
+        // (lock order: batches → batch members), so a request that found
+        // the batch in its class is always enrolled before it is sealed.
+        let bkey = p.batch_key(entry.epoch);
         let member = BatchMember {
             key: key.clone(),
             targets: p.targets.clone(),
             slot: Arc::clone(&guard.slot),
         };
-        let led = {
+        let seat = {
             let mut batches = self.batches.lock_ok();
-            match batches.get(&bkey) {
-                Some(batch) => {
-                    batch.members.lock_ok().push(member);
-                    None
-                }
+            match batches.get_mut(&bkey) {
                 None => {
-                    let batch = Arc::new(Batch::default());
-                    batch.members.lock_ok().push(member);
-                    batches.insert(bkey.clone(), Arc::clone(&batch));
-                    Some(batch)
+                    let running = Arc::clone(&guard.slot);
+                    batches.insert(
+                        bkey.clone(),
+                        Class {
+                            running,
+                            next: None,
+                        },
+                    );
+                    Seat::Lead(vec![member])
                 }
+                Some(class) => match &class.next {
+                    Some(batch) => {
+                        batch.members.lock_ok().push(member);
+                        Seat::Joined
+                    }
+                    None => {
+                        let batch = Arc::new(Batch {
+                            members: Mutex::new(vec![member]),
+                        });
+                        class.next = Some(Arc::clone(&batch));
+                        Seat::Next(Arc::clone(&class.running), batch)
+                    }
+                },
             }
         };
 
-        let Some(batch) = led else {
-            // Joined an open window: the leader computes our body from the
-            // shared stream and publishes it to our slot; our own guard
-            // then clears the in-flight entry, and any same-key waiters
-            // replay the bytes as "shared".
-            let mut done = guard.slot.done.lock_ok();
-            let result = loop {
-                match done.as_ref() {
-                    Some(r) => break r.clone(),
-                    None => done = guard.slot.cv.wait_ok(done),
+        let members = match seat {
+            Seat::Lead(members) => members,
+            Seat::Joined => {
+                // The batch's first member computes our body from the
+                // shared stream and publishes it to our slot; our own
+                // guard then clears the in-flight entry, and any same-key
+                // waiters replay the bytes as "shared".
+                return match guard.slot.wait() {
+                    Some(body) => {
+                        Response::json(200, body.as_str()).with_header("X-Saphyra-Cache", "batched")
+                    }
+                    None => error_response(500, "ranking computation failed"),
+                };
+            }
+            Seat::Next(running, batch) => {
+                // Wait out the running pass (its body or its death: the
+                // leader's guard fills the slot either way), then seal —
+                // take over the class as its running leader unless a
+                // PATCH dropped it meanwhile — and snapshot the members.
+                running.wait();
+                let mut batches = self.batches.lock_ok();
+                if let Some(class) = batches.get_mut(&bkey) {
+                    if class.next.as_ref().is_some_and(|b| Arc::ptr_eq(b, &batch)) {
+                        class.next = None;
+                        class.running = Arc::clone(&guard.slot);
+                    }
                 }
-            };
-            drop(done);
-            return match result {
-                Some(body) => {
-                    Response::json(200, body.as_str()).with_header("X-Saphyra-Cache", "batched")
-                }
-                None => error_response(500, "ranking computation failed"),
-            };
+                let mut members = batch.members.lock_ok();
+                std::mem::take(&mut *members)
+            }
         };
-
-        // Leader: hold the window open, then seal — remove the class from
-        // the map (new arrivals open a fresh window) and snapshot the
-        // members.
-        if !self.batch_window.is_zero() {
-            std::thread::sleep(self.batch_window);
-        }
-        let members = {
-            let mut batches = self.batches.lock_ok();
-            batches.remove(&bkey);
-            let mut members = batch.members.lock_ok();
-            std::mem::take(&mut *members)
+        let class_guard = ClassGuard {
+            service: self,
+            key: bkey,
+            slot: Arc::clone(&guard.slot),
         };
         self.sample_passes.fetch_add(1, Ordering::Relaxed);
         let shared_pass = members.len() >= 2;
@@ -1460,7 +1526,7 @@ impl Service {
 
         // Compute outside every lock. `bguard` answers still-parked
         // members with 500 if this unwinds; the leader's own `guard`
-        // covers its slot as before.
+        // covers its slot, and `class_guard` hands the class on.
         let bguard = BatchGuard { members: &members };
         let sets: Vec<Vec<NodeId>> = members.iter().map(|m| m.targets.clone()).collect();
         let bodies = compute_rank_bodies(&entry, &p, &sets);
@@ -1487,10 +1553,11 @@ impl Service {
             m.slot.cv.notify_all();
         }
         drop(bguard); // every slot is published; the sweep finds nothing
+        drop(class_guard);
         drop(guard);
-        // The leader pushed itself into the batch before sealing, so its
-        // own body is always among those published; 500 beats a panic if
-        // that invariant ever breaks.
+        // The leader is always the first member of the batch it seals, so
+        // its own body is always among those published; 500 beats a panic
+        // if that invariant ever breaks.
         let Some(body) = own else {
             return error_response(500, "batch leader lost its own enrollment");
         };
@@ -2661,29 +2728,81 @@ mod tests {
         assert_eq!(svc.computations(), 4, "distinct keys must all compute");
     }
 
-    fn service_with_grid_window(window: Duration) -> Service {
-        let svc = Service::new(ServiceConfig {
-            workers: 1,
-            cache_capacity: 16,
-            batch_window: window,
-            ..ServiceConfig::default()
-        });
-        svc.registry().insert(GraphEntry::build(
-            "grid",
-            saphyra_graph::fixtures::grid_graph(5, 5),
-        ));
-        svc
+    /// The coalescing class of `/rank` body `body` on `svc`.
+    fn class_of(svc: &Service, body: &str) -> BatchKey {
+        let p = svc
+            .parse_rank_request(&Json::parse(body).unwrap())
+            .expect("valid rank request");
+        let epoch = svc.registry().get(&p.graph).unwrap().epoch;
+        p.batch_key(epoch)
     }
 
-    /// The tentpole property, per measure: concurrent cold requests with
-    /// distinct target sets run ONE shared sample pass, every response
+    /// Forges a sample pass running in class `key`, as a leader leaves it
+    /// while it samples; filling the returned slot ends the pass.
+    fn forge_running_pass(svc: &Service, key: BatchKey) -> Arc<Inflight> {
+        let running = Arc::new(Inflight::default());
+        let class = Class {
+            running: Arc::clone(&running),
+            next: None,
+        };
+        svc.batches.lock_ok().insert(key, class);
+        running
+    }
+
+    /// Spins (no sleep) until `n` requests have queued behind the running
+    /// pass of class `key`, or a minute has passed; returns how many did.
+    /// Callers end the pass before asserting, so a failure cannot leave
+    /// the queued requests parked forever.
+    fn wait_queued(svc: &Service, key: &BatchKey, n: usize) -> usize {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        loop {
+            let queued = svc
+                .batches
+                .lock_ok()
+                .get(key)
+                .and_then(|c| c.next.as_ref().map(|b| b.members.lock_ok().len()))
+                .unwrap_or(0);
+            if queued == n || Instant::now() >= deadline {
+                return queued;
+            }
+            std::thread::yield_now();
+        }
+    }
+
+    /// Ends a forged pass: `Some` as a leader that published a body,
+    /// `None` as one that died.
+    fn end_pass(running: &Inflight, outcome: Option<Arc<String>>) {
+        *running.done.lock_ok() = Some(outcome);
+        running.cv.notify_all();
+    }
+
+    /// Answers `bodies` concurrently on `svc`, in order, while the calling
+    /// thread runs `meanwhile`.
+    fn answer_concurrently(
+        svc: &Service,
+        bodies: &[String],
+        meanwhile: impl FnOnce(),
+    ) -> Vec<Response> {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = bodies
+                .iter()
+                .map(|b| scope.spawn(move || svc.handle(&post("/rank", b)).0))
+                .collect();
+            meanwhile();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
+    }
+
+    /// The tentpole property, per measure: distinct-target requests that
+    /// arrive while their class has a pass running queue behind it and
+    /// seal into ONE shared sample pass when it ends; every response
     /// reports `batched`, and every body is byte-identical to what a quiet
-    /// server (no other traffic, window zero) produces for that request.
+    /// server returns for that request alone.
     #[test]
     fn batching_coalesces_distinct_targets_into_one_pass() {
         let sets = ["[0,1]", "[5,6]", "[12,17]", "[20,24]"];
         for measure in ["bc", "kpath", "harmonic"] {
-            let svc = service_with_grid_window(Duration::from_millis(300));
+            let svc = service_with_grid();
             let bodies: Vec<String> = sets
                 .iter()
                 .map(|t| {
@@ -2692,15 +2811,12 @@ mod tests {
                     )
                 })
                 .collect();
-            let responses: Vec<Response> = std::thread::scope(|scope| {
-                let handles: Vec<_> = bodies
-                    .iter()
-                    .map(|b| {
-                        let svc = &svc;
-                        scope.spawn(move || svc.handle(&post("/rank", b)).0)
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            let class = class_of(&svc, &bodies[0]);
+            let running = forge_running_pass(&svc, class.clone());
+            let responses = answer_concurrently(&svc, &bodies, || {
+                let queued = wait_queued(&svc, &class, sets.len());
+                end_pass(&running, Some(Arc::new(String::new())));
+                assert_eq!(queued, sets.len(), "{measure}");
             });
             assert_eq!(
                 svc.sample_passes(),
@@ -2709,16 +2825,16 @@ mod tests {
             );
             assert_eq!(svc.batched(), 4, "{measure}");
             assert_eq!(svc.computations(), 4, "{measure}");
+            assert!(
+                svc.batches.lock_ok().is_empty(),
+                "{measure}: the class outlived its last pass"
+            );
             for (r, req) in responses.iter().zip(&bodies) {
                 assert_eq!(r.status, 200, "{}", r.body_str());
-                assert!(
-                    r.headers
-                        .iter()
-                        .any(|(k, v)| k == "X-Saphyra-Cache" && v == "batched"),
-                    "{measure}: member not marked batched"
-                );
-                let quiet = service_with_grid_window(Duration::ZERO);
+                assert_eq!(cache_header(r), Some("batched"), "{measure}");
+                let quiet = service_with_grid();
                 let (qr, _) = quiet.handle(&post("/rank", req));
+                assert_eq!(cache_header(&qr), Some("miss"));
                 assert_eq!(
                     r.body, qr.body,
                     "{measure}: batched bytes diverged from a quiet-server run"
@@ -2727,44 +2843,80 @@ mod tests {
         }
     }
 
+    /// A running leader that dies (its slot filled with `None`) must not
+    /// strand the batch queued behind it: the batch still seals, computes
+    /// and answers 200.
     #[test]
-    fn zero_window_batches_of_one_report_miss() {
-        let svc = service_with_grid_window(Duration::ZERO);
+    fn queued_batch_computes_after_the_running_leader_dies() {
+        let svc = service_with_grid();
+        let bodies: Vec<String> = ["[0,1]", "[5,6]", "[12,17]"]
+            .iter()
+            .map(|t| format!(r#"{{"graph":"grid","targets":{t},"eps":0.1,"delta":0.1,"seed":4}}"#))
+            .collect();
+        let class = class_of(&svc, &bodies[0]);
+        let running = forge_running_pass(&svc, class.clone());
+        let responses = answer_concurrently(&svc, &bodies, || {
+            let queued = wait_queued(&svc, &class, bodies.len());
+            end_pass(&running, None);
+            assert_eq!(queued, bodies.len());
+        });
+        for r in &responses {
+            assert_eq!(r.status, 200, "{}", r.body_str());
+            assert_eq!(cache_header(r), Some("batched"));
+        }
+        assert_eq!(svc.sample_passes(), 1);
+        assert_eq!(svc.batched(), 3);
+        assert!(svc.batches.lock_ok().is_empty());
+    }
+
+    /// A request whose class is idle computes at once as a pass of one:
+    /// it answers `miss`, counts no batched member, and leaves no class
+    /// entry behind.
+    #[test]
+    fn lone_request_is_a_pass_of_one_and_reports_miss() {
+        let svc = service_with_grid();
         let body = r#"{"graph":"grid","targets":[6,12,18],"eps":0.1,"delta":0.1,"seed":7}"#;
         let (r, _) = svc.handle(&post("/rank", body));
         assert_eq!(r.status, 200, "{}", r.body_str());
-        assert!(r
-            .headers
-            .iter()
-            .any(|(k, v)| k == "X-Saphyra-Cache" && v == "miss"));
+        assert_eq!(cache_header(&r), Some("miss"));
         assert_eq!(svc.sample_passes(), 1);
         assert_eq!(svc.batched(), 0);
-        // A batch of one is the canonical computation: the default-window
-        // service produces the same bytes for the same request.
-        let dflt = service_with_grid();
-        let (rd, _) = dflt.handle(&post("/rank", body));
-        assert_eq!(r.body, rd.body);
+        assert_eq!(svc.computations(), 1);
+        assert!(svc.batches.lock_ok().is_empty());
     }
 
     /// Requests in different accuracy classes (here: distinct ε) never
-    /// share a stream, even inside one gather window.
+    /// share a stream: a request of an idle class computes at once even
+    /// while another class has a pass running with a batch queued.
     #[test]
     fn batching_respects_accuracy_class() {
-        let svc = service_with_grid_window(Duration::from_millis(200));
-        std::thread::scope(|scope| {
-            for eps in ["0.1", "0.2"] {
-                let svc = &svc;
-                let body = format!(
-                    r#"{{"graph":"grid","targets":[6,12],"eps":{eps},"delta":0.1,"seed":5}}"#
-                );
-                scope.spawn(move || {
-                    let (r, _) = svc.handle(&post("/rank", &body));
-                    assert_eq!(r.status, 200, "{}", r.body_str());
-                });
-            }
+        let svc = service_with_grid();
+        let body = |eps: &str, targets: &str| {
+            format!(r#"{{"graph":"grid","targets":{targets},"eps":{eps},"delta":0.1,"seed":5}}"#)
+        };
+        let busy = class_of(&svc, &body("0.1", "[6,12]"));
+        let running = forge_running_pass(&svc, busy.clone());
+        let queued = [body("0.1", "[6,12]"), body("0.1", "[1,2]")];
+        let responses = answer_concurrently(&svc, &queued, || {
+            let n = wait_queued(&svc, &busy, queued.len());
+            let (r, _) = svc.handle(&post("/rank", &body("0.2", "[6,12]")));
+            let passes = svc.sample_passes();
+            end_pass(&running, Some(Arc::new(String::new())));
+            assert_eq!(n, queued.len());
+            assert_eq!(r.status, 200, "{}", r.body_str());
+            assert_eq!(
+                cache_header(&r),
+                Some("miss"),
+                "distinct eps must not queue"
+            );
+            assert_eq!(passes, 1);
         });
-        assert_eq!(svc.sample_passes(), 2, "distinct eps must not coalesce");
-        assert_eq!(svc.batched(), 0);
+        for r in &responses {
+            assert_eq!(r.status, 200, "{}", r.body_str());
+            assert_eq!(cache_header(r), Some("batched"));
+        }
+        assert_eq!(svc.sample_passes(), 2);
+        assert_eq!(svc.batched(), 2);
     }
 
     #[test]
@@ -3057,32 +3209,28 @@ mod tests {
     }
 
     /// A patch whose delta dirties a component must also drop that
-    /// graph's open gather windows keyed to the replaced epoch.
+    /// graph's batching classes keyed to the replaced epoch.
     #[test]
-    fn patch_drops_stale_batch_windows() {
-        let svc = service_with_grid_window(Duration::from_secs(30));
+    fn patch_drops_stale_batch_classes() {
+        let svc = service_with_grid();
         svc.registry()
             .insert(GraphEntry::build("two", two_component_graph()));
-        let old_epoch = svc.registry().get("two").unwrap().epoch;
-        // Forge an open window under the current epoch, as a leader
-        // would leave while waiting out a long batch window.
-        let batch_key = BatchKey {
-            graph: "two".to_string(),
-            epoch: old_epoch,
-            measure: Measure::Betweenness,
-            eps_bits: 0.2f64.to_bits(),
-            delta_bits: 0.2f64.to_bits(),
-            seed: 3,
-            khops: 0,
-        };
-        svc.batches
-            .lock_ok()
-            .insert(batch_key.clone(), Arc::new(Batch::default()));
+        // Forge a running pass with a batch queued behind it under the
+        // current epoch, as a leader and a waiting member would leave
+        // them mid-pass.
+        let class = class_of(
+            &svc,
+            r#"{"graph":"two","targets":[1,2],"eps":0.2,"delta":0.2,"seed":3}"#,
+        );
+        forge_running_pass(&svc, class.clone());
+        svc.batches.lock_ok().get_mut(&class).unwrap().next = Some(Arc::new(Batch {
+            members: Mutex::new(Vec::new()),
+        }));
         let (p, _) = svc.handle(&patch_req("two", r#"{"insert":[[2,5]]}"#));
         assert_eq!(p.status, 200, "{}", p.body_str());
         assert!(
-            !svc.batches.lock_ok().contains_key(&batch_key),
-            "stale-epoch batch window survived the patch"
+            !svc.batches.lock_ok().contains_key(&class),
+            "stale-epoch batching class survived the patch"
         );
     }
 

@@ -206,61 +206,78 @@ fn single_flight_collapses_identical_cold_requests_on_the_wire() {
     handle.shutdown_and_join();
 }
 
-/// The batching acceptance property on the wire: 8 concurrent cold
-/// requests with pairwise-distinct target sets — same graph, measure, ε,
-/// δ, seed — coalesce into ONE shared sample pass, every response is
-/// marked `batched`, and every body is byte-identical to what a quiet
-/// server (no other traffic) returns for the same request.
+/// The batching acceptance property on the wire: 8 cold requests with
+/// pairwise-distinct target sets — same graph, measure, ε, δ, seed and k —
+/// that arrive while a blocker request of their class is sampling queue
+/// behind it and share ONE sample pass once it ends; every response is
+/// marked `batched`, and every body (the blocker's too) is byte-identical
+/// to what a quiet server returns for the same request alone.
 #[test]
 fn batched_distinct_targets_one_pass_and_quiet_server_bytes() {
     let n = 8usize;
+    let rank = |targets: String| {
+        format!(
+            r#"{{"graph":"g","targets":{targets},"measure":"bc","eps":0.01,"delta":0.1,"seed":42}}"#
+        )
+    };
+    // The blocker ranks the graph's five hubs, whose pass samples long
+    // enough that the 8 requests below arrive while it runs; the members
+    // rank pendant (degree-1) nodes, whose passes take a handful of
+    // samples, so the test's own load stays light.
+    let blocker = rank("[0,1,2,6,7]".to_string());
     let bodies: Vec<String> = (0..n)
-        .map(|i| {
-            format!(
-                r#"{{"graph":"g","targets":[{},{},{}],"measure":"bc","eps":0.15,"delta":0.1,"seed":42}}"#,
-                2 * i,
-                2 * i + 1,
-                30 + i
-            )
+        .map(|i| rank(format!("[{},{},{}]", 300 + 3 * i, 301 + 3 * i, 302 + 3 * i)))
+        .collect();
+
+    // Both servers and the 8 batching clients are set up before any
+    // sampling, so the test's load does not stop and restart while
+    // timing-sensitive tests run beside it. The batching server has one
+    // worker per in-flight request, so every member can park while the
+    // blocker samples; its clients connect first and wait at a barrier,
+    // so releasing them costs no connect.
+    let (quiet, quiet_addr) = start(1);
+    load_flickr(&quiet_addr, "g", 5);
+    let (handle, addr) = start(n + 1);
+    load_flickr(&addr, "g", 5);
+    let release = Arc::new(std::sync::Barrier::new(n + 1));
+    let threads: Vec<_> = bodies
+        .iter()
+        .map(|body| {
+            let mut client = Client::new(addr.clone());
+            assert_eq!(client.request("GET", "/healthz", None).unwrap().status, 200);
+            let (body, release) = (body.clone(), Arc::clone(&release));
+            std::thread::spawn(move || {
+                release.wait();
+                client.request("POST", "/rank", Some(&body)).unwrap()
+            })
         })
         .collect();
 
     // Quiet-server baselines: the same requests, zero concurrency.
     let mut baselines = Vec::new();
-    {
-        let (handle, addr) = start(1);
-        load_flickr(&addr, "g", 5);
-        for b in &bodies {
-            let r = request(&addr, "POST", "/rank", Some(b)).unwrap();
-            assert_eq!(r.status, 200, "{}", r.body);
-            baselines.push(r.body);
-        }
-        handle.shutdown_and_join();
+    for b in std::iter::once(&blocker).chain(&bodies) {
+        let r = request(&quiet_addr, "POST", "/rank", Some(b)).unwrap();
+        assert_eq!(r.status, 200, "{}", r.body);
+        assert_eq!(r.header("x-saphyra-cache"), Some("miss"));
+        baselines.push(r.body);
     }
 
-    // Batching server: one worker per request so every member can park in
-    // the gather window, and a window comfortably wider than the time the
-    // 8 client threads need to connect and send.
-    let cfg = ServiceConfig {
-        workers: n,
-        cache_capacity: 64,
-        batch_window: Duration::from_millis(300),
-        ..ServiceConfig::default()
-    };
-    let handle = serve("127.0.0.1:0", cfg).expect("bind");
-    let addr = handle.addr().to_string();
-    load_flickr(&addr, "g", 5);
-
-    let mut threads = Vec::new();
-    for (i, body) in bodies.iter().enumerate() {
+    let blocker_thread = {
         let addr = addr.clone();
-        let body = body.clone();
-        threads.push(std::thread::spawn(move || {
-            (i, request(&addr, "POST", "/rank", Some(&body)).unwrap())
-        }));
+        std::thread::spawn(move || request(&addr, "POST", "/rank", Some(&blocker)).unwrap())
+    };
+    // The blocker's pass is sealed (and sampling) once the counter moves.
+    while handle.service().sample_passes() == 0 {
+        std::thread::yield_now();
     }
-    for t in threads {
-        let (i, resp) = t.join().unwrap();
+    release.wait();
+
+    let resp = blocker_thread.join().unwrap();
+    assert_eq!(resp.status, 200, "blocker: {}", resp.body);
+    assert_eq!(resp.header("x-saphyra-cache"), Some("miss"));
+    assert_eq!(resp.body, baselines[0], "blocker bytes diverged");
+    for (i, t) in threads.into_iter().enumerate() {
+        let resp = t.join().unwrap();
         assert_eq!(resp.status, 200, "request {i}: {}", resp.body);
         assert_eq!(
             resp.header("x-saphyra-cache"),
@@ -268,23 +285,25 @@ fn batched_distinct_targets_one_pass_and_quiet_server_bytes() {
             "request {i} missed the batch"
         );
         assert_eq!(
-            resp.body, baselines[i],
+            resp.body,
+            baselines[i + 1],
             "request {i}: batched bytes diverged from the quiet server"
         );
     }
     assert_eq!(
         handle.service().sample_passes(),
-        1,
-        "{n} distinct-target requests must share one sample pass"
+        2,
+        "{n} distinct-target requests must share one pass behind the blocker"
     );
-    assert_eq!(handle.service().computations(), n as u64);
+    assert_eq!(handle.service().computations(), n as u64 + 1);
 
     // /healthz reports the batching counters.
     let resp = request(&addr, "GET", "/healthz", None).unwrap();
     let v = Json::parse(&resp.body).unwrap();
     assert_eq!(v.get("batched").unwrap().as_u64(), Some(n as u64));
-    assert_eq!(v.get("sample_passes").unwrap().as_u64(), Some(1));
+    assert_eq!(v.get("sample_passes").unwrap().as_u64(), Some(2));
     handle.shutdown_and_join();
+    quiet.shutdown_and_join();
 }
 
 #[test]

@@ -9,7 +9,7 @@
 //! saphyra-cli gen   <flickr|livejournal|usa-road|orkut> <tiny|small|full> <out-file>
 //! saphyra-cli serve <addr> [--workers N] [--cache N] [--state-dir DIR]
 //!                   [--max-connections N] [--pipeline-depth N] [--journal-max-bytes N]
-//!                   [--resnapshot-deltas N] [--batch-window-ms N]
+//!                   [--resnapshot-deltas N]
 //!                   [--role standalone|router]
 //!                   [--shards host:port,host:port,...]
 //! saphyra-cli snapshot save <edge-list> <out.snap> [--name G]
@@ -27,18 +27,21 @@
 //!
 //! `serve` runs the long-lived ranking service of [`saphyra_service`]
 //! (bind to port 0 for an ephemeral port; the bound address is printed as
-//! `listening on <addr>`). With `--state-dir` the registry persists across
-//! restarts: graph loads write crash-safe snapshots, `/rank` requests
-//! append to a journal, and boots restore every snapshot without
-//! recomputing decompositions. `snapshot` drives the same persistence code
-//! paths offline: `save` precomputes a snapshot from an edge list, `load`
-//! and `verify` inspect one, `replay` applies a state dir's journaled
-//! patch deltas and then re-issues its journaled requests against its
-//! snapshots. `query` is the tiny client used by tests/CI; it talks over
-//! one persistent (keep-alive) connection, `rank --repeat N` replays the
-//! same request N times on it (printing one body per line), and `patch`
-//! sends an edge delta (`PATCH /graphs/<name>`) built from repeated
-//! `--insert u,v` / `--delete u,v` flags.
+//! `listening on <addr>`). Cold `/rank` requests that differ only in their
+//! targets batch by group commit: those arriving while their class samples
+//! share its next pass, with nothing to tune. With `--state-dir` the
+//! registry persists across restarts: graph loads write crash-safe
+//! snapshots, `/rank` requests append to a journal, and boots restore
+//! every snapshot without recomputing decompositions. `snapshot` drives
+//! the same persistence code paths offline: `save` precomputes a snapshot
+//! from an edge list, `load` and `verify` inspect one, `replay` applies a
+//! state dir's journaled patch deltas and then re-issues its journaled
+//! requests against its snapshots. `query` is the tiny client used by
+//! tests/CI; it talks over one persistent (keep-alive) connection,
+//! `rank --repeat N` replays the same request N times on it (printing one
+//! body per line), and `patch` sends an edge delta
+//! (`PATCH /graphs/<name>`) built from repeated `--insert u,v` /
+//! `--delete u,v` flags.
 
 use std::process::ExitCode;
 
@@ -86,9 +89,6 @@ enum Command {
         /// Fold journaled `PATCH` deltas into a fresh snapshot every this
         /// many applied deltas per graph.
         resnapshot_deltas: usize,
-        /// Gather window (ms) for cross-request batching of cold `/rank`
-        /// requests that differ only in targets; 0 disables gathering.
-        batch_window_ms: u64,
         /// Node role in a sharded deployment (standalone by default).
         role: saphyra_service::Role,
         /// Shard backend addresses (`--shards`, routers only).
@@ -247,7 +247,6 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
             let mut journal_max_bytes = None;
             let mut state_dir = None;
             let mut resnapshot_deltas = defaults.resnapshot_deltas;
-            let mut batch_window_ms = defaults.batch_window.as_millis() as u64;
             let mut role = saphyra_service::Role::Standalone;
             let mut shards: Vec<String> = Vec::new();
             while let Some(flag) = it.next() {
@@ -283,9 +282,6 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
                             return Err("--resnapshot-deltas must be >= 1".to_string());
                         }
                     }
-                    "--batch-window-ms" => {
-                        batch_window_ms = next_parse(&mut it, "--batch-window-ms")?;
-                    }
                     "--role" => {
                         let v = it.next().ok_or("--role needs a value")?;
                         role = saphyra_service::Role::parse(v).ok_or(format!(
@@ -317,7 +313,6 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
                 journal_max_bytes,
                 state_dir,
                 resnapshot_deltas,
-                batch_window_ms,
                 role,
                 shards,
             })
@@ -686,7 +681,6 @@ fn run(cmd: Command) -> Result<(), String> {
             journal_max_bytes,
             state_dir,
             resnapshot_deltas,
-            batch_window_ms,
             role,
             shards,
         } => {
@@ -698,7 +692,6 @@ fn run(cmd: Command) -> Result<(), String> {
                 journal_max_bytes,
                 state_dir: state_dir.map(std::path::PathBuf::from),
                 resnapshot_deltas,
-                batch_window: std::time::Duration::from_millis(batch_window_ms),
                 role,
                 shards,
                 ..Default::default()
@@ -1042,19 +1035,10 @@ mod tests {
                 journal_max_bytes: None,
                 state_dir: None,
                 resnapshot_deltas: defaults.resnapshot_deltas,
-                batch_window_ms: defaults.batch_window.as_millis() as u64,
                 role: saphyra_service::Role::Standalone,
                 shards: Vec::new(),
             }
         );
-        let c = parse_args(&sv(&["serve", "127.0.0.1:0", "--batch-window-ms", "250"])).unwrap();
-        assert!(matches!(
-            c,
-            Command::Serve {
-                batch_window_ms: 250,
-                ..
-            }
-        ));
         let c = parse_args(&sv(&["serve", "127.0.0.1:0", "--state-dir", "/tmp/sd"])).unwrap();
         assert!(matches!(
             c,
