@@ -16,7 +16,7 @@
 //!   exactly once in the crate and is not a common std method name, so
 //!   `map.get(..)` never aliases `Registry::get`.
 //!
-//! A lock's **class** is `<file-stem>.<field>` (e.g. `server.inflight`,
+//! A lock's **class** is `<file-stem>.<field>` (e.g. `server.batches`,
 //! `shard.clients`); indexing is skipped, so `self.clients[i].lock()` is
 //! class `shard.clients`. Findings: `cycle:…` for cycles in the nesting
 //! graph (including recursive self-edges), `order:A->B` for edges that

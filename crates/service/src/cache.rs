@@ -5,7 +5,12 @@
 //! main map, so the eviction victim is `pop_first()` — O(log n) — instead
 //! of a full O(capacity) scan per insert. The tick index is maintained
 //! eagerly: every touch removes the entry's old tick and inserts the new
-//! one, so the two maps always hold exactly the same entries.
+//! one, so the two maps always hold exactly the same entries, and
+//! [`LruCache::iter`] walks the entries in recency order.
+//!
+//! The cache keeps no index by graph: the service's scoped invalidations
+//! (graph reload, `PATCH`) and warm-section collection are rare, so each
+//! makes one scan instead of every insert and eviction updating an index.
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
@@ -48,40 +53,35 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         }
     }
 
-    /// Looks up `key` *without* marking it used: returns the entry's
-    /// current recency tick and value. Warm-cache collection ranks a
-    /// graph's entries by recency without perturbing the very ordering it
-    /// is reading.
-    pub fn peek(&self, key: &K) -> Option<(u64, &V)> {
-        self.map.get(key).map(|(t, v)| (*t, v))
+    /// Every entry, least recently used first, *without* marking any of
+    /// them used: warm-cache collection ranks a graph's entries by recency
+    /// (walking it newest first) without perturbing the very ordering it
+    /// is reading, and scoped invalidation picks a graph's keys out of it.
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = (&K, &V)> {
+        self.by_tick
+            .values()
+            .filter_map(|k| self.map.get_key_value(k).map(|(k, (_, v))| (k, v)))
     }
 
     /// Inserts `key → value`, evicting the least-recently-used entry when
-    /// full. A no-op when capacity is 0. Returns the evicted key, if any,
-    /// so callers maintaining an external index over the cache's keys
-    /// (the registry's [`crate::registry::KeyIndex`]) can keep it exact.
-    pub fn insert(&mut self, key: K, value: V) -> Option<K> {
+    /// full. A no-op when capacity is 0.
+    pub fn insert(&mut self, key: K, value: V) {
         if self.capacity == 0 {
-            return None;
+            return;
         }
         self.tick += 1;
-        let mut evicted = None;
         if let Some((old_tick, _)) = self.map.get(&key) {
             self.by_tick.remove(old_tick);
         } else if self.map.len() >= self.capacity {
             if let Some((_, oldest)) = self.by_tick.pop_first() {
                 self.map.remove(&oldest);
-                evicted = Some(oldest);
             }
         }
         self.by_tick.insert(self.tick, key.clone());
         self.map.insert(key, (self.tick, value));
-        evicted
     }
 
-    /// Removes one entry, returning its value. Unlike [`LruCache::retain`]
-    /// this is O(log n), not a full scan — scoped invalidation walks the
-    /// reverse index and removes exactly the keys it names.
+    /// Removes one entry, returning its value, in O(log n).
     pub fn remove(&mut self, key: &K) -> Option<V> {
         let (tick, value) = self.map.remove(key)?;
         self.by_tick.remove(&tick);
@@ -89,7 +89,7 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     }
 
     /// Drops every entry failing the predicate (used to purge a reloaded
-    /// graph's stale rankings).
+    /// graph's stale rankings) in one scan.
     pub fn retain(&mut self, mut keep: impl FnMut(&K) -> bool) {
         let by_tick = &mut self.by_tick;
         self.map.retain(|k, (t, _)| {
@@ -198,35 +198,42 @@ mod tests {
         assert_eq!(c.len(), 3);
     }
 
+    /// Keys in recency order, least recently used first.
+    fn order<V>(c: &LruCache<&'static str, V>) -> Vec<&'static str> {
+        c.iter().map(|(k, _)| *k).collect()
+    }
+
     #[test]
-    fn insert_reports_the_evicted_key_and_remove_is_exact() {
+    fn insert_evicts_the_lru_key_and_remove_is_exact() {
         let mut c = LruCache::new(2);
-        assert_eq!(c.insert("a", 1), None);
-        assert_eq!(c.insert("b", 2), None);
-        assert_eq!(c.insert("a", 10), None, "overwrite evicts nothing");
+        c.insert("a", 1);
+        c.insert("b", 2);
+        c.insert("a", 10);
+        assert_eq!(order(&c), ["b", "a"], "overwrite evicts nothing");
         // b is now the LRU victim.
-        assert_eq!(c.insert("c", 3), Some("b"));
+        c.insert("c", 3);
+        assert_eq!(order(&c), ["a", "c"]);
         assert_eq!(c.remove(&"a"), Some(10));
         assert_eq!(c.remove(&"a"), None);
         assert_eq!(c.len(), 1);
         // The tick index shed the removed entry: filling up again evicts
         // c (the only survivor), never a ghost of a.
         c.insert("d", 4);
-        assert_eq!(c.insert("e", 5), Some("c"));
+        c.insert("e", 5);
+        assert_eq!(order(&c), ["d", "e"]);
     }
 
     #[test]
-    fn peek_reads_without_bumping_recency() {
+    fn iter_reads_recency_order_without_bumping() {
         let mut c = LruCache::new(2);
         c.insert("a", 1);
         c.insert("b", 2);
-        let (tick_a, &v) = c.peek(&"a").unwrap();
-        assert_eq!(v, 1);
-        let (tick_b, _) = c.peek(&"b").unwrap();
-        assert!(tick_a < tick_b, "insertion order preserved");
-        assert_eq!(c.peek(&"missing"), None);
+        let all: Vec<(&str, i32)> = c.iter().map(|(k, v)| (*k, *v)).collect();
+        assert_eq!(all, [("a", 1), ("b", 2)], "insertion order preserved");
+        assert_eq!(c.iter().rev().map(|(k, _)| *k).next(), Some("b"));
         // a stayed least-recently-used: the next insert evicts it.
-        assert_eq!(c.insert("c", 3), Some("a"));
+        c.insert("c", 3);
+        assert_eq!(order(&c), ["b", "c"]);
     }
 
     /// The tick index and the main map stay in lockstep: after a long

@@ -35,15 +35,17 @@
 //! **once**; the entry is then shared `Arc`-style across every worker.
 //! Completed rankings are cached (LRU) keyed by the full request tuple
 //! `(graph, measure, targets, eps, delta, seed, khops)`, so repeated
-//! queries are O(1) and replay byte-identical bodies. Identical requests
-//! racing a cold cache collapse behind one in-flight computation
-//! (single-flight), and cold requests that differ **only in their target
-//! set** coalesce by group commit: a request whose class is idle computes
-//! at once, and those arriving while its pass runs share the next pass,
-//! one pass over the sample blocks scoring every member's targets, with
-//! each member's body bit-identical to a quiet-server run. The `X-Saphyra-Cache` header
-//! reports `hit`, `miss`, `shared`, or `batched`; `/healthz` counts
-//! `batched` members and total `sample_passes`.
+//! queries are O(1) and replay byte-identical bodies. Cold requests that
+//! differ **only in their target set** coalesce by group commit: a request
+//! whose class is idle computes at once, and those arriving while its pass
+//! runs share the next pass, one pass over the sample blocks scoring every
+//! member's targets, with each member's body bit-identical to a
+//! quiet-server run. The class table that schedules this also collapses
+//! identical cold requests (single-flight): a request whose target set is
+//! already running or queued in its class waits for that member's body.
+//! The cache and the class table are the only shared `/rank` state. The
+//! `X-Saphyra-Cache` header reports `hit`, `miss`, `shared`, or `batched`;
+//! `/healthz` counts `batched` members and total `sample_passes`.
 //!
 //! ## Connections
 //!

@@ -8,12 +8,11 @@
 //! decomposition with zero contention; per-request sampler scratch lives in
 //! the request's own `BcApproxProblem`/`HrSampler`, never in the entry.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::hash::Hash;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 
-use crate::sync::{LockExt, RwLockExt};
+use crate::sync::RwLockExt;
 
 use saphyra::bc::BcDecomposition;
 use saphyra_graph::Graph;
@@ -122,96 +121,6 @@ impl Registry {
     }
 }
 
-/// Reverse index over the ranking cache: graph name → the live cache
-/// keys minted for that graph (any epoch). The LRU cache itself cannot
-/// enumerate keys by graph without a full scan, so scoped invalidation
-/// (reload purge, `PATCH` component-scoped purge) walks this index and
-/// removes exactly the keys it names.
-///
-/// Callers keep it exact by mutating it *while holding the cache lock*
-/// (lock order `server.cache` → `registry.by_graph`, both declared in
-/// `check/invariants.toml`): every cache insert records its key here and
-/// un-records the key the insert evicted, so at any quiescent point the
-/// index holds precisely the cache's key set, partitioned by graph.
-#[derive(Debug, Default)]
-pub struct KeyIndex<K> {
-    by_graph: Mutex<HashMap<String, HashSet<K>>>,
-}
-
-impl<K: Eq + Hash + Clone> KeyIndex<K> {
-    /// An empty index.
-    pub fn new() -> Self {
-        KeyIndex {
-            by_graph: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// Records a key under `graph`.
-    pub fn insert(&self, graph: &str, key: K) {
-        self.by_graph
-            .lock_ok()
-            .entry(graph.to_string())
-            .or_default()
-            .insert(key);
-    }
-
-    /// Un-records a key (e.g. one the cache evicted). A no-op when the
-    /// key was never recorded.
-    pub fn remove(&self, graph: &str, key: &K) {
-        let mut map = self.by_graph.lock_ok();
-        if let Some(set) = map.get_mut(graph) {
-            set.remove(key);
-            if set.is_empty() {
-                map.remove(graph);
-            }
-        }
-    }
-
-    /// Returns (clones of) every key recorded under `graph` without
-    /// removing them — warm-cache collection enumerates a graph's live
-    /// keys while leaving the index untouched.
-    pub fn keys_of(&self, graph: &str) -> Vec<K> {
-        self.by_graph
-            .lock_ok()
-            .get(graph)
-            .map(|set| set.iter().cloned().collect())
-            .unwrap_or_default()
-    }
-
-    /// Removes and returns every key recorded under `graph` (scoped
-    /// invalidation claims the whole per-graph set in one step; keys it
-    /// decides to keep are re-inserted).
-    pub fn take(&self, graph: &str) -> Vec<K> {
-        self.by_graph
-            .lock_ok()
-            .remove(graph)
-            .map(|set| set.into_iter().collect())
-            .unwrap_or_default()
-    }
-
-    /// Drops every recorded key. This pairs with the cache's own
-    /// poison-recovery clear: an emptied cache must mean an emptied index,
-    /// or the index would hold dead keys forever.
-    pub fn clear(&self) {
-        self.by_graph.lock_ok().clear();
-    }
-
-    /// Number of keys recorded under `graph`.
-    pub fn count_of(&self, graph: &str) -> usize {
-        self.by_graph.lock_ok().get(graph).map_or(0, HashSet::len)
-    }
-
-    /// Total number of recorded keys across all graphs.
-    pub fn len(&self) -> usize {
-        self.by_graph.lock_ok().values().map(HashSet::len).sum()
-    }
-
-    /// Whether nothing is recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,79 +170,6 @@ mod tests {
         assert_eq!(e.delta_seq, 7);
         // The plain constructors start at 0 (a fresh upload).
         assert_eq!(GraphEntry::build("g", g).delta_seq, 0);
-    }
-
-    #[test]
-    fn key_index_insert_remove_take() {
-        let idx: KeyIndex<(String, u64)> = KeyIndex::new();
-        idx.insert("a", ("a".into(), 1));
-        idx.insert("a", ("a".into(), 2));
-        idx.insert("b", ("b".into(), 1));
-        assert_eq!(idx.count_of("a"), 2);
-        assert_eq!(idx.len(), 3);
-        idx.remove("a", &("a".into(), 1));
-        idx.remove("a", &("a".into(), 99)); // never recorded: no-op
-        assert_eq!(idx.count_of("a"), 1);
-        let mut taken = idx.take("a");
-        taken.sort();
-        assert_eq!(taken, vec![("a".into(), 2)]);
-        assert_eq!(idx.take("a"), Vec::<(String, u64)>::new());
-        assert_eq!(idx.count_of("b"), 1);
-    }
-
-    /// The index stays an exact mirror of the cache's key set under
-    /// concurrent inserts (with LRU evictions) and explicit removals, as
-    /// long as each cache mutation and its index update happen under the
-    /// cache lock — the discipline the service follows.
-    #[test]
-    fn key_index_consistent_under_concurrent_insert_and_evict() {
-        use crate::cache::LruCache;
-        let cache: Mutex<LruCache<(String, u64), u64>> = Mutex::new(LruCache::new(16));
-        let idx: KeyIndex<(String, u64)> = KeyIndex::new();
-        std::thread::scope(|scope| {
-            for t in 0u64..4 {
-                let (cache, idx) = (&cache, &idx);
-                scope.spawn(move || {
-                    for i in 0..200u64 {
-                        let graph = if (t + i) % 2 == 0 { "g1" } else { "g2" };
-                        let key = (graph.to_string(), (t * 1000 + i) % 37);
-                        let mut c = cache.lock_ok();
-                        if i % 5 == 4 {
-                            if c.remove(&key).is_some() {
-                                idx.remove(graph, &key);
-                            }
-                        } else {
-                            let evicted = c.insert(key.clone(), i);
-                            idx.insert(graph, key);
-                            if let Some(ek) = evicted {
-                                idx.remove(&ek.0.clone(), &ek);
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        // Quiescent: the index holds exactly the cache's keys.
-        let mut c = cache.lock_ok();
-        assert_eq!(idx.len(), c.len());
-        for graph in ["g1", "g2"] {
-            for key in idx.take(graph) {
-                assert!(c.get(&key).is_some(), "index holds dead key {key:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn key_index_keys_of_is_non_destructive() {
-        let idx: KeyIndex<(String, u64)> = KeyIndex::new();
-        idx.insert("a", ("a".into(), 1));
-        idx.insert("a", ("a".into(), 2));
-        let mut keys = idx.keys_of("a");
-        keys.sort();
-        assert_eq!(keys, vec![("a".into(), 1), ("a".into(), 2)]);
-        // Unlike take(), the index still holds the keys afterwards.
-        assert_eq!(idx.count_of("a"), 2);
-        assert_eq!(idx.keys_of("missing"), Vec::<(String, u64)>::new());
     }
 
     #[test]

@@ -23,25 +23,36 @@
 //! Graph entries (graph + decomposition) are immutable `Arc`s from the
 //! [`Registry`]; every `/rank` request builds its own sampler scratch
 //! (`BcApproxProblem` / `HrSampler`), so concurrent requests share only
-//! read-only state. The response cache is a mutex held only for
-//! lookup/insert — never during sampling. Identical requests racing a cold
-//! cache are collapsed behind one in-flight computation (single-flight):
-//! the first request computes, the rest block on a condvar and replay the
-//! same bytes (`X-Saphyra-Cache: shared`).
+//! read-only state. All other shared `/rank` state lives in two tables,
+//! each a mutex held only for lookups and updates — never during
+//! sampling:
 //!
-//! Cold requests that differ **only in their target set** — same graph,
-//! measure, ε, δ, seed and k, one *class* — coalesce one level higher by
-//! group commit: a class runs one sample pass at a time. A request whose
-//! class is idle computes at once as a batch of one; requests arriving
-//! while a pass runs join the one batch forming behind it, whose first
-//! member seals it when that pass ends and runs **one** shared sample pass
-//! that scores every member's target set (`X-Saphyra-Cache: batched`,
-//! counted in `/healthz` as `batched` / `sample_passes`). No timer is
-//! involved: batches are exactly what arrived while the class was busy.
-//! Members park on their own in-flight slots, so single-flight, caching
-//! and batching compose: identical requests collapse first,
-//! distinct-target ones batch, and every member's body is cached under
-//! its own key.
+//! - the **cache**, an LRU of finished bodies, each entry flagged `warm`
+//!   when it was restored from a snapshot's warm section;
+//! - the **class table**. Cold requests that differ only in their target
+//!   set — same graph, measure, ε, δ, seed and k, one *class* — share
+//!   sample passes by group commit, one pass per class at a time. The
+//!   table holds, per class, the members of the running pass and the
+//!   members queued behind it, each a target set plus the slot its body
+//!   is answered on.
+//!
+//! A cold request takes the class lock, re-checks the cache, and looks its
+//! target set up among its class's members. If a twin is there, it parks
+//! on the twin's slot and replays the same bytes (`X-Saphyra-Cache:
+//! shared`): single-flight is a lookup in the class table. Otherwise it
+//! enrolls. A request whose class is idle computes at once as a pass of
+//! one; requests arriving while a pass runs queue behind it, and the first
+//! of them waits that pass out and runs **one** shared sample pass that
+//! scores every queued target set (`X-Saphyra-Cache: batched`, counted in
+//! `/healthz` as `batched` / `sample_passes`). No timer is involved:
+//! batches are exactly what arrived while the class was busy.
+//!
+//! A pass inserts all its bodies into the cache under one cache-lock hold,
+//! then leaves the class table — handing the class to the batch queued
+//! behind, or removing it — and only then answers its members' slots. A
+//! request that no longer finds its twin in the table therefore finds the
+//! twin's body in the cache. A pass that unwinds leaves the table the same
+//! way and answers its members with 500.
 //!
 //! ## Connection model
 //!
@@ -63,7 +74,7 @@
 //! the reactor through a self-pipe — there is no timed polling loop
 //! anywhere in the connection path.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
@@ -88,7 +99,7 @@ use crate::http::{ParseStatus, Request, RequestParser, Response};
 use crate::json::Json;
 use crate::persist::{self, valid_graph_name};
 use crate::reactor::{new_poller, Event, Poller, TimerWheel, WakePipe};
-use crate::registry::{GraphEntry, KeyIndex, Registry};
+use crate::registry::{GraphEntry, Registry};
 use crate::shard::ShardPool;
 use crate::sync::{CondvarExt, LockExt};
 
@@ -252,22 +263,23 @@ impl Measure {
     }
 }
 
-/// Everything that makes a `/rank` response unique. `eps`/`delta` enter by
-/// bit pattern: distinct floats that print identically are still distinct
-/// requests. `epoch` pins the key to one *load* of the graph: a request
-/// that raced a same-name reload and computed against the old entry
-/// inserts under the old epoch and can never be served to requests
-/// resolving the new entry.
+/// Everything that makes a `/rank` response unique: its class and its
+/// target set.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct RankKey {
-    graph: String,
-    epoch: u64,
-    measure: Measure,
+    class: BatchKey,
     targets: Vec<NodeId>,
-    eps_bits: u64,
-    delta_bits: u64,
-    seed: u64,
-    khops: usize,
+}
+
+/// A cache entry: a finished `/rank` body, and whether it was restored
+/// from a snapshot's warm section (hits on it count in `warm_hits`). Only
+/// [`Service::restore_warm`] sets `warm`; a `PATCH` re-key moves the entry
+/// whole, and eviction, purge and poison repair drop the flag with the
+/// body.
+#[derive(Debug)]
+struct Cached {
+    body: Arc<String>,
+    warm: bool,
 }
 
 /// A validated `/rank` request.
@@ -312,18 +324,23 @@ pub(crate) fn error_response(status: u16, message: impl Into<String>) -> Respons
     )
 }
 
-/// One in-flight `/rank` computation: the leader fills `done` and notifies;
-/// waiters block on the condvar. The inner `Option` is `None` when the
-/// leader failed without a body (it panicked), in which case waiters answer
-/// 500 rather than hanging or recomputing.
+/// A `/rank` body with its `X-Saphyra-Cache` disposition.
+fn reply(body: &str, disposition: &str) -> Response {
+    Response::json(200, body).with_header("X-Saphyra-Cache", disposition)
+}
+
+/// The slot one member's body is answered on: its pass fills it once, and
+/// the member and its twins wake on the condvar. The inner `Option` is
+/// `None` when the pass died without a body (it panicked), in which case
+/// they answer 500 rather than hanging or recomputing.
 #[derive(Debug, Default)]
-struct Inflight {
+struct Slot {
     done: Mutex<Option<Option<Arc<String>>>>,
     cv: Condvar,
 }
 
-impl Inflight {
-    /// Blocks until the slot is filled; `None` means its computation died.
+impl Slot {
+    /// Blocks until the slot is filled; `None` means its pass died.
     fn wait(&self) -> Option<Arc<String>> {
         let mut done = self.done.lock_ok();
         loop {
@@ -333,25 +350,11 @@ impl Inflight {
             }
         }
     }
-}
 
-/// Removes the leader's in-flight entry on every exit path — including a
-/// panic in the computation, where waiters would otherwise block forever.
-struct InflightGuard<'a> {
-    service: &'a Service,
-    key: RankKey,
-    slot: Arc<Inflight>,
-}
-
-impl Drop for InflightGuard<'_> {
-    fn drop(&mut self) {
-        let mut done = self.slot.done.lock_ok();
-        if done.is_none() {
-            *done = Some(None); // leader died without a body
-            self.slot.cv.notify_all();
-        }
-        drop(done);
-        self.service.inflight.lock_ok().remove(&self.key);
+    /// Answers the slot and wakes everyone parked on it.
+    fn fill(&self, body: Option<Arc<String>>) {
+        *self.done.lock_ok() = Some(body);
+        self.cv.notify_all();
     }
 }
 
@@ -359,6 +362,12 @@ impl Drop for InflightGuard<'_> {
 /// set. Cold requests that agree on everything *except* targets can share
 /// one sample stream — one ranking call scores every target set from the
 /// same master seed, bit-identical per member to ranking it alone.
+/// `eps`/`delta` enter by bit pattern: distinct floats that print
+/// identically are still distinct requests. `epoch` pins the class to one
+/// *load* of the graph: a request that raced a same-name reload or a
+/// `PATCH` and computed against the old entry caches under the old epoch,
+/// never to be served to requests resolving the new entry — and an
+/// old-epoch class admits no new request, so its passes simply drain.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct BatchKey {
     graph: String,
@@ -370,108 +379,82 @@ struct BatchKey {
     khops: usize,
 }
 
-/// Group-commit state of one [`BatchKey`] with a sample pass running: the
-/// in-flight slot of the leader now sampling, and the batch forming
-/// behind it. The first member of `next` parks on `running.done` and seals
-/// `next` once that pass ends, whether it published a body or died.
+/// One enrolled request of a class: its target set and the slot its body
+/// is answered on. Twins — later requests for the same target set while
+/// it is running or queued — park on the same slot.
+#[derive(Debug, Clone)]
+struct Member {
+    targets: Vec<NodeId>,
+    slot: Arc<Slot>,
+}
+
+/// The class table's entry for a [`BatchKey`] with a pass running: that
+/// pass's members, and the members queued behind it. The running pass's
+/// [`Pass`] guard hands the entry to `queued` when the pass ends, or
+/// removes it when nothing queued.
 #[derive(Debug)]
 struct Class {
-    running: Arc<Inflight>,
-    next: Option<Arc<Batch>>,
+    running: Vec<Member>,
+    queued: Vec<Member>,
 }
 
-/// Where group commit seats a cold request in its class.
+/// Where a cold request lands in the class table.
 enum Seat {
-    /// The class was idle: compute this batch of one at once.
-    Lead(Vec<BatchMember>),
-    /// Enrolled in the batch forming behind a running pass.
+    /// A twin with the same target set is running or queued: replay its
+    /// body.
+    Twin(Arc<Slot>),
+    /// The class was idle: run a pass of this member alone, at once.
+    Lead(Member),
+    /// First in the queue: wait out the running pass (these are its
+    /// members' slots), then run the queued batch.
+    Seal(Vec<Arc<Slot>>),
+    /// Queued behind a first member that runs the batch: wait for our own
+    /// slot.
     Joined,
-    /// First member of the batch forming behind the running slot: seal
-    /// that batch when the running pass ends.
-    Next(Arc<Inflight>, Arc<Batch>),
 }
 
-/// A batch forming behind a running pass: the members enrolled so far.
-/// Enrollment happens under the `Service::batches` lock, so a request that
-/// found the batch in its class is always enrolled before the batch's
-/// first member seals it.
-#[derive(Debug)]
-struct Batch {
-    members: Mutex<Vec<BatchMember>>,
+/// One sample pass of a class, from its start to its answers. Dropping it
+/// — after the pass, or while it unwinds — hands the class entry to the
+/// batch queued behind (or removes it when nothing queued), then answers
+/// every member's slot: with its body once `bodies` is set, with `None`
+/// (500) otherwise.
+struct Pass<'a> {
+    service: &'a Service,
+    class: BatchKey,
+    members: Vec<Member>,
+    bodies: Vec<Arc<String>>,
 }
 
-/// One enrolled request: its cache key, its target set, and its in-flight
-/// slot. The leader publishes the member's computed body straight into the
-/// slot — the member (and any same-key single-flight waiters parked on it)
-/// wakes exactly as if it had computed alone.
-#[derive(Debug)]
-struct BatchMember {
-    key: RankKey,
-    targets: Vec<NodeId>,
-    slot: Arc<Inflight>,
-}
-
-/// Answers every still-parked member with "leader died" if the batch
-/// computation unwinds. Members' own [`InflightGuard`]s only cover their
-/// own slots — and they are blocked waiting, so without this a panicking
-/// leader would strand them forever.
-struct BatchGuard<'a> {
-    members: &'a [BatchMember],
-}
-
-impl Drop for BatchGuard<'_> {
+impl Drop for Pass<'_> {
     fn drop(&mut self) {
-        for m in self.members {
-            let mut done = m.slot.done.lock_ok();
-            if done.is_none() {
-                *done = Some(None);
-                m.slot.cv.notify_all();
+        {
+            let mut batches = self.service.batches.lock_ok();
+            if let Some(class) = batches.get_mut(&self.class) {
+                if class.queued.is_empty() {
+                    batches.remove(&self.class);
+                } else {
+                    class.running = std::mem::take(&mut class.queued);
+                }
             }
         }
-    }
-}
-
-/// Removes a leader's [`Class`] entry on every exit path once its pass is
-/// over, unless a batch queued behind it: that batch's first member takes
-/// the entry over (it checks `running` is still this leader's slot, so a
-/// successor that already sealed is never evicted).
-struct ClassGuard<'a> {
-    service: &'a Service,
-    key: BatchKey,
-    slot: Arc<Inflight>,
-}
-
-impl Drop for ClassGuard<'_> {
-    fn drop(&mut self) {
-        let mut batches = self.service.batches.lock_ok();
-        let idle = batches
-            .get(&self.key)
-            .is_some_and(|c| c.next.is_none() && Arc::ptr_eq(&c.running, &self.slot));
-        if idle {
-            batches.remove(&self.key);
+        let mut bodies = std::mem::take(&mut self.bodies).into_iter();
+        for m in &self.members {
+            m.slot.fill(bodies.next());
         }
     }
 }
 
-/// Shared service state: registry, cache, in-flight map, counters. Routing
-/// lives in [`Service::handle`], which is pure with respect to the network
-/// layer and therefore directly testable.
+/// Shared service state: registry, the two `/rank` tables, counters.
+/// Routing lives in [`Service::handle`], which is pure with respect to the
+/// network layer and therefore directly testable.
 #[derive(Debug)]
 pub struct Service {
     registry: Registry,
-    cache: Mutex<LruCache<RankKey, Arc<String>>>,
-    /// Reverse index graph → live cache keys, kept an exact mirror of
-    /// `cache` by mutating both under the cache lock (order:
-    /// `server.cache` → `registry.by_graph`). Reload purges and `PATCH`
-    /// invalidation walk it instead of scanning the whole cache.
-    cache_index: KeyIndex<RankKey>,
-    inflight: Mutex<HashMap<RankKey, Arc<Inflight>>>,
+    /// Finished `/rank` bodies (module docs).
+    cache: Mutex<LruCache<RankKey, Cached>>,
+    /// The class table: per class with a pass running, its members and
+    /// the members queued behind it (module docs).
     batches: Mutex<HashMap<BatchKey, Class>>,
-    /// Cache keys whose bodies were restored from a snapshot's warm
-    /// section (`server.warm` in the lock hierarchy, taken after the
-    /// cache lock). A hit on one of these counts in `warm_hits`: the
-    /// restart answered from persisted work instead of recomputing.
-    warm: Mutex<HashSet<RankKey>>,
     requests: AtomicU64,
     connections: AtomicU64,
     open_connections: AtomicU64,
@@ -547,10 +530,7 @@ impl Service {
         let service = Service {
             registry: Registry::new(),
             cache: Mutex::new(LruCache::new(cfg.cache_capacity)),
-            cache_index: KeyIndex::new(),
-            inflight: Mutex::new(HashMap::new()),
             batches: Mutex::new(HashMap::new()),
-            warm: Mutex::new(HashSet::new()),
             requests: AtomicU64::new(0),
             connections: AtomicU64::new(0),
             open_connections: AtomicU64::new(0),
@@ -694,8 +674,8 @@ impl Service {
     /// under `epoch` (the fresh epoch minted for the restored entry — the
     /// persisted requests were keyed under a dead pre-restart epoch).
     /// Entries naming a measure code this build does not know are dropped
-    /// with a warning. The restored keys are recorded in the warm set so
-    /// hits on them count in `warm_hits`.
+    /// with a warning. The restored entries are flagged `warm`, so hits on
+    /// them count in `warm_hits`.
     fn restore_warm(&self, name: &str, epoch: u64, entries: Vec<persist::WarmEntry>) {
         for e in entries {
             let Some(measure) = Measure::from_code(e.measure) else {
@@ -706,47 +686,46 @@ impl Service {
                 continue;
             };
             let key = RankKey {
-                graph: name.to_string(),
-                epoch,
-                measure,
+                class: BatchKey {
+                    graph: name.to_string(),
+                    epoch,
+                    measure,
+                    eps_bits: e.eps_bits,
+                    delta_bits: e.delta_bits,
+                    seed: e.seed,
+                    khops: e.khops as usize,
+                },
                 targets: e.targets,
-                eps_bits: e.eps_bits,
-                delta_bits: e.delta_bits,
-                seed: e.seed,
-                khops: e.khops as usize,
             };
-            let mut cache = self.lock_cache();
-            if let Some(evicted) = cache.insert(key.clone(), Arc::new(e.body)) {
-                self.cache_index.remove(&evicted.graph, &evicted);
-            }
-            self.cache_index.insert(name, key.clone());
-            self.warm.lock_ok().insert(key);
+            let cached = Cached {
+                body: Arc::new(e.body),
+                warm: true,
+            };
+            self.lock_cache().insert(key, cached);
         }
     }
 
     /// Collects the hottest cached bodies of `graph` (by LRU recency,
     /// newest first, capped at [`WARM_CAP`]) as snapshot warm entries.
-    /// Reads recency through [`LruCache::peek`], so collection never
-    /// perturbs the ordering it ranks by.
+    /// Walks [`LruCache::iter`], so collection never perturbs the ordering
+    /// it ranks by.
     fn collect_warm(&self, graph: &str) -> Vec<persist::WarmEntry> {
-        let mut hot: Vec<(u64, RankKey, Arc<String>)> = {
-            let cache = self.lock_cache();
-            self.cache_index
-                .keys_of(graph)
-                .into_iter()
-                .filter_map(|k| cache.peek(&k).map(|(tick, v)| (tick, k, Arc::clone(v))))
-                .collect()
-        };
-        hot.sort_by_key(|(tick, _, _)| std::cmp::Reverse(*tick));
-        hot.truncate(WARM_CAP);
+        let hot: Vec<(RankKey, Arc<String>)> = self
+            .lock_cache()
+            .iter()
+            .rev()
+            .filter(|(k, _)| k.class.graph == graph)
+            .take(WARM_CAP)
+            .map(|(k, c)| (k.clone(), Arc::clone(&c.body)))
+            .collect();
         hot.into_iter()
-            .map(|(_, k, body)| persist::WarmEntry {
-                measure: k.measure.code(),
+            .map(|(k, body)| persist::WarmEntry {
+                measure: k.class.measure.code(),
                 targets: k.targets,
-                eps_bits: k.eps_bits,
-                delta_bits: k.delta_bits,
-                seed: k.seed,
-                khops: k.khops as u64,
+                eps_bits: k.class.eps_bits,
+                delta_bits: k.class.delta_bits,
+                seed: k.class.seed,
+                khops: k.class.khops as u64,
                 body: body.as_str().to_string(),
             })
             .collect()
@@ -938,26 +917,24 @@ impl Service {
         self.warm_hits.load(Ordering::Relaxed)
     }
 
-    /// Counts a `/rank` cache hit, additionally crediting `warm_hits`
-    /// when the key's body was restored from a snapshot warm section.
-    /// Callers hold the cache lock (the warm set sits *after* the cache
-    /// in the lock hierarchy: `server.cache` → `server.warm`).
-    fn note_cache_hit(&self, key: &RankKey) {
+    /// Looks `key` up in the cache, counting a hit — and a warm hit when
+    /// the body was restored from a snapshot's warm section, read from the
+    /// entry under the cache lock the lookup already holds.
+    fn cached(&self, key: &RankKey) -> Option<Arc<String>> {
+        let mut cache = self.lock_cache();
+        let hit = cache.get(key)?;
         self.cache_hits.fetch_add(1, Ordering::Relaxed);
-        if self.warm.lock_ok().contains(key) {
+        if hit.warm {
             self.warm_hits.fetch_add(1, Ordering::Relaxed);
         }
+        Some(Arc::clone(&hit.body))
     }
 
-    /// Locks the ranking cache, recovering from poison by clearing **both**
-    /// the cache and its reverse index — the index mirrors the cache's key
-    /// set exactly, so an emptied cache with a populated index would leak
-    /// dead keys into every later scoped invalidation.
-    fn lock_cache(&self) -> std::sync::MutexGuard<'_, LruCache<RankKey, Arc<String>>> {
-        self.cache.lock_repair(|c| {
-            c.clear();
-            self.cache_index.clear();
-        })
+    /// Locks the ranking cache, recovering from poison by clearing it: a
+    /// panic mid-update may have left the LRU's two maps out of step, and
+    /// an empty cache is always consistent — losing it costs cold misses.
+    fn lock_cache(&self) -> std::sync::MutexGuard<'_, LruCache<RankKey, Cached>> {
+        self.cache.lock_repair(LruCache::clear)
     }
 
     /// Routes one request. The boolean asks the runtime to shut down. A
@@ -1161,16 +1138,10 @@ impl Service {
         if replaced {
             // Correctness is already guaranteed by the epoch in RankKey
             // (old-entry results can never alias the new load); dropping
-            // the dead entries here is memory hygiene. The purge is scoped
-            // through the reverse index to exactly the reloaded graph's
-            // keys — other graphs' hot entries survive untouched (a full
-            // retain scan would also evict nothing else, but at O(cache)
-            // per reload and with the index left stale).
-            let mut cache = self.lock_cache();
-            for k in self.cache_index.take(&name) {
-                cache.remove(&k);
-                self.warm.lock_ok().remove(&k);
-            }
+            // the dead entries here is memory hygiene, scoped to exactly
+            // the reloaded graph's keys — other graphs' hot entries
+            // survive untouched.
+            self.lock_cache().retain(|k| k.class.graph != name);
         }
         let Json::Obj(mut fields) = info else {
             unreachable!()
@@ -1267,38 +1238,34 @@ impl Service {
 
         // Component-scoped invalidation, still under the publication lock
         // so two patches of one graph cannot interleave their re-keying.
-        // The reverse index hands over exactly this graph's keys; each one
-        // is either re-keyed under the fresh epoch (every target clean) or
-        // dropped. In-flight computations against the old entry may insert
-        // old-epoch keys after this sweep — those are correct under their
-        // own epoch and unreachable to new requests, pure LRU fodder.
+        // One scan collects this graph's keys (oldest first, so re-keyed
+        // entries keep their relative recency); each is either re-keyed
+        // under the fresh epoch (every target clean) or dropped. The entry
+        // moves whole, so a warm body stays creditable to the warm section
+        // and a purged one takes its flag along. In-flight computations
+        // against the old entry may insert old-epoch keys after this sweep
+        // — those are correct under their own epoch and unreachable to new
+        // requests, pure LRU fodder.
         let (kept, purged) = {
             let mut cache = self.lock_cache();
+            let keys: Vec<RankKey> = cache
+                .iter()
+                .map(|(k, _)| k)
+                .filter(|k| k.class.graph == name)
+                .cloned()
+                .collect();
             let (mut kept, mut purged) = (0usize, 0usize);
-            for k in self.cache_index.take(name) {
+            for mut k in keys {
                 let Some(cached) = cache.remove(&k) else {
-                    self.warm.lock_ok().remove(&k);
                     continue;
                 };
-                let clean = k.epoch == old_epoch
+                let clean = k.class.epoch == old_epoch
                     && k.targets
                         .iter()
                         .all(|&t| !dirty_nodes.get(t as usize).copied().unwrap_or(true));
-                // Warm membership follows the key: a re-keyed body stays
-                // creditable to the warm section, a purged one leaves no
-                // stale member behind. The warm lock is released before
-                // the index calls below (`server.warm` is a leaf).
-                let was_warm = self.warm.lock_ok().remove(&k);
                 if clean {
-                    let mut nk = k;
-                    nk.epoch = new_epoch;
-                    if was_warm {
-                        self.warm.lock_ok().insert(nk.clone());
-                    }
-                    if let Some(evicted) = cache.insert(nk.clone(), cached) {
-                        self.cache_index.remove(&evicted.graph, &evicted);
-                    }
-                    self.cache_index.insert(name, nk);
+                    k.class.epoch = new_epoch;
+                    cache.insert(k, cached);
                     kept += 1;
                 } else {
                     purged += 1;
@@ -1338,13 +1305,6 @@ impl Service {
                 }
             }
         });
-        // Classes keyed to the old epoch can no longer gain members (new
-        // requests mint new-epoch keys); dropping the map entries is
-        // hygiene — a running leader and a queued batch's first member
-        // hold their own Arcs and complete under old-epoch keys.
-        self.batches
-            .lock_ok()
-            .retain(|k, _| !(k.graph == name && k.epoch == old_epoch));
         drop(publish);
 
         let mut fields = vec![
@@ -1382,187 +1342,145 @@ impl Service {
         }
 
         let key = RankKey {
-            graph: p.graph.clone(),
-            epoch: entry.epoch,
-            measure: p.measure,
+            class: p.batch_key(entry.epoch),
             targets: p.targets.clone(),
-            eps_bits: p.eps.to_bits(),
-            delta_bits: p.delta.to_bits(),
-            seed: p.seed,
-            khops: p.khops,
         };
-        if let Some(body) = self.lock_cache().get(&key).cloned() {
-            self.note_cache_hit(&key);
-            return Response::json(200, body.as_str()).with_header("X-Saphyra-Cache", "hit");
+        if let Some(body) = self.cached(&key) {
+            return reply(&body, "hit");
         }
 
-        // Single-flight: identical concurrent cold requests collapse behind
-        // one in-flight computation. Lock order is inflight → cache; the
-        // cache re-check under the inflight lock closes the race where the
-        // leader finishes (cache insert + map removal) between our cache
-        // miss above and the map lookup here.
-        let guard = {
-            let mut inflight = self.inflight.lock_ok();
-            if let Some(body) = self.lock_cache().get(&key).cloned() {
-                self.note_cache_hit(&key);
-                return Response::json(200, body.as_str()).with_header("X-Saphyra-Cache", "hit");
-            }
-            match inflight.get(&key) {
-                Some(slot) => {
-                    let slot = Arc::clone(slot);
-                    drop(inflight);
-                    return match slot.wait() {
-                        Some(body) => {
-                            self.cache_shared.fetch_add(1, Ordering::Relaxed);
-                            Response::json(200, body.as_str())
-                                .with_header("X-Saphyra-Cache", "shared")
-                        }
-                        None => error_response(500, "ranking computation failed"),
-                    };
-                }
-                None => {
-                    let slot = Arc::new(Inflight::default());
-                    inflight.insert(key.clone(), Arc::clone(&slot));
-                    InflightGuard {
-                        service: self,
-                        key: key.clone(),
-                        slot,
-                    }
-                }
-            }
-        };
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-        self.computations.fetch_add(1, Ordering::Relaxed);
-
-        // Cross-request batching by group commit: cold requests that
-        // differ *only* in their target set share a class, and a class
-        // runs one sample pass at a time. A request whose class is idle
-        // seals a batch of itself and computes at once. One that finds a
-        // pass running joins the single batch forming behind it; that
-        // batch's first member parks on the running leader's slot and
-        // seals whatever joined by the time the pass ends. Later members
-        // park on their own in-flight slots, exactly like single-flight
-        // waiters. Enrollment and sealing happen under the batches lock
-        // (lock order: batches → batch members), so a request that found
-        // the batch in its class is always enrolled before it is sealed.
-        let bkey = p.batch_key(entry.epoch);
-        let member = BatchMember {
-            key: key.clone(),
-            targets: p.targets.clone(),
-            slot: Arc::clone(&guard.slot),
+        // Single-flight and group commit are one lookup in the class table
+        // (module docs). The cache re-check under the class lock closes
+        // the race with a twin's pass that cached its bodies and left the
+        // table between the miss above and this lookup.
+        let slot = Arc::new(Slot::default());
+        let member = Member {
+            targets: key.targets.clone(),
+            slot: Arc::clone(&slot),
         };
         let seat = {
             let mut batches = self.batches.lock_ok();
-            match batches.get_mut(&bkey) {
-                None => {
-                    let running = Arc::clone(&guard.slot);
-                    batches.insert(
-                        bkey.clone(),
-                        Class {
-                            running,
-                            next: None,
-                        },
-                    );
-                    Seat::Lead(vec![member])
-                }
-                Some(class) => match &class.next {
-                    Some(batch) => {
-                        batch.members.lock_ok().push(member);
-                        Seat::Joined
-                    }
+            if let Some(body) = self.cached(&key) {
+                return reply(&body, "hit");
+            }
+            match batches.get_mut(&key.class) {
+                Some(class) => match class
+                    .running
+                    .iter()
+                    .chain(&class.queued)
+                    .find(|m| m.targets == key.targets)
+                {
+                    Some(twin) => Seat::Twin(Arc::clone(&twin.slot)),
                     None => {
-                        let batch = Arc::new(Batch {
-                            members: Mutex::new(vec![member]),
-                        });
-                        class.next = Some(Arc::clone(&batch));
-                        Seat::Next(Arc::clone(&class.running), batch)
+                        let seat = if class.queued.is_empty() {
+                            Seat::Seal(class.running.iter().map(|m| Arc::clone(&m.slot)).collect())
+                        } else {
+                            Seat::Joined
+                        };
+                        class.queued.push(member);
+                        seat
                     }
                 },
+                None => {
+                    let class = Class {
+                        running: vec![member.clone()],
+                        queued: Vec::new(),
+                    };
+                    batches.insert(key.class.clone(), class);
+                    Seat::Lead(member)
+                }
             }
         };
-
+        if !matches!(seat, Seat::Twin(_)) {
+            self.cache_misses.fetch_add(1, Ordering::Relaxed);
+            self.computations.fetch_add(1, Ordering::Relaxed);
+        }
         let members = match seat {
-            Seat::Lead(members) => members,
-            Seat::Joined => {
-                // The batch's first member computes our body from the
-                // shared stream and publishes it to our slot; our own
-                // guard then clears the in-flight entry, and any same-key
-                // waiters replay the bytes as "shared".
-                return match guard.slot.wait() {
+            Seat::Twin(twin) => {
+                return match twin.wait() {
                     Some(body) => {
-                        Response::json(200, body.as_str()).with_header("X-Saphyra-Cache", "batched")
+                        self.cache_shared.fetch_add(1, Ordering::Relaxed);
+                        reply(&body, "shared")
                     }
                     None => error_response(500, "ranking computation failed"),
                 };
             }
-            Seat::Next(running, batch) => {
-                // Wait out the running pass (its body or its death: the
-                // leader's guard fills the slot either way), then seal —
-                // take over the class as its running leader unless a
-                // PATCH dropped it meanwhile — and snapshot the members.
-                running.wait();
-                let mut batches = self.batches.lock_ok();
-                if let Some(class) = batches.get_mut(&bkey) {
-                    if class.next.as_ref().is_some_and(|b| Arc::ptr_eq(b, &batch)) {
-                        class.next = None;
-                        class.running = Arc::clone(&guard.slot);
-                    }
+            Seat::Joined => {
+                // The batch's first member computes our body from the
+                // shared stream and its pass answers our slot.
+                return match slot.wait() {
+                    Some(body) => reply(&body, "batched"),
+                    None => error_response(500, "ranking computation failed"),
+                };
+            }
+            Seat::Lead(member) => vec![member],
+            Seat::Seal(running) => {
+                // Wait out the running pass, whether it publishes or dies:
+                // its guard hands the class to this batch before it
+                // answers any slot, so the batch is sealed by now.
+                for s in running {
+                    s.wait();
                 }
-                let mut members = batch.members.lock_ok();
-                std::mem::take(&mut *members)
+                self.batches
+                    .lock_ok()
+                    .get(&key.class)
+                    .map(|c| c.running.clone())
+                    .unwrap_or_default()
             }
         };
-        let class_guard = ClassGuard {
+        let mut pass = Pass {
             service: self,
-            key: bkey,
-            slot: Arc::clone(&guard.slot),
+            class: key.class.clone(),
+            members,
+            bodies: Vec::new(),
         };
         self.sample_passes.fetch_add(1, Ordering::Relaxed);
-        let shared_pass = members.len() >= 2;
+        let shared_pass = pass.members.len() >= 2;
         if shared_pass {
             self.batched
-                .fetch_add(members.len() as u64, Ordering::Relaxed);
+                .fetch_add(pass.members.len() as u64, Ordering::Relaxed);
         }
 
-        // Compute outside every lock. `bguard` answers still-parked
-        // members with 500 if this unwinds; the leader's own `guard`
-        // covers its slot, and `class_guard` hands the class on.
-        let bguard = BatchGuard { members: &members };
-        let sets: Vec<Vec<NodeId>> = members.iter().map(|m| m.targets.clone()).collect();
-        let bodies = compute_rank_bodies(&entry, &p, &sets);
-        debug_assert_eq!(bodies.len(), members.len());
-        let mut own = None;
-        for (m, body) in members.iter().zip(bodies) {
-            let body = Arc::new(body);
-            {
-                // Cache insert and index update under one cache-lock hold
-                // (order: server.cache → registry.by_graph), so the index
-                // stays an exact mirror — including when the insert evicts
-                // an LRU victim, whose index entry is dropped here.
-                let mut cache = self.lock_cache();
-                if let Some(evicted) = cache.insert(m.key.clone(), Arc::clone(&body)) {
-                    self.cache_index.remove(&evicted.graph, &evicted);
-                }
-                self.cache_index.insert(&m.key.graph, m.key.clone());
+        // Compute outside every lock; `pass` answers every member even if
+        // this unwinds. Every body is cached in one hold before the pass
+        // leaves the class table.
+        let sets: Vec<Vec<NodeId>> = pass.members.iter().map(|m| m.targets.clone()).collect();
+        let bodies: Vec<Arc<String>> = compute_rank_bodies(&entry, &p, &sets)
+            .into_iter()
+            .map(Arc::new)
+            .collect();
+        debug_assert_eq!(bodies.len(), sets.len());
+        {
+            let mut cache = self.lock_cache();
+            for (targets, body) in sets.into_iter().zip(&bodies) {
+                let cached = Cached {
+                    body: Arc::clone(body),
+                    warm: false,
+                };
+                cache.insert(
+                    RankKey {
+                        class: key.class.clone(),
+                        targets,
+                    },
+                    cached,
+                );
             }
-            if m.key == key {
-                own = Some(Arc::clone(&body));
-            }
-            let mut done = m.slot.done.lock_ok();
-            *done = Some(Some(body));
-            m.slot.cv.notify_all();
         }
-        drop(bguard); // every slot is published; the sweep finds nothing
-        drop(class_guard);
-        drop(guard);
-        // The leader is always the first member of the batch it seals, so
-        // its own body is always among those published; 500 beats a panic
-        // if that invariant ever breaks.
+        let own = pass
+            .members
+            .iter()
+            .zip(&bodies)
+            .find(|(m, _)| m.targets == key.targets)
+            .map(|(_, body)| Arc::clone(body));
+        pass.bodies = bodies;
+        drop(pass);
+        // The leader always runs the pass it enrolled in, so its own body
+        // is always among those published; 500 beats a panic if that
+        // invariant ever breaks.
         let Some(body) = own else {
             return error_response(500, "batch leader lost its own enrollment");
         };
-        let state = if shared_pass { "batched" } else { "miss" };
-        Response::json(200, body.as_str()).with_header("X-Saphyra-Cache", state)
+        reply(&body, if shared_pass { "batched" } else { "miss" })
     }
 
     /// Validates an already-parsed `/rank` body into [`RankParams`].
@@ -2590,16 +2508,16 @@ mod tests {
         svc
     }
 
-    /// A worker that panics while holding the single-flight table (or the
-    /// cache) poisons the lock; the request path must recover instead of
+    /// A worker that panics while holding the class table (or the cache)
+    /// poisons the lock; the request path must recover instead of
     /// cascading the panic through every other worker.
     #[test]
     fn poisoned_locks_do_not_kill_request_handling() {
         let svc = Arc::new(service_with_grid());
         let s = Arc::clone(&svc);
         let _ = std::thread::spawn(move || {
-            let _g = s.inflight.lock().unwrap();
-            panic!("simulated worker crash holding inflight");
+            let _g = s.batches.lock().unwrap();
+            panic!("simulated worker crash holding the class table");
         })
         .join();
         let s = Arc::clone(&svc);
@@ -2737,43 +2655,84 @@ mod tests {
         p.batch_key(epoch)
     }
 
-    /// Forges a sample pass running in class `key`, as a leader leaves it
-    /// while it samples; filling the returned slot ends the pass.
-    fn forge_running_pass(svc: &Service, key: BatchKey) -> Arc<Inflight> {
-        let running = Arc::new(Inflight::default());
-        let class = Class {
-            running: Arc::clone(&running),
-            next: None,
+    /// Forges a sample pass running in class `key`, as a leader leaves the
+    /// class table while it samples: one member, with a target set no
+    /// request can name. Ending the returned pass hands the class on
+    /// exactly as a real pass does.
+    fn forge_running_pass(svc: &Service, key: BatchKey) -> Pass<'_> {
+        let member = Member {
+            targets: Vec::new(),
+            slot: Arc::default(),
         };
-        svc.batches.lock_ok().insert(key, class);
-        running
+        let class = Class {
+            running: vec![member.clone()],
+            queued: Vec::new(),
+        };
+        svc.batches.lock_ok().insert(key.clone(), class);
+        Pass {
+            service: svc,
+            class: key,
+            members: vec![member],
+            bodies: Vec::new(),
+        }
     }
 
-    /// Spins (no sleep) until `n` requests have queued behind the running
-    /// pass of class `key`, or a minute has passed; returns how many did.
-    /// Callers end the pass before asserting, so a failure cannot leave
-    /// the queued requests parked forever.
-    fn wait_queued(svc: &Service, key: &BatchKey, n: usize) -> usize {
+    /// Spins (no sleep) until class `key` is `ready`, or a minute has
+    /// passed; returns whether it got there. Callers end the pass before
+    /// asserting, so a failure cannot leave the queued requests parked
+    /// forever.
+    fn wait_class(svc: &Service, key: &BatchKey, ready: impl Fn(&Class) -> bool) -> bool {
         let deadline = Instant::now() + Duration::from_secs(60);
         loop {
-            let queued = svc
-                .batches
-                .lock_ok()
-                .get(key)
-                .and_then(|c| c.next.as_ref().map(|b| b.members.lock_ok().len()))
-                .unwrap_or(0);
-            if queued == n || Instant::now() >= deadline {
-                return queued;
+            if svc.batches.lock_ok().get(key).is_some_and(&ready) {
+                return true;
+            }
+            if Instant::now() >= deadline {
+                return false;
             }
             std::thread::yield_now();
         }
     }
 
+    /// [`wait_class`] until `n` requests have queued behind the running
+    /// pass of class `key`; returns how many did.
+    fn wait_queued(svc: &Service, key: &BatchKey, n: usize) -> usize {
+        wait_class(svc, key, |c| c.queued.len() == n);
+        svc.batches.lock_ok().get(key).map_or(0, |c| c.queued.len())
+    }
+
     /// Ends a forged pass: `Some` as a leader that published a body,
     /// `None` as one that died.
-    fn end_pass(running: &Inflight, outcome: Option<Arc<String>>) {
-        *running.done.lock_ok() = Some(outcome);
-        running.cv.notify_all();
+    fn end_pass(mut pass: Pass<'_>, outcome: Option<Arc<String>>) {
+        pass.bodies.extend(outcome);
+        drop(pass);
+    }
+
+    /// Cached keys of graph `name`.
+    fn cached_keys(svc: &Service, name: &str) -> usize {
+        svc.lock_cache()
+            .iter()
+            .filter(|(k, _)| k.class.graph == name)
+            .count()
+    }
+
+    /// A snapshot warm entry for `/rank` body `req`, carrying the bytes
+    /// the `quiet` server answers it with.
+    fn warm_entry(quiet: &Service, req: &str) -> persist::WarmEntry {
+        let p = quiet
+            .parse_rank_request(&Json::parse(req).unwrap())
+            .expect("valid rank request");
+        let (r, _) = quiet.handle(&post("/rank", req));
+        assert_eq!(r.status, 200, "{}", r.body_str());
+        persist::WarmEntry {
+            measure: p.measure.code(),
+            targets: p.targets,
+            eps_bits: p.eps.to_bits(),
+            delta_bits: p.delta.to_bits(),
+            seed: p.seed,
+            khops: p.khops as u64,
+            body: r.body_str().to_string(),
+        }
     }
 
     /// Answers `bodies` concurrently on `svc`, in order, while the calling
@@ -2815,7 +2774,7 @@ mod tests {
             let running = forge_running_pass(&svc, class.clone());
             let responses = answer_concurrently(&svc, &bodies, || {
                 let queued = wait_queued(&svc, &class, sets.len());
-                end_pass(&running, Some(Arc::new(String::new())));
+                end_pass(running, Some(Arc::new(String::new())));
                 assert_eq!(queued, sets.len(), "{measure}");
             });
             assert_eq!(
@@ -2857,7 +2816,7 @@ mod tests {
         let running = forge_running_pass(&svc, class.clone());
         let responses = answer_concurrently(&svc, &bodies, || {
             let queued = wait_queued(&svc, &class, bodies.len());
-            end_pass(&running, None);
+            end_pass(running, None);
             assert_eq!(queued, bodies.len());
         });
         for r in &responses {
@@ -2901,7 +2860,7 @@ mod tests {
             let n = wait_queued(&svc, &busy, queued.len());
             let (r, _) = svc.handle(&post("/rank", &body("0.2", "[6,12]")));
             let passes = svc.sample_passes();
-            end_pass(&running, Some(Arc::new(String::new())));
+            end_pass(running, Some(Arc::new(String::new())));
             assert_eq!(n, queued.len());
             assert_eq!(r.status, 200, "{}", r.body_str());
             assert_eq!(
@@ -3202,36 +3161,154 @@ mod tests {
         assert_eq!(cache_header(&rb3), Some("hit"));
         assert_eq!(rb3.body, rb.body);
 
-        // The index mirrors the cache: "two" holds the re-keyed B entry
-        // plus nothing stale (A's purged keys are gone).
-        assert_eq!(svc.cache_index.count_of("two"), 1);
-        assert_eq!(svc.cache_index.count_of("grid"), 1);
+        // "two" holds the re-keyed B entry plus nothing stale (A's purged
+        // keys are gone).
+        assert_eq!(cached_keys(&svc, "two"), 1);
+        assert_eq!(cached_keys(&svc, "grid"), 1);
     }
 
-    /// A patch whose delta dirties a component must also drop that
-    /// graph's batching classes keyed to the replaced epoch.
+    /// A patch leaves the class table alone: the epoch is part of the
+    /// class key, so an old-epoch class admits no new request. A new-epoch
+    /// request computes at once while the old class's pass runs, the
+    /// member queued behind that pass still answers, and the table ends
+    /// empty.
     #[test]
-    fn patch_drops_stale_batch_classes() {
+    fn old_epoch_class_drains_after_a_patch() {
         let svc = service_with_grid();
         svc.registry()
             .insert(GraphEntry::build("two", two_component_graph()));
-        // Forge a running pass with a batch queued behind it under the
-        // current epoch, as a leader and a waiting member would leave
-        // them mid-pass.
-        let class = class_of(
-            &svc,
-            r#"{"graph":"two","targets":[1,2],"eps":0.2,"delta":0.2,"seed":3}"#,
+        let body = r#"{"graph":"two","targets":[1,2],"eps":0.2,"delta":0.2,"seed":3}"#;
+        let old = class_of(&svc, body);
+        let running = forge_running_pass(&svc, old.clone());
+        let queued = [body.to_string()];
+        let responses = answer_concurrently(&svc, &queued, || {
+            let n = wait_queued(&svc, &old, 1);
+            let (p, _) = svc.handle(&patch_req("two", r#"{"insert":[[2,5]]}"#));
+            let (r, _) = svc.handle(&post("/rank", body));
+            end_pass(running, None);
+            assert_eq!(n, 1);
+            assert_eq!(p.status, 200, "{}", p.body_str());
+            assert_eq!(r.status, 200, "{}", r.body_str());
+            assert_eq!(
+                cache_header(&r),
+                Some("miss"),
+                "a new-epoch request queued behind an old-epoch pass"
+            );
+        });
+        assert_eq!(responses[0].status, 200, "{}", responses[0].body_str());
+        assert_eq!(cache_header(&responses[0]), Some("miss"));
+        assert!(svc.batches.lock_ok().is_empty());
+    }
+
+    /// Single-flight reaches queued members too: a twin of a request
+    /// queued behind a running pass parks on that member's slot instead of
+    /// enrolling again, and replays the batch's bytes as `shared`.
+    #[test]
+    fn twin_of_a_queued_member_shares_its_slot() {
+        let svc = service_with_grid();
+        let bodies: Vec<String> = ["[0,1]", "[5,6]", "[0,1]"]
+            .iter()
+            .map(|t| format!(r#"{{"graph":"grid","targets":{t},"eps":0.1,"delta":0.1,"seed":4}}"#))
+            .collect();
+        let class = class_of(&svc, &bodies[0]);
+        let running = forge_running_pass(&svc, class.clone());
+        let responses = answer_concurrently(&svc, &bodies, || {
+            // Two members queued, and one of them holds a third slot
+            // reference besides its own request's and the table's: the
+            // twin parked on it.
+            let parked = wait_class(&svc, &class, |c| {
+                c.queued.len() == 2 && c.queued.iter().any(|m| Arc::strong_count(&m.slot) == 3)
+            });
+            end_pass(running, Some(Arc::new(String::new())));
+            assert!(parked, "the twin never parked on the queued member");
+        });
+        assert_eq!(svc.sample_passes(), 1);
+        assert_eq!(svc.computations(), 2);
+        assert_eq!(svc.cache_shared(), 1);
+        let mut states: Vec<&str> = responses.iter().filter_map(cache_header).collect();
+        states.sort_unstable();
+        assert_eq!(states, ["batched", "batched", "shared"]);
+        let quiet = service_with_grid();
+        for (r, req) in responses.iter().zip(&bodies) {
+            assert_eq!(r.status, 200, "{}", r.body_str());
+            let (qr, _) = quiet.handle(&post("/rank", req));
+            assert_eq!(r.body, qr.body, "bytes diverged from a quiet-server run");
+        }
+        assert!(svc.batches.lock_ok().is_empty());
+    }
+
+    /// Regression: a hit counts in `warm_hits` only while the body it
+    /// replays is the one restored from the warm section. Evicted and
+    /// recomputed, the same request is an ordinary entry.
+    #[test]
+    fn evicted_warm_body_stops_counting_warm_hits() {
+        let svc = Service::new(ServiceConfig {
+            workers: 1,
+            cache_capacity: 1,
+            ..ServiceConfig::default()
+        });
+        svc.registry().insert(GraphEntry::build(
+            "grid",
+            saphyra_graph::fixtures::grid_graph(5, 5),
+        ));
+        let body = r#"{"graph":"grid","targets":[6,12],"eps":0.2,"delta":0.2,"seed":3}"#;
+        let other = r#"{"graph":"grid","targets":[1,2],"eps":0.2,"delta":0.2,"seed":3}"#;
+        let epoch = svc.registry().get("grid").unwrap().epoch;
+        svc.restore_warm("grid", epoch, vec![warm_entry(&service_with_grid(), body)]);
+
+        let (r, _) = svc.handle(&post("/rank", body));
+        assert_eq!(cache_header(&r), Some("hit"), "{}", r.body_str());
+        assert_eq!(svc.warm_hits(), 1);
+        let (r, _) = svc.handle(&post("/rank", other));
+        assert_eq!(cache_header(&r), Some("miss"), "{}", r.body_str());
+        let (r, _) = svc.handle(&post("/rank", body));
+        assert_eq!(
+            cache_header(&r),
+            Some("miss"),
+            "the warm body was not evicted"
         );
-        forge_running_pass(&svc, class.clone());
-        svc.batches.lock_ok().get_mut(&class).unwrap().next = Some(Arc::new(Batch {
-            members: Mutex::new(Vec::new()),
-        }));
-        let (p, _) = svc.handle(&patch_req("two", r#"{"insert":[[2,5]]}"#));
+        let (r, _) = svc.handle(&post("/rank", body));
+        assert_eq!(cache_header(&r), Some("hit"), "{}", r.body_str());
+        assert_eq!(svc.warm_hits(), 1, "a recomputed body counted as warm");
+        assert_eq!(svc.cache_hits(), 2);
+    }
+
+    /// Warm membership follows a `PATCH` re-key: the clean component's
+    /// warm body keeps answering `hit` and counting in `warm_hits`; the
+    /// dirty component's is purged, and a hit on its recomputed body does
+    /// not count.
+    #[test]
+    fn warm_flag_follows_a_patch_rekey() {
+        let with_two = || {
+            let svc = service_with_grid();
+            svc.registry()
+                .insert(GraphEntry::build("two", two_component_graph()));
+            svc
+        };
+        let (svc, quiet) = (with_two(), with_two());
+        let body_a = r#"{"graph":"two","targets":[1,2],"eps":0.2,"delta":0.2,"seed":3}"#;
+        let body_b = r#"{"graph":"two","targets":[6,7,8],"eps":0.2,"delta":0.2,"seed":3}"#;
+        let warm = vec![warm_entry(&quiet, body_a), warm_entry(&quiet, body_b)];
+        let warm_b = warm[1].body.clone();
+        let epoch = svc.registry().get("two").unwrap().epoch;
+        svc.restore_warm("two", epoch, warm);
+
+        // Patch component A only.
+        let (p, _) = svc.handle(&patch_req("two", r#"{"insert":[[0,5]]}"#));
         assert_eq!(p.status, 200, "{}", p.body_str());
-        assert!(
-            !svc.batches.lock_ok().contains_key(&class),
-            "stale-epoch batching class survived the patch"
-        );
+        let v = Json::parse(p.body_str()).unwrap();
+        assert_eq!(v.get("cache_kept").unwrap().as_u64(), Some(1), "B survives");
+        assert_eq!(v.get("cache_purged").unwrap().as_u64(), Some(1), "A purged");
+
+        let (rb, _) = svc.handle(&post("/rank", body_b));
+        assert_eq!(cache_header(&rb), Some("hit"), "{}", rb.body_str());
+        assert_eq!(rb.body_str(), warm_b);
+        assert_eq!(svc.warm_hits(), 1, "the re-keyed warm body lost its flag");
+        let (ra, _) = svc.handle(&post("/rank", body_a));
+        assert_eq!(cache_header(&ra), Some("miss"), "{}", ra.body_str());
+        let (ra, _) = svc.handle(&post("/rank", body_a));
+        assert_eq!(cache_header(&ra), Some("hit"), "{}", ra.body_str());
+        assert_eq!(svc.warm_hits(), 1, "a recomputed body counted as warm");
     }
 
     /// Regression for the reload path: replacing ONE graph must purge only
@@ -3274,7 +3351,7 @@ mod tests {
         let (ra2, _) = svc.handle(&post("/rank", rank_a));
         assert_eq!(cache_header(&ra2), Some("miss"));
         assert_ne!(ra2.body, ra.body, "stale ranking served after reload");
-        assert_eq!(svc.cache_index.count_of("a"), 1);
-        assert_eq!(svc.cache_index.count_of("b"), 1);
+        assert_eq!(cached_keys(&svc, "a"), 1);
+        assert_eq!(cached_keys(&svc, "b"), 1);
     }
 }
