@@ -1,11 +1,13 @@
 //! Sampler microbenches, including the bidirectional-vs-unidirectional BFS
-//! ablation (Lemma 21) and the relative per-sample cost of the three
-//! sampling styles (Gen_bc path, KADABRA path, ABRA node-pair).
+//! ablation (Lemma 21), the relative per-sample cost of the three
+//! sampling styles (Gen_bc path, KADABRA path, ABRA node-pair) and one
+//! whole harmonic ranking call.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use saphyra::bc::{build_a_index, BcApproxProblem, Outreach};
+use saphyra::closeness::rank_harmonic;
 use saphyra_gen::datasets::{SimNetwork, SizeClass};
 use saphyra_graph::bbbfs::BiBfs;
 use saphyra_graph::bfs::{sample_path_to, BfsWorkspace};
@@ -33,6 +35,28 @@ fn bench_samplers(c: &mut Criterion) {
     let mut prob = BcApproxProblem::new(&g, &bic, &outreach, &targets, &a_index, 3);
     c.bench_function("gen_bc_sample", |b| {
         b.iter(|| std::hint::black_box(prob.sample_approx_path(&mut rng).len()))
+    });
+
+    // Harmonic: one ranking call in the shape the service sees, 16 targets
+    // led by the two highest-degree nodes at ε 0.25, δ 0.1. The seed is
+    // fixed so every iteration does the same work.
+    let mut by_degree: Vec<u32> = g.nodes().collect();
+    by_degree.sort_by_key(|&v| std::cmp::Reverse(g.degree(v)));
+    let mut hc_targets = by_degree[..2].to_vec();
+    let mut pick = StdRng::seed_from_u64(16);
+    while hc_targets.len() < 16 {
+        let v = pick.gen_range(0..n as u32);
+        if !hc_targets.contains(&v) {
+            hc_targets.push(v);
+        }
+    }
+    let hc_sets = [hc_targets];
+    c.bench_function("harmonic_rank_16_targets", |b| {
+        b.iter(|| {
+            let mut seed = StdRng::seed_from_u64(5);
+            let est = rank_harmonic(&g, &hc_sets, 0.25, 0.1, &mut seed);
+            std::hint::black_box(est[0].inner.outcome.samples_used)
+        })
     });
 
     // KADABRA-style: uniform pair + bidirectional BFS path.

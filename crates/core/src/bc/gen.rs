@@ -54,6 +54,8 @@ pub struct BcApproxProblem<'a> {
     bic: &'a Bicomps,
     pisp: Pisp,
     a_index: Cow<'a, [u32]>,
+    /// Number of targets `k`.
+    k: usize,
     vc_dim: usize,
     /// Samples accepted (returned to the estimator), summed over all
     /// workers.
@@ -141,7 +143,7 @@ fn draw_hits(
 }
 
 impl<'a> BcApproxProblem<'a> {
-    /// Builds the sampler. `a_index` maps node → target position (or
+    /// Builds the sampler. `a_index` maps node → position in `targets` (or
     /// `u32::MAX`), borrowed or owned; `vc_dim` is the personalized VC
     /// bound (Corollary 22).
     pub fn new(
@@ -153,11 +155,18 @@ impl<'a> BcApproxProblem<'a> {
         vc_dim: usize,
     ) -> Self {
         let pisp = Pisp::new(bic, outreach, targets);
+        let a_index = a_index.into();
+        debug_assert_eq!(
+            a_index.iter().filter(|&&i| i != NONE).count(),
+            targets.len(),
+            "a_index must index exactly the targets"
+        );
         BcApproxProblem {
             g,
             bic,
             pisp,
-            a_index: a_index.into(),
+            a_index,
+            k: targets.len(),
             vc_dim,
             accepted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
@@ -274,7 +283,7 @@ impl HrSampler<u64> for BcSampler<'_> {
 
 impl HrProblem<u64> for BcApproxProblem<'_> {
     fn num_hypotheses(&self) -> usize {
-        self.a_index.iter().filter(|&&i| i != NONE).count()
+        self.k
     }
 
     fn sampler(&self) -> Box<dyn HrSampler<u64> + '_> {

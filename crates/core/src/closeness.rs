@@ -4,8 +4,8 @@
 //!
 //! We rank by *harmonic centrality mass* `hc(v) = E_{u∼V}[1/d(u, v)]`
 //! (with `1/d(v,v) := 0` and `1/∞ := 0`), the disconnection-robust member
-//! of the closeness family. A sample is a uniform source `u`; one BFS gives
-//! the fractional losses `1/d(u, v) ∈ [0, 1]` for every target — the
+//! of the closeness family. A sample is a uniform source `u` with the
+//! fractional losses `1/d(u, v) ∈ [0, 1]` for every target — the
 //! Eppstein–Wang sampling scheme recast as a fractional-loss
 //! [`HrProblem`] over [`LossAcc`] accumulators.
 //!
@@ -14,6 +14,13 @@
 //! `λ̂ = |A|/n`, and the approximate distribution is uniform over `V ∖ A`.
 //! Ranking errors between targets that are close to *each other* (the hard
 //! tie-breaks in a ranking) are thereby resolved exactly.
+//!
+//! Those `|A|` BFS runs are kept as distance rows, one per target. The
+//! graph is undirected, so `d(u, v) = d(v, u)`, and a sample's `k` losses
+//! are `k` lookups into the rows instead of a BFS from `u`. The rows take
+//! `4·k·n` bytes per target set and are kept while `k·n ≤ 2²⁴` (64 MiB);
+//! above that each sample runs its own BFS, and the exact part comes from
+//! [`harmonic_exact_part`]. Both paths give the same bits.
 
 use rand::Rng;
 use rand::RngCore;
@@ -27,6 +34,10 @@ use crate::framework::{
 };
 
 const NONE: u32 = u32::MAX;
+
+/// Most distance-row entries (`k·n`) one target set keeps: 64 MiB of
+/// `u32`. A fixed cap, like the one on `f64_groups`' accumulators.
+const ROW_BUDGET: usize = 1 << 24;
 
 /// Exact harmonic mass `hc(v)` for every node — `n` BFS runs, the
 /// ground-truth oracle for tests and small graphs.
@@ -82,54 +93,144 @@ pub fn harmonic_exact_part(g: &Graph, targets: &[NodeId]) -> ExactPart {
     }
 }
 
+/// One distance-only BFS from `s` into `row`, which arrives filled with
+/// [`INFINITY`]; unreached nodes keep it.
+fn bfs_row(g: &Graph, s: NodeId, row: &mut [u32], queue: &mut Vec<NodeId>) {
+    queue.clear();
+    queue.push(s);
+    row[s as usize] = 0;
+    let mut head = 0;
+    while let Some(&v) = queue.get(head) {
+        head += 1;
+        let d = row[v as usize] + 1;
+        for &w in g.neighbors(v) {
+            if row[w as usize] == INFINITY {
+                row[w as usize] = d;
+                queue.push(w);
+            }
+        }
+    }
+}
+
+/// The exact part read off the target rows: for each target, `1/d` summed
+/// over the sources in target order, as [`harmonic_exact_part`] sums it.
+fn exact_part_from_rows(rows: &[u32], n: usize, targets: &[NodeId]) -> ExactPart {
+    let exact_risks = targets
+        .iter()
+        .map(|&v| {
+            let mut acc = 0.0f64;
+            for row in rows.chunks_exact(n) {
+                let d = row[v as usize];
+                if d != INFINITY && d > 0 {
+                    acc += 1.0 / d as f64;
+                }
+            }
+            acc / n as f64
+        })
+        .collect();
+    ExactPart {
+        lambda_hat: targets.len() as f64 / n as f64,
+        exact_risks,
+    }
+}
+
 /// The approximate-subspace sampling problem: uniform sources from
-/// `V ∖ A`. Shared read-only half; BFS scratch lives in
-/// [`HarmonicSampler`]. For `A = V` the complement is empty: `λ̂ = 1`, so
-/// the estimator never samples such a problem.
+/// `V ∖ A`, together with the exact part. For `A = V` the complement is
+/// empty: `λ̂ = 1`, so the estimator never samples such a problem.
+///
+/// While `k·n ≤ 2²⁴`, construction runs one BFS per target into a `k×n`
+/// table of `u32` distances (`4·k·n` bytes, freed with the problem), and
+/// both the exact part and every sample read it. Above that budget each
+/// sample runs a BFS in its [`HarmonicSampler`]'s workspace and the exact
+/// part is [`harmonic_exact_part`]; the bits are the same either way.
 pub struct HarmonicApproxProblem<'a> {
     g: &'a Graph,
     a_pos: Vec<u32>,
     complement: Vec<NodeId>,
     k: usize,
+    /// `rows[i·n + u] = d(tᵢ, u)`, or `None` over the row budget.
+    rows: Option<Vec<u32>>,
+    exact: ExactPart,
 }
 
 impl<'a> HarmonicApproxProblem<'a> {
-    /// Builds the sampler.
+    /// Builds the sampler and the exact part.
     pub fn new(g: &'a Graph, targets: &[NodeId]) -> Self {
+        Self::with_row_budget(g, targets, ROW_BUDGET)
+    }
+
+    /// [`Self::new`] keeping distance rows only while `k·n ≤ row_budget`.
+    fn with_row_budget(g: &'a Graph, targets: &[NodeId], row_budget: usize) -> Self {
         let n = g.num_nodes();
+        let k = targets.len();
         let mut a_pos = vec![NONE; n];
         for (i, &v) in targets.iter().enumerate() {
             assert!(a_pos[v as usize] == NONE, "duplicate target {v}");
             a_pos[v as usize] = i as u32;
         }
         let complement: Vec<NodeId> = g.nodes().filter(|&v| a_pos[v as usize] == NONE).collect();
+        let (rows, exact) = if k.saturating_mul(n) <= row_budget {
+            let mut rows = vec![INFINITY; k * n];
+            let mut queue = Vec::with_capacity(n);
+            for (&t, row) in targets.iter().zip(rows.chunks_exact_mut(n)) {
+                bfs_row(g, t, row, &mut queue);
+            }
+            let exact = exact_part_from_rows(&rows, n, targets);
+            (Some(rows), exact)
+        } else {
+            (None, harmonic_exact_part(g, targets))
+        };
         HarmonicApproxProblem {
             g,
             a_pos,
             complement,
-            k: targets.len(),
+            k,
+            rows,
+            exact,
         }
     }
 }
 
-/// Per-worker drawing head: one BFS workspace per worker.
+/// Where a sampler finds `d(u, tᵢ)` for a drawn source `u`.
+enum Distances<'p> {
+    /// Column `u` of the target rows.
+    Rows(&'p [u32]),
+    /// Over the row budget: a BFS from `u`.
+    Bfs(BfsWorkspace),
+}
+
+/// Per-worker drawing head; owns a BFS workspace only over the row budget.
 pub struct HarmonicSampler<'p> {
     problem: &'p HarmonicApproxProblem<'p>,
-    ws: BfsWorkspace,
+    dist: Distances<'p>,
 }
 
 impl HrSampler<LossAcc> for HarmonicSampler<'_> {
     fn sample_into(&mut self, rng: &mut dyn RngCore, out: &mut Vec<(u32, f64)>) {
         let p = self.problem;
         let u = p.complement[rng.gen_range(0..p.complement.len())];
-        self.ws.run(p.g, u);
-        for (v, &pos) in p.a_pos.iter().enumerate() {
-            if pos == NONE {
-                continue;
+        match &mut self.dist {
+            Distances::Rows(rows) => {
+                // At most one loss per target, so target order here and
+                // node order on the BFS path give the same sums.
+                for (i, row) in rows.chunks_exact(p.g.num_nodes()).enumerate() {
+                    let d = row[u as usize];
+                    if d != INFINITY && d > 0 {
+                        out.push((i as u32, 1.0 / d as f64));
+                    }
+                }
             }
-            let d = self.ws.dist(v as NodeId);
-            if d != INFINITY && d > 0 {
-                out.push((pos, 1.0 / d as f64));
+            Distances::Bfs(ws) => {
+                ws.run(p.g, u);
+                for (v, &pos) in p.a_pos.iter().enumerate() {
+                    if pos == NONE {
+                        continue;
+                    }
+                    let d = ws.dist(v as NodeId);
+                    if d != INFINITY && d > 0 {
+                        out.push((pos, 1.0 / d as f64));
+                    }
+                }
             }
         }
     }
@@ -145,9 +246,13 @@ impl HrProblem<LossAcc> for HarmonicApproxProblem<'_> {
             !self.complement.is_empty(),
             "A = V leaves no approximate subspace; use harmonic_exact"
         );
+        let dist = match &self.rows {
+            Some(rows) => Distances::Rows(rows),
+            None => Distances::Bfs(BfsWorkspace::new(self.g.num_nodes())),
+        };
         Box::new(HarmonicSampler {
             problem: self,
-            ws: BfsWorkspace::new(self.g.num_nodes()),
+            dist,
         })
     }
 
@@ -184,19 +289,31 @@ pub fn rank_harmonic(
     delta: f64,
     rng: &mut dyn RngCore,
 ) -> Vec<HarmonicEstimate> {
+    rank_harmonic_with(g, sets, eps, delta, rng, ROW_BUDGET)
+}
+
+/// [`rank_harmonic`] keeping distance rows only for sets with
+/// `k·n ≤ row_budget`; 0 forces a BFS per sample.
+fn rank_harmonic_with(
+    g: &Graph,
+    sets: &[Vec<NodeId>],
+    eps: f64,
+    delta: f64,
+    rng: &mut dyn RngCore,
+    row_budget: usize,
+) -> Vec<HarmonicEstimate> {
     let probs: Vec<HarmonicApproxProblem> = sets
         .iter()
         .map(|t| {
             assert!(!t.is_empty());
-            HarmonicApproxProblem::new(g, t)
+            HarmonicApproxProblem::with_row_budget(g, t, row_budget)
         })
         .collect();
-    let subs: Vec<Subscriber<LossAcc>> = sets
+    let subs: Vec<Subscriber<LossAcc>> = probs
         .iter()
-        .zip(&probs)
-        .map(|(t, problem)| Subscriber {
+        .map(|problem| Subscriber {
             problem,
-            exact: harmonic_exact_part(g, t),
+            exact: problem.exact.clone(),
             eps,
             delta,
             adaptive: true,
@@ -323,6 +440,77 @@ mod tests {
             assert!((est.hc[i] - truth[v as usize]).abs() < 1e-12);
         }
         assert_eq!(est.inner.outcome.samples_used, 0);
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Ranks `sets` once with distance rows and once with a BFS per sample
+    /// (row budget 0) and asserts the same bits, and that every set's
+    /// exact part read off its rows is [`harmonic_exact_part`]'s.
+    fn assert_rows_match_bfs(g: &Graph, sets: &[Vec<NodeId>], eps: f64, seed: u64) {
+        let run = |row_budget| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            rank_harmonic_with(g, sets, eps, 0.1, &mut rng, row_budget)
+        };
+        let (rows, bfs) = (run(ROW_BUDGET), run(0));
+        for (i, (r, b)) in rows.iter().zip(&bfs).enumerate() {
+            let (ro, bo) = (&r.inner.outcome, &b.inner.outcome);
+            assert_eq!(bits(&r.hc), bits(&b.hc), "set {i}, seed {seed}");
+            assert_eq!(ro.samples_used, bo.samples_used, "set {i}, seed {seed}");
+            assert_eq!(ro.achieved_eps.to_bits(), bo.achieved_eps.to_bits());
+        }
+        for t in sets {
+            let p = HarmonicApproxProblem::new(g, t);
+            assert!(p.rows.is_some(), "rows kept under the budget");
+            let reference = harmonic_exact_part(g, t);
+            assert_eq!(bits(&p.exact.exact_risks), bits(&reference.exact_risks));
+            assert_eq!(p.exact.lambda_hat.to_bits(), reference.lambda_hat.to_bits());
+        }
+    }
+
+    #[test]
+    fn rows_match_bfs_across_components() {
+        // Targets in different components, the isolated node 5, k = 1 and
+        // an A = V member, batched.
+        let g = fixtures::disconnected_mix();
+        let sets: Vec<Vec<u32>> = vec![
+            vec![0, 3],
+            vec![5],
+            vec![4, 1, 5],
+            vec![2],
+            g.nodes().collect(),
+        ];
+        for seed in [1, 7, 42] {
+            assert_rows_match_bfs(&g, &sets, 0.05, seed);
+        }
+        let mut rng = StdRng::seed_from_u64(3);
+        let est = rank_one(&g, &[5, 0], 0.05, &mut rng);
+        assert!(est.inner.outcome.samples_used > 0);
+        assert_eq!(est.hc[0], 0.0, "an isolated target has no harmonic mass");
+    }
+
+    #[test]
+    fn rows_match_bfs_on_sparse_random_graphs() {
+        // G(n, m) with m < n leaves isolated nodes and many components.
+        for seed in 0..4u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let g = saphyra_gen::er::gnm(40, 30, &mut rng);
+            let mut nodes: Vec<u32> = g.nodes().collect();
+            for i in 0..nodes.len() {
+                let j = rng.gen_range(i..nodes.len());
+                nodes.swap(i, j);
+            }
+            let isolated = g.nodes().find(|&v| g.degree(v) == 0).expect("isolated");
+            let sets: Vec<Vec<u32>> = vec![
+                nodes[..6].to_vec(),
+                vec![nodes[6]],
+                vec![isolated],
+                nodes[7..20].to_vec(),
+            ];
+            assert_rows_match_bfs(&g, &sets, 0.05, seed);
+        }
     }
 
     #[test]

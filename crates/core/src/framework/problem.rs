@@ -13,12 +13,11 @@
 //! cores:
 //!
 //! * [`HrProblem`] is the *shared, immutable* description — graph
-//!   references, prefix-sum tables, index maps. It must be [`Sync`]: every
-//!   worker reads it concurrently through `&self`.
+//!   references, prefix-sum tables, index maps, distance tables. It must be
+//!   [`Sync`]: every worker reads it concurrently through `&self`.
 //! * [`HrSampler`] is a *per-worker* drawing head created by
-//!   [`HrProblem::sampler`]. It owns all mutable scratch (BFS distance /
-//!   queue / σ buffers, path stacks) so a draw never allocates and never
-//!   contends. Workers receive their randomness as counter-based chunk
+//!   [`HrProblem::sampler`]. It owns all mutable scratch (BFS buffers, path
+//!   stacks) so a draw never allocates and never contends. Workers receive their randomness as counter-based chunk
 //!   RNGs ([`saphyra_stats::stream`]), which makes estimates bit-identical
 //!   for every thread count.
 
@@ -66,7 +65,8 @@ pub trait HrSampler<A: BlockAcc>: Send {
 /// Implementors: [`crate::bc::BcApproxProblem`] (random intra-component
 /// shortest paths) and [`crate::kpath::KPathApproxProblem`] (random walks)
 /// with 0-1 losses; [`crate::closeness::HarmonicApproxProblem`] (uniform
-/// BFS sources) with fractional losses.
+/// sources, their distances read from the targets' BFS rows) with
+/// fractional losses.
 ///
 /// The problem itself is the shared read-only half of the contract (hence
 /// the `Sync` bound); all drawing state lives in the [`HrSampler`] values

@@ -144,31 +144,47 @@ fn bc_multi_handles_no_pisp_members() {
 
 /// Harmonic batching (weighted losses, fused pass): per-set results are
 /// bit-identical to solo runs, and a degenerate `A = V` member degrades to
-/// the exact path exactly as it does solo.
+/// the exact path exactly as it does solo, across {1, 2, 4} threads with
+/// the same bits at every thread count.
 #[test]
 fn harmonic_multi_matches_solo_including_degenerate() {
     let g = fixtures::grid_graph(5, 5);
     let mut sets = grid_sets();
     sets.truncate(2);
     sets.push(g.nodes().collect()); // A = V: no approximate subspace
-    let batched = {
-        let mut rng = StdRng::seed_from_u64(17);
-        rank_harmonic(&g, &sets, 0.05, 0.1, &mut rng)
-    };
-    for (i, set) in sets.iter().enumerate() {
-        let mut rng = StdRng::seed_from_u64(17);
-        let solo = rank_harmonic(&g, std::slice::from_ref(set), 0.05, 0.1, &mut rng).remove(0);
-        assert_eq!(batched[i].hc, solo.hc, "set {i}");
-        assert_eq!(
-            batched[i].inner.outcome.samples_used,
-            solo.inner.outcome.samples_used
-        );
-        assert_eq!(
-            batched[i].inner.outcome.achieved_eps,
-            solo.inner.outcome.achieved_eps
-        );
+    let mut first = None;
+    for threads in [1, 2, 4] {
+        let batched = in_pool(threads, || {
+            let mut rng = StdRng::seed_from_u64(17);
+            rank_harmonic(&g, &sets, 0.05, 0.1, &mut rng)
+        });
+        for (i, set) in sets.iter().enumerate() {
+            let solo = in_pool(threads, || {
+                let mut rng = StdRng::seed_from_u64(17);
+                rank_harmonic(&g, std::slice::from_ref(set), 0.05, 0.1, &mut rng).remove(0)
+            });
+            assert_eq!(batched[i].hc, solo.hc, "set {i}, {threads} threads");
+            assert_eq!(
+                batched[i].inner.outcome.samples_used,
+                solo.inner.outcome.samples_used
+            );
+            assert_eq!(
+                batched[i].inner.outcome.achieved_eps,
+                solo.inner.outcome.achieved_eps
+            );
+        }
+        assert_eq!(batched[2].inner.outcome.samples_used, 0);
+        let bits: Vec<(Vec<u64>, usize, u64)> = batched
+            .iter()
+            .map(|e| {
+                let o = &e.inner.outcome;
+                let hc = e.hc.iter().map(|x| x.to_bits()).collect();
+                (hc, o.samples_used, o.achieved_eps.to_bits())
+            })
+            .collect();
+        let first = first.get_or_insert_with(|| bits.clone());
+        assert_eq!(*first, bits, "{threads} threads vs 1");
     }
-    assert_eq!(batched[2].inner.outcome.samples_used, 0);
 }
 
 proptest! {
