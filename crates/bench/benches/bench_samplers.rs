@@ -1,17 +1,16 @@
 //! Sampler microbenches, including the bidirectional-vs-unidirectional BFS
 //! ablation (Lemma 21), the relative per-sample cost of the three
-//! sampling styles (Gen_bc path, KADABRA path, ABRA node-pair) and one
-//! whole harmonic ranking call.
+//! sampling styles (Gen_bc path, KADABRA path, ABRA node-pair), bc's
+//! exact part alone, and one whole bc and one whole harmonic ranking call.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use saphyra::bc::{build_a_index, BcApproxProblem, Outreach};
+use saphyra::bc::{build_a_index, exact_bc, BcApproxProblem, BcDecomposition, SaphyraBcConfig};
 use saphyra::closeness::rank_harmonic;
 use saphyra_gen::datasets::{SimNetwork, SizeClass};
 use saphyra_graph::bbbfs::BiBfs;
 use saphyra_graph::bfs::{sample_path_to, BfsWorkspace};
-use saphyra_graph::{Bicomps, BlockCutTree};
 use std::time::Duration;
 
 fn config() -> Criterion {
@@ -24,37 +23,56 @@ fn config() -> Criterion {
 fn bench_samplers(c: &mut Criterion) {
     let g = SimNetwork::LiveJournal.build(SizeClass::Tiny, 1);
     let n = g.num_nodes();
-    let bic = Bicomps::compute(&g);
-    let tree = BlockCutTree::compute(&bic);
-    let outreach = Outreach::compute(&bic, &tree);
+    let dec = BcDecomposition::compute(&g);
+    let (bic, outreach) = (&dec.bic, &dec.outreach);
     let mut rng = StdRng::seed_from_u64(7);
     let targets: Vec<u32> = (0..100u32).collect();
     let a_index = build_a_index(n, &targets);
 
     // Gen_bc: multistage PISP sampling with rejection.
-    let mut prob = BcApproxProblem::new(&g, &bic, &outreach, &targets, &a_index, 3);
+    let mut prob = BcApproxProblem::new(&g, bic, outreach, &targets, &a_index, 3);
     c.bench_function("gen_bc_sample", |b| {
         b.iter(|| std::hint::black_box(prob.sample_approx_path(&mut rng).len()))
     });
 
-    // Harmonic: one ranking call in the shape the service sees, 16 targets
-    // led by the two highest-degree nodes at ε 0.25, δ 0.1. The seed is
-    // fixed so every iteration does the same work.
+    // Ranking calls in the shape the service sees: 16 targets led by the
+    // two highest-degree nodes. Seeds are fixed so every iteration does
+    // the same work.
     let mut by_degree: Vec<u32> = g.nodes().collect();
     by_degree.sort_by_key(|&v| std::cmp::Reverse(g.degree(v)));
-    let mut hc_targets = by_degree[..2].to_vec();
+    let mut targets16 = by_degree[..2].to_vec();
     let mut pick = StdRng::seed_from_u64(16);
-    while hc_targets.len() < 16 {
+    while targets16.len() < 16 {
         let v = pick.gen_range(0..n as u32);
-        if !hc_targets.contains(&v) {
-            hc_targets.push(v);
+        if !targets16.contains(&v) {
+            targets16.push(v);
         }
     }
-    let hc_sets = [hc_targets];
+    let a_index16 = build_a_index(n, &targets16);
+    let sets16 = [targets16];
+
+    // bc's exact part (Exact_bc) alone, then a whole bc ranking at ε 0.05,
+    // δ 0.1: the split of a lone bc request's fixed and per-sample cost.
+    c.bench_function("exact_bc_16_targets", |b| {
+        b.iter(|| {
+            let exact = exact_bc(&g, bic, outreach, &sets16[0], &a_index16);
+            std::hint::black_box(exact.lambda_raw)
+        })
+    });
+    let bc_cfg = SaphyraBcConfig::new(0.05, 0.1);
+    c.bench_function("bc_rank_16_targets", |b| {
+        b.iter(|| {
+            let mut seed = StdRng::seed_from_u64(5);
+            let est = dec.rank(&g, &sets16, &bc_cfg, &mut seed);
+            std::hint::black_box(est[0].stats.samples)
+        })
+    });
+
+    // Harmonic at ε 0.25, δ 0.1.
     c.bench_function("harmonic_rank_16_targets", |b| {
         b.iter(|| {
             let mut seed = StdRng::seed_from_u64(5);
-            let est = rank_harmonic(&g, &hc_sets, 0.25, 0.1, &mut seed);
+            let est = rank_harmonic(&g, &sets16, 0.25, 0.1, &mut seed);
             std::hint::black_box(est[0].inner.outcome.samples_used)
         })
     });
