@@ -84,10 +84,10 @@ pub fn exact_bc(
         // Phase 1: count intra-component 2-paths s - v - t into σ_st.
         for slot in g.slot_range(s) {
             let v = g.neighbor_at(slot);
-            let b1 = bic.bicomp_of_slot(g, slot);
+            let b1 = bic.bicomp_of_slot(slot);
             for slot2 in g.slot_range(v) {
                 work += 1;
-                if bic.bicomp_of_slot(g, slot2) != b1 {
+                if bic.bicomp_of_slot(slot2) != b1 {
                     continue;
                 }
                 let t = g.neighbor_at(slot2);
@@ -109,11 +109,11 @@ pub fn exact_bc(
             if ai == NONE {
                 continue;
             }
-            let b1 = bic.bicomp_of_slot(g, slot);
+            let b1 = bic.bicomp_of_slot(slot);
             let r_s = r_of(b1, s);
             for slot2 in g.slot_range(v) {
                 work += 1;
-                if bic.bicomp_of_slot(g, slot2) != b1 {
+                if bic.bicomp_of_slot(slot2) != b1 {
                     continue;
                 }
                 let t = g.neighbor_at(slot2);

@@ -77,7 +77,7 @@ fn accumulate_weighted_source(
     bc: &mut [f64],
     norm: f64,
 ) {
-    ws.run_counting(g, s, None, |slot| bic.bicomp_of_slot(g, slot) == b);
+    ws.run_counting(g, s, None, |slot| bic.bicomp_of_slot(slot) == b);
     for i in (0..ws.order.len()).rev() {
         let v = ws.order[i];
         let dv = ws.dist(v);
@@ -87,7 +87,7 @@ fn accumulate_weighted_source(
         // (r(v) + δ(v)) flows to predecessors proportionally to σ.
         let coeff = (weight[v as usize] + delta[v as usize]) / ws.sigma(v);
         for slot in g.slot_range(v) {
-            if bic.bicomp_of_slot(g, slot) != b {
+            if bic.bicomp_of_slot(slot) != b {
                 continue;
             }
             let w = g.neighbor_at(slot);

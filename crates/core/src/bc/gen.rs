@@ -94,7 +94,7 @@ fn sample_isp_into<R: Rng + ?Sized>(
     rng: &mut R,
 ) {
     let (b, s, t) = pisp.sample_pair(bic, rng);
-    let filter = |slot: usize| bic.bicomp_of_slot(g, slot) == b;
+    let filter = |slot: usize| bic.bicomp_of_slot(slot) == b;
     let res = scratch
         .bb
         .query(g, s, t, filter)

@@ -90,7 +90,7 @@ impl VcPrecomp {
             let d = if nodes.len() == 2 {
                 1
             } else {
-                ws.run_counting(g, nodes[0], None, |slot| bic.bicomp_of_slot(g, slot) == b);
+                ws.run_counting(g, nodes[0], None, |slot| bic.bicomp_of_slot(slot) == b);
                 2 * ws.eccentricity()
             };
             bicomp_diam_upper.push(d);
@@ -146,7 +146,7 @@ impl VcPrecomp {
                     if nodes.len() == 2 {
                         1
                     } else {
-                        ws.run_counting(g, nodes[0], None, |slot| bic.bicomp_of_slot(g, slot) == b);
+                        ws.run_counting(g, nodes[0], None, |slot| bic.bicomp_of_slot(slot) == b);
                         2 * ws.eccentricity()
                     }
                 }
@@ -204,7 +204,7 @@ pub fn vc_bounds_from(
         // BFS from the first member (intra-component distances are global
         // distances for co-component nodes).
         let seed = members[0].1;
-        ws.run_counting(g, seed, None, |slot| bic.bicomp_of_slot(g, slot) == b);
+        ws.run_counting(g, seed, None, |slot| bic.bicomp_of_slot(slot) == b);
         let sd = members
             .iter()
             .map(|&(_, v)| ws.dist(v))

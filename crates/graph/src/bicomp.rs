@@ -5,9 +5,14 @@
 //! every shortest path between two nodes of the same bi-component stays
 //! inside that component (a path that left through a cutpoint would have to
 //! re-enter through it, revisiting a node). Biconnected components partition
-//! *edges*, so we label every undirected edge with its component id; the
-//! label is retrievable from either CSR direction in O(1), which gives the
-//! samplers and `Exact_bc` their intra-component tests for free.
+//! *edges*, so we label every undirected edge with its component id.
+//!
+//! The samplers, `Exact_bc` and the VC-bound BFSes test "is this CSR slot
+//! inside component `b`?" on every edge they visit, so [`Bicomps`] also
+//! keeps the label of each CSR slot (`slot_bicomp`): one load per test
+//! instead of slot → edge id → label. It costs 4 bytes per slot (8 per
+//! undirected edge), is gathered from the edge labels whenever a
+//! decomposition is assembled or decoded, and is never serialized.
 
 use crate::csr::{Graph, NodeId};
 
@@ -18,12 +23,20 @@ pub(crate) const UNSET: u32 = u32::MAX;
 /// Components are edge sets; a node belongs to every component one of its
 /// edges belongs to. Nodes in more than one component are exactly the
 /// cutpoints (articulation points). Isolated nodes belong to none.
+///
+/// Besides the per-edge labels it keeps a per-CSR-slot copy
+/// (`slot_bicomp`, 4 bytes per slot), so an intra-component test is one
+/// load. That copy is derived from `edge_bicomp` and the graph by
+/// [`Bicomps::compute`], the delta path and the snapshot decoder alike.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bicomps {
     /// Number of biconnected components `ℓ`.
     pub num_bicomps: usize,
     /// Component id per undirected edge id.
     pub edge_bicomp: Vec<u32>,
+    /// Component id per CSR slot: `edge_bicomp` gathered through the
+    /// graph's slot → edge-id map (derived, never serialized).
+    pub slot_bicomp: Vec<u32>,
     /// Whether each node is a cutpoint.
     pub is_cutpoint: Vec<bool>,
     /// CSR over components: `bicomp_nodes[bicomp_node_offsets[b]..
@@ -101,6 +114,7 @@ impl Bicomps {
 
         Bicomps {
             num_bicomps,
+            slot_bicomp: slot_labels(g, &edge_bicomp),
             edge_bicomp,
             is_cutpoint,
             bicomp_node_offsets,
@@ -130,10 +144,11 @@ impl Bicomps {
         self.edge_bicomp[edge_id as usize]
     }
 
-    /// Component id of the CSR slot's edge (O(1) intra-component test).
+    /// Component id of the CSR slot's edge (one load: the intra-component
+    /// test of every filtered BFS).
     #[inline]
-    pub fn bicomp_of_slot(&self, g: &Graph, slot: usize) -> u32 {
-        self.edge_bicomp[g.edge_id_at(slot) as usize]
+    pub fn bicomp_of_slot(&self, slot: usize) -> u32 {
+        self.slot_bicomp[slot]
     }
 
     /// Cutpoint node ids, ascending.
@@ -163,6 +178,13 @@ impl Bicomps {
         }
         None
     }
+}
+
+/// The component of every CSR slot of `g`, gathered from the per-edge
+/// labels (edge ids are `< m` in every assembled graph).
+pub(crate) fn slot_labels(g: &Graph, edge_bicomp: &[u32]) -> Vec<u32> {
+    let (_, _, edge_ids) = g.csr_arrays();
+    edge_ids.iter().map(|&e| edge_bicomp[e as usize]).collect()
 }
 
 /// Reusable state of the iterative Hopcroft–Tarjan DFS, exposed per root so
@@ -306,6 +328,13 @@ mod tests {
             let b = bic.bicomp_of_edge(eid);
             assert!(bic.nodes_of(b).contains(&u));
             assert!(bic.nodes_of(b).contains(&v));
+        }
+        // Both slots of an edge carry the edge's label.
+        for slot in 0..2 * g.num_edges() {
+            assert_eq!(
+                bic.bicomp_of_slot(slot),
+                bic.bicomp_of_edge(g.edge_id_at(slot))
+            );
         }
         // Every component has at least one edge.
         let mut count = vec![0usize; bic.num_bicomps];

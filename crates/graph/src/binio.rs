@@ -11,7 +11,7 @@
 //! one layer up. The graph's own CSR arrays are validated by
 //! [`Graph::assemble`].
 
-use crate::bicomp::Bicomps;
+use crate::bicomp::{slot_labels, Bicomps};
 use crate::blockcut::BlockCutTree;
 use crate::csr::{Graph, NodeId};
 use crate::wire::{self, Reader, WireError};
@@ -56,7 +56,8 @@ fn check_offsets(
 }
 
 /// Decodes a [`Bicomps`] for `g`, validating array lengths and id ranges
-/// against the graph.
+/// against the graph. The per-slot labels are not stored: they are
+/// gathered from the validated edge labels.
 pub fn read_bicomps(r: &mut Reader, g: &Graph) -> Result<Bicomps, WireError> {
     let (n, m) = (g.num_nodes(), g.num_edges());
     let num_bicomps = r.usize_()?;
@@ -95,6 +96,7 @@ pub fn read_bicomps(r: &mut Reader, g: &Graph) -> Result<Bicomps, WireError> {
 
     Ok(Bicomps {
         num_bicomps,
+        slot_bicomp: slot_labels(g, &edge_bicomp),
         edge_bicomp,
         is_cutpoint,
         bicomp_node_offsets,
@@ -188,6 +190,7 @@ mod tests {
             let bic2 = read_bicomps(&mut r, &g).unwrap();
             let tree2 = read_blockcut(&mut r, &g, &bic2).unwrap();
             assert!(r.is_empty());
+            assert_eq!(bic, bic2);
             assert_eq!(bic.num_bicomps, bic2.num_bicomps);
             assert_eq!(bic.edge_bicomp, bic2.edge_bicomp);
             assert_eq!(bic.is_cutpoint, bic2.is_cutpoint);

@@ -61,7 +61,7 @@ proptest! {
         let mut ws = BfsWorkspace::new(g.num_nodes());
         for b in 0..bic.num_bicomps as u32 {
             let nodes = bic.nodes_of(b);
-            ws.run_counting(&g, nodes[0], None, |slot| bic.bicomp_of_slot(&g, slot) == b);
+            ws.run_counting(&g, nodes[0], None, |slot| bic.bicomp_of_slot(slot) == b);
             for &v in nodes {
                 prop_assert!(ws.visited(v), "component {b} node {v} unreachable");
             }

@@ -30,12 +30,12 @@ fn exact_isp_mass(g: &Graph, bic: &Bicomps, outreach: &Outreach) -> Vec<f64> {
         let nodes = bic.nodes_of(b).to_vec();
         let rs = outreach.r_slice(bic, b).to_vec();
         for (i, &s) in nodes.iter().enumerate() {
-            fwd.run_counting(g, s, None, |slot| bic.bicomp_of_slot(g, slot) == b);
+            fwd.run_counting(g, s, None, |slot| bic.bicomp_of_slot(slot) == b);
             for (j, &t) in nodes.iter().enumerate() {
                 if i == j {
                     continue;
                 }
-                bwd.run_counting(g, t, None, |slot| bic.bicomp_of_slot(g, slot) == b);
+                bwd.run_counting(g, t, None, |slot| bic.bicomp_of_slot(slot) == b);
                 let d = fwd.dist(t);
                 assert_ne!(
                     d,
