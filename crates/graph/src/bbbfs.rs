@@ -15,18 +15,44 @@
 //! node `u` with `ds(u) = L`, `dt(u) = D − L`, both finalized, so
 //! `σ_st = Σ_u σs(u) · σt(u)` and a uniform path is a σ-weighted meeting
 //! node plus two independent σ-weighted backward walks.
+//!
+//! Layout: each side keeps one 16-byte record per node (σ, generation
+//! stamp, distance), so a visit reads and writes one record instead of
+//! three parallel arrays, and the CSR slices are fetched once per query or
+//! path rather than on every neighbour access.
+//!
+//! Determinism: the side to expand is the one whose frontier has the
+//! smaller sum of *global* degrees (ties go forward), even under an edge
+//! filter. Served paths depend on that rule, not only on the distance and
+//! `σ_st` it computes: it fixes the cut level, and with it the order of the
+//! meeting-node and predecessor walks that consume the RNG. Levels settle
+//! in full and in slot order. Changing any of these moves every sampled
+//! path.
 
 use crate::csr::{Graph, NodeId};
 
 const UNSET_DIST: u32 = u32::MAX;
 
+/// One node's state on one side: path count, generation stamp and
+/// distance, packed into 16 bytes.
+#[derive(Debug, Clone, Copy, Default)]
+struct NodeState {
+    sigma: f64,
+    stamp: u32,
+    dist: u32,
+}
+
+/// The CSR slot range of `v` in `offsets`.
+#[inline]
+fn slots_of(offsets: &[u64], v: NodeId) -> std::ops::Range<usize> {
+    offsets[v as usize] as usize..offsets[v as usize + 1] as usize
+}
+
 /// One direction of the bidirectional search, stamp-cleared like
 /// [`crate::bfs::BfsWorkspace`].
 #[derive(Debug)]
 struct Side {
-    dist: Vec<u32>,
-    sigma: Vec<f64>,
-    stamp: Vec<u32>,
+    nodes: Vec<NodeState>,
     generation: u32,
     order: Vec<NodeId>,
     level_starts: Vec<usize>,
@@ -39,9 +65,7 @@ struct Side {
 impl Side {
     fn new(n: usize) -> Self {
         Side {
-            dist: vec![0; n],
-            sigma: vec![0.0; n],
-            stamp: vec![0; n],
+            nodes: vec![NodeState::default(); n],
             generation: 0,
             order: Vec::new(),
             level_starts: Vec::new(),
@@ -50,29 +74,33 @@ impl Side {
         }
     }
 
-    fn reset(&mut self, root: NodeId, g: &Graph) {
+    fn reset(&mut self, root: NodeId, offsets: &[u64]) {
         self.generation = self.generation.checked_add(1).unwrap_or_else(|| {
-            self.stamp.fill(0);
+            self.nodes.iter_mut().for_each(|rec| rec.stamp = 0);
             1
         });
         self.order.clear();
         self.level_starts.clear();
         self.depth = 0;
         self.frontier_degree = 0;
-        self.settle(root, 0, 1.0, g);
+        self.nodes[root as usize] = NodeState {
+            sigma: 1.0,
+            stamp: self.generation,
+            dist: 0,
+        };
+        self.order.push(root);
+        self.frontier_degree += offsets[root as usize + 1] - offsets[root as usize];
         self.level_starts.push(0);
         self.level_starts.push(1);
     }
 
-    #[inline]
-    fn visited(&self, v: NodeId) -> bool {
-        self.stamp[v as usize] == self.generation
-    }
-
+    /// `v`'s distance, or [`UNSET_DIST`] when this search has not settled
+    /// it.
     #[inline]
     fn dist(&self, v: NodeId) -> u32 {
-        if self.visited(v) {
-            self.dist[v as usize]
+        let rec = &self.nodes[v as usize];
+        if rec.stamp == self.generation {
+            rec.dist
         } else {
             UNSET_DIST
         }
@@ -80,16 +108,7 @@ impl Side {
 
     #[inline]
     fn sigma(&self, v: NodeId) -> f64 {
-        self.sigma[v as usize]
-    }
-
-    #[inline]
-    fn settle(&mut self, v: NodeId, d: u32, s: f64, g: &Graph) {
-        self.stamp[v as usize] = self.generation;
-        self.dist[v as usize] = d;
-        self.sigma[v as usize] = s;
-        self.order.push(v);
-        self.frontier_degree += g.degree(v) as u64;
+        self.nodes[v as usize].sigma
     }
 
     fn frontier_range(&self) -> std::ops::Range<usize> {
@@ -103,7 +122,12 @@ impl Side {
 
     /// Expands one full level, reporting every newly settled node to
     /// `on_settle`. Returns false if the frontier was empty (side exhausted).
-    fn expand<F, S>(&mut self, g: &Graph, keep_edge: &mut F, mut on_settle: S) -> bool
+    fn expand<F, S>(
+        &mut self,
+        (offsets, neighbors): (&[u64], &[NodeId]),
+        keep_edge: &mut F,
+        mut on_settle: S,
+    ) -> bool
     where
         F: FnMut(usize) -> bool,
         S: FnMut(NodeId),
@@ -113,20 +137,28 @@ impl Side {
             return false;
         }
         let d = self.depth;
+        let generation = self.generation;
         self.frontier_degree = 0;
         for i in frontier {
             let v = self.order[i];
-            let sv = self.sigma[v as usize];
-            for slot in g.slot_range(v) {
+            let sv = self.nodes[v as usize].sigma;
+            let range = slots_of(offsets, v);
+            for (slot, &w) in range.clone().zip(&neighbors[range]) {
                 if !keep_edge(slot) {
                     continue;
                 }
-                let w = g.neighbor_at(slot);
-                if !self.visited(w) {
-                    self.settle(w, d + 1, sv, g);
+                let rec = &mut self.nodes[w as usize];
+                if rec.stamp != generation {
+                    *rec = NodeState {
+                        sigma: sv,
+                        stamp: generation,
+                        dist: d + 1,
+                    };
+                    self.order.push(w);
+                    self.frontier_degree += offsets[w as usize + 1] - offsets[w as usize];
                     on_settle(w);
-                } else if self.dist[w as usize] == d + 1 {
-                    self.sigma[w as usize] += sv;
+                } else if rec.dist == d + 1 {
+                    rec.sigma += sv;
                 }
             }
         }
@@ -183,10 +215,11 @@ impl BiBfs {
     where
         F: FnMut(usize) -> bool,
     {
+        let (offsets, neighbors, _) = g.csr_arrays();
         self.s = s;
         self.t = t;
-        self.fwd.reset(s, g);
-        self.bwd.reset(t, g);
+        self.fwd.reset(s, offsets);
+        self.bwd.reset(t, offsets);
         self.edges_touched = 0;
         if s == t {
             return Some(PairResult {
@@ -211,17 +244,15 @@ impl BiBfs {
             let mut touched = 0u64;
             let new_depth = active.depth + 1;
             let progressed = active.expand(
-                g,
+                (offsets, neighbors),
                 &mut |slot| {
                     touched += 1;
                     keep_edge(slot)
                 },
                 |w| {
-                    if passive.visited(w) {
-                        let cand = new_depth + passive.dist[w as usize];
-                        if cand < best {
-                            best = cand;
-                        }
+                    let dw = passive.dist(w);
+                    if dw != UNSET_DIST && new_depth + dw < best {
+                        best = new_depth + dw;
                     }
                 },
             );
@@ -235,8 +266,7 @@ impl BiBfs {
         let cut_level = dist.saturating_sub(self.bwd.depth).min(self.fwd.depth);
         let back_level = dist - cut_level;
         let mut sigma_st = 0.0;
-        for i in self.fwd.level_range(cut_level) {
-            let u = self.fwd.order[i];
+        for &u in &self.fwd.order[self.fwd.level_range(cut_level)] {
             if self.bwd.dist(u) == back_level {
                 sigma_st += self.fwd.sigma(u) * self.bwd.sigma(u);
             }
@@ -286,12 +316,13 @@ impl BiBfs {
             path.push(self.s);
             return;
         }
+        let (offsets, neighbors, _) = g.csr_arrays();
+        let csr = (offsets, neighbors);
         let back_level = res.dist - res.cut_level;
         // Meeting node ∝ σs(u)·σt(u).
         let mut x = rng.gen::<f64>() * res.sigma_st;
         let mut meet = NodeId::MAX;
-        for i in self.fwd.level_range(res.cut_level) {
-            let u = self.fwd.order[i];
+        for &u in &self.fwd.order[self.fwd.level_range(res.cut_level)] {
             if self.bwd.dist(u) == back_level {
                 meet = u;
                 x -= self.fwd.sigma(u) * self.bwd.sigma(u);
@@ -307,13 +338,13 @@ impl BiBfs {
         // Backward σ-weighted walk to s through the forward side.
         let mut v = meet;
         for d in (0..res.cut_level).rev() {
-            v = weighted_pred(&self.fwd, g, v, d, rng, &mut keep_edge);
+            v = weighted_pred(&self.fwd, csr, v, d, rng, &mut keep_edge);
             path[d as usize] = v;
         }
         // Forward walk to t through the backward side (dt decreasing).
         let mut v = meet;
         for d in (0..back_level).rev() {
-            v = weighted_pred(&self.bwd, g, v, d, rng, &mut keep_edge);
+            v = weighted_pred(&self.bwd, csr, v, d, rng, &mut keep_edge);
             path[(res.dist - d) as usize] = v;
         }
         debug_assert_eq!(path[0], self.s);
@@ -324,7 +355,7 @@ impl BiBfs {
 #[inline]
 fn weighted_pred<R, F>(
     side: &Side,
-    g: &Graph,
+    (offsets, neighbors): (&[u64], &[NodeId]),
     v: NodeId,
     d: u32,
     rng: &mut R,
@@ -336,14 +367,15 @@ where
 {
     let mut x = rng.gen::<f64>() * side.sigma(v);
     let mut last = NodeId::MAX;
-    for slot in g.slot_range(v) {
+    let range = slots_of(offsets, v);
+    for (slot, &u) in range.clone().zip(&neighbors[range]) {
         if !keep_edge(slot) {
             continue;
         }
-        let u = g.neighbor_at(slot);
-        if side.visited(u) && side.dist(u) == d {
+        let rec = &side.nodes[u as usize];
+        if rec.stamp == side.generation && rec.dist == d {
             last = u;
-            x -= side.sigma(u);
+            x -= rec.sigma;
             if x <= 0.0 {
                 return u;
             }
