@@ -14,6 +14,19 @@
 //! accumulates `ℓ̂` and `λ̂`. Complexity O(K), `K = Σ_{v∈B} deg(v)²`
 //! (Lemma 18). Values are returned in *unnormalized* `q`-units; the ranker
 //! divides by `γη`.
+//!
+//! Phase 2 needs the out-reach `r_b(t)` of every endpoint `t` it reaches
+//! through a target `v`, and looking it up binary-searches component `b`'s
+//! member list. Each call therefore first tabulates, over every target's
+//! CSR slots, `r(component of the slot, neighbour)` (1.0 for
+//! non-cutpoints, whose out-reach is 1 everywhere): Σ_{v∈A} deg(v)
+//! entries, built once and read once per visit. Only `r_b(s)` is still
+//! looked up, once per (source, target) edge.
+//!
+//! The bits of `lambda_raw` and `exact_raw` are fixed by the f64 summation
+//! order, which is: `B` in first-seen order (targets in order, each
+//! target's neighbours in slot order), then `s`'s slots, then `v`'s slots.
+//! Any change to that order moves served bytes.
 
 use saphyra_graph::{Bicomps, Graph, NodeId};
 
@@ -33,6 +46,14 @@ pub struct ExactBcOutput {
     pub work: u64,
 }
 
+/// Per-`t` 2-path count of the current source, valid while `stamp` equals
+/// the source's generation.
+#[derive(Clone, Copy, Default)]
+struct PathCount {
+    stamp: u32,
+    count: u32,
+}
+
 /// Runs the `Exact_bc` sweep. `a_index[v]` maps node → target position or
 /// `u32::MAX`.
 pub fn exact_bc(
@@ -47,12 +68,15 @@ pub fn exact_bc(
     let mut exact_raw = vec![0.0f64; targets.len()];
     let mut lambda_raw = 0.0f64;
     let mut work = 0u64;
+    let (offsets, neighbors, _) = g.csr_arrays();
+    let slots = |v: NodeId| offsets[v as usize] as usize..offsets[v as usize + 1] as usize;
+    let labels = &bic.slot_bicomp;
 
     // B: unique neighbors of targets.
     let mut in_b = vec![false; n];
     let mut b_set: Vec<NodeId> = Vec::new();
     for &v in targets {
-        for &u in g.neighbors(v) {
+        for &u in &neighbors[slots(v)] {
             if !in_b[u as usize] {
                 in_b[u as usize] = true;
                 b_set.push(u);
@@ -60,13 +84,7 @@ pub fn exact_bc(
         }
     }
 
-    // Stamped scratch: adjacency marks and per-t 2-path counts.
-    let mut adj_stamp = vec![0u32; n];
-    let mut w_stamp = vec![0u32; n];
-    let mut w_count = vec![0u32; n];
-    let mut generation = 0u32;
-
-    // Cache of r values per (component, node): only cutpoints need lookups.
+    // Only cutpoints have an out-reach other than 1.
     let r_of = |b: u32, v: NodeId| -> f64 {
         if bic.is_cutpoint[v as usize] {
             outreach.r_of(bic, b, v) as f64
@@ -74,57 +92,91 @@ pub fn exact_bc(
             1.0
         }
     };
+    // r(component of slot, neighbour) over each target's slots:
+    // `r_table[r_start[i]..r_start[i + 1]]` is aligned with target i's.
+    let mut r_start = Vec::with_capacity(targets.len() + 1);
+    let mut r_table = Vec::new();
+    r_start.push(0);
+    for &v in targets {
+        let range = slots(v);
+        r_table.extend(
+            labels[range.clone()]
+                .iter()
+                .zip(&neighbors[range])
+                .map(|(&b, &t)| r_of(b, t)),
+        );
+        r_start.push(r_table.len());
+    }
+
+    // Stamped scratch: adjacency marks and per-t 2-path counts.
+    let mut adj_stamp = vec![0u32; n];
+    let mut paths = vec![PathCount::default(); n];
+    let mut generation = 0u32;
 
     for &s in &b_set {
         generation += 1;
-        for &u in g.neighbors(s) {
+        let s_slots = slots(s);
+        for &u in &neighbors[s_slots.clone()] {
             adj_stamp[u as usize] = generation;
         }
 
         // Phase 1: count intra-component 2-paths s - v - t into σ_st.
-        for slot in g.slot_range(s) {
-            let v = g.neighbor_at(slot);
-            let b1 = bic.bicomp_of_slot(slot);
-            for slot2 in g.slot_range(v) {
+        for (&b1, &v) in labels[s_slots.clone()]
+            .iter()
+            .zip(&neighbors[s_slots.clone()])
+        {
+            let v_slots = slots(v);
+            for (&b2, &t) in labels[v_slots.clone()].iter().zip(&neighbors[v_slots]) {
                 work += 1;
-                if bic.bicomp_of_slot(slot2) != b1 {
+                if b2 != b1 {
                     continue;
                 }
-                let t = g.neighbor_at(slot2);
                 if t == s || adj_stamp[t as usize] == generation {
                     continue; // t is s itself or adjacent: not distance 2
                 }
-                if w_stamp[t as usize] != generation {
-                    w_stamp[t as usize] = generation;
-                    w_count[t as usize] = 0;
+                let pc = &mut paths[t as usize];
+                if pc.stamp != generation {
+                    *pc = PathCount {
+                        stamp: generation,
+                        count: 0,
+                    };
                 }
-                w_count[t as usize] += 1;
+                pc.count += 1;
             }
         }
 
         // Phase 2: accumulate mass through target inner nodes only.
-        for slot in g.slot_range(s) {
-            let v = g.neighbor_at(slot);
+        for (&b1, &v) in labels[s_slots.clone()]
+            .iter()
+            .zip(&neighbors[s_slots.clone()])
+        {
             let ai = a_index[v as usize];
             if ai == NONE {
                 continue;
             }
-            let b1 = bic.bicomp_of_slot(slot);
             let r_s = r_of(b1, s);
-            for slot2 in g.slot_range(v) {
+            let ai = ai as usize;
+            let v_slots = slots(v);
+            let r_v = &r_table[r_start[ai]..r_start[ai + 1]];
+            debug_assert_eq!(r_v.len(), v_slots.len());
+            for ((&b2, &t), &r_t) in labels[v_slots.clone()]
+                .iter()
+                .zip(&neighbors[v_slots])
+                .zip(r_v)
+            {
                 work += 1;
-                if bic.bicomp_of_slot(slot2) != b1 {
+                if b2 != b1 {
                     continue;
                 }
-                let t = g.neighbor_at(slot2);
                 if t == s || adj_stamp[t as usize] == generation {
                     continue;
                 }
-                debug_assert_eq!(w_stamp[t as usize], generation);
-                let sigma = w_count[t as usize] as f64;
-                let q = r_s * r_of(b1, t) * norm;
+                let pc = paths[t as usize];
+                debug_assert_eq!(pc.stamp, generation);
+                let sigma = pc.count as f64;
+                let q = r_s * r_t * norm;
                 let mass = q / sigma;
-                exact_raw[ai as usize] += mass;
+                exact_raw[ai] += mass;
                 lambda_raw += mass;
             }
         }
