@@ -65,9 +65,10 @@ pub struct BcApproxProblem<'a> {
     /// Whether exact-subspace samples are rejected (false = the
     /// no-partitioning ablation: sample the raw PISP distribution).
     pub reject_exact: bool,
-    /// Scratch for the single-sample convenience methods (not used by the
-    /// batch path, which creates one scratch per worker).
-    own: BcScratch,
+    /// Scratch for the single-sample convenience methods, built on first
+    /// use: the batch path creates one scratch per worker and never reads
+    /// it.
+    own: Option<BcScratch>,
 }
 
 /// Mutable per-drawing-head state: BFS workspace and path buffer.
@@ -171,7 +172,7 @@ impl<'a> BcApproxProblem<'a> {
             accepted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             reject_exact: true,
-            own: BcScratch::new(g.num_nodes()),
+            own: None,
         }
     }
 
@@ -198,8 +199,10 @@ impl<'a> BcApproxProblem<'a> {
     /// Draws one PISP path *without* the exact-subspace rejection — the raw
     /// ISP distribution, used by tests and by the no-partitioning ablation.
     pub fn sample_isp_path<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Vec<NodeId> {
-        sample_isp_into(self.g, self.bic, &self.pisp, &mut self.own, rng);
-        self.own.path.clone()
+        let n = self.g.num_nodes();
+        let own = self.own.get_or_insert_with(|| BcScratch::new(n));
+        sample_isp_into(self.g, self.bic, &self.pisp, own, rng);
+        own.path.clone()
     }
 
     /// Whether a path lies in the exact subspace `X̂` (Eq. 29).
@@ -210,10 +213,12 @@ impl<'a> BcApproxProblem<'a> {
 
     /// Draws one sample from `D̃` (rejection loop of Algorithm 2).
     pub fn sample_approx_path<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Vec<NodeId> {
+        let n = self.g.num_nodes();
+        let own = self.own.get_or_insert_with(|| BcScratch::new(n));
         let (mut accepted, mut rejected) = (0, 0);
         loop {
-            sample_isp_into(self.g, self.bic, &self.pisp, &mut self.own, rng);
-            if path_in_exact_subspace(&self.a_index, &self.own.path) {
+            sample_isp_into(self.g, self.bic, &self.pisp, own, rng);
+            if path_in_exact_subspace(&self.a_index, &own.path) {
                 rejected += 1;
                 continue;
             }
@@ -222,7 +227,7 @@ impl<'a> BcApproxProblem<'a> {
         }
         self.accepted.fetch_add(accepted, Ordering::Relaxed);
         self.rejected.fetch_add(rejected, Ordering::Relaxed);
-        self.own.path.clone()
+        own.path.clone()
     }
 
     /// Empirical rejection rate (should approach `λ̂`, Lemma 17).
