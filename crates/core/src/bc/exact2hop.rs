@@ -116,15 +116,13 @@ pub fn exact_bc(
     for &s in &b_set {
         generation += 1;
         let s_slots = slots(s);
-        for &u in &neighbors[s_slots.clone()] {
+        let (s_labels, s_nbrs) = (&labels[s_slots.clone()], &neighbors[s_slots]);
+        for &u in s_nbrs {
             adj_stamp[u as usize] = generation;
         }
 
         // Phase 1: count intra-component 2-paths s - v - t into σ_st.
-        for (&b1, &v) in labels[s_slots.clone()]
-            .iter()
-            .zip(&neighbors[s_slots.clone()])
-        {
+        for (&b1, &v) in s_labels.iter().zip(s_nbrs) {
             let v_slots = slots(v);
             for (&b2, &t) in labels[v_slots.clone()].iter().zip(&neighbors[v_slots]) {
                 work += 1;
@@ -146,10 +144,7 @@ pub fn exact_bc(
         }
 
         // Phase 2: accumulate mass through target inner nodes only.
-        for (&b1, &v) in labels[s_slots.clone()]
-            .iter()
-            .zip(&neighbors[s_slots.clone()])
-        {
+        for (&b1, &v) in s_labels.iter().zip(s_nbrs) {
             let ai = a_index[v as usize];
             if ai == NONE {
                 continue;

@@ -82,14 +82,13 @@ impl Side {
         self.order.clear();
         self.level_starts.clear();
         self.depth = 0;
-        self.frontier_degree = 0;
         self.nodes[root as usize] = NodeState {
             sigma: 1.0,
             stamp: self.generation,
             dist: 0,
         };
         self.order.push(root);
-        self.frontier_degree += offsets[root as usize + 1] - offsets[root as usize];
+        self.frontier_degree = offsets[root as usize + 1] - offsets[root as usize];
         self.level_starts.push(0);
         self.level_starts.push(1);
     }

@@ -147,7 +147,9 @@ impl Graph {
         })
     }
 
-    /// The raw CSR arrays `(offsets, neighbors, edge_ids)`, for serializers.
+    /// The raw CSR arrays `(offsets, neighbors, edge_ids)`: for serializers,
+    /// and for hot loops that fetch the slices once instead of on every
+    /// access.
     pub fn csr_arrays(&self) -> (&[u64], &[NodeId], &[u32]) {
         (
             self.offsets.as_slice(),
