@@ -17,9 +17,8 @@
 //! node plus two independent σ-weighted backward walks.
 //!
 //! Layout: each side keeps one 16-byte record per node (σ, generation
-//! stamp, distance), so a visit reads and writes one record instead of
-//! three parallel arrays, and the CSR slices are fetched once per query or
-//! path rather than on every neighbour access.
+//! stamp, distance), so a visit touches a single record; a query and a
+//! path walk each fetch the CSR slices once.
 //!
 //! Determinism: the side to expand is the one whose frontier has the
 //! smaller sum of *global* degrees (ties go forward), even under an edge

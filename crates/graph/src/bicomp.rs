@@ -1,5 +1,5 @@
-//! Biconnected components, cutpoints and per-edge component labels
-//! (iterative Hopcroft–Tarjan).
+//! Biconnected components, cutpoints and per-edge and per-slot component
+//! labels (iterative Hopcroft–Tarjan).
 //!
 //! SaPHyRa_bc's ISP sample space (§IV-A) is built on the observation that
 //! every shortest path between two nodes of the same bi-component stays
@@ -9,10 +9,10 @@
 //!
 //! The samplers, `Exact_bc` and the VC-bound BFSes test "is this CSR slot
 //! inside component `b`?" on every edge they visit, so [`Bicomps`] also
-//! keeps the label of each CSR slot (`slot_bicomp`): one load per test
-//! instead of slot → edge id → label. It costs 4 bytes per slot (8 per
-//! undirected edge), is gathered from the edge labels whenever a
-//! decomposition is assembled or decoded, and is never serialized.
+//! keeps the label of each CSR slot (`slot_bicomp`) and answers the test
+//! with one load. It costs 4 bytes per slot (8 per undirected edge), is
+//! gathered from the edge labels whenever a decomposition is assembled or
+//! decoded, and is never serialized.
 
 use crate::csr::{Graph, NodeId};
 
