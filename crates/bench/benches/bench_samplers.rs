@@ -1,7 +1,8 @@
 //! Sampler microbenches, including the bidirectional-vs-unidirectional BFS
 //! ablation (Lemma 21), the relative per-sample cost of the three
 //! sampling styles (Gen_bc path, KADABRA path, ABRA node-pair), bc's
-//! exact part alone, and one whole bc and one whole harmonic ranking call.
+//! exact part alone, one whole bc and one whole harmonic ranking call, and
+//! one `PATCH /graphs/<name>` decomposition refresh.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -11,6 +12,7 @@ use saphyra::closeness::rank_harmonic;
 use saphyra_gen::datasets::{SimNetwork, SizeClass};
 use saphyra_graph::bbbfs::BiBfs;
 use saphyra_graph::bfs::{sample_path_to, BfsWorkspace};
+use saphyra_graph::{Components, EdgeDelta, GraphBuilder};
 use std::time::Duration;
 
 fn config() -> Criterion {
@@ -110,6 +112,54 @@ fn bench_samplers(c: &mut Criterion) {
     });
 }
 
+/// One-edge inserts through the PATCH path: the patched graph and its
+/// decomposition. The graph has rankbench's shape (a BA core with pendants,
+/// plus 20 six-node cyclic islands), so the giant component holds most
+/// nodes and a uniform random edge lands there; an island edge is the
+/// other case.
+fn bench_patch(c: &mut Criterion) {
+    const ISLANDS: u32 = 20;
+    const ISLAND_NODES: u32 = 6;
+    let core = SimNetwork::Flickr.build(SizeClass::Small, 5);
+    let base = core.num_nodes() as u32;
+    let mut b = GraphBuilder::new(core.num_nodes() + (ISLANDS * ISLAND_NODES) as usize);
+    for (u, v, _) in core.edges() {
+        b.push(u, v);
+    }
+    for i in 0..ISLANDS {
+        let first = base + i * ISLAND_NODES;
+        for k in 0..ISLAND_NODES {
+            b.push(first + k, first + (k + 1) % ISLAND_NODES);
+        }
+    }
+    let g = b.build().unwrap();
+    let dec = BcDecomposition::compute(&g);
+
+    // A non-edge between node 0 (in the BA core) and the highest-id core
+    // node in its component; a chord across the first island's cycle.
+    let comps = Components::compute(&g);
+    let far = (1..base)
+        .rev()
+        .find(|&v| comps.connected(0, v) && !g.has_edge(0, v))
+        .unwrap();
+    let giant = EdgeDelta {
+        insert: vec![(0, far)],
+        delete: vec![],
+    };
+    let island = EdgeDelta {
+        insert: vec![(base, base + ISLAND_NODES / 2)],
+        delete: vec![],
+    };
+    for (name, delta) in [("patch_giant_component", &giant), ("patch_island", &island)] {
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                let out = dec.apply_delta(&g, delta).unwrap();
+                std::hint::black_box((out.graph.num_edges(), out.dec.gamma))
+            })
+        });
+    }
+}
+
 fn random_pair(n: usize, rng: &mut StdRng) -> (u32, u32) {
     let s = rng.gen_range(0..n as u32);
     let mut t = rng.gen_range(0..n as u32 - 1);
@@ -122,6 +172,6 @@ fn random_pair(n: usize, rng: &mut StdRng) -> (u32, u32) {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_samplers
+    targets = bench_samplers, bench_patch
 }
 criterion_main!(benches);
