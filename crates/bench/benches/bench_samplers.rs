@@ -133,7 +133,6 @@ fn bench_patch(c: &mut Criterion) {
         }
     }
     let g = b.build().unwrap();
-    let dec = BcDecomposition::compute(&g);
 
     // A non-edge between node 0 (in the BA core) and the highest-id core
     // node in its component; a chord across the first island's cycle.
@@ -153,8 +152,9 @@ fn bench_patch(c: &mut Criterion) {
     for (name, delta) in [("patch_giant_component", &giant), ("patch_island", &island)] {
         c.bench_function(name, |b| {
             b.iter(|| {
-                let out = dec.apply_delta(&g, delta).unwrap();
-                std::hint::black_box((out.graph.num_edges(), out.dec.gamma))
+                let out = saphyra_graph::delta::apply(&g, delta).unwrap();
+                let dec = BcDecomposition::compute(&out.graph);
+                std::hint::black_box((out.graph.num_edges(), dec.gamma))
             })
         });
     }

@@ -18,6 +18,6 @@ pub use exact2hop::{build_a_index, exact_bc, ExactBcOutput};
 pub use gen::BcApproxProblem;
 pub use isp::Pisp;
 pub use outreach::{bca_values, gamma, Outreach};
-pub use ranker::{BcDecomposition, BcEstimate, BcRunStats, DeltaOutcome, SaphyraBcConfig};
+pub use ranker::{BcDecomposition, BcEstimate, BcRunStats, SaphyraBcConfig};
 pub use snapshot::{read_decomposition, write_decomposition, DEC_FORMAT_VERSION};
 pub use vcbound::{vc_bounds, vc_bounds_from, vc_lhop, VcBoundReport, VcPrecomp};

@@ -4,7 +4,7 @@
 
 use rand::RngCore;
 use rayon::prelude::*;
-use saphyra_graph::{Bicomps, BlockCutTree, DeltaError, EdgeDelta, Graph, NodeId};
+use saphyra_graph::{Bicomps, BlockCutTree, Graph, NodeId};
 
 use super::exact2hop::{build_a_index, exact_bc};
 use super::gen::BcApproxProblem;
@@ -155,26 +155,6 @@ pub struct BcDecomposition {
     pub vc_precomp: VcPrecomp,
 }
 
-/// Result of [`BcDecomposition::apply_delta`]: the patched graph, its
-/// refreshed decomposition, and the dirty-region mask a serving layer needs
-/// for component-scoped cache invalidation.
-#[derive(Debug)]
-pub struct DeltaOutcome {
-    /// The patched graph.
-    pub graph: Graph,
-    /// The refreshed decomposition (structurally equal to a from-scratch
-    /// [`BcDecomposition::compute`] of `graph`).
-    pub dec: BcDecomposition,
-    /// Per node: whether its connected component intersects the delta.
-    /// Rankings whose targets avoid every dirty node are byte-identical
-    /// before and after the patch.
-    pub dirty_nodes: Vec<bool>,
-    /// Edges actually added.
-    pub inserted: usize,
-    /// Edges actually removed.
-    pub deleted: usize,
-}
-
 impl BcDecomposition {
     /// Builds the decomposition for `graph` (O(m + n) plus one BFS per
     /// connected/biconnected component for the diameter bounds).
@@ -193,75 +173,6 @@ impl BcDecomposition {
             gamma,
             vc_precomp,
         }
-    }
-
-    /// Applies an edge delta to `graph` (the graph this decomposition was
-    /// computed from), producing the patched graph and its refreshed
-    /// decomposition.
-    ///
-    /// Articulation structure and the per-bicomp diameter BFSes — the
-    /// expensive parts — re-run only for the connected components whose
-    /// vertex sets intersect the delta; untouched components' state is
-    /// spliced through the id renumbering. The O(n + m)-cheap derivations
-    /// (block-cut tree, out-reach, bcₐ, γ, the VD sweep) re-run in full.
-    /// Debug builds assert the result is structurally identical to
-    /// [`BcDecomposition::compute`] on the patched graph.
-    pub fn apply_delta(
-        &self,
-        graph: &Graph,
-        delta: &EdgeDelta,
-    ) -> Result<DeltaOutcome, DeltaError> {
-        let applied = saphyra_graph::delta::apply(graph, &self.bic, delta)?;
-        let saphyra_graph::AppliedDelta {
-            graph: new_graph,
-            bicomps: bic,
-            bicomp_map,
-            dirty_nodes,
-            inserted,
-            deleted,
-            ..
-        } = applied;
-        let tree = BlockCutTree::compute(&bic);
-        let outreach = Outreach::compute(&bic, &tree);
-        let bca = bca_values(&new_graph, &bic, &tree);
-        let gamma = gamma(&new_graph, &outreach);
-        let vc_precomp = VcPrecomp::refresh(&new_graph, &bic, &self.vc_precomp, &bicomp_map);
-        let dec = BcDecomposition {
-            bic,
-            tree,
-            outreach,
-            bca,
-            gamma,
-            vc_precomp,
-        };
-        debug_assert!(
-            dec.structurally_eq(&BcDecomposition::compute(&new_graph)),
-            "incremental decomposition diverged from a from-scratch rebuild"
-        );
-        Ok(DeltaOutcome {
-            graph: new_graph,
-            dec,
-            dirty_nodes,
-            inserted,
-            deleted,
-        })
-    }
-
-    /// Bit-level structural equality (floats compared by bit pattern) — the
-    /// invariant [`BcDecomposition::apply_delta`] maintains against a
-    /// from-scratch [`BcDecomposition::compute`] of the patched graph.
-    pub fn structurally_eq(&self, other: &BcDecomposition) -> bool {
-        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        self.bic == other.bic
-            && self.tree == other.tree
-            && self.outreach.r == other.outreach.r
-            && bits(&self.outreach.pair_weight) == bits(&other.outreach.pair_weight)
-            && self.outreach.total_weight.to_bits() == other.outreach.total_weight.to_bits()
-            && bits(&self.bca) == bits(&other.bca)
-            && self.gamma.to_bits() == other.gamma.to_bits()
-            && self.vc_precomp.vd_upper == other.vc_precomp.vd_upper
-            && self.vc_precomp.bd_upper == other.vc_precomp.bd_upper
-            && self.vc_precomp.bicomp_diam_upper == other.vc_precomp.bicomp_diam_upper
     }
 
     /// Ranks each target set of `sets` (SaPHyRa_bc) on `graph`, which must

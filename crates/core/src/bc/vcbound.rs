@@ -48,8 +48,9 @@ pub fn vc_lhop(l: u32) -> usize {
 /// Target-independent precomputation behind [`vc_bounds`]: the `VD(V)`
 /// upper bound and the per-bicomponent diameter upper bounds. Building it
 /// costs one BFS per connected component plus one filtered BFS per
-/// bicomponent; ranking services build it once per graph and reuse it for
-/// every request (only the target-dependent `BS(A)` part remains per-call).
+/// bicomponent; ranking services build it once per graph version (a load
+/// or a PATCH) and reuse it for every request (only the target-dependent
+/// `BS(A)` part remains per-call).
 #[derive(Debug, Clone)]
 pub struct VcPrecomp {
     /// Upper bound on the graph diameter `VD(V)`.
@@ -97,64 +98,6 @@ impl VcPrecomp {
             bd_upper = bd_upper.max(d);
         }
 
-        VcPrecomp {
-            vd_upper,
-            bd_upper,
-            bicomp_diam_upper,
-        }
-    }
-
-    /// Rebuilds the bounds after an edge delta, re-running the per-bicomp
-    /// filtered BFS — the dominant cost of [`VcPrecomp::compute`] — only
-    /// for components the delta dirtied. `old_to_new` maps surviving old
-    /// bicomp ids to their ids in `bic`
-    /// ([`saphyra_graph::delta::UNMAPPED`] for dirtied ones); a spliced
-    /// bound is exactly what [`VcPrecomp::compute`] would produce, the
-    /// component's structure being unchanged. The `VD(V)` sweep (one BFS
-    /// per connected component) is cheap and re-runs in full.
-    pub fn refresh(g: &Graph, bic: &Bicomps, old: &VcPrecomp, old_to_new: &[u32]) -> Self {
-        let n = g.num_nodes();
-        let mut ws = BfsWorkspace::new(n);
-
-        let mut seen = vec![false; n];
-        let mut vd_upper = 0u32;
-        for v in g.nodes() {
-            if seen[v as usize] || g.degree(v) == 0 {
-                continue;
-            }
-            ws.run(g, v);
-            for &u in &ws.order {
-                seen[u as usize] = true;
-            }
-            vd_upper = vd_upper.max(2 * ws.eccentricity());
-        }
-
-        // Carry untouched components' bounds through the renumbering; every
-        // diameter bound is < 2n, so u32::MAX doubles as "recompute".
-        let mut carried = vec![u32::MAX; bic.num_bicomps];
-        for (ob, &nb) in old_to_new.iter().enumerate() {
-            if nb != u32::MAX {
-                carried[nb as usize] = old.bicomp_diam_upper[ob];
-            }
-        }
-        let mut bicomp_diam_upper = Vec::with_capacity(bic.num_bicomps);
-        let mut bd_upper = 0u32;
-        for b in 0..bic.num_bicomps as u32 {
-            let d = match carried[b as usize] {
-                u32::MAX => {
-                    let nodes = bic.nodes_of(b);
-                    if nodes.len() == 2 {
-                        1
-                    } else {
-                        ws.run_counting(g, nodes[0], None, |slot| bic.bicomp_of_slot(slot) == b);
-                        2 * ws.eccentricity()
-                    }
-                }
-                carried => carried,
-            };
-            bicomp_diam_upper.push(d);
-            bd_upper = bd_upper.max(d);
-        }
         VcPrecomp {
             vd_upper,
             bd_upper,

@@ -16,7 +16,7 @@
 
 use crate::csr::{Graph, NodeId};
 
-pub(crate) const UNSET: u32 = u32::MAX;
+const UNSET: u32 = u32::MAX;
 
 /// Result of the biconnected-component decomposition.
 ///
@@ -27,7 +27,7 @@ pub(crate) const UNSET: u32 = u32::MAX;
 /// Besides the per-edge labels it keeps a per-CSR-slot copy
 /// (`slot_bicomp`, 4 bytes per slot), so an intra-component test is one
 /// load. That copy is derived from `edge_bicomp` and the graph by
-/// [`Bicomps::compute`], the delta path and the snapshot decoder alike.
+/// [`Bicomps::compute`] and the snapshot decoder alike.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bicomps {
     /// Number of biconnected components `ℓ`.
@@ -57,21 +57,92 @@ impl Bicomps {
     pub fn compute(g: &Graph) -> Self {
         let n = g.num_nodes();
         let m = g.num_edges();
-        let mut dfs = BicompDfs::new(n, m);
-        for root in g.nodes() {
-            dfs.run_root(g, root);
+        let mut disc = vec![UNSET; n];
+        let mut low = vec![0u32; n];
+        let mut edge_bicomp = vec![UNSET; m];
+        let mut edge_stack: Vec<u32> = Vec::new();
+        let mut num_bicomps = 0usize;
+        let mut timer = 0u32;
+
+        // DFS frame: node, its CSR cursor, and the edge id to its parent.
+        struct Frame {
+            v: NodeId,
+            cursor: usize,
+            parent_edge: u32,
         }
-        debug_assert!(dfs.edge_bicomp.iter().all(|&b| b != UNSET || m == 0));
-        let BicompDfs {
-            num_bicomps,
-            edge_bicomp,
-            ..
-        } = dfs;
+        let mut stack: Vec<Frame> = Vec::new();
+
+        for root in g.nodes() {
+            if disc[root as usize] != UNSET || g.degree(root) == 0 {
+                continue;
+            }
+            disc[root as usize] = timer;
+            low[root as usize] = timer;
+            timer += 1;
+            stack.push(Frame {
+                v: root,
+                cursor: g.slot_range(root).start,
+                parent_edge: UNSET,
+            });
+
+            while let Some(top) = stack.last_mut() {
+                let v = top.v;
+                if top.cursor < g.slot_range(v).end {
+                    let slot = top.cursor;
+                    top.cursor += 1;
+                    let eid = g.edge_id_at(slot);
+                    if eid == top.parent_edge {
+                        continue;
+                    }
+                    let w = g.neighbor_at(slot);
+                    let dw = disc[w as usize];
+                    if dw == UNSET {
+                        // Tree edge: descend.
+                        edge_stack.push(eid);
+                        disc[w as usize] = timer;
+                        low[w as usize] = timer;
+                        timer += 1;
+                        stack.push(Frame {
+                            v: w,
+                            cursor: g.slot_range(w).start,
+                            parent_edge: eid,
+                        });
+                    } else if dw < disc[v as usize] {
+                        // Back edge (the twin direction has disc[w] > disc[v]
+                        // and is skipped there).
+                        edge_stack.push(eid);
+                        low[v as usize] = low[v as usize].min(dw);
+                    }
+                } else {
+                    // Retreat from v.
+                    let finished = stack.pop().expect("frame present");
+                    if let Some(parent) = stack.last() {
+                        let u = parent.v;
+                        low[u as usize] = low[u as usize].min(low[finished.v as usize]);
+                        if low[finished.v as usize] >= disc[u as usize] {
+                            // u separates the subtree of v: everything pushed
+                            // since (u, v) forms one biconnected component.
+                            let id = num_bicomps as u32;
+                            num_bicomps += 1;
+                            while let Some(e) = edge_stack.pop() {
+                                edge_bicomp[e as usize] = id;
+                                if e == finished.parent_edge {
+                                    break;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            debug_assert!(edge_stack.is_empty(), "leftover edges after root");
+        }
+        debug_assert!(edge_bicomp.iter().all(|&b| b != UNSET || m == 0));
+
         Self::assemble(g, num_bicomps, edge_bicomp)
     }
 
     /// Builds the node lists and memberships from the per-edge labels.
-    pub(crate) fn assemble(g: &Graph, num_bicomps: usize, edge_bicomp: Vec<u32>) -> Self {
+    fn assemble(g: &Graph, num_bicomps: usize, edge_bicomp: Vec<u32>) -> Self {
         let n = g.num_nodes();
         // Unique (bicomp, node) incidence pairs.
         let mut pairs: Vec<(u32, NodeId)> = Vec::with_capacity(2 * g.num_edges());
@@ -185,113 +256,6 @@ impl Bicomps {
 pub(crate) fn slot_labels(g: &Graph, edge_bicomp: &[u32]) -> Vec<u32> {
     let (_, _, edge_ids) = g.csr_arrays();
     edge_ids.iter().map(|&e| edge_bicomp[e as usize]).collect()
-}
-
-/// Reusable state of the iterative Hopcroft–Tarjan DFS, exposed per root so
-/// the incremental path ([`crate::delta`]) can relabel *only* the connected
-/// components a delta touched while reproducing [`Bicomps::compute`]'s exact
-/// label assignment (components are numbered in pop order, roots in
-/// ascending node order).
-pub(crate) struct BicompDfs {
-    pub(crate) disc: Vec<u32>,
-    low: Vec<u32>,
-    /// Per-edge component labels being filled in ([`UNSET`] = unlabeled).
-    pub(crate) edge_bicomp: Vec<u32>,
-    edge_stack: Vec<u32>,
-    stack: Vec<Frame>,
-    /// Labels assigned so far; the next component gets this id.
-    pub(crate) num_bicomps: usize,
-    timer: u32,
-}
-
-/// DFS frame: node, its CSR cursor, and the edge id to its parent.
-struct Frame {
-    v: NodeId,
-    cursor: usize,
-    parent_edge: u32,
-}
-
-impl BicompDfs {
-    pub(crate) fn new(n: usize, m: usize) -> Self {
-        BicompDfs {
-            disc: vec![UNSET; n],
-            low: vec![0u32; n],
-            edge_bicomp: vec![UNSET; m],
-            edge_stack: Vec::new(),
-            stack: Vec::new(),
-            num_bicomps: 0,
-            timer: 0,
-        }
-    }
-
-    /// Explores the connected component of `root` (no-op when `root` was
-    /// already discovered or is isolated), labeling its edges with fresh
-    /// consecutive component ids. Iterative DFS — the paper's networks have
-    /// path-like regions deep enough to overflow the call stack.
-    pub(crate) fn run_root(&mut self, g: &Graph, root: NodeId) {
-        if self.disc[root as usize] != UNSET || g.degree(root) == 0 {
-            return;
-        }
-        self.disc[root as usize] = self.timer;
-        self.low[root as usize] = self.timer;
-        self.timer += 1;
-        self.stack.push(Frame {
-            v: root,
-            cursor: g.slot_range(root).start,
-            parent_edge: UNSET,
-        });
-
-        while let Some(top) = self.stack.last_mut() {
-            let v = top.v;
-            if top.cursor < g.slot_range(v).end {
-                let slot = top.cursor;
-                top.cursor += 1;
-                let eid = g.edge_id_at(slot);
-                if eid == top.parent_edge {
-                    continue;
-                }
-                let w = g.neighbor_at(slot);
-                let dw = self.disc[w as usize];
-                if dw == UNSET {
-                    // Tree edge: descend.
-                    self.edge_stack.push(eid);
-                    self.disc[w as usize] = self.timer;
-                    self.low[w as usize] = self.timer;
-                    self.timer += 1;
-                    self.stack.push(Frame {
-                        v: w,
-                        cursor: g.slot_range(w).start,
-                        parent_edge: eid,
-                    });
-                } else if dw < self.disc[v as usize] {
-                    // Back edge (the twin direction has disc[w] > disc[v]
-                    // and is skipped there).
-                    self.edge_stack.push(eid);
-                    self.low[v as usize] = self.low[v as usize].min(dw);
-                }
-            } else {
-                // Retreat from v.
-                let finished = self.stack.pop().expect("frame present");
-                if let Some(parent) = self.stack.last() {
-                    let u = parent.v;
-                    self.low[u as usize] = self.low[u as usize].min(self.low[finished.v as usize]);
-                    if self.low[finished.v as usize] >= self.disc[u as usize] {
-                        // u separates the subtree of v: everything pushed
-                        // since (u, v) forms one biconnected component.
-                        let id = self.num_bicomps as u32;
-                        self.num_bicomps += 1;
-                        while let Some(e) = self.edge_stack.pop() {
-                            self.edge_bicomp[e as usize] = id;
-                            if e == finished.parent_edge {
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        debug_assert!(self.edge_stack.is_empty(), "leftover edges after root");
-    }
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@ use crate::csr::NodeId;
 const NONE: u32 = u32::MAX;
 
 /// Block-cut tree with precomputed branch weights.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct BlockCutTree {
     /// Cutpoint node ids, ascending; `cut_index` inverts this list.
     pub cutpoints: Vec<NodeId>,

@@ -1,31 +1,19 @@
-//! Batched edge inserts/deletes with incremental biconnected-component
-//! maintenance.
+//! Batched edge inserts and deletes on a CSR graph.
 //!
 //! The service's `PATCH /graphs/<name>` path lands here: a delta is a set of
-//! undirected edges to add and remove. Applying it produces a fresh CSR
-//! (edge ids are the lexicographic rank of the canonical edge list, so a
-//! delta renumbers ids globally — [`AppliedDelta::edge_map`] carries the
-//! old → new correspondence) and a new [`Bicomps`] in which only the
-//! connected components whose vertex sets intersect the delta are
-//! re-decomposed. Untouched components keep their per-edge labels — spliced
-//! through the renumbering — which is what lets every consumer downstream
-//! (block-cut tree, out-reach, VC diameter bounds) carry derived state over
-//! unchanged, the delta discipline differential dataflow applies to derived
-//! relations.
-//!
-//! The incremental labeling is *exactly* the labeling
-//! [`Bicomps::compute`] produces on the patched graph — components are
-//! numbered in DFS pop order with roots visited in ascending node order, and
-//! both the per-component pop order (structural) and the root order are
-//! preserved by splicing — so decompositions stay byte-identical to a
-//! from-scratch rebuild (debug builds assert it).
+//! undirected edges to add and remove. [`apply`] validates it, splices the
+//! patched CSR in O(n + m) (untouched nodes copy their adjacency ranges;
+//! edge ids are the lexicographic rank of the canonical edge list, so a
+//! delta renumbers ids globally) and marks the connected components the
+//! delta touches. The caller rebuilds the decomposition of the patched
+//! graph from scratch; the dirty mask only scopes which cached rankings a
+//! patch can have changed.
 
-use crate::bicomp::{BicompDfs, Bicomps, UNSET};
 use crate::csr::{Graph, NodeId};
 
-/// Sentinel in [`AppliedDelta::edge_map`] / [`AppliedDelta::bicomp_map`]:
-/// the edge was deleted, or the component was dirtied and re-decomposed.
-pub const UNMAPPED: u32 = u32::MAX;
+/// Sentinel in the splice's edge-id maps: an old edge that was deleted, or
+/// a new edge that was inserted.
+const UNMAPPED: u32 = u32::MAX;
 
 /// A canonical (sorted, deduplicated, `u < v`) undirected edge list.
 pub type EdgeList = Vec<(NodeId, NodeId)>;
@@ -121,22 +109,12 @@ impl EdgeDelta {
     }
 }
 
-/// The result of applying an [`EdgeDelta`]: the patched graph, its
-/// decomposition, and the correspondence to the pre-patch state that lets
-/// callers splice derived per-edge / per-component data.
+/// The result of applying an [`EdgeDelta`]: the patched graph and the
+/// nodes whose connected component the delta touched.
 #[derive(Debug)]
 pub struct AppliedDelta {
     /// The patched graph.
     pub graph: Graph,
-    /// Its biconnected components — identical to
-    /// `Bicomps::compute(&graph)`, with only dirty components re-derived.
-    pub bicomps: Bicomps,
-    /// Old edge id → new edge id ([`UNMAPPED`] for deleted edges).
-    pub edge_map: Vec<u32>,
-    /// Old bicomp id → new bicomp id for components in *untouched*
-    /// connected components; [`UNMAPPED`] where the region was dirtied and
-    /// re-decomposed (derived data must be recomputed there).
-    pub bicomp_map: Vec<u32>,
     /// Per node of the patched graph: whether it lies in a connected
     /// component that intersects the delta. Rankings whose targets avoid
     /// every dirty node are unaffected by the patch.
@@ -147,11 +125,10 @@ pub struct AppliedDelta {
     pub deleted: usize,
 }
 
-/// Applies `delta` to `g` (whose decomposition is `bic`), rebuilding only
-/// the adjacency ranges of endpoints the delta touches and re-deriving
-/// articulation structure only for the connected components whose vertex
-/// sets intersect it.
-pub fn apply(g: &Graph, bic: &Bicomps, delta: &EdgeDelta) -> Result<AppliedDelta, DeltaError> {
+/// Applies `delta` to `g`, rebuilding only the adjacency ranges of
+/// endpoints the delta touches, and marks every node whose connected
+/// component in the patched graph contains such an endpoint.
+pub fn apply(g: &Graph, delta: &EdgeDelta) -> Result<AppliedDelta, DeltaError> {
     let n = g.num_nodes();
     let (ins, del) = delta.normalized(n)?;
 
@@ -167,9 +144,6 @@ pub fn apply(g: &Graph, bic: &Bicomps, delta: &EdgeDelta) -> Result<AppliedDelta
     if inserted == 0 && deleted == 0 {
         return Ok(AppliedDelta {
             graph: g.clone(),
-            bicomps: bic.clone(),
-            edge_map: (0..g.num_edges() as u32).collect(),
-            bicomp_map: (0..bic.num_bicomps as u32).collect(),
             dirty_nodes: vec![false; n],
             inserted,
             deleted,
@@ -307,96 +281,8 @@ pub fn apply(g: &Graph, bic: &Bicomps, delta: &EdgeDelta) -> Result<AppliedDelta
         }
     }
 
-    // Old connected components (roots ascending, matching compute()'s DFS
-    // root order) and each one's bicomp id range — contiguous, because the
-    // decomposition DFS finishes a connected component before the next root.
-    let mut old_comp = vec![u32::MAX; n];
-    let mut nc_old = 0u32;
-    for v in 0..n {
-        if old_comp[v] != u32::MAX {
-            continue;
-        }
-        old_comp[v] = nc_old;
-        stack.push(v as NodeId);
-        while let Some(x) = stack.pop() {
-            for &y in g.neighbors(x) {
-                if old_comp[y as usize] == u32::MAX {
-                    old_comp[y as usize] = nc_old;
-                    stack.push(y);
-                }
-            }
-        }
-        nc_old += 1;
-    }
-    let mut comp_b_lo = vec![u32::MAX; nc_old as usize];
-    let mut comp_b_hi = vec![0u32; nc_old as usize];
-    let mut comp_b_count = vec![0u32; nc_old as usize];
-    for b in 0..bic.num_bicomps as u32 {
-        let rep = bic.nodes_of(b)[0];
-        let c = old_comp[rep as usize] as usize;
-        comp_b_lo[c] = comp_b_lo[c].min(b);
-        comp_b_hi[c] = comp_b_hi[c].max(b);
-        comp_b_count[c] += 1;
-    }
-    debug_assert!((0..nc_old as usize)
-        .all(|c| comp_b_lo[c] == u32::MAX || comp_b_hi[c] - comp_b_lo[c] + 1 == comp_b_count[c]));
-
-    // Label pass. Dirty components run the real DFS; untouched components
-    // reserve the same number of consecutive labels compute() would assign
-    // here and splice the old ones in their old (= structural pop) order.
-    let mut dfs = BicompDfs::new(n, new_m);
-    let mut bicomp_map = vec![UNMAPPED; bic.num_bicomps];
-    for root in 0..n as NodeId {
-        if dfs.disc[root as usize] != UNSET || graph.degree(root) == 0 {
-            continue;
-        }
-        if dirty_nodes[root as usize] {
-            dfs.run_root(&graph, root);
-        } else {
-            let c = old_comp[root as usize] as usize;
-            debug_assert_ne!(comp_b_lo[c], u32::MAX, "edged component has bicomps");
-            let (lo, hi) = (comp_b_lo[c], comp_b_hi[c]);
-            let base = dfs.num_bicomps as u32;
-            for b in lo..=hi {
-                bicomp_map[b as usize] = base + (b - lo);
-            }
-            dfs.num_bicomps += (hi - lo + 1) as usize;
-            // Mark the component visited without re-deriving anything.
-            dfs.disc[root as usize] = 0;
-            stack.push(root);
-            while let Some(x) = stack.pop() {
-                for &y in graph.neighbors(x) {
-                    if dfs.disc[y as usize] == UNSET {
-                        dfs.disc[y as usize] = 0;
-                        stack.push(y);
-                    }
-                }
-            }
-        }
-    }
-    let num_bicomps = dfs.num_bicomps;
-    let mut edge_bicomp = dfs.edge_bicomp;
-    for (i, lbl) in edge_bicomp.iter_mut().enumerate() {
-        if *lbl == UNSET {
-            let old_id = old_of_new[i];
-            debug_assert_ne!(old_id, UNMAPPED, "unlabeled edges are survivors");
-            *lbl = bicomp_map[bic.edge_bicomp[old_id as usize] as usize];
-            debug_assert_ne!(*lbl, UNMAPPED, "survivor lies in an untouched component");
-        }
-    }
-
-    let bicomps = Bicomps::assemble(&graph, num_bicomps, edge_bicomp);
-    debug_assert_eq!(
-        bicomps,
-        Bicomps::compute(&graph),
-        "incremental decomposition diverged from a from-scratch rebuild"
-    );
-
     Ok(AppliedDelta {
         graph,
-        bicomps,
-        edge_map,
-        bicomp_map,
         dirty_nodes,
         inserted,
         deleted,
@@ -407,7 +293,7 @@ pub fn apply(g: &Graph, bic: &Bicomps, delta: &EdgeDelta) -> Result<AppliedDelta
 mod tests {
     use super::*;
     use crate::fixtures;
-    use crate::GraphBuilder;
+    use crate::{Components, GraphBuilder};
 
     fn ins(edges: &[(NodeId, NodeId)]) -> EdgeDelta {
         EdgeDelta {
@@ -424,10 +310,10 @@ mod tests {
     }
 
     /// Applies `delta` and cross-checks the result against from-scratch
-    /// construction of the patched edge list.
+    /// construction of the patched edge list and a connected-component
+    /// oracle for the dirty mask.
     fn check(g: &Graph, delta: &EdgeDelta) -> AppliedDelta {
-        let bic = Bicomps::compute(g);
-        let applied = apply(g, &bic, delta).unwrap();
+        let applied = apply(g, delta).unwrap();
 
         // Graph equals a builder rebuild of (old − del + ins).
         let mut b = GraphBuilder::new(g.num_nodes());
@@ -453,29 +339,26 @@ mod tests {
             }
         }
 
-        // Decomposition equals from-scratch (also debug_asserted inside).
-        assert_eq!(applied.bicomps, Bicomps::compute(&applied.graph));
-
-        // edge_map consistency: survivors keep their endpoints.
-        for (u, v, eid) in g.edges() {
-            let mapped = applied.edge_map[eid as usize];
-            if del.binary_search(&(u, v)).is_ok() {
-                assert_eq!(mapped, UNMAPPED);
-            } else {
-                assert_eq!(applied.graph.edge_id(u, v), Some(mapped));
-            }
+        // A node is dirty exactly when its component in the patched graph
+        // holds an endpoint of an effective insert or delete.
+        let effective: Vec<(NodeId, NodeId)> = ins
+            .iter()
+            .filter(|&&(u, v)| !g.has_edge(u, v))
+            .chain(del.iter().filter(|&&(u, v)| g.has_edge(u, v)))
+            .copied()
+            .collect();
+        assert_eq!(applied.inserted + applied.deleted, effective.len());
+        let comps = Components::compute(&applied.graph);
+        let mut touched = vec![false; comps.count()];
+        for &(u, v) in &effective {
+            touched[comps.comp_of[u as usize] as usize] = true;
+            touched[comps.comp_of[v as usize] as usize] = true;
         }
-
-        // bicomp_map consistency: mapped components have identical node
-        // sets, and unmapped ones intersect the dirty region.
-        for ob in 0..bic.num_bicomps as u32 {
-            match applied.bicomp_map[ob as usize] {
-                UNMAPPED => assert!(bic
-                    .nodes_of(ob)
-                    .iter()
-                    .any(|&v| applied.dirty_nodes[v as usize])),
-                nb => assert_eq!(bic.nodes_of(ob), applied.bicomps.nodes_of(nb)),
-            }
+        for v in g.nodes() {
+            assert_eq!(
+                applied.dirty_nodes[v as usize], touched[comps.comp_of[v as usize] as usize],
+                "dirty mask at node {v}"
+            );
         }
         applied
     }
@@ -502,34 +385,8 @@ mod tests {
     }
 
     #[test]
-    fn untouched_component_is_spliced_not_recomputed() {
-        // Two far-apart structures: patch one, the other's blocks map over.
-        let mut b = GraphBuilder::new(9);
-        // Component A: triangle 0-1-2 with a tail 2-3.
-        for &(u, v) in &[(0, 1), (1, 2), (0, 2), (2, 3)] {
-            b.push(u, v);
-        }
-        // Component B: square 4-5-6-7 with a tail 7-8.
-        for &(u, v) in &[(4, 5), (5, 6), (6, 7), (4, 7), (7, 8)] {
-            b.push(u, v);
-        }
-        let g = b.build().unwrap();
-        let bic = Bicomps::compute(&g);
-        let applied = check(&g, &ins(&[(1, 3)]));
-        for v in 4..9 {
-            assert!(!applied.dirty_nodes[v]);
-        }
-        // Every component B block survived through the map.
-        for ob in 0..bic.num_bicomps as u32 {
-            let in_b = bic.nodes_of(ob)[0] >= 4;
-            assert_eq!(applied.bicomp_map[ob as usize] != UNMAPPED, in_b);
-        }
-    }
-
-    #[test]
     fn noop_changes_nothing() {
         let g = fixtures::paper_fig2();
-        let bic = Bicomps::compute(&g);
         // Insert an existing edge + delete a missing one: effective no-op.
         let delta = EdgeDelta {
             insert: vec![(0, 1)],
@@ -537,19 +394,17 @@ mod tests {
         };
         assert!(g.has_edge(0, 1));
         assert!(!g.has_edge(0, 9));
-        let applied = apply(&g, &bic, &delta).unwrap();
+        let applied = check(&g, &delta);
         assert_eq!(applied.inserted, 0);
         assert_eq!(applied.deleted, 0);
         assert!(applied.dirty_nodes.iter().all(|&d| !d));
         assert_eq!(applied.graph.num_edges(), g.num_edges());
-        assert_eq!(applied.bicomps, bic);
     }
 
     #[test]
     fn validation_errors() {
         let g = fixtures::path_graph(4);
-        let bic = Bicomps::compute(&g);
-        let err = |d: &EdgeDelta| apply(&g, &bic, d).unwrap_err();
+        let err = |d: &EdgeDelta| apply(&g, d).unwrap_err();
         assert_eq!(err(&EdgeDelta::default()), DeltaError::Empty);
         assert_eq!(err(&ins(&[(1, 1)])), DeltaError::SelfLoop(1));
         assert_eq!(

@@ -86,13 +86,13 @@ use std::time::{Duration, Instant, SystemTime};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use saphyra::bc::{DeltaOutcome, SaphyraBcConfig};
+use saphyra::bc::{BcDecomposition, SaphyraBcConfig};
 use saphyra::closeness::rank_harmonic;
 use saphyra::framework::SaphyraEstimate;
 use saphyra::kpath::rank_kpath;
 use saphyra::params;
 use saphyra_gen::datasets::{SimNetwork, SizeClass};
-use saphyra_graph::{io as graph_io, EdgeDelta, NodeId};
+use saphyra_graph::{io as graph_io, AppliedDelta, EdgeDelta, NodeId};
 
 use crate::cache::LruCache;
 use crate::http::{ParseStatus, Request, RequestParser, Response};
@@ -803,12 +803,13 @@ impl Service {
                 insert: rec.insert.clone(),
                 delete: rec.delete.clone(),
             };
-            match entry.dec.apply_delta(&entry.graph, &delta) {
+            match saphyra_graph::delta::apply(&entry.graph, &delta) {
                 Ok(out) => {
+                    let dec = BcDecomposition::compute(&out.graph);
                     self.registry.insert(GraphEntry::from_parts_seq(
                         rec.graph.clone(),
                         out.graph,
-                        out.dec,
+                        dec,
                         rec.seq,
                     ));
                     self.patches.fetch_add(1, Ordering::Relaxed);
@@ -1153,13 +1154,13 @@ impl Service {
         Response::json(200, Json::Obj(fields).to_string())
     }
 
-    /// Applies an edge delta to a loaded graph: incremental decomposition
-    /// refresh ([`saphyra::bc::BcDecomposition::apply_delta`] — only
-    /// components the delta touches are re-derived), registry swap under a
-    /// fresh epoch, delta journaling, periodic re-snapshotting, and
-    /// component-scoped cache invalidation. Rankings whose targets all lie
-    /// in untouched connected components are byte-identical on the patched
-    /// graph (pinned by `untouched_component_rankings_survive_patch` in
+    /// Applies an edge delta to a loaded graph: CSR splice and dirty mask
+    /// ([`saphyra_graph::delta::apply`]), a from-scratch decomposition of
+    /// the patched graph, registry swap under a fresh epoch, delta
+    /// journaling, periodic re-snapshotting, and component-scoped cache
+    /// invalidation. Rankings whose targets all lie in untouched connected
+    /// components are byte-identical on the patched graph (pinned by
+    /// `untouched_component_rankings_survive_patch` in
     /// `crates/core/tests/proptest_bc.rs`), so their cached bodies are
     /// re-keyed under the new epoch and keep serving hits; everything else
     /// for this graph is purged.
@@ -1191,17 +1192,17 @@ impl Service {
         let Some(entry) = self.registry.get(name) else {
             return error_response(404, format!("unknown graph {name:?} (POST /graphs first)"));
         };
-        let out = match entry.dec.apply_delta(&entry.graph, &delta) {
+        let out = match saphyra_graph::delta::apply(&entry.graph, &delta) {
             Ok(out) => out,
             Err(e) => return error_response(400, e.to_string()),
         };
-        let DeltaOutcome {
+        let AppliedDelta {
             graph,
-            dec,
             dirty_nodes,
             inserted,
             deleted,
         } = out;
+        let dec = BcDecomposition::compute(&graph);
         let new_seq = entry.delta_seq + 1;
         let old_epoch = entry.epoch;
 
@@ -3165,6 +3166,57 @@ mod tests {
         // keys are gone).
         assert_eq!(cached_keys(&svc, "two"), 1);
         assert_eq!(cached_keys(&svc, "grid"), 1);
+    }
+
+    /// Served bytes depend on the graph, not on how it was reached: after
+    /// a PATCH, every measure's body for a set in the patched component
+    /// (recomputed) and in the untouched one (re-keyed from the cache)
+    /// equals the body a fresh service returns for the patched graph loaded
+    /// directly under the same name.
+    #[test]
+    fn patched_graph_serves_the_bytes_of_a_fresh_load() {
+        let bodies: Vec<String> = ["bc", "kpath", "harmonic"]
+            .iter()
+            .flat_map(|m| {
+                ["[1,2,4]", "[6,7,9]"].map(|t| {
+                    format!(
+                        r#"{{"graph":"two","targets":{t},"measure":"{m}","eps":0.2,"delta":0.1,"seed":5}}"#
+                    )
+                })
+            })
+            .collect();
+        let patched = service_with_grid();
+        patched
+            .registry()
+            .insert(GraphEntry::build("two", two_component_graph()));
+        for b in &bodies {
+            let (r, _) = patched.handle(&post("/rank", b));
+            assert_eq!(r.status, 200, "{}", r.body_str());
+        }
+        let (p, _) = patched.handle(&patch_req(
+            "two",
+            r#"{"insert":[[0,5],[1,4]],"delete":[[0,3]]}"#,
+        ));
+        assert_eq!(p.status, 200, "{}", p.body_str());
+
+        let fresh = service_with_grid();
+        let mut edges: Vec<(NodeId, NodeId)> = two_component_graph()
+            .edges()
+            .map(|(u, v, _)| (u, v))
+            .filter(|&e| e != (0, 3))
+            .collect();
+        edges.extend([(0, 5), (1, 4)]);
+        let g = saphyra_graph::GraphBuilder::new(12)
+            .edges(edges)
+            .build()
+            .unwrap();
+        fresh.registry().insert(GraphEntry::build("two", g));
+        for b in &bodies {
+            let (r, _) = patched.handle(&post("/rank", b));
+            let (want, _) = fresh.handle(&post("/rank", b));
+            assert_eq!(want.status, 200, "{}", want.body_str());
+            assert_eq!(r.body_str(), want.body_str(), "{b}");
+        }
     }
 
     /// A patch leaves the class table alone: the epoch is part of the
