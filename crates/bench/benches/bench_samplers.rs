@@ -2,7 +2,7 @@
 //! ablation (Lemma 21), the relative per-sample cost of the three
 //! sampling styles (Gen_bc path, KADABRA path, ABRA node-pair), bc's
 //! exact part alone, one whole bc and one whole harmonic ranking call, and
-//! one `PATCH /graphs/<name>` decomposition refresh.
+//! one `PATCH /graphs/<name>` (the patched CSR and its decomposition).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;

@@ -11,8 +11,7 @@
 
 use crate::csr::{Graph, NodeId};
 
-/// Sentinel in the splice's edge-id maps: an old edge that was deleted, or
-/// a new edge that was inserted.
+/// Sentinel in the splice's old → new edge-id map: the edge was deleted.
 const UNMAPPED: u32 = u32::MAX;
 
 /// A canonical (sorted, deduplicated, `u < v`) undirected edge list.
@@ -151,12 +150,11 @@ pub fn apply(g: &Graph, delta: &EdgeDelta) -> Result<AppliedDelta, DeltaError> {
     }
 
     // Merge the old canonical edge list (id order *is* lexicographic order)
-    // with the sorted inserts, dropping deletes. Ids renumber globally; the
-    // merge order yields both direction maps for free.
+    // with the sorted inserts, dropping deletes. Ids renumber globally: an
+    // edge's new id is its position in the merged list.
     let old_m = g.num_edges();
     let new_m = old_m + inserted - deleted;
     let mut edge_map = vec![UNMAPPED; old_m];
-    let mut old_of_new = vec![UNMAPPED; new_m];
     let mut new_edges: Vec<(NodeId, NodeId)> = Vec::with_capacity(new_m);
     {
         let (mut di, mut ii) = (0usize, 0usize);
@@ -170,7 +168,6 @@ pub fn apply(g: &Graph, delta: &EdgeDelta) -> Result<AppliedDelta, DeltaError> {
                 continue;
             }
             edge_map[eid as usize] = new_edges.len() as u32;
-            old_of_new[new_edges.len()] = eid;
             new_edges.push((u, v));
         }
         new_edges.extend_from_slice(&ins[ii..]);
@@ -204,11 +201,10 @@ pub fn apply(g: &Graph, delta: &EdgeDelta) -> Result<AppliedDelta, DeltaError> {
 
     // Directed slots of the inserted edges, grouped by node.
     let mut ins_slots: Vec<(NodeId, NodeId, u32)> = Vec::with_capacity(2 * inserted);
-    for (i, &(u, v)) in new_edges.iter().enumerate() {
-        if old_of_new[i] == UNMAPPED {
-            ins_slots.push((u, v, i as u32));
-            ins_slots.push((v, u, i as u32));
-        }
+    for &(u, v) in &ins {
+        let id = new_edges.binary_search(&(u, v)).expect("merged insert") as u32;
+        ins_slots.push((u, v, id));
+        ins_slots.push((v, u, id));
     }
     ins_slots.sort_unstable();
 

@@ -887,10 +887,10 @@ impl Service {
         self.pipelined.load(Ordering::Relaxed)
     }
 
-    /// Lifetime count of graph decompositions this service computed
-    /// (graph loads plus snapshot-fallback recomputes). A service booted
-    /// purely from intact snapshots reports 0 — the whole point of
-    /// persistence.
+    /// Lifetime count of graph loads and snapshot-fallback recomputes,
+    /// each one decomposition (a PATCH's rebuild counts under `patches`).
+    /// A service booted purely from intact snapshots reports 0 — the whole
+    /// point of persistence.
     pub fn decompositions(&self) -> u64 {
         self.decompositions.load(Ordering::Relaxed)
     }

@@ -527,9 +527,9 @@ fn concurrent_same_name_loads_leave_disk_and_memory_agreeing() {
 }
 
 /// The delta-journaling read path: journaled `PATCH` deltas replay on
-/// restart from the snapshot alone — zero re-uploads, zero full
-/// decompositions — and the replayed graph ranks byte-identically to the
-/// patched graph the first life served.
+/// restart from the snapshot alone — zero re-uploads, and no load counted
+/// under `decompositions` — and the replayed graph ranks byte-identically
+/// to the patched graph the first life served.
 #[test]
 fn patched_graphs_survive_restart_via_journal_replay() {
     let dir = state_dir("patch_replay");
@@ -579,7 +579,8 @@ fn patched_graphs_survive_restart_via_journal_replay() {
     );
 
     // Second life: snapshot restores the upload-time graph, patch replay
-    // walks it to seq 2. No POST /graphs, no full decomposition.
+    // walks it to seq 2. No POST /graphs and no snapshot-fallback
+    // recompute.
     {
         let handle = serve("127.0.0.1:0", cfg_with(&dir)).unwrap();
         let addr = handle.addr().to_string();
@@ -589,7 +590,7 @@ fn patched_graphs_survive_restart_via_journal_replay() {
         assert_eq!(
             counter(&h, "decompositions"),
             0,
-            "replay must be incremental"
+            "replay must not reload the graph"
         );
         assert_eq!(counter(&h, "patches_replayed"), 2);
 
