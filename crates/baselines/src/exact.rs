@@ -16,11 +16,6 @@ pub fn exact_betweenness(g: &Graph, threads: usize) -> Vec<f64> {
     brandes::betweenness_exact_parallel(g, threads)
 }
 
-/// Exact betweenness, single-threaded (deterministic baseline for tests).
-pub fn exact_betweenness_serial(g: &Graph) -> Vec<f64> {
-    brandes::betweenness_exact(g)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -30,7 +25,7 @@ mod tests {
     fn parallel_default_matches_serial() {
         let g = fixtures::grid_graph(7, 6);
         let a = exact_betweenness(&g, 0);
-        let b = exact_betweenness_serial(&g);
+        let b = brandes::betweenness_exact(&g);
         for (x, y) in a.iter().zip(&b) {
             assert!((x - y).abs() < 1e-12);
         }

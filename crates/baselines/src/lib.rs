@@ -24,6 +24,6 @@ pub mod rk;
 
 pub use abra::{abra, AbraConfig};
 pub use common::BaselineEstimate;
-pub use exact::{exact_betweenness, exact_betweenness_serial};
+pub use exact::exact_betweenness;
 pub use kadabra::{kadabra, KadabraConfig};
 pub use rk::{rk, RkConfig};

@@ -83,52 +83,41 @@ impl GraphBuilder {
         edges.retain(|&(u, v)| u != v);
         edges.sort_unstable();
         edges.dedup();
-        let m = edges.len();
-
-        // Counting pass for CSR offsets over both directions.
-        let mut offsets = vec![0usize; n + 1];
-        for &(u, v) in &edges {
-            offsets[u as usize + 1] += 1;
-            offsets[v as usize + 1] += 1;
-        }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
-        }
-
-        // Fill pass. Because `edges` is sorted lexicographically by
-        // (min, max), per-node forward slots are appended in ascending
-        // neighbor order; backward slots (v -> u with u < v) also arrive in
-        // ascending order of u for fixed v, but interleave with forward
-        // slots, so a final per-node sort is required.
-        let total = 2 * m;
-        let mut neighbors = vec![0 as NodeId; total];
-        let mut edge_ids = vec![0u32; total];
-        let mut cursor = offsets.clone();
-        for (id, &(u, v)) in edges.iter().enumerate() {
-            let cu = cursor[u as usize];
-            neighbors[cu] = v;
-            edge_ids[cu] = id as u32;
-            cursor[u as usize] += 1;
-            let cv = cursor[v as usize];
-            neighbors[cv] = u;
-            edge_ids[cv] = id as u32;
-            cursor[v as usize] += 1;
-        }
-        for v in 0..n {
-            let r = offsets[v]..offsets[v + 1];
-            // Sort (neighbor, edge_id) pairs by neighbor. Small slices; an
-            // insertion-friendly unstable sort is fine.
-            let mut pairs: Vec<(NodeId, u32)> =
-                r.clone().map(|s| (neighbors[s], edge_ids[s])).collect();
-            pairs.sort_unstable();
-            for (k, s) in r.enumerate() {
-                neighbors[s] = pairs[k].0;
-                edge_ids[s] = pairs[k].1;
-            }
-        }
-
-        Ok(Graph::from_parts(offsets, neighbors, edge_ids, m))
+        Ok(fill(n, &edges))
     }
+}
+
+/// Builds the CSR of a canonical edge list on nodes `0..n`: sorted,
+/// deduplicated, `u < v`, endpoints in range. An edge's id is its index in
+/// `edges`. Graph loads and `PATCH` deltas both construct graphs here.
+pub(crate) fn fill(n: usize, edges: &[(NodeId, NodeId)]) -> Graph {
+    // Counting pass for CSR offsets over both directions.
+    let mut offsets = vec![0usize; n + 1];
+    for &(u, v) in edges {
+        offsets[u as usize + 1] += 1;
+        offsets[v as usize + 1] += 1;
+    }
+    for i in 0..n {
+        offsets[i + 1] += offsets[i];
+    }
+
+    // Fill pass, one cursor per node. Lexicographic order hands node x
+    // every backward slot (neighbour w < x, from edge (w, x)) before its
+    // first forward slot (neighbour y > x, from edge (x, y)), and each
+    // kind in ascending neighbour order, so every adjacency slice comes
+    // out sorted without a per-node sort.
+    let mut neighbors = vec![0 as NodeId; 2 * edges.len()];
+    let mut edge_ids = vec![0u32; 2 * edges.len()];
+    let mut cursor = offsets.clone();
+    for (id, &(u, v)) in edges.iter().enumerate() {
+        for (x, nb) in [(u, v), (v, u)] {
+            let slot = cursor[x as usize];
+            neighbors[slot] = nb;
+            edge_ids[slot] = id as u32;
+            cursor[x as usize] += 1;
+        }
+    }
+    Graph::from_parts(offsets, neighbors, edge_ids, edges.len())
 }
 
 #[cfg(test)]

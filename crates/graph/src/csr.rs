@@ -8,10 +8,10 @@
 //! edges once and look the label up from either direction in O(1).
 //!
 //! All three arrays — the `n + 1` `u64` offsets and the two `u32` slot
-//! arrays — live in [`crate::mmap::Array`] storage: owned on the build,
-//! delta and decode paths, or windows into a mapped snapshot so a
-//! `--state-dir` boot serves zero-copy straight from the page cache. A slot
-//! range is two offset reads either way. [`Graph::assemble`] is the one
+//! arrays — live in [`crate::mmap::Array`] storage: owned on the build
+//! path (loads and deltas alike) and the decode path, or windows into a
+//! mapped snapshot so a `--state-dir` boot serves zero-copy straight from
+//! the page cache. A slot range is two offset reads either way. [`Graph::assemble`] is the one
 //! validator for arrays that did not come from the builder.
 
 use crate::mmap::{U32s, Words};
@@ -40,8 +40,9 @@ impl Graph {
     /// Builds a graph from already-validated CSR arrays.
     ///
     /// Callers must guarantee CSR well-formedness (monotone offsets, sorted
-    /// per-node neighbor slices, twin slots sharing edge ids). Only the
-    /// builder and the delta path in this crate construct graphs this way.
+    /// per-node neighbor slices, twin slots sharing edge ids). The one
+    /// caller is the builder's fill, which both graph loads and
+    /// [`crate::delta::apply`] go through.
     pub(crate) fn from_parts(
         offsets: Vec<usize>,
         neighbors: Vec<NodeId>,

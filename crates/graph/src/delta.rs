@@ -1,18 +1,18 @@
 //! Batched edge inserts and deletes on a CSR graph.
 //!
 //! The service's `PATCH /graphs/<name>` path lands here: a delta is a set of
-//! undirected edges to add and remove. [`apply`] validates it, splices the
-//! patched CSR in O(n + m) (untouched nodes copy their adjacency ranges;
-//! edge ids are the lexicographic rank of the canonical edge list, so a
-//! delta renumbers ids globally) and marks the connected components the
-//! delta touches. The caller rebuilds the decomposition of the patched
+//! undirected edges to add and remove. [`apply`] validates it, merges it
+//! into the graph's canonical edge list in O(n + m), rebuilds the CSR from
+//! the edited list with [`GraphBuilder`](crate::GraphBuilder)'s fill (edge
+//! ids are the lexicographic rank of the canonical edge list, so a delta
+//! renumbers ids globally, and a patched graph is exactly the graph a
+//! fresh load of its edge list builds) and marks the connected components
+//! the delta touches. The caller rebuilds the decomposition of the patched
 //! graph from scratch; the dirty mask only scopes which cached rankings a
 //! patch can have changed.
 
+use crate::builder::fill;
 use crate::csr::{Graph, NodeId};
-
-/// Sentinel in the splice's old → new edge-id map: the edge was deleted.
-const UNMAPPED: u32 = u32::MAX;
 
 /// A canonical (sorted, deduplicated, `u < v`) undirected edge list.
 pub type EdgeList = Vec<(NodeId, NodeId)>;
@@ -124,9 +124,10 @@ pub struct AppliedDelta {
     pub deleted: usize,
 }
 
-/// Applies `delta` to `g`, rebuilding only the adjacency ranges of
-/// endpoints the delta touches, and marks every node whose connected
-/// component in the patched graph contains such an endpoint.
+/// Applies `delta` to `g`: merges the effective changes into `g`'s
+/// canonical edge list, builds the patched graph from it with the
+/// builder's fill, and marks every node whose connected component in the
+/// patched graph contains an endpoint of an effective change.
 pub fn apply(g: &Graph, delta: &EdgeDelta) -> Result<AppliedDelta, DeltaError> {
     let n = g.num_nodes();
     let (ins, del) = delta.normalized(n)?;
@@ -140,126 +141,37 @@ pub fn apply(g: &Graph, delta: &EdgeDelta) -> Result<AppliedDelta, DeltaError> {
     let del: Vec<(NodeId, NodeId)> = del.into_iter().filter(|&(u, v)| g.has_edge(u, v)).collect();
     let (inserted, deleted) = (ins.len(), del.len());
 
-    if inserted == 0 && deleted == 0 {
-        return Ok(AppliedDelta {
-            graph: g.clone(),
-            dirty_nodes: vec![false; n],
-            inserted,
-            deleted,
-        });
-    }
-
     // Merge the old canonical edge list (id order *is* lexicographic order)
-    // with the sorted inserts, dropping deletes. Ids renumber globally: an
-    // edge's new id is its position in the merged list.
-    let old_m = g.num_edges();
-    let new_m = old_m + inserted - deleted;
-    let mut edge_map = vec![UNMAPPED; old_m];
-    let mut new_edges: Vec<(NodeId, NodeId)> = Vec::with_capacity(new_m);
-    {
-        let (mut di, mut ii) = (0usize, 0usize);
-        for (u, v, eid) in g.edges() {
-            while ii < ins.len() && ins[ii] < (u, v) {
-                new_edges.push(ins[ii]);
-                ii += 1;
-            }
-            if di < del.len() && del[di] == (u, v) {
-                di += 1;
-                continue;
-            }
-            edge_map[eid as usize] = new_edges.len() as u32;
-            new_edges.push((u, v));
+    // with the sorted inserts, dropping deletes. The result is the patched
+    // graph's canonical edge list, so its CSR is the one a fresh load of
+    // that list builds: ids renumber globally.
+    let mut edges: EdgeList = Vec::with_capacity(g.num_edges() + inserted - deleted);
+    let (mut di, mut ii) = (0usize, 0usize);
+    for (u, v, _) in g.edges() {
+        while ii < ins.len() && ins[ii] < (u, v) {
+            edges.push(ins[ii]);
+            ii += 1;
         }
-        new_edges.extend_from_slice(&ins[ii..]);
-        debug_assert_eq!(di, del.len());
-        debug_assert_eq!(new_edges.len(), new_m);
-    }
-
-    // Adjacency endpoints the delta touches.
-    let mut touched = vec![false; n];
-    for &(u, v) in ins.iter().chain(del.iter()) {
-        touched[u as usize] = true;
-        touched[v as usize] = true;
-    }
-
-    // New CSR offsets from degree adjustments.
-    let mut offsets = vec![0usize; n + 1];
-    for v in 0..n {
-        offsets[v + 1] = g.degree(v as NodeId);
-    }
-    for &(u, v) in &del {
-        offsets[u as usize + 1] -= 1;
-        offsets[v as usize + 1] -= 1;
-    }
-    for &(u, v) in &ins {
-        offsets[u as usize + 1] += 1;
-        offsets[v as usize + 1] += 1;
-    }
-    for i in 0..n {
-        offsets[i + 1] += offsets[i];
-    }
-
-    // Directed slots of the inserted edges, grouped by node.
-    let mut ins_slots: Vec<(NodeId, NodeId, u32)> = Vec::with_capacity(2 * inserted);
-    for &(u, v) in &ins {
-        let id = new_edges.binary_search(&(u, v)).expect("merged insert") as u32;
-        ins_slots.push((u, v, id));
-        ins_slots.push((v, u, id));
-    }
-    ins_slots.sort_unstable();
-
-    // Fill pass: untouched nodes copy their slice (ids renumbered through
-    // the map, neighbor order unchanged); touched nodes merge surviving old
-    // slots with inserted slots — both already sorted by neighbor.
-    let mut neighbors = vec![0 as NodeId; 2 * new_m];
-    let mut edge_ids = vec![0u32; 2 * new_m];
-    for v in 0..n as NodeId {
-        let mut w = offsets[v as usize];
-        if !touched[v as usize] {
-            for slot in g.slot_range(v) {
-                neighbors[w] = g.neighbor_at(slot);
-                edge_ids[w] = edge_map[g.edge_id_at(slot) as usize];
-                w += 1;
-            }
-        } else {
-            let lo = ins_slots.partition_point(|&(x, _, _)| x < v);
-            let hi = ins_slots.partition_point(|&(x, _, _)| x <= v);
-            let mut it = ins_slots[lo..hi].iter().peekable();
-            for slot in g.slot_range(v) {
-                let mapped = edge_map[g.edge_id_at(slot) as usize];
-                if mapped == UNMAPPED {
-                    continue;
-                }
-                let nb = g.neighbor_at(slot);
-                while let Some(&&(_, inb, iid)) = it.peek() {
-                    if inb < nb {
-                        neighbors[w] = inb;
-                        edge_ids[w] = iid;
-                        w += 1;
-                        it.next();
-                    } else {
-                        break;
-                    }
-                }
-                neighbors[w] = nb;
-                edge_ids[w] = mapped;
-                w += 1;
-            }
-            for &(_, inb, iid) in it {
-                neighbors[w] = inb;
-                edge_ids[w] = iid;
-                w += 1;
-            }
+        if di < del.len() && del[di] == (u, v) {
+            di += 1;
+            continue;
         }
-        debug_assert_eq!(w, offsets[v as usize + 1]);
+        edges.push((u, v));
     }
-    let graph = Graph::from_parts(offsets, neighbors, edge_ids, new_m);
+    edges.extend_from_slice(&ins[ii..]);
+    debug_assert_eq!(di, del.len());
+    let graph = fill(n, &edges);
 
     // Dirty region: every node reachable from a touched endpoint in the
     // *patched* graph. A new component either contains a touched node (then
     // every fragment of a split and every side of a merge does too — each
     // boundary edge of the delta has an endpoint in it) or is bit-identical
     // to its old self.
+    let mut touched = vec![false; n];
+    for &(u, v) in ins.iter().chain(del.iter()) {
+        touched[u as usize] = true;
+        touched[v as usize] = true;
+    }
     let mut dirty_nodes = vec![false; n];
     let mut stack: Vec<NodeId> = Vec::new();
     for v in 0..n {

@@ -15,7 +15,10 @@
 //! * [`wire`] / [`binio`]: checked little-endian primitives and the binary
 //!   encoding of the biconnected decomposition and block-cut tree.
 //! * [`builder::GraphBuilder`]: deduplicating, self-loop-dropping
-//!   construction from edge lists.
+//!   construction from edge lists. Its fill is the one CSR constructor:
+//!   graph loads and [`delta`] patches both build through it.
+//! * [`delta`]: batched edge inserts and deletes (the service's `PATCH`),
+//!   with the mask of connected components a delta touched.
 //! * [`bfs`]: breadth-first searches with reusable, stamp-cleared workspaces
 //!   and optional edge filters (used to restrict traversal to a single
 //!   biconnected component without extracting subgraphs).

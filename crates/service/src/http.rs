@@ -361,13 +361,12 @@ impl Response {
     /// per-connection request cap hit, or shutdown) so well-behaved
     /// clients stop reusing it.
     ///
-    /// Buffer-producing on purpose: the reactor queues these bytes into a
-    /// per-connection write buffer and drains them as the socket accepts
-    /// them, and the blocking path pushes the whole buffer in a **single**
-    /// `write` — on a persistent connection, trickling header fragments as
-    /// separate small segments triggers the Nagle/delayed-ACK interaction
-    /// (~40 ms per request once the socket leaves quickack mode), which
-    /// would erase the keep-alive win entirely.
+    /// Buffer-producing on purpose: the reactor queues these bytes whole
+    /// into a per-connection write buffer and drains them as the socket
+    /// accepts them — on a persistent connection, trickling header
+    /// fragments as separate small segments triggers the Nagle/delayed-ACK
+    /// interaction (~40 ms per request once the socket leaves quickack
+    /// mode), which would erase the keep-alive win entirely.
     pub fn to_bytes(&self, keep_alive: bool) -> Vec<u8> {
         use std::fmt::Write as _;
         let mut out = String::with_capacity(256);
@@ -387,13 +386,6 @@ impl Response {
         out.reserve(self.body.len());
         out.extend_from_slice(&self.body);
         out
-    }
-
-    /// Serializes and writes the response in a single `write` (blocking
-    /// convenience over [`Response::to_bytes`]).
-    pub fn write_to<W: Write>(&self, w: &mut W, keep_alive: bool) -> io::Result<()> {
-        w.write_all(&self.to_bytes(keep_alive))?;
-        w.flush()
     }
 }
 
@@ -918,11 +910,9 @@ mod tests {
 
     #[test]
     fn response_serialization() {
-        let mut out = Vec::new();
-        Response::json(200, "{}")
+        let out = Response::json(200, "{}")
             .with_header("X-Saphyra-Cache", "hit")
-            .write_to(&mut out, true)
-            .unwrap();
+            .to_bytes(true);
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 2\r\n"));
@@ -930,8 +920,7 @@ mod tests {
         assert!(text.contains("X-Saphyra-Cache: hit\r\n"));
         assert!(text.ends_with("\r\n\r\n{}"));
 
-        let mut out = Vec::new();
-        Response::json(200, "{}").write_to(&mut out, false).unwrap();
+        let out = Response::json(200, "{}").to_bytes(false);
         assert!(String::from_utf8(out)
             .unwrap()
             .contains("Connection: close\r\n"));

@@ -58,7 +58,7 @@
 //! connection (and [`http::Client::pipeline`] batches requests over
 //! it), which keeps the TCP setup cost off the cache-hit path. The
 //! server honors `Connection: close`, closes connections idle past
-//! [`ServiceConfig::idle_timeout`] (via a timer wheel — no polling),
+//! [`ServiceConfig::idle_timeout`] (via a deadline heap — no polling),
 //! recycles a connection after
 //! [`ServiceConfig::max_requests_per_conn`] requests, and sheds
 //! connections beyond [`ServiceConfig::max_connections`].

@@ -1,20 +1,19 @@
 //! Event-loop primitives for the service runtime: readiness polling over
 //! direct `epoll(7)` bindings (std already links libc, so the `extern
 //! "C"` declarations below resolve without any new dependency), a
-//! portable `poll(2)` fallback behind the same [`Poller`] trait, a
-//! self-pipe [`WakePipe`] for cross-thread wakeups, and a hashed
-//! [`TimerWheel`] for idle-timeout bookkeeping.
+//! portable `poll(2)` fallback behind the same [`Poller`] trait, and a
+//! self-pipe [`WakePipe`] for cross-thread wakeups.
 //!
 //! Nothing in this module knows about HTTP or the service; it is the
 //! substrate `server`'s reactor thread is built on. The design goal is
 //! that **nothing in the connection path ever sleeps on a poll interval**:
 //! the reactor blocks in `epoll_wait`/`poll` until a socket is ready, a
-//! worker finishes a request (waking it through the pipe), or the next
-//! timer-wheel slot with armed timers comes due.
+//! worker finishes a request (waking it through the pipe), or the
+//! earliest idle-timeout deadline in its heap comes due.
 
 use std::io;
 use std::os::unix::io::RawFd;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 #[allow(non_camel_case_types)]
 type c_int = i32;
@@ -460,130 +459,6 @@ impl Drop for WakePipe {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Timer wheel
-// ---------------------------------------------------------------------------
-
-/// An armed timer: fires `(token, gen)` back to the caller. `gen` lets
-/// the reactor discard entries for connections that died (or were slain
-/// and their slot reused) between arming and firing — the wheel never
-/// needs explicit cancellation.
-#[derive(Debug, Clone, Copy)]
-struct TimerEntry {
-    token: u64,
-    gen: u64,
-    tick: u64,
-}
-
-/// A hashed timer wheel: `slots` buckets of `tick` width. Arming is O(1),
-/// expiry is O(entries due); deadlines beyond one full rotation wrap and
-/// are re-examined when their slot comes around again (at the default
-/// tick that is minutes away — idle timeouts never wrap in practice).
-#[derive(Debug)]
-pub struct TimerWheel {
-    slots: Vec<Vec<TimerEntry>>,
-    tick: Duration,
-    start: Instant,
-    /// First tick index not yet processed by [`TimerWheel::expire`].
-    cursor: u64,
-    len: usize,
-}
-
-impl TimerWheel {
-    /// A wheel of `slots` buckets, each `tick` wide. `tick` is clamped to
-    /// ≥ 1 ms (sub-millisecond poll timeouts round to a busy spin).
-    pub fn new(tick: Duration, slots: usize) -> TimerWheel {
-        TimerWheel {
-            slots: vec![Vec::new(); slots.max(2)],
-            tick: tick.max(Duration::from_millis(1)),
-            start: Instant::now(),
-            cursor: 0,
-            len: 0,
-        }
-    }
-
-    fn tick_index(&self, at: Instant) -> u64 {
-        let dt = at.saturating_duration_since(self.start);
-        (dt.as_nanos() / self.tick.as_nanos()) as u64
-    }
-
-    /// Arms a timer firing no earlier than `at`.
-    pub fn schedule(&mut self, token: u64, gen: u64, at: Instant) {
-        // Ceil to the next tick boundary so the timer never fires early,
-        // and never behind the cursor (it would be skipped for a full
-        // rotation).
-        let tick = (self.tick_index(at) + 1).max(self.cursor);
-        let slot = (tick % self.slots.len() as u64) as usize;
-        self.slots[slot].push(TimerEntry { token, gen, tick });
-        self.len += 1;
-    }
-
-    /// How long the reactor may sleep before the next armed slot comes
-    /// due. `None` when no timers are armed (sleep until an fd or wake
-    /// event). May be early for wrapped entries — a spurious wakeup
-    /// expires nothing and re-arms, it never fires a timer early.
-    pub fn next_wakeup(&self, now: Instant) -> Option<Duration> {
-        if self.len == 0 {
-            return None;
-        }
-        let n = self.slots.len() as u64;
-        let due = (self.cursor..self.cursor + n)
-            .find(|t| !self.slots[(t % n) as usize].is_empty())
-            .expect("len > 0 implies a non-empty slot");
-        // Stay in u64 nanoseconds: `self.tick * (due as u32)` would wrap
-        // the tick counter after ~2^32 ticks (49.7 days at a 1 ms tick),
-        // computing fire_at in the past and degrading every wait into a
-        // 1 ms busy-wake loop.
-        let fire_at = self.start
-            + Duration::from_nanos((self.tick.as_nanos() as u64).saturating_mul(due + 1));
-        Some(
-            fire_at
-                .saturating_duration_since(now)
-                .max(Duration::from_millis(1)),
-        )
-    }
-
-    /// Collects every `(token, gen)` whose deadline has passed into
-    /// `out`, leaving wrapped entries filed for a later rotation.
-    pub fn expire(&mut self, now: Instant, out: &mut Vec<(u64, u64)>) {
-        let now_tick = self.tick_index(now);
-        if self.cursor > now_tick {
-            return;
-        }
-        let n = self.slots.len() as u64;
-        // Visit each slot at most once however long the reactor slept: a
-        // span of a full rotation or more covers every slot, and a due
-        // entry (tick <= now_tick) can only live in a slot of its own
-        // tick range, all of which the sweep hits.
-        let span = (now_tick - self.cursor + 1).min(n);
-        for k in 0..span {
-            let slot = ((self.cursor + k) % n) as usize;
-            let entries = &mut self.slots[slot];
-            let before = entries.len();
-            entries.retain(|e| {
-                if e.tick <= now_tick {
-                    out.push((e.token, e.gen));
-                    false
-                } else {
-                    true
-                }
-            });
-            self.len -= before - entries.len();
-        }
-        self.cursor = now_tick + 1;
-    }
-
-    /// Armed timer count (stale entries included until they fire).
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no timers are armed.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -652,74 +527,5 @@ mod tests {
         p.wait(Some(Duration::from_millis(10)), &mut events)
             .unwrap();
         assert!(events.is_empty(), "drain left bytes behind");
-    }
-
-    #[test]
-    fn timer_wheel_fires_in_order_and_not_early() {
-        let mut wheel = TimerWheel::new(Duration::from_millis(5), 16);
-        let now = Instant::now();
-        wheel.schedule(1, 10, now + Duration::from_millis(20));
-        wheel.schedule(2, 20, now + Duration::from_millis(60));
-        assert_eq!(wheel.len(), 2);
-
-        let mut fired = Vec::new();
-        wheel.expire(now, &mut fired);
-        assert!(fired.is_empty(), "fired early: {fired:?}");
-
-        // Past the first deadline (plus a tick of slack) only #1 fires.
-        wheel.expire(now + Duration::from_millis(30), &mut fired);
-        assert_eq!(fired, vec![(1, 10)]);
-
-        fired.clear();
-        wheel.expire(now + Duration::from_millis(80), &mut fired);
-        assert_eq!(fired, vec![(2, 20)]);
-        assert!(wheel.is_empty());
-        assert!(wheel.next_wakeup(now).is_none());
-    }
-
-    #[test]
-    fn timer_wheel_handles_wrapping_deadlines() {
-        // 8 slots x 5ms = one 40ms rotation; a 100ms deadline wraps more
-        // than twice and must still fire only after its real deadline.
-        let mut wheel = TimerWheel::new(Duration::from_millis(5), 8);
-        let now = Instant::now();
-        wheel.schedule(9, 1, now + Duration::from_millis(100));
-        let mut fired = Vec::new();
-        for ms in [10u64, 40, 70, 99] {
-            wheel.expire(now + Duration::from_millis(ms), &mut fired);
-            assert!(fired.is_empty(), "wrapped entry fired early at {ms}ms");
-        }
-        wheel.expire(now + Duration::from_millis(120), &mut fired);
-        assert_eq!(fired, vec![(9, 1)]);
-    }
-
-    #[test]
-    fn timer_wheel_survives_long_sleeps() {
-        let mut wheel = TimerWheel::new(Duration::from_millis(1), 4);
-        let now = Instant::now();
-        wheel.schedule(1, 1, now + Duration::from_millis(2));
-        let mut fired = Vec::new();
-        // A sleep of many whole rotations must expire everything due in
-        // one bounded sweep (regression guard for the cursor jump).
-        wheel.expire(now + Duration::from_secs(10), &mut fired);
-        assert_eq!(fired, vec![(1, 1)]);
-        // And scheduling still works afterwards.
-        wheel.schedule(2, 2, now + Duration::from_secs(11));
-        fired.clear();
-        wheel.expire(now + Duration::from_secs(12), &mut fired);
-        assert_eq!(fired, vec![(2, 2)]);
-    }
-
-    #[test]
-    fn next_wakeup_tracks_earliest_armed_slot() {
-        let mut wheel = TimerWheel::new(Duration::from_millis(10), 32);
-        let now = Instant::now();
-        assert!(wheel.next_wakeup(now).is_none());
-        wheel.schedule(1, 1, now + Duration::from_millis(200));
-        let sleep = wheel.next_wakeup(now).unwrap();
-        // Must cover the deadline (no early fire) without sleeping the
-        // whole rotation.
-        assert!(sleep >= Duration::from_millis(190), "{sleep:?}");
-        assert!(sleep <= Duration::from_millis(230), "{sleep:?}");
     }
 }

@@ -70,11 +70,13 @@
 //! requests (up to [`ServiceConfig::pipeline_depth`] in flight per
 //! connection) while earlier responses drain, and responses are written
 //! strictly in request arrival order per connection, whatever order the
-//! workers finish in. Idle timeouts ride a timer wheel and shutdown wakes
-//! the reactor through a self-pipe — there is no timed polling loop
-//! anywhere in the connection path.
+//! workers finish in. Idle timeouts ride a deadline heap (the reactor
+//! sleeps until the earliest one) and shutdown wakes the reactor through a
+//! self-pipe — there is no timed polling loop anywhere in the connection
+//! path.
 
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::io::{self, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
@@ -98,7 +100,7 @@ use crate::cache::LruCache;
 use crate::http::{ParseStatus, Request, RequestParser, Response};
 use crate::json::Json;
 use crate::persist::{self, valid_graph_name};
-use crate::reactor::{new_poller, Event, Poller, TimerWheel, WakePipe};
+use crate::reactor::{new_poller, Event, Poller, WakePipe};
 use crate::registry::{GraphEntry, Registry};
 use crate::shard::ShardPool;
 use crate::sync::{CondvarExt, LockExt};
@@ -1154,7 +1156,8 @@ impl Service {
         Response::json(200, Json::Obj(fields).to_string())
     }
 
-    /// Applies an edge delta to a loaded graph: CSR splice and dirty mask
+    /// Applies an edge delta to a loaded graph: the patched CSR, rebuilt
+    /// from the edited edge list, and the dirty mask
     /// ([`saphyra_graph::delta::apply`]), a from-scratch decomposition of
     /// the patched graph, registry swap under a fresh epoch, delta
     /// journaling, periodic re-snapshotting, and component-scoped cache
@@ -1163,7 +1166,8 @@ impl Service {
     /// `untouched_component_rankings_survive_patch` in
     /// `crates/core/tests/proptest_bc.rs`), so their cached bodies are
     /// re-keyed under the new epoch and keep serving hits; everything else
-    /// for this graph is purged.
+    /// for this graph is purged. A delta whose every change is a no-op
+    /// answers with the entry's current `delta_seq` and skips all of that.
     fn patch_graph(&self, name: &str, body: &Json) -> Response {
         let (insert, delete) = match (opt_edges(body, "insert"), opt_edges(body, "delete")) {
             (Ok(i), Ok(d)) => (i, d),
@@ -1202,6 +1206,25 @@ impl Service {
             inserted,
             deleted,
         } = out;
+        let (nodes, edges) = (graph.num_nodes(), graph.num_edges());
+        let reply = |seq: u64, kept: usize, purged: usize| {
+            vec![
+                ("graph".to_string(), Json::from(name)),
+                ("nodes".to_string(), Json::from(nodes)),
+                ("edges".to_string(), Json::from(edges)),
+                ("inserted".to_string(), Json::from(inserted)),
+                ("deleted".to_string(), Json::from(deleted)),
+                ("delta_seq".to_string(), Json::from(seq)),
+                ("cache_kept".to_string(), Json::from(kept)),
+                ("cache_purged".to_string(), Json::from(purged)),
+            ]
+        };
+        if inserted + deleted == 0 {
+            // Every insert already present and every delete absent: the
+            // entry, its epoch and seq, the journal and the cache stay as
+            // they are.
+            return Response::json(200, Json::Obj(reply(entry.delta_seq, 0, 0)).to_string());
+        }
         let dec = BcDecomposition::compute(&graph);
         let new_seq = entry.delta_seq + 1;
         let old_epoch = entry.epoch;
@@ -1232,8 +1255,6 @@ impl Service {
         });
         let new_entry = GraphEntry::from_parts_seq(name.to_string(), graph, dec, new_seq);
         let new_epoch = new_entry.epoch;
-        let nodes = new_entry.graph.num_nodes();
-        let edges = new_entry.graph.num_edges();
         self.registry.insert(new_entry);
         self.patches.fetch_add(1, Ordering::Relaxed);
 
@@ -1308,16 +1329,7 @@ impl Service {
         });
         drop(publish);
 
-        let mut fields = vec![
-            ("graph".to_string(), Json::from(name)),
-            ("nodes".to_string(), Json::from(nodes)),
-            ("edges".to_string(), Json::from(edges)),
-            ("inserted".to_string(), Json::from(inserted)),
-            ("deleted".to_string(), Json::from(deleted)),
-            ("delta_seq".to_string(), Json::from(new_seq)),
-            ("cache_kept".to_string(), Json::from(kept)),
-            ("cache_purged".to_string(), Json::from(purged)),
-        ];
+        let mut fields = reply(new_seq, kept, purged);
         if let Some(journaled) = journaled {
             fields.push(("journaled".to_string(), Json::Bool(journaled)));
         }
@@ -1832,11 +1844,6 @@ pub fn serve_with(addr: &str, service: Arc<Service>) -> io::Result<ServerHandle>
     let mut poller = new_poller();
     poller.register(wake.read_fd(), TOKEN_WAKE, true, false)?;
     poller.register(listener.as_raw_fd(), TOKEN_LISTENER, true, false)?;
-    // Tick fine enough that an idle timeout is detected within ~1/16 of
-    // itself; 256 slots cover 16 timeouts per rotation before wrapping.
-    let tick =
-        (service.idle_timeout / 16).clamp(Duration::from_millis(1), Duration::from_millis(250));
-    let wheel = TimerWheel::new(tick, 256);
 
     let reactor = {
         let service = Arc::clone(&service);
@@ -1856,7 +1863,7 @@ pub fn serve_with(addr: &str, service: Arc<Service>) -> io::Result<ServerHandle>
                     conns: Vec::new(),
                     free: Vec::new(),
                     free_pending: Vec::new(),
-                    wheel,
+                    timers: BinaryHeap::new(),
                     next_gen: 1,
                     open: 0,
                     shutting_down: false,
@@ -1997,7 +2004,11 @@ struct Reactor {
     /// the batch: a stale event for a just-closed slot must hit `None`,
     /// not a brand-new connection that claimed the slot mid-batch.
     free_pending: Vec<usize>,
-    wheel: TimerWheel,
+    /// Idle-timeout deadlines as `(deadline, slot, gen)`, earliest on top.
+    /// Armed once per connection at accept and re-armed only when they
+    /// fire; an entry whose `gen` no longer matches its slot's connection
+    /// is stale and dropped when it fires, so closing needs no cancel.
+    timers: BinaryHeap<Reverse<(Instant, usize, u64)>>,
     next_gen: u64,
     open: usize,
     shutting_down: bool,
@@ -2006,7 +2017,7 @@ struct Reactor {
 impl Reactor {
     fn run(mut self) {
         let mut events: Vec<Event> = Vec::new();
-        let mut fired: Vec<(u64, u64)> = Vec::new();
+        let mut fired: Vec<(usize, u64)> = Vec::new();
         loop {
             self.drain_completions();
             if self.shutdown.is_set() {
@@ -2015,7 +2026,12 @@ impl Reactor {
                     break;
                 }
             }
-            let timeout = self.wheel.next_wakeup(Instant::now());
+            // Sleep until the earliest deadline. The 1 ms floor keeps a zero
+            // idle timeout from spinning while a request is in flight.
+            let timeout = self.timers.peek().map(|Reverse((at, ..))| {
+                at.saturating_duration_since(Instant::now())
+                    .max(Duration::from_millis(1))
+            });
             if let Err(e) = self.poller.wait(timeout, &mut events) {
                 eprintln!("warning: reactor wait failed ({e}); shutting down");
                 self.shutdown.trigger();
@@ -2044,10 +2060,19 @@ impl Reactor {
                     }
                 }
             }
+            // Pop every due entry before firing any: a re-armed timer waits
+            // for a later turn.
+            let now = Instant::now();
             fired.clear();
-            self.wheel.expire(Instant::now(), &mut fired);
-            for &(token, gen) in &fired {
-                self.timer_fired((token - TOKEN_BASE) as usize, gen);
+            while let Some(&Reverse((at, idx, gen))) = self.timers.peek() {
+                if at > now {
+                    break;
+                }
+                self.timers.pop();
+                fired.push((idx, gen));
+            }
+            for &(idx, gen) in &fired {
+                self.timer_fired(idx, gen);
             }
             self.free.append(&mut self.free_pending);
         }
@@ -2094,8 +2119,8 @@ impl Reactor {
                     let gen = self.next_gen;
                     self.next_gen += 1;
                     let now = Instant::now();
-                    self.wheel
-                        .schedule(token, gen, now + self.service.idle_timeout);
+                    self.timers
+                        .push(Reverse((now + self.service.idle_timeout, idx, gen)));
                     self.conns[idx] = Some(Conn::new(stream, gen, now));
                     self.open += 1;
                     self.service.connections.fetch_add(1, Ordering::Relaxed);
@@ -2377,7 +2402,6 @@ impl Reactor {
     fn timer_fired(&mut self, idx: usize, gen: u64) {
         let idle = self.service.idle_timeout;
         let now = Instant::now();
-        let token = TOKEN_BASE + idx as u64;
         let Some(conn) = self.conns[idx].as_mut() else {
             return;
         };
@@ -2387,7 +2411,7 @@ impl Reactor {
         if conn.inflight > 0 {
             // A slow computation is not an idle connection; check back in
             // one timeout.
-            self.wheel.schedule(token, gen, now + idle);
+            self.timers.push(Reverse((now + idle, idx, gen)));
             return;
         }
         let due = conn.last_activity + idle;
@@ -2396,7 +2420,7 @@ impl Reactor {
             // mid-request/mid-response): close quietly.
             self.close_conn(idx);
         } else {
-            self.wheel.schedule(token, gen, due);
+            self.timers.push(Reverse((due, idx, gen)));
         }
     }
 
@@ -3166,6 +3190,66 @@ mod tests {
         // keys are gone).
         assert_eq!(cached_keys(&svc, "two"), 1);
         assert_eq!(cached_keys(&svc, "grid"), 1);
+    }
+
+    /// A PATCH whose every change is a no-op (the insert is present, the
+    /// delete absent) answers at the current `delta_seq` and changes
+    /// nothing: no journal record, no seq bump, no `patches` count, no new
+    /// epoch, and cached bodies keep hitting. Replay still applies the
+    /// no-op records older builds journaled, so seqs stay contiguous.
+    #[test]
+    fn noop_patch_changes_nothing() {
+        let dir = std::env::temp_dir().join(format!("saphyra_noop_patch_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let svc = Service::new(ServiceConfig {
+            workers: 1,
+            cache_capacity: 8,
+            state_dir: Some(dir.clone()),
+            ..ServiceConfig::default()
+        });
+        svc.registry()
+            .insert(GraphEntry::build("two", two_component_graph()));
+        let (p, _) = svc.handle(&patch_req("two", r#"{"insert":[[0,5]]}"#));
+        assert_eq!(p.status, 200, "{}", p.body_str());
+        let body = r#"{"graph":"two","targets":[1,2],"eps":0.2,"delta":0.2,"seed":3}"#;
+        let (r, _) = svc.handle(&post("/rank", body));
+        assert_eq!(cache_header(&r), Some("miss"));
+        let epoch = svc.registry().get("two").unwrap().epoch;
+
+        for _ in 0..2 {
+            let (p, _) = svc.handle(&patch_req("two", r#"{"insert":[[5,0]],"delete":[[0,2]]}"#));
+            assert_eq!(
+                p.body_str(),
+                r#"{"graph":"two","nodes":12,"edges":13,"inserted":0,"deleted":0,"delta_seq":1,"cache_kept":0,"cache_purged":0}"#
+            );
+        }
+        let entry = svc.registry().get("two").unwrap();
+        assert_eq!((entry.delta_seq, entry.epoch), (1, epoch));
+        assert_eq!(svc.patches(), 1);
+        assert_eq!(persist::read_patch_records(&dir).unwrap().len(), 1);
+        let (r2, _) = svc.handle(&post("/rank", body));
+        assert_eq!(cache_header(&r2), Some("hit"));
+        assert_eq!(r2.body, r.body);
+
+        // An older build's journal: a no-op record at seq 2, then a real
+        // delta at seq 3. Replay applies both.
+        let mut journal = std::fs::OpenOptions::new()
+            .append(true)
+            .open(dir.join(persist::JOURNAL_FILE))
+            .unwrap();
+        for (seq, insert) in [(2, (0, 5)), (3, (2, 5))] {
+            let rec = persist::PatchRecord {
+                graph: "two".to_string(),
+                seq,
+                insert: vec![insert],
+                delete: vec![],
+            };
+            writeln!(journal, "{}", persist::patch_line(0, &rec)).unwrap();
+        }
+        assert_eq!(svc.replay_patch_records(&dir), 2);
+        let entry = svc.registry().get("two").unwrap();
+        assert_eq!((entry.delta_seq, entry.graph.num_edges()), (3, 14));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Served bytes depend on the graph, not on how it was reached: after

@@ -321,6 +321,16 @@ fn idle_timeout_closes_the_connection_and_client_redials() {
     assert_eq!(client.request("GET", "/healthz", None).unwrap().status, 200);
     assert_eq!(handle.service().connections(), 1);
 
+    // Well inside the timeout the server keeps the connection open: a
+    // request 30 ms later rides it.
+    std::thread::sleep(Duration::from_millis(30));
+    assert_eq!(client.request("GET", "/healthz", None).unwrap().status, 200);
+    assert_eq!(
+        handle.service().connections(),
+        1,
+        "the server closed the connection before its idle timeout"
+    );
+
     // Sit idle past the timeout: the server closes the pooled connection.
     std::thread::sleep(Duration::from_millis(500));
 
@@ -330,6 +340,49 @@ fn idle_timeout_closes_the_connection_and_client_redials() {
         handle.service().connections(),
         2,
         "expected a redial after the server's idle timeout"
+    );
+    drop(client);
+    handle.shutdown_and_join();
+}
+
+/// A request that computes for longer than the idle timeout is not an
+/// idle connection: the timer that fires mid-compute re-arms instead of
+/// closing, and the reply arrives on the connection that asked.
+#[test]
+fn slow_request_outlives_the_idle_timeout() {
+    let idle = Duration::from_millis(100);
+    let cfg = ServiceConfig {
+        workers: 1,
+        cache_capacity: 8,
+        idle_timeout: idle,
+        ..ServiceConfig::default()
+    };
+    let handle = serve("127.0.0.1:0", cfg).expect("bind");
+    let mut client = Client::new(handle.addr().to_string());
+    let load = r#"{"name":"g","network":"flickr","size":"tiny","seed":5}"#;
+    assert_eq!(
+        client
+            .request("POST", "/graphs", Some(load))
+            .unwrap()
+            .status,
+        200
+    );
+
+    let slow =
+        r#"{"graph":"g","targets":[1,2,3],"measure":"kpath","khops":8,"eps":0.0005,"delta":0.1}"#;
+    let t0 = std::time::Instant::now();
+    let resp = client.request("POST", "/rank", Some(slow)).unwrap();
+    let took = t0.elapsed();
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    assert!(
+        took > idle,
+        "the rank took {took:?}: too fast to outlive the timeout"
+    );
+    assert_eq!(resp.header("x-saphyra-cache"), Some("miss"));
+    assert_eq!(
+        handle.service().connections(),
+        1,
+        "the connection was closed while its request computed"
     );
     drop(client);
     handle.shutdown_and_join();
