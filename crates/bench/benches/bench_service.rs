@@ -423,11 +423,9 @@ fn bench_service(c: &mut Criterion) {
 /// Cold-start comparison: what a `serve` restart costs with and without a
 /// registry snapshot. "decompose" is the pre-persistence boot path (parse
 /// the edge list, run the full decomposition); "snapshot_load" is the
-/// `--state-dir` path (read + checksum + validate + decode the snapshot);
-/// "mmap" is the zero-copy path (map the file, CRC the graph section
-/// once, serve the CSR straight off the mapping). All end in a
-/// ready-to-rank `GraphEntry`. The three timings and the decode-vs-mmap
-/// delta are spliced into `BENCH_service.json` as the `cold_start` object.
+/// `--state-dir` path (read + checksum + validate + decode the snapshot).
+/// Both end in a ready-to-rank `GraphEntry`. The two timings are spliced
+/// into `BENCH_service.json` as the `cold_start` object.
 fn bench_cold_start(c: &mut Criterion) {
     // Full size on purpose: at tiny sizes parsing/validation noise hides
     // the decomposition cost this snapshot exists to amortize (measured
@@ -451,22 +449,12 @@ fn bench_cold_start(c: &mut Criterion) {
         let snap = persist::load_snapshot(&snap_path).expect("snapshot");
         GraphEntry::from_parts(snap.name, snap.graph, snap.dec.expect("intact"))
     };
-    let snapshot_mmap = || {
-        let snap = persist::load_snapshot_mapped(&snap_path).expect("snapshot");
-        GraphEntry::from_parts(snap.name, snap.graph, snap.dec.expect("intact"))
-    };
     c.bench_function("cold_start/decompose_from_edge_list", |b| b.iter(decompose));
     c.bench_function("cold_start/snapshot_load", |b| b.iter(snapshot_load));
-    c.bench_function("cold_start/mmap", |b| b.iter(snapshot_mmap));
-
-    let mapped_boot = persist::load_snapshot_mapped(&snap_path)
-        .expect("snapshot")
-        .graph
-        .is_mapped();
 
     // Explicit summary so the win is one number in the bench output.
     // Best-of-reps (min), not mean: a single page-cache or scheduler
-    // hiccup would otherwise swamp the decode-vs-mmap delta.
+    // hiccup would otherwise swamp a millisecond-scale load.
     let time = |f: &dyn Fn() -> GraphEntry| {
         (0..10)
             .map(|_| {
@@ -476,33 +464,15 @@ fn bench_cold_start(c: &mut Criterion) {
             })
             .fold(f64::INFINITY, f64::min)
     };
-    let (t_dec, t_snap, t_mmap) = (time(&decompose), time(&snapshot_load), time(&snapshot_mmap));
-    let mmap_speedup = t_snap / t_mmap;
+    let (t_dec, t_snap) = (time(&decompose), time(&snapshot_load));
     eprintln!(
-        "\ncold start ({} nodes, {} edges): decompose {:.2} ms vs snapshot load {:.2} ms ({:.1}x) \
-         vs mmap {:.2} ms ({mmap_speedup:.2}x over decode{})",
+        "\ncold start ({} nodes, {} edges): decompose {:.2} ms vs snapshot load {:.2} ms ({:.1}x)",
         graph.num_nodes(),
         graph.num_edges(),
         t_dec * 1e3,
         t_snap * 1e3,
         t_dec / t_snap,
-        t_mmap * 1e3,
-        if mapped_boot {
-            ""
-        } else {
-            ", mmap unavailable"
-        },
     );
-    if mapped_boot {
-        // The zero-copy path skips the decode's full-file read and the
-        // CSR heap copies; it must not lose to decode, noise aside.
-        assert!(
-            t_mmap <= t_snap * 1.05,
-            "mmap boot slower than decode boot: {:.2} ms vs {:.2} ms",
-            t_mmap * 1e3,
-            t_snap * 1e3
-        );
-    }
 
     // Splice the cold_start object into BENCH_service.json. bench_service
     // rewrites the whole file without it (criterion runs that target
@@ -518,13 +488,11 @@ fn bench_cold_start(c: &mut Criterion) {
             };
             let json = format!(
                 "{base},\"cold_start\":{{\"nodes\":{},\"edges\":{},\
-                 \"decompose_ms\":{:.2},\"decode_ms\":{:.2},\"mmap_ms\":{:.2},\
-                 \"mmap_speedup\":{mmap_speedup:.2},\"mapped\":{mapped_boot}}}}}\n",
+                 \"decompose_ms\":{:.2},\"decode_ms\":{:.2}}}}}\n",
                 graph.num_nodes(),
                 graph.num_edges(),
                 t_dec * 1e3,
                 t_snap * 1e3,
-                t_mmap * 1e3,
             );
             if let Err(e) = std::fs::write(&out, json) {
                 eprintln!("warning: cannot write {}: {e}", out.display());

@@ -74,10 +74,9 @@ fn seeded_unannotated_unsafe_detected() {
     assert_eq!(hits[0].func, "reinterpret");
 }
 
-/// The zero-copy snapshot path's specific hazard: a raw `mmap` call whose
-/// `unsafe` block carries no `// SAFETY:` justification must be caught —
-/// the real bindings in `crates/graph/src/mmap.rs` stay clean only
-/// because this lint keeps them honest.
+/// A raw FFI syscall binding, the shape of the service reactor's epoll
+/// calls: an `mmap` call whose `unsafe` block carries no `// SAFETY:`
+/// justification must be caught.
 #[test]
 fn seeded_unannotated_mmap_call_detected() {
     let hits = with("unsafe-audit", |f| f.file == "crates/graph/src/mmap_raw.rs");

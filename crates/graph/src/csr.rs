@@ -8,13 +8,10 @@
 //! edges once and look the label up from either direction in O(1).
 //!
 //! All three arrays — the `n + 1` `u64` offsets and the two `u32` slot
-//! arrays — live in [`crate::mmap::Array`] storage: owned on the build
-//! path (loads and deltas alike) and the decode path, or windows into a
-//! mapped snapshot so a `--state-dir` boot serves zero-copy straight from
-//! the page cache. A slot range is two offset reads either way. [`Graph::assemble`] is the one
-//! validator for arrays that did not come from the builder.
-
-use crate::mmap::{U32s, Words};
+//! arrays — are plain vectors, filled by the builder (loads and deltas
+//! alike) or decoded from a snapshot, so a slot range is two offset reads.
+//! [`Graph::assemble`] is the one validator for arrays that did not come
+//! from the builder.
 
 /// Node identifier. Always `< Graph::num_nodes()`.
 pub type NodeId = u32;
@@ -27,11 +24,11 @@ pub type NodeId = u32;
 #[derive(Clone, Debug)]
 pub struct Graph {
     /// `offsets[v]..offsets[v + 1]` indexes `neighbors`/`edge_ids` for `v`.
-    offsets: Words,
+    offsets: Vec<u64>,
     /// Concatenated sorted adjacency lists; length `2m`.
-    neighbors: U32s,
+    neighbors: Vec<NodeId>,
     /// Undirected edge id per slot; both directions of an edge share an id.
-    edge_ids: U32s,
+    edge_ids: Vec<u32>,
     /// Number of undirected edges `m`.
     num_edges: usize,
 }
@@ -53,15 +50,15 @@ impl Graph {
         debug_assert_eq!(neighbors.len(), edge_ids.len());
         debug_assert_eq!(neighbors.len(), 2 * num_edges);
         Graph {
-            offsets: Words::from(offsets.into_iter().map(|o| o as u64).collect::<Vec<_>>()),
-            neighbors: U32s::from(neighbors),
-            edge_ids: U32s::from(edge_ids),
+            offsets: offsets.into_iter().map(|o| o as u64).collect(),
+            neighbors,
+            edge_ids,
             num_edges,
         }
     }
 
-    /// Assembles a graph from untrusted CSR arrays — owned copies or mapped
-    /// windows of a snapshot — re-validating every invariant the builder
+    /// Assembles a graph from untrusted CSR arrays — those decoded from a
+    /// snapshot — re-validating every invariant the builder
     /// guarantees and the engine relies on: `n + 1` monotone offsets from 0
     /// to `2m`, node ids within `u32`, strictly sorted in-range adjacency
     /// without self-loops, edge ids `< m`, and exactly two twin slots per
@@ -69,16 +66,12 @@ impl Graph {
     /// adjacency and samplers unwrap its result, so an unsorted or one-sided
     /// list must be rejected here, not discovered by a worker.
     pub fn assemble(
-        offsets: Words,
-        neighbors: U32s,
-        edge_ids: U32s,
+        offsets: Vec<u64>,
+        neighbors: Vec<NodeId>,
+        edge_ids: Vec<u32>,
         num_edges: usize,
     ) -> Result<Graph, String> {
-        let (off, nbrs, ids) = (
-            offsets.as_slice(),
-            neighbors.as_slice(),
-            edge_ids.as_slice(),
-        );
+        let (off, nbrs, ids) = (&offsets, &neighbors, &edge_ids);
         let Some(n) = off.len().checked_sub(1) else {
             return Err("csr: offsets must hold at least one value".to_string());
         };
@@ -152,34 +145,27 @@ impl Graph {
     /// and for hot loops that fetch the slices once instead of on every
     /// access.
     pub fn csr_arrays(&self) -> (&[u64], &[NodeId], &[u32]) {
-        (
-            self.offsets.as_slice(),
-            self.neighbors.as_slice(),
-            self.edge_ids.as_slice(),
-        )
+        (&self.offsets, &self.neighbors, &self.edge_ids)
     }
 
-    /// Bytes of the three CSR arrays, whether owned or mapped.
+    /// Bytes of the three CSR arrays.
     pub fn csr_bytes(&self) -> usize {
-        self.offsets.byte_len() + self.neighbors.byte_len() + self.edge_ids.byte_len()
-    }
-
-    /// Whether the CSR arrays serve zero-copy from a mapped snapshot.
-    pub fn is_mapped(&self) -> bool {
-        self.offsets.is_mapped() || self.neighbors.is_mapped() || self.edge_ids.is_mapped()
+        std::mem::size_of_val(&self.offsets[..])
+            + std::mem::size_of_val(&self.neighbors[..])
+            + std::mem::size_of_val(&self.edge_ids[..])
     }
 
     /// `(offsets[v], offsets[v + 1])`: the slot range of `v`.
     #[inline]
     fn pair(&self, v: NodeId) -> (usize, usize) {
-        let off = self.offsets.as_slice();
+        let off = &self.offsets;
         (off[v as usize] as usize, off[v as usize + 1] as usize)
     }
 
     /// Number of nodes `n`.
     #[inline]
     pub fn num_nodes(&self) -> usize {
-        self.offsets.as_slice().len() - 1
+        self.offsets.len() - 1
     }
 
     /// Number of undirected edges `m`.
@@ -199,7 +185,7 @@ impl Graph {
     #[inline]
     pub fn neighbors(&self, v: NodeId) -> &[NodeId] {
         let (a, b) = self.pair(v);
-        &self.neighbors.as_slice()[a..b]
+        &self.neighbors[a..b]
     }
 
     /// The CSR slot range of `v`; slot `i` pairs `self.neighbor_at(i)` with
@@ -213,13 +199,13 @@ impl Graph {
     /// Neighbor stored in CSR slot `slot`.
     #[inline]
     pub fn neighbor_at(&self, slot: usize) -> NodeId {
-        self.neighbors.as_slice()[slot]
+        self.neighbors[slot]
     }
 
     /// Undirected edge id stored in CSR slot `slot`.
     #[inline]
     pub fn edge_id_at(&self, slot: usize) -> u32 {
-        self.edge_ids.as_slice()[slot]
+        self.edge_ids[slot]
     }
 
     /// Whether the undirected edge `{u, v}` exists (binary search).
@@ -231,10 +217,10 @@ impl Graph {
     /// The undirected edge id of `{u, v}`, if the edge exists.
     pub fn edge_id(&self, u: NodeId, v: NodeId) -> Option<u32> {
         let (base, end) = self.pair(u);
-        self.neighbors.as_slice()[base..end]
+        self.neighbors[base..end]
             .binary_search(&v)
             .ok()
-            .map(|i| self.edge_ids.as_slice()[base + i])
+            .map(|i| self.edge_ids[base + i])
     }
 
     /// Iterates all node ids `0..n`.
@@ -344,7 +330,6 @@ mod tests {
             .edges((0u32..99).map(|i| (i, i + 1)))
             .build()
             .unwrap();
-        assert!(!g.is_mapped());
         // 101 u64 offsets plus two u32 slot arrays of 2m = 198 entries.
         assert_eq!(g.csr_bytes(), 101 * 8 + 2 * 99 * 2 * 4);
         let (offsets, neighbors, edge_ids) = g.csr_arrays();
@@ -360,24 +345,14 @@ mod tests {
         let (o, nb, ids) = g.csr_arrays();
         let (mut o, mut nb, mut ids) = (o.to_vec(), nb.to_vec(), ids.to_vec());
         mutate(&mut o, &mut nb, &mut ids);
-        Graph::assemble(
-            Words::from(o),
-            U32s::from(nb),
-            U32s::from(ids),
-            g.num_edges(),
-        )
+        Graph::assemble(o, nb, ids, g.num_edges())
     }
 
     #[test]
     fn assemble_validates_structure() {
         // Path 0-1-2: edge {0,1} has id 0, edge {1,2} id 1.
         let check = |o: &[u64], nb: &[u32], ids: &[u32]| {
-            Graph::assemble(
-                Words::from(o.to_vec()),
-                U32s::from(nb.to_vec()),
-                U32s::from(ids.to_vec()),
-                2,
-            )
+            Graph::assemble(o.to_vec(), nb.to_vec(), ids.to_vec(), 2)
         };
         let g = check(&[0, 1, 3, 4], &[1, 0, 2, 1], &[0, 0, 1, 1]).unwrap();
         assert_eq!(g.neighbors(1), &[0, 2]);

@@ -8,10 +8,8 @@
 //! * [`Graph`]: a compressed-sparse-row (CSR) representation of undirected,
 //!   unweighted simple graphs with per-slot *undirected edge ids* (needed by
 //!   the biconnected-component machinery). [`Graph::assemble`] validates
-//!   CSR arrays that did not come from the builder.
-//! * [`mmap`]: read-only file mappings and [`mmap::Array`], the
-//!   owned-or-mapped storage behind every CSR array, so a snapshot boot
-//!   serves a graph zero-copy.
+//!   CSR arrays that did not come from the builder, such as those a
+//!   snapshot boot decodes.
 //! * [`wire`] / [`binio`]: checked little-endian primitives and the binary
 //!   encoding of the biconnected decomposition and block-cut tree.
 //! * [`builder::GraphBuilder`]: deduplicating, self-loop-dropping
@@ -35,6 +33,11 @@
 //! * [`connectivity`]: connected components.
 //! * [`fixtures`]: small named graphs used across the workspace's tests,
 //!   including the paper's Fig. 2 example.
+//!
+//! The crate is safe Rust throughout (`forbid(unsafe_code)`); the
+//! workspace's only FFI is the service reactor's epoll binding.
+
+#![forbid(unsafe_code)]
 
 pub mod bbbfs;
 pub mod bfs;
@@ -50,7 +53,6 @@ pub mod diameter;
 pub mod error;
 pub mod fixtures;
 pub mod io;
-pub mod mmap;
 pub mod subgraph;
 pub mod wire;
 
@@ -61,4 +63,3 @@ pub use connectivity::Components;
 pub use csr::{Graph, NodeId};
 pub use delta::{AppliedDelta, DeltaError, EdgeDelta};
 pub use error::GraphError;
-pub use mmap::{MmapRegion, U32s, Words};

@@ -6,11 +6,9 @@
 //! Request parsing is **sans-IO**: [`RequestParser`] is an incremental
 //! state machine fed raw byte slices, reporting [`ParseStatus::NeedMore`]
 //! or [`ParseStatus::Complete`] with the number of bytes consumed. The
-//! same machine backs both the blocking one-shot [`read_request`] (kept
-//! for tests and simple callers) and the server's event-driven reactor,
-//! which feeds it whatever a nonblocking read produced — so a request
-//! split at any byte boundary parses identically to one that arrived
-//! whole. Response serialization is buffer-producing
+//! server's event-driven reactor feeds it whatever a nonblocking read
+//! produced, so a request split at any byte boundary parses identically
+//! to one that arrived whole. Response serialization is buffer-producing
 //! ([`Response::to_bytes`]); writing the buffer to a socket is the
 //! caller's business.
 
@@ -103,8 +101,9 @@ enum ParseState {
 /// Content-Length) are terminal: the connection should be closed.
 ///
 /// A torn or truncated prefix of a valid request is always classified
-/// [`ParseStatus::NeedMore`], never an error and never a panic — on EOF
-/// the *caller* decides that NeedMore means `UnexpectedEof`.
+/// [`ParseStatus::NeedMore`], never an error and never a panic — at EOF
+/// the caller decides what a leftover torn prefix means (the reactor
+/// drops it and closes the connection).
 #[derive(Debug)]
 pub struct RequestParser {
     state: ParseState,
@@ -190,13 +189,6 @@ impl RequestParser {
             }
         }
     }
-
-    /// Whether any bytes of the current request have been recognized (a
-    /// non-empty torn prefix). Lets callers distinguish "peer closed
-    /// between requests" from "peer died mid-request" at EOF.
-    pub fn mid_body(&self) -> bool {
-        matches!(self.state, ParseState::Body { .. })
-    }
 }
 
 /// Finds the end of the request head (index one past the blank line) in
@@ -273,54 +265,6 @@ fn parse_head(head: &[u8]) -> io::Result<(String, String, Vec<(String, String)>,
         ));
     }
     Ok((method, path, headers, body_len))
-}
-
-/// Reads one request from the stream (blocking one-shot path over the
-/// same [`RequestParser`] the reactor drives). `Ok(None)` means the peer
-/// closed the connection before sending anything.
-///
-/// The parser caps the head at [`MAX_HEAD_BYTES`] *before* materializing
-/// it, so a peer streaming an endless header line cannot buffer unbounded
-/// memory. Bytes past the end of the request are left unconsumed in
-/// `reader` (keep-alive: they start the next request).
-pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Option<Request>> {
-    let mut parser = RequestParser::new();
-    let mut buf: Vec<u8> = Vec::new();
-    loop {
-        let chunk = reader.fill_buf()?;
-        if chunk.is_empty() {
-            return if buf.is_empty() {
-                Ok(None)
-            } else if parser.mid_body() {
-                Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-body",
-                ))
-            } else {
-                Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-headers",
-                ))
-            };
-        }
-        let prev = buf.len();
-        let n = chunk.len();
-        buf.extend_from_slice(chunk);
-        match parser.parse(&buf) {
-            Ok(ParseStatus::Complete { request, consumed }) => {
-                // Only the bytes this request actually used leave the
-                // reader; the excess of the current chunk stays buffered
-                // for the next call.
-                reader.consume(consumed - prev);
-                return Ok(Some(request));
-            }
-            Ok(ParseStatus::NeedMore) => reader.consume(n),
-            Err(e) => {
-                reader.consume(n);
-                return Err(e);
-            }
-        }
-    }
 }
 
 /// An HTTP response about to be written. Every response is JSON.
@@ -724,10 +668,22 @@ pub fn request(
 mod tests {
     use super::*;
 
+    /// One parse over the whole of `raw`.
+    fn parse(raw: &[u8]) -> io::Result<ParseStatus> {
+        RequestParser::new().parse(raw)
+    }
+
     #[test]
     fn parses_request_with_body() {
         let raw = b"POST /rank HTTP/1.1\r\nHost: x\r\nContent-Length: 7\r\n\r\n{\"a\":1}";
-        let req = read_request(&mut &raw[..]).unwrap().unwrap();
+        let ParseStatus::Complete {
+            request: req,
+            consumed,
+        } = parse(raw).unwrap()
+        else {
+            panic!("whole request did not complete");
+        };
+        assert_eq!(consumed, raw.len());
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/rank");
         assert_eq!(req.header("host"), Some("x"));
@@ -819,14 +775,14 @@ mod tests {
 
     #[test]
     fn empty_stream_is_none() {
-        let raw: &[u8] = b"";
-        assert!(read_request(&mut &raw[..]).unwrap().is_none());
+        // An empty stream holds no request, and no error either.
+        assert!(matches!(parse(b"").unwrap(), ParseStatus::NeedMore));
     }
 
     #[test]
     fn rejects_request_line_without_newline() {
         // A head truncated mid-request-line (no terminating newline) must
-        // be classified as truncation (UnexpectedEof), never parsed as a
+        // be classified as truncation (NeedMore), never parsed as a
         // method/path fragment. Pre-fix, `b"POST"` was fed to the
         // request-line parser and misreported as InvalidData
         // "malformed request line".
@@ -835,13 +791,14 @@ mod tests {
             &b"POST /rank"[..],
             &b"POST /rank HTTP/1.1"[..],
         ] {
-            let err = read_request(&mut &raw[..]).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{raw:?}");
-            assert_eq!(err.to_string(), "connection closed mid-headers", "{raw:?}");
+            assert!(
+                matches!(parse(raw).unwrap(), ParseStatus::NeedMore),
+                "{raw:?}"
+            );
         }
         // An endless request line hitting the head cap reports the cap.
         let flood = format!("GET /{} HTTP/1.1", "a".repeat(MAX_HEAD_BYTES * 2));
-        let err = read_request(&mut flood.as_bytes()).unwrap_err();
+        let err = parse(flood.as_bytes()).unwrap_err();
         assert_eq!(err.to_string(), "request head too large");
     }
 
@@ -853,14 +810,14 @@ mod tests {
             "GET / HTTP/1.1\r\nX-Flood: {}",
             "a".repeat(MAX_HEAD_BYTES * 2)
         );
-        let err = read_request(&mut flood.as_bytes()).unwrap_err();
+        let err = parse(flood.as_bytes()).unwrap_err();
         assert_eq!(err.to_string(), "request head too large");
         // Many small header lines exceeding the cap in aggregate.
         let mut flood = String::from("GET / HTTP/1.1\r\n");
         for i in 0..(MAX_HEAD_BYTES / 8) {
             flood.push_str(&format!("h{i}: v\r\n"));
         }
-        assert!(read_request(&mut flood.as_bytes()).is_err());
+        assert!(parse(flood.as_bytes()).is_err());
     }
 
     #[test]
@@ -870,18 +827,18 @@ mod tests {
         // the request-smuggling primitive. Pre-fix the first match won
         // silently.
         let raw = b"POST /rank HTTP/1.1\r\nContent-Length: 7\r\nContent-Length: 2\r\n\r\n{\"a\":1}";
-        let err = read_request(&mut &raw[..]).unwrap_err();
+        let err = parse(raw).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert_eq!(err.to_string(), "multiple Content-Length headers");
         // Duplicates that AGREE are rejected too (RFC 9112 §6.3 allows
         // coalescing them, but nothing legitimate sends them — and every
         // accepted duplicate is smuggling surface).
         let raw = b"POST /rank HTTP/1.1\r\nContent-Length: 7\r\nContent-Length: 7\r\n\r\n{\"a\":1}";
-        let err = read_request(&mut &raw[..]).unwrap_err();
+        let err = parse(raw).unwrap_err();
         assert_eq!(err.to_string(), "multiple Content-Length headers");
         // One well-formed length still parses, whatever its position.
         let raw = b"POST /rank HTTP/1.1\r\nHost: x\r\nContent-Length: 7\r\n\r\n{\"a\":1}";
-        assert!(read_request(&mut &raw[..]).unwrap().is_some());
+        assert!(matches!(parse(raw).unwrap(), ParseStatus::Complete { .. }));
     }
 
     #[test]
@@ -903,9 +860,9 @@ mod tests {
             "POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
             MAX_BODY_BYTES + 1
         );
-        assert!(read_request(&mut raw.as_bytes()).is_err());
+        assert!(parse(raw.as_bytes()).is_err());
         let raw = "POST / HTTP/1.1\r\nContent-Length: x\r\n\r\n";
-        assert!(read_request(&mut raw.as_bytes()).is_err());
+        assert!(parse(raw.as_bytes()).is_err());
     }
 
     #[test]

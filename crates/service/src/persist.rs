@@ -4,8 +4,8 @@
 //!
 //! ## Snapshot format (version 4)
 //!
-//! A page-aligned container designed so the graph section can be served
-//! zero-copy from a read-only `mmap`:
+//! A fixed one-page header followed by three independently checksummed
+//! sections:
 //!
 //! ```text
 //! [   0..   8)  magic          b"SAPHSNAP"
@@ -22,20 +22,14 @@
 //! [           ) dec section    BcDecomposition (own DEC_FORMAT_VERSION)
 //! ```
 //!
-//! The graph section starts at file offset 4096 (one page) and every
-//! array in it is naturally aligned, so a boot can `mmap` the file
-//! read-only and serve CSR queries straight off the kernel page cache
-//! ([`load_snapshot_mapped`]) — no decode, no heap copy. The section CRC
-//! is verified once at open. Snapshot files are only ever *replaced* by an
-//! atomic rename, never truncated in place, so a live mapping cannot be
-//! torn out from under a reader.
-//!
-//! One loader serves both paths; its only branch is whether the CSR
-//! arrays are owned copies ([`load_snapshot`], and every boot on a host
-//! that cannot map) or mapped windows. Either way [`Graph::assemble`]
-//! re-validates the full CSR structure — sorted adjacency, no self-loops,
-//! twin edge ids — so a hand-crafted file whose CRC was forged along with
-//! its bytes still cannot put an invariant-breaking graph in the engine.
+//! The graph section starts at file offset 4096, a fixed part of version
+//! 4: the header page holds the name, and a reader checks that the graph
+//! extent starts exactly there. [`load_snapshot`] verifies the section
+//! CRC, decodes the CSR arrays into owned vectors, and hands them to
+//! [`Graph::assemble`], which re-validates the full CSR structure —
+//! sorted adjacency, no self-loops, twin edge ids — so a hand-crafted
+//! file whose CRC was forged along with its bytes still cannot put an
+//! invariant-breaking graph in the engine.
 //!
 //! `delta_seq` counts the journaled edge deltas (`PATCH /graphs/<name>`)
 //! already folded into the snapshotted graph, so boot replay applies only
@@ -83,12 +77,11 @@ use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use saphyra::bc::{self, BcDecomposition};
-use saphyra_graph::mmap::{Array, Scalar};
 use saphyra_graph::wire::{self, Reader};
-use saphyra_graph::{Graph, MmapRegion};
+use saphyra_graph::Graph;
 
 use crate::http::Request;
 use crate::json::Json;
@@ -101,11 +94,9 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"SAPHSNAP";
 /// reads. Version 4 stores the CSR offsets as plain `u64`s.
 pub const SNAPSHOT_VERSION: u32 = 4;
 /// Bytes reserved for the fixed header (magic, version, extents, name).
-/// The graph section starts here — one page, so arrays stored at aligned
-/// offsets within the section stay aligned in a page-aligned mapping.
+/// The graph section starts here, one page in.
 pub const GRAPH_SECTION_OFFSET: usize = 4096;
-/// Size of the fixed-field prefix of a graph section: `u64` n and m. 16
-/// bytes, so the offsets that follow start 8-byte aligned.
+/// Size of the fixed-field prefix of a graph section: `u64` n and m.
 const GRAPH_FIELDS_BYTES: usize = 16;
 /// File name of the append-only request journal inside a state dir.
 pub const JOURNAL_FILE: &str = "journal.log";
@@ -418,56 +409,32 @@ fn graph_section_to_bytes(graph: &Graph) -> Vec<u8> {
     out
 }
 
-/// Assembles the graph of a CRC-checked section `sec` found `off` bytes
-/// into `bytes`, with [`Graph::assemble`]'s full validation.
-fn graph_from_section(
-    bytes: &[u8],
-    region: Option<&Arc<MmapRegion>>,
-    off: usize,
-    sec: &[u8],
-) -> Result<Graph, String> {
+/// Decodes the graph of a CRC-checked section into owned CSR arrays,
+/// with [`Graph::assemble`]'s full validation.
+fn graph_from_section(sec: &[u8]) -> Result<Graph, String> {
     let (n, m) = read_graph_fields(sec)?;
-    let offsets_at = off + GRAPH_FIELDS_BYTES;
-    let neighbors_at = offsets_at + 8 * (n + 1);
-    let edge_ids_at = neighbors_at + 8 * m;
-    Graph::assemble(
-        csr_array(bytes, region, offsets_at, n + 1)?,
-        csr_array(bytes, region, neighbors_at, 2 * m)?,
-        csr_array(bytes, region, edge_ids_at, 2 * m)?,
-        m,
-    )
-}
-
-/// One CSR array of `len` values at byte `at`: a window into `region`
-/// (the mapping `bytes` views) when there is one, else an owned copy.
-fn csr_array<T: Scalar>(
-    bytes: &[u8],
-    region: Option<&Arc<MmapRegion>>,
-    at: usize,
-    len: usize,
-) -> Result<Array<T>, String> {
-    match region {
-        Some(region) => Array::mapped(Arc::clone(region), at, len),
-        None => Array::copied(bytes, at, len),
-    }
+    // `read_graph_fields` proved the three arrays fill the section exactly.
+    let (offsets, slots) = sec[GRAPH_FIELDS_BYTES..].split_at(8 * (n + 1));
+    let (neighbors, edge_ids) = slots.split_at(8 * m);
+    let offsets = offsets
+        .chunks_exact(8)
+        .map(|b| u64::from_le_bytes(b.try_into().expect("8-byte chunk")))
+        .collect();
+    let u32s = |bytes: &[u8]| {
+        bytes
+            .chunks_exact(4)
+            .map(|b| u32::from_le_bytes(b.try_into().expect("4-byte chunk")))
+            .collect()
+    };
+    Graph::assemble(offsets, u32s(neighbors), u32s(edge_ids), m)
 }
 
 /// Serializes one registry entry to snapshot bytes (always the current
 /// container version). `delta_seq` is the entry's journaled-delta count —
 /// 0 for a fresh upload, `GraphEntry::delta_seq` when re-snapshotting a
-/// patched graph.
-pub fn snapshot_to_bytes(
-    name: &str,
-    graph: &Graph,
-    dec: &BcDecomposition,
-    delta_seq: u64,
-) -> Vec<u8> {
-    snapshot_to_bytes_with_warm(name, graph, dec, delta_seq, &[])
-}
-
-/// [`snapshot_to_bytes`] with a warm-cache section: the given cached
-/// responses ride along in the container and pre-warm the ranking cache
-/// of the node that restores it.
+/// patched graph. The cached `warm` responses ride along in the container
+/// and pre-warm the ranking cache of the node that restores it (`&[]`
+/// for none).
 ///
 /// # Panics
 /// If `name` does not satisfy [`valid_graph_name`] — every caller
@@ -516,7 +483,27 @@ pub fn snapshot_to_bytes_with_warm(
 /// warm-section damage degrades to an empty warm cache, and
 /// decomposition-section damage degrades to `dec: Err(reason)`.
 pub fn snapshot_from_bytes(bytes: &[u8]) -> Result<LoadedSnapshot, PersistError> {
-    load_container(bytes, None)
+    let h = parse_header(bytes)?;
+    let graph_sec = read_section(bytes, &h.graph, "graph").map_err(PersistError::Format)?;
+    // The dec section ends the container; a longer file is not this
+    // snapshot (a concatenation, or junk appended past the CRCs' reach).
+    let dec_end = h.dec.end().expect("checked in parse_header");
+    if (bytes.len() as u64) > dec_end {
+        return format_err(format!(
+            "{} trailing bytes after the decomposition section",
+            bytes.len() as u64 - dec_end
+        ));
+    }
+    let graph = graph_from_section(graph_sec).map_err(PersistError::Format)?;
+    let warm = decode_warm_section(bytes, &h.warm);
+    let dec = decode_dec_section(bytes, &h.dec, &graph);
+    Ok(LoadedSnapshot {
+        name: h.name,
+        graph,
+        dec,
+        delta_seq: h.delta_seq,
+        warm,
+    })
 }
 
 /// Decodes a warm section, degrading any damage (bad extent, bad CRC,
@@ -548,37 +535,6 @@ fn decode_dec_section(
         Ok(_) if !dr.is_empty() => Err("trailing bytes in decomposition section".into()),
         Ok(dec) => Ok(dec),
     }
-}
-
-/// The one container loader. With `region` — the mapping `bytes` views —
-/// the graph's CSR arrays are windows into it; without, owned copies.
-/// Warm and dec sections are small and always decode to owned data.
-fn load_container(
-    bytes: &[u8],
-    region: Option<&Arc<MmapRegion>>,
-) -> Result<LoadedSnapshot, PersistError> {
-    let h = parse_header(bytes)?;
-    let graph_sec = read_section(bytes, &h.graph, "graph").map_err(PersistError::Format)?;
-    // The dec section ends the container; a longer file is not this
-    // snapshot (a concatenation, or junk appended past the CRCs' reach).
-    let dec_end = h.dec.end().expect("checked in parse_header");
-    if (bytes.len() as u64) > dec_end {
-        return format_err(format!(
-            "{} trailing bytes after the decomposition section",
-            bytes.len() as u64 - dec_end
-        ));
-    }
-    let graph = graph_from_section(bytes, region, h.graph.off as usize, graph_sec)
-        .map_err(PersistError::Format)?;
-    let warm = decode_warm_section(bytes, &h.warm);
-    let dec = decode_dec_section(bytes, &h.dec, &graph);
-    Ok(LoadedSnapshot {
-        name: h.name,
-        graph,
-        dec,
-        delta_seq: h.delta_seq,
-        warm,
-    })
 }
 
 /// Writes a snapshot to `path` atomically: dot-prefixed temp file in the
@@ -667,29 +623,6 @@ pub fn valid_graph_name(name: &str) -> bool {
 /// Loads and fully validates one snapshot file.
 pub fn load_snapshot(path: &Path) -> Result<LoadedSnapshot, PersistError> {
     snapshot_from_bytes(&fs::read(path)?)
-}
-
-/// Loads a snapshot zero-copy: the file is `mmap`ed read-only and the
-/// graph's CSR arrays serve straight off the mapping
-/// ([`Graph::is_mapped`]), with the section CRC verified once here. On a
-/// non-unix or big-endian host, or when the `mmap` syscall fails, it
-/// decodes through [`load_snapshot`] instead. Both run the same loader
-/// and validation, so a file loads or errors alike on either path — never
-/// undefined behavior.
-pub fn load_snapshot_mapped(path: &Path) -> Result<LoadedSnapshot, PersistError> {
-    if cfg!(not(unix)) || cfg!(target_endian = "big") {
-        return load_snapshot(path);
-    }
-    let file = File::open(path)?;
-    let region = match MmapRegion::map(&file) {
-        Ok(r) => Arc::new(r),
-        Err(e) => {
-            eprintln!("warning: cannot mmap snapshot {path:?} ({e}); falling back to byte decode");
-            return load_snapshot(path);
-        }
-    };
-    drop(file); // the mapping outlives the descriptor
-    load_container(&region, Some(&region))
 }
 
 /// Per-section accounting of one snapshot container — what the
@@ -787,14 +720,8 @@ struct JournalFile {
 }
 
 impl Journal {
-    /// Opens (creating if needed) the journal of `dir` for appending,
-    /// without a rotation bound (the pre-rotation behavior).
-    pub fn open(dir: &Path) -> io::Result<Journal> {
-        Journal::open_with_limit(dir, None)
-    }
-
-    /// Opens the journal of `dir` with an optional rotation bound in
-    /// bytes. A bound smaller than one line still works: every append
+    /// Opens (creating if needed) the journal of `dir` for appending, with
+    /// an optional rotation bound in bytes. A bound smaller than one line still works: every append
     /// rotates, keeping exactly the last line in the current file.
     pub fn open_with_limit(dir: &Path, max_bytes: Option<u64>) -> io::Result<Journal> {
         let path = dir.join(JOURNAL_FILE);
@@ -1045,10 +972,12 @@ mod tests {
     fn snapshot_bytes_round_trip() {
         let g = fixtures::grid_graph(4, 4);
         let dec = BcDecomposition::compute(&g);
-        let bytes = snapshot_to_bytes("grid", &g, &dec, 0);
+        let bytes = snapshot_to_bytes_with_warm("grid", &g, &dec, 0, &[]);
         let snap = snapshot_from_bytes(&bytes).unwrap();
         assert_eq!(snap.name, "grid");
-        assert_eq!(snap.graph.num_nodes(), 16);
+        // The decode restores every CSR slot: offsets, neighbors, edge ids.
+        assert_eq!(snap.graph.csr_arrays(), g.csr_arrays());
+        assert_eq!(snap.graph.num_edges(), g.num_edges());
         let dec2 = snap.dec.expect("decomposition restores");
         assert_eq!(dec.gamma.to_bits(), dec2.gamma.to_bits());
         assert_eq!(dec.bic.edge_bicomp, dec2.bic.edge_bicomp);
@@ -1058,14 +987,14 @@ mod tests {
     fn graph_section_corruption_is_fatal() {
         let g = fixtures::grid_graph(3, 3);
         let dec = BcDecomposition::compute(&g);
-        let mut bytes = snapshot_to_bytes("g", &g, &dec, 0);
+        let mut bytes = snapshot_to_bytes_with_warm("g", &g, &dec, 0, &[]);
         // Flip one payload byte inside the graph section (a few bytes
         // past the section's fixed field header).
         bytes[GRAPH_SECTION_OFFSET + GRAPH_FIELDS_BYTES + 3] ^= 0x40;
         let err = snapshot_from_bytes(&bytes).unwrap_err();
         assert!(err.to_string().contains("checksum"), "{err}");
         // Bad magic and bad version are equally fatal.
-        let g2 = snapshot_to_bytes("g", &g, &dec, 0);
+        let g2 = snapshot_to_bytes_with_warm("g", &g, &dec, 0, &[]);
         let mut bad = g2.clone();
         bad[0] = b'X';
         assert!(snapshot_from_bytes(&bad).is_err());
@@ -1087,19 +1016,23 @@ mod tests {
         wire::put_usize(&mut bytes, 0);
         let err = snapshot_from_bytes(&bytes).unwrap_err();
         assert!(err.to_string().contains("truncated"), "{err}");
-        // Every prefix of a valid snapshot errors cleanly too — cuts
-        // through the header, the header padding, and into the graph
-        // section's field header and arrays.
+        // Every prefix of a valid snapshot that cuts the header, the
+        // header padding or the graph section errors cleanly too.
         let g = fixtures::grid_graph(3, 3);
-        let full = snapshot_to_bytes("g", &g, &BcDecomposition::compute(&g), 0);
-        for cut in (0..full.len().min(128))
-            .chain(GRAPH_SECTION_OFFSET - 2..full.len().min(GRAPH_SECTION_OFFSET + 200))
-        {
+        let full = snapshot_to_bytes_with_warm("g", &g, &BcDecomposition::compute(&g), 0, &[]);
+        let graph_end =
+            GRAPH_SECTION_OFFSET + inspect_snapshot_bytes(&full).unwrap().graph_bytes as usize;
+        for cut in (0..128).chain(GRAPH_SECTION_OFFSET - 2..graph_end) {
             assert!(
                 snapshot_from_bytes(&full[..cut]).is_err(),
                 "prefix of {cut} bytes parsed as a whole snapshot"
             );
         }
+        // A cut inside the dec section degrades to a recompute instead:
+        // the graph section is whole and still decodes.
+        let snap = snapshot_from_bytes(&full[..full.len() - 10]).unwrap();
+        assert!(snap.dec.is_err());
+        assert_eq!(snap.graph.csr_arrays(), g.csr_arrays());
     }
 
     #[test]
@@ -1138,7 +1071,7 @@ mod tests {
     fn dec_section_corruption_degrades_to_recompute() {
         let g = fixtures::grid_graph(3, 3);
         let dec = BcDecomposition::compute(&g);
-        let mut bytes = snapshot_to_bytes("g", &g, &dec, 0);
+        let mut bytes = snapshot_to_bytes_with_warm("g", &g, &dec, 0, &[]);
         // Flip the LAST payload byte — inside the decomposition section.
         let len = bytes.len();
         bytes[len - 5] ^= 0x01;
@@ -1148,7 +1081,7 @@ mod tests {
         let reason = snap.dec.unwrap_err();
         assert!(reason.contains("checksum"), "{reason}");
         // Truncating the dec section entirely also degrades.
-        let g2 = snapshot_to_bytes("g", &g, &BcDecomposition::compute(&g), 0);
+        let g2 = snapshot_to_bytes_with_warm("g", &g, &BcDecomposition::compute(&g), 0, &[]);
         let truncated = &g2[..g2.len() - 20];
         let snap = snapshot_from_bytes(truncated).unwrap();
         assert!(snap.dec.is_err());
@@ -1184,15 +1117,15 @@ mod tests {
     fn trailing_garbage_after_a_valid_container_is_rejected() {
         let g = fixtures::grid_graph(3, 3);
         let dec = BcDecomposition::compute(&g);
-        let mut bytes = snapshot_to_bytes("g", &g, &dec, 0);
+        let mut bytes = snapshot_to_bytes_with_warm("g", &g, &dec, 0, &[]);
         // Pristine bytes parse; the same bytes plus appended junk do not.
         assert!(snapshot_from_bytes(&bytes).is_ok());
         bytes.extend_from_slice(b"junk");
         let err = snapshot_from_bytes(&bytes).unwrap_err();
         assert!(err.to_string().contains("trailing"), "{err}");
         // Two concatenated snapshots are likewise not one snapshot.
-        let mut twice = snapshot_to_bytes("g", &g, &dec, 0);
-        twice.extend_from_slice(&snapshot_to_bytes("g", &g, &dec, 0));
+        let mut twice = snapshot_to_bytes_with_warm("g", &g, &dec, 0, &[]);
+        twice.extend_from_slice(&snapshot_to_bytes_with_warm("g", &g, &dec, 0, &[]));
         assert!(snapshot_from_bytes(&twice).is_err());
     }
 
@@ -1265,7 +1198,8 @@ mod tests {
     fn snapshot_round_trips_delta_seq_and_reads_v1_as_zero() {
         let g = fixtures::grid_graph(3, 3);
         let dec = BcDecomposition::compute(&g);
-        let snap = snapshot_from_bytes(&snapshot_to_bytes("g", &g, &dec, 7)).unwrap();
+        let snap =
+            snapshot_from_bytes(&snapshot_to_bytes_with_warm("g", &g, &dec, 7, &[])).unwrap();
         assert_eq!(snap.delta_seq, 7);
         assert!(snap.dec.is_ok());
         // Version-1 files no longer load at all, so none can be read as a
@@ -1277,7 +1211,7 @@ mod tests {
     /// files never reserved a header page.
     fn container_with_version(version: u32) -> Vec<u8> {
         let g = fixtures::grid_graph(3, 3);
-        let mut bytes = snapshot_to_bytes("g", &g, &BcDecomposition::compute(&g), 0);
+        let mut bytes = snapshot_to_bytes_with_warm("g", &g, &BcDecomposition::compute(&g), 0, &[]);
         bytes[SNAPSHOT_MAGIC.len()..SNAPSHOT_MAGIC.len() + 4]
             .copy_from_slice(&version.to_le_bytes());
         if version < 3 {
@@ -1291,13 +1225,13 @@ mod tests {
         let dir = tmp_dir("versions");
         let path = snapshot_path(&dir, "g");
         fs::write(&path, container_with_version(SNAPSHOT_VERSION)).unwrap();
-        assert!(load_snapshot_mapped(&path).is_ok());
+        assert!(load_snapshot(&path).is_ok());
         for version in [1u32, 2, 3, 5] {
             let bytes = container_with_version(version);
             fs::write(&path, &bytes).unwrap();
             let errors = [
                 snapshot_from_bytes(&bytes).map(|_| ()),
-                load_snapshot_mapped(&path).map(|_| ()),
+                load_snapshot(&path).map(|_| ()),
                 inspect_snapshot_bytes(&bytes).map(|_| ()),
             ];
             for err in errors {
@@ -1338,7 +1272,7 @@ mod tests {
     fn both_loaders_reject_unsorted_and_one_sided_adjacency() {
         let dir = tmp_dir("tamper");
         let g = fixtures::grid_graph(5, 7);
-        let pristine = snapshot_to_bytes("g", &g, &BcDecomposition::compute(&g), 0);
+        let pristine = snapshot_to_bytes_with_warm("g", &g, &BcDecomposition::compute(&g), 0, &[]);
         let path = snapshot_path(&dir, "g");
         for (neighbors, want) in [(true, "not strictly sorted"), (false, "inconsistent slots")] {
             let mut bytes = pristine.clone();
@@ -1346,78 +1280,11 @@ mod tests {
             fs::write(&path, &bytes).unwrap();
             for err in [
                 load_snapshot(&path).unwrap_err(),
-                load_snapshot_mapped(&path).unwrap_err(),
+                snapshot_from_bytes(&bytes).unwrap_err(),
             ] {
                 assert!(err.to_string().contains(want), "{err}");
             }
         }
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn mapped_load_serves_the_graph_zero_copy_and_identically() {
-        let dir = tmp_dir("mapped");
-        let g = fixtures::grid_graph(5, 7);
-        let dec = BcDecomposition::compute(&g);
-        let path = snapshot_path(&dir, "g");
-        save_snapshot(&path, "g", &g, &dec, 4).unwrap();
-
-        let mapped = load_snapshot_mapped(&path).unwrap();
-        assert!(mapped.graph.is_mapped());
-        assert_eq!(mapped.name, "g");
-        assert_eq!(mapped.delta_seq, 4);
-        assert!(mapped.dec.is_ok());
-
-        // Byte-for-byte the same answers as the owned decode path.
-        let owned = load_snapshot(&path).unwrap();
-        assert!(!owned.graph.is_mapped());
-        assert_eq!(owned.graph.csr_bytes(), mapped.graph.csr_bytes());
-        assert_eq!(owned.graph.num_nodes(), mapped.graph.num_nodes());
-        assert_eq!(owned.graph.num_edges(), mapped.graph.num_edges());
-        for v in owned.graph.nodes() {
-            assert_eq!(owned.graph.neighbors(v), mapped.graph.neighbors(v));
-            assert_eq!(owned.graph.slot_range(v), mapped.graph.slot_range(v));
-        }
-        assert_eq!(
-            owned.graph.edges().collect::<Vec<_>>(),
-            mapped.graph.edges().collect::<Vec<_>>()
-        );
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn truncated_mapped_snapshots_fail_cleanly_or_degrade() {
-        // Truncating a snapshot file anywhere must never be UB through the
-        // mapped path — the graph either assembles fully validated or the
-        // load errors; a cut inside the dec section degrades exactly like
-        // the decode path.
-        let dir = tmp_dir("mapcut");
-        let g = fixtures::grid_graph(4, 4);
-        let dec = BcDecomposition::compute(&g);
-        let path = snapshot_path(&dir, "g");
-        save_snapshot(&path, "g", &g, &dec, 0).unwrap();
-        let full = fs::read(&path).unwrap();
-        let info = inspect_snapshot_bytes(&full).unwrap();
-        let graph_end = GRAPH_SECTION_OFFSET + info.graph_bytes as usize;
-
-        let cut_path = dir.join("cut.snap");
-        // Cuts inside header, padding, and graph section: hard error.
-        for cut in [0usize, 10, 96, GRAPH_SECTION_OFFSET, graph_end - 8] {
-            fs::write(&cut_path, &full[..cut]).unwrap();
-            let got = load_snapshot_mapped(&cut_path);
-            assert!(got.is_err(), "cut at {cut} loaded: {got:?}");
-        }
-        // A cut inside the dec section degrades to recompute, still
-        // serving the mapped graph.
-        let dec_cut = full.len() - 10;
-        fs::write(&cut_path, &full[..dec_cut]).unwrap();
-        let snap = load_snapshot_mapped(&cut_path).unwrap();
-        assert!(
-            snap.graph.is_mapped(),
-            "graph section intact, should still map"
-        );
-        assert!(snap.dec.is_err());
-        assert_eq!(snap.graph.num_nodes(), 16);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1454,12 +1321,11 @@ mod tests {
         assert_eq!(snap.warm, warm);
         assert_eq!(snap.delta_seq, 2);
 
-        // Through a file and the mapped path too.
+        // Through a file too.
         let dir = tmp_dir("warm");
         let path = snapshot_path(&dir, "g");
         save_snapshot_with_warm(&path, "g", &g, &dec, 2, &warm).unwrap();
-        let snap = load_snapshot_mapped(&path).unwrap();
-        assert!(snap.graph.is_mapped());
+        let snap = load_snapshot(&path).unwrap();
         assert_eq!(snap.warm, warm);
 
         // Damage inside the warm section: the load still succeeds, the
@@ -1497,7 +1363,7 @@ mod tests {
         );
 
         // Damage is a verdict, not a panic.
-        let mut bad = snapshot_to_bytes("g", &g, &dec, 0);
+        let mut bad = snapshot_to_bytes_with_warm("g", &g, &dec, 0, &[]);
         bad[GRAPH_SECTION_OFFSET + 100] ^= 0xFF;
         assert!(inspect_snapshot_bytes(&bad).is_err());
     }
@@ -1505,7 +1371,7 @@ mod tests {
     #[test]
     fn patch_records_round_trip_through_the_journal() {
         let dir = tmp_dir("patchlog");
-        let j = Journal::open(&dir).unwrap();
+        let j = Journal::open_with_limit(&dir, None).unwrap();
         let rec = PatchRecord {
             graph: "g".to_string(),
             seq: 1,
@@ -1560,10 +1426,10 @@ mod tests {
     #[test]
     fn journal_appends_and_survives_reopen() {
         let dir = tmp_dir("journal");
-        let j = Journal::open(&dir).unwrap();
+        let j = Journal::open_with_limit(&dir, None).unwrap();
         j.append(&journal_line(1, 200, Some("miss"), None)).unwrap();
         drop(j);
-        let j = Journal::open(&dir).unwrap();
+        let j = Journal::open_with_limit(&dir, None).unwrap();
         j.append(&journal_line(2, 400, None, None)).unwrap();
         let text = fs::read_to_string(j.path()).unwrap();
         let lines: Vec<&str> = text.lines().collect();

@@ -571,12 +571,10 @@ impl Service {
     }
 
     /// Restores every `*.snap` snapshot in `dir` into the registry
-    /// (name-sorted). On unix each graph section serves zero-copy from a
-    /// private read-only mapping of the file
-    /// ([`persist::load_snapshot_mapped`]), validated by the same CSR
-    /// checks as the owned decode that non-unix and big-endian hosts, or a
-    /// failed `mmap`, fall back to. Intact snapshots skip decomposition
-    /// entirely; a snapshot whose decomposition section is damaged or
+    /// (name-sorted). [`persist::load_snapshot`] decodes each graph
+    /// section into owned CSR arrays and re-validates them with
+    /// [`saphyra_graph::Graph::assemble`]. Intact snapshots skip
+    /// decomposition entirely; a snapshot whose decomposition section is damaged or
     /// version-mismatched falls back to recomputing it from the restored
     /// graph with a warning (and rewrites the repaired snapshot, so the
     /// recompute cost is paid once, not on every subsequent boot); a
@@ -601,7 +599,7 @@ impl Service {
         };
         let (mut restored, mut recomputed) = (0usize, 0usize);
         for path in paths {
-            let snap = match persist::load_snapshot_mapped(&path) {
+            let snap = match persist::load_snapshot(&path) {
                 Ok(s) => s,
                 Err(e) => {
                     eprintln!("warning: skipping snapshot {}: {e}", path.display());
@@ -992,18 +990,13 @@ impl Service {
     }
 
     fn healthz(&self) -> Response {
-        // Memory gauges: bytes the registry's CSR arrays occupy, owned or
-        // mapped, and how many graphs serve zero-copy from mapped snapshots.
-        let (resident_graph_bytes, mmap_graphs) =
-            self.registry
-                .list()
-                .iter()
-                .fold((0usize, 0usize), |(bytes, mapped), e| {
-                    (
-                        bytes + e.graph.csr_bytes(),
-                        mapped + usize::from(e.graph.is_mapped()),
-                    )
-                });
+        // Memory gauge: bytes the registry's CSR arrays occupy.
+        let resident_graph_bytes: usize = self
+            .registry
+            .list()
+            .iter()
+            .map(|e| e.graph.csr_bytes())
+            .sum();
         let body = obj(vec![
             ("status", Json::from("ok")),
             ("role", Json::from(self.role.as_str())),
@@ -1031,7 +1024,6 @@ impl Service {
             ("patches", Json::from(self.patches())),
             ("patches_replayed", Json::from(self.patches_replayed())),
             ("resident_graph_bytes", Json::from(resident_graph_bytes)),
-            ("mmap_graphs", Json::from(mmap_graphs)),
             ("warm_hits", Json::from(self.warm_hits())),
         ])
         .to_string();
@@ -1608,7 +1600,6 @@ fn graph_info(entry: &GraphEntry) -> Json {
         ("bicomps", Json::from(entry.dec.bic.num_bicomps)),
         ("gamma", Json::Num(entry.dec.gamma)),
         ("csr_bytes", Json::from(entry.graph.csr_bytes())),
-        ("mapped", Json::Bool(entry.graph.is_mapped())),
     ])
 }
 

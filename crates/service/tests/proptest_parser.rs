@@ -1,11 +1,10 @@
 //! Properties of the sans-IO [`RequestParser`]: any valid request byte
 //! stream, split at arbitrary boundaries, parses to the same `Request` as
-//! the blocking one-shot path; and every torn/truncated prefix is
-//! classified `NeedMore` (parser) / `UnexpectedEof` (one-shot), never a
-//! panic, never a mangled partial parse.
+//! one parse over the whole buffer; and every torn/truncated prefix is
+//! classified `NeedMore`, never a panic, never a mangled partial parse.
 
 use proptest::prelude::*;
-use saphyra_service::http::{read_request, ParseStatus, Request, RequestParser};
+use saphyra_service::http::{ParseStatus, Request, RequestParser};
 
 /// Picks characters of `alphabet` by generated index (the vendored
 /// proptest has no `sample::select`).
@@ -50,6 +49,17 @@ fn arb_request() -> impl Strategy<Value = Vec<u8>> {
     )
 }
 
+/// One parse over the whole of `bytes`, which must hold a complete request.
+fn parse_whole(bytes: &[u8]) -> Request {
+    match RequestParser::new()
+        .parse(bytes)
+        .expect("valid request errored")
+    {
+        ParseStatus::Complete { request, .. } => request,
+        ParseStatus::NeedMore => panic!("whole request classified NeedMore"),
+    }
+}
+
 /// Drives a parser over `bytes` cut at the given split points, asserting
 /// `NeedMore` before completion. Returns the parsed request and how many
 /// bytes it consumed.
@@ -86,10 +96,7 @@ proptest! {
         bytes in arb_request(),
         splits in proptest::collection::vec(0usize..10_000, 0..8),
     ) {
-        // One-shot reference parse (the blocking path).
-        let reference = read_request(&mut &bytes[..])
-            .expect("one-shot parse failed")
-            .expect("empty parse");
+        let reference = parse_whole(&bytes);
 
         let (incremental, consumed) = parse_split(&bytes, &splits);
         prop_assert_eq!(consumed, bytes.len(), "consumed != request length");
@@ -105,9 +112,8 @@ proptest! {
         cut in 0usize..10_000,
         splits in proptest::collection::vec(0usize..10_000, 0..4),
     ) {
-        // A strict prefix of a valid request is always NeedMore for the
-        // parser — fed whole or in arbitrary pieces — and UnexpectedEof
-        // for the one-shot path (Ok(None) for the empty prefix).
+        // A strict prefix of a valid request is always NeedMore, fed
+        // whole or in arbitrary pieces.
         let cut = cut % bytes.len().max(1);
         let prefix = &bytes[..cut];
 
@@ -126,16 +132,6 @@ proptest! {
                 piecewise.parse(&prefix[..c]).expect("prefix errored"),
                 ParseStatus::NeedMore
             ));
-        }
-
-        match read_request(&mut &prefix[..]) {
-            Ok(None) => prop_assert_eq!(cut, 0, "non-empty prefix parsed as end-of-stream"),
-            Ok(Some(_)) => prop_assert!(false, "torn prefix parsed as a complete request"),
-            Err(e) => prop_assert_eq!(
-                e.kind(),
-                std::io::ErrorKind::UnexpectedEof,
-                "prefix of {} bytes: wrong error kind {}", cut, e
-            ),
         }
     }
 
@@ -170,7 +166,7 @@ proptest! {
         prop_assert_eq!(parsed.len(), reqs.len(), "request count diverged");
         prop_assert_eq!(start, stream.len(), "trailing bytes left unconsumed");
         for (got, raw) in parsed.iter().zip(&reqs) {
-            let want = read_request(&mut &raw[..]).unwrap().unwrap();
+            let want = parse_whole(raw);
             prop_assert_eq!(&got.method, &want.method);
             prop_assert_eq!(&got.path, &want.path);
             prop_assert_eq!(&got.body, &want.body);

@@ -45,7 +45,7 @@ proptest! {
     fn snapshot_round_trip_preserves_rank_bytes(g in arb_graph(), seed in 0u64..1000) {
         // Fresh decomposition and its snapshot-restored twin.
         let dec = BcDecomposition::compute(&g);
-        let bytes = persist::snapshot_to_bytes("p", &g, &dec, 0);
+        let bytes = persist::snapshot_to_bytes_with_warm("p", &g, &dec, 0, &[]);
         let snap = persist::snapshot_from_bytes(&bytes).unwrap();
         prop_assert_eq!(&snap.name, "p");
         let dec2 = snap.dec.expect("intact snapshot restores");
