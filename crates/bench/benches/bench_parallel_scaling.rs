@@ -13,14 +13,22 @@
 //! `RAYON_NUM_THREADS` is honoured for everything *outside* the explicit
 //! pools built here; the sweep itself uses `ThreadPool::install` so one
 //! run covers all four configurations.
+//!
+//! The `par_call_overhead` group prices the engine's fixed cost per
+//! parallel call at 1 and 2 blocks: an empty two-item `collect`, which is
+//! nothing but that cost, and a lone 16-target bc rank in the shape the
+//! service sees (as `bench_samplers`' `bc_rank_16_targets`), whose three
+//! sample passes each pay it once.
 
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use saphyra::bc::{build_a_index, BcApproxProblem, Outreach};
+use rayon::prelude::*;
+use saphyra::bc::{build_a_index, BcApproxProblem, BcDecomposition, Outreach, SaphyraBcConfig};
 use saphyra::framework::{estimate, AdaptiveOutcome, ExactPart, LocalExec, Subscriber};
+use saphyra_bench::service_targets16;
 use saphyra_gen::datasets::{SimNetwork, SizeClass};
 use saphyra_graph::{Bicomps, BlockCutTree, Graph};
 
@@ -122,9 +130,47 @@ fn bench_scaling(c: &mut Criterion) {
     eprintln!();
 }
 
+fn bench_call_overhead(c: &mut Criterion) {
+    let g = SimNetwork::LiveJournal.build(SizeClass::Tiny, 1);
+    let dec = BcDecomposition::compute(&g);
+    let sets16 = [service_targets16(&g)];
+    let bc_cfg = SaphyraBcConfig::new(0.05, 0.1);
+    for threads in [1, 2] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        c.bench_function(
+            &format!("par_call_overhead/empty_collect/threads={threads}"),
+            |b| {
+                b.iter(|| {
+                    let v: Vec<u64> =
+                        pool.install(|| (0u64..2).into_par_iter().map(|i| i).collect());
+                    v
+                })
+            },
+        );
+        c.bench_function(
+            &format!("par_call_overhead/bc_rank_16_targets/threads={threads}"),
+            |b| {
+                b.iter(|| {
+                    let mut seed = StdRng::seed_from_u64(5);
+                    let est = pool.install(|| dec.rank(&g, &sets16, &bc_cfg, &mut seed));
+                    std::hint::black_box(est[0].stats.samples)
+                })
+            },
+        );
+    }
+}
+
 criterion_group! {
     name = benches;
     config = config();
     targets = bench_scaling
 }
-criterion_main!(benches);
+criterion_group! {
+    name = par_call_overhead;
+    config = config();
+    targets = bench_call_overhead
+}
+criterion_main!(benches, par_call_overhead);

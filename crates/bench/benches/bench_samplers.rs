@@ -9,6 +9,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use saphyra::bc::{build_a_index, exact_bc, BcApproxProblem, BcDecomposition, SaphyraBcConfig};
 use saphyra::closeness::rank_harmonic;
+use saphyra_bench::service_targets16;
 use saphyra_gen::datasets::{SimNetwork, SizeClass};
 use saphyra_graph::bbbfs::BiBfs;
 use saphyra_graph::bfs::{sample_path_to, BfsWorkspace};
@@ -37,19 +38,8 @@ fn bench_samplers(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(prob.sample_approx_path(&mut rng).len()))
     });
 
-    // Ranking calls in the shape the service sees: 16 targets led by the
-    // two highest-degree nodes. Seeds are fixed so every iteration does
-    // the same work.
-    let mut by_degree: Vec<u32> = g.nodes().collect();
-    by_degree.sort_by_key(|&v| std::cmp::Reverse(g.degree(v)));
-    let mut targets16 = by_degree[..2].to_vec();
-    let mut pick = StdRng::seed_from_u64(16);
-    while targets16.len() < 16 {
-        let v = pick.gen_range(0..n as u32);
-        if !targets16.contains(&v) {
-            targets16.push(v);
-        }
-    }
+    // Ranking calls in the shape the service sees.
+    let targets16 = service_targets16(&g);
     let a_index16 = build_a_index(n, &targets16);
     let sets16 = [targets16];
 

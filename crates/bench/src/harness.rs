@@ -118,6 +118,24 @@ pub fn random_subset(g: &Graph, size: usize, rng: &mut StdRng) -> Vec<NodeId> {
     out
 }
 
+/// A ranking call's target set in the shape the service sees: 16 targets
+/// led by the two highest-degree nodes, the rest drawn with a fixed seed,
+/// so every call on one graph does the same work.
+pub fn service_targets16(g: &Graph) -> Vec<NodeId> {
+    let n = g.num_nodes();
+    let mut by_degree: Vec<NodeId> = g.nodes().collect();
+    by_degree.sort_by_key(|&v| std::cmp::Reverse(g.degree(v)));
+    let mut targets = by_degree[..2].to_vec();
+    let mut pick = StdRng::seed_from_u64(16);
+    while targets.len() < 16 {
+        let v = pick.gen_range(0..n as NodeId);
+        if !targets.contains(&v) {
+            targets.push(v);
+        }
+    }
+    targets
+}
+
 /// The four algorithms of Figs. 3-7.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Algo {

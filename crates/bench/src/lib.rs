@@ -22,6 +22,6 @@ pub mod sweep;
 
 pub use harness::{
     build_networks, ground_truth, random_subset, run_algo, scale_from_env, seed_from_env,
-    trials_from_env, Algo, Network, RunOutput,
+    service_targets16, trials_from_env, Algo, Network, RunOutput,
 };
 pub use report::Table;
