@@ -1,8 +1,11 @@
 //! Sampler microbenches, including the bidirectional-vs-unidirectional BFS
 //! ablation (Lemma 21), the relative per-sample cost of the three
 //! sampling styles (Gen_bc path, KADABRA path, ABRA node-pair), bc's
-//! exact part alone, one whole bc and one whole harmonic ranking call, and
-//! one `PATCH /graphs/<name>` (the patched CSR and its decomposition).
+//! exact part alone, one whole bc ranking call, one whole harmonic ranking
+//! call on each side of its row-fill rule (livejournal-sim, where the
+//! target rows come from a bit-parallel BFS, and usa-road-sim, where they
+//! stay plain BFS runs), and one `PATCH /graphs/<name>` (the patched CSR
+//! and its decomposition).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -60,14 +63,27 @@ fn bench_samplers(c: &mut Criterion) {
         })
     });
 
-    // Harmonic at ε 0.25, δ 0.1.
-    c.bench_function("harmonic_rank_16_targets", |b| {
-        b.iter(|| {
-            let mut seed = StdRng::seed_from_u64(5);
-            let est = rank_harmonic(&g, &sets16, 0.25, 0.1, &mut seed);
-            std::hint::black_box(est[0].inner.outcome.samples_used)
-        })
-    });
+    // Harmonic at ε 0.25, δ 0.1. Its 15 target rows after row 0 come from
+    // one bit-parallel BFS when target 0's eccentricity is under 15, as on
+    // livejournal-sim, and from 15 plain BFS runs otherwise, as on the
+    // road grid.
+    let road = SimNetwork::UsaRoad.build(SizeClass::Tiny, 1);
+    let road_sets16 = [service_targets16(&road)];
+    for (name, g, sets, bit_parallel) in [
+        ("harmonic_rank_16_targets", &g, &sets16, true),
+        ("harmonic_rank_16_targets_road", &road, &road_sets16, false),
+    ] {
+        let mut ws = BfsWorkspace::new(g.num_nodes());
+        ws.run(g, sets[0][0]);
+        assert_eq!(ws.eccentricity() < 15, bit_parallel, "{name}");
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                let mut seed = StdRng::seed_from_u64(5);
+                let est = rank_harmonic(g, sets, 0.25, 0.1, &mut seed);
+                std::hint::black_box(est[0].inner.outcome.samples_used)
+            })
+        });
+    }
 
     // KADABRA-style: uniform pair + bidirectional BFS path.
     let mut bb = BiBfs::new(n);

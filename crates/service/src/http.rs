@@ -440,12 +440,11 @@ impl Client {
         if requests.is_empty() {
             return Ok(Vec::new());
         }
-        self.ensure_conn()?;
         let mut out = String::new();
         for &(method, path, body) in requests {
             write_request_head(&mut out, &self.addr, method, path, body, true);
         }
-        let reader = self.conn.as_mut().unwrap();
+        let reader = self.ensure_conn()?;
         let run = |reader: &mut BufReader<TcpStream>| -> io::Result<(Vec<ClientResponse>, bool)> {
             reader.get_mut().write_all(out.as_bytes())?;
             reader.get_mut().flush()?;
@@ -485,10 +484,9 @@ impl Client {
         body: Option<&str>,
         keep_alive: bool,
     ) -> io::Result<ClientResponse> {
-        self.ensure_conn()?;
-        let reader = self.conn.as_mut().unwrap();
         let mut head = String::new();
         write_request_head(&mut head, &self.addr, method, path, body, keep_alive);
+        let reader = self.ensure_conn()?;
         let result = reader
             .get_mut()
             .write_all(head.as_bytes())
@@ -508,18 +506,22 @@ impl Client {
         }
     }
 
-    /// Dials the server if no pooled connection is live.
-    fn ensure_conn(&mut self) -> io::Result<()> {
-        if self.conn.is_none() {
-            let stream = TcpStream::connect(&self.addr)?;
-            stream.set_read_timeout(Some(self.timeout))?;
-            stream.set_write_timeout(Some(self.timeout))?;
-            // Requests are written whole and are latency-sensitive: never
-            // let Nagle hold a segment back waiting for a delayed ACK.
-            stream.set_nodelay(true)?;
-            self.conn = Some(BufReader::new(stream));
-        }
-        Ok(())
+    /// The pooled connection, dialing the server if none is live.
+    fn ensure_conn(&mut self) -> io::Result<&mut BufReader<TcpStream>> {
+        let conn = match self.conn.take() {
+            Some(conn) => conn,
+            None => {
+                let stream = TcpStream::connect(&self.addr)?;
+                stream.set_read_timeout(Some(self.timeout))?;
+                stream.set_write_timeout(Some(self.timeout))?;
+                // Requests are written whole and are latency-sensitive:
+                // never let Nagle hold a segment back waiting for a
+                // delayed ACK.
+                stream.set_nodelay(true)?;
+                BufReader::new(stream)
+            }
+        };
+        Ok(self.conn.insert(conn))
     }
 }
 
