@@ -52,7 +52,10 @@
 //! Connections are persistent (HTTP/1.1 keep-alive) and owned by a
 //! single reactor thread; **workers bound requests, not connections**,
 //! so parked idle clients cost the compute pool nothing and
-//! [`ServiceConfig::workers`] sizes to CPU. Requests pipeline up to
+//! [`ServiceConfig::workers`] sizes to CPU. The first stage of `/rank`
+//! runs on the reactor: a cached reply to a body of at most 16 KiB on a
+//! node without shards is answered there, with no worker round trip;
+//! workers compute, or forward, everything else. Requests pipeline up to
 //! [`ServiceConfig::pipeline_depth`] per connection with responses
 //! always in request order; [`http::Client`] keeps one pooled
 //! connection (and [`http::Client::pipeline`] batches requests over

@@ -36,16 +36,18 @@
 //!   members queued behind it, each a target set plus the slot its body
 //!   is answered on.
 //!
-//! A cold request takes the class lock, re-checks the cache, and looks its
-//! target set up among its class's members. If a twin is there, it parks
-//! on the twin's slot and replays the same bytes (`X-Saphyra-Cache:
-//! shared`): single-flight is a lookup in the class table. Otherwise it
-//! enrolls. A request whose class is idle computes at once as a pass of
-//! one; requests arriving while a pass runs queue behind it, and the first
-//! of them waits that pass out and runs **one** shared sample pass that
-//! scores every queued target set (`X-Saphyra-Cache: batched`, counted in
-//! `/healthz` as `batched` / `sample_passes`). No timer is involved:
-//! batches are exactly what arrived while the class was busy.
+//! A `/rank` that reaches a worker takes the class lock, checks the cache
+//! (the reactor has answered most hits already: see the connection
+//! model), and looks its target set up among its class's members. If a
+//! twin is there, it parks on the twin's slot and replays the same bytes
+//! (`X-Saphyra-Cache: shared`): single-flight is a lookup in the class
+//! table. Otherwise it enrolls. A request whose class is idle computes at
+//! once as a pass of one; requests arriving while a pass runs queue behind
+//! it, and the first of them waits that pass out and runs **one** shared
+//! sample pass that scores every queued target set (`X-Saphyra-Cache:
+//! batched`, counted in `/healthz` as `batched` / `sample_passes`). No
+//! timer is involved: batches are exactly what arrived while the class
+//! was busy.
 //!
 //! A pass inserts all its bodies into the cache under one cache-lock hold,
 //! then leaves the class table — handing the class to the batch queued
@@ -66,11 +68,23 @@
 //! parked idle connections cost the pool nothing, and
 //! [`ServiceConfig::workers`] sizes to CPU, not to client count.
 //!
+//! One kind of request never leaves the reactor: a `POST /rank` on a node
+//! without shards, with a body of at most one 16 KiB read chunk, whose
+//! reply is already cached. The reactor looks it up before dispatching
+//! (`Service::answer_hit`) and stages the cached bytes itself, with no
+//! round trip through the job channel, a worker and the self-pipe.
+//! Workers compute, or forward to a shard, everything else; a miss is
+//! parsed again on its worker, microseconds against milliseconds of
+//! sampling.
+//!
 //! Requests are **pipelined**: the parser keeps consuming buffered
 //! requests (up to [`ServiceConfig::pipeline_depth`] in flight per
 //! connection) while earlier responses drain, and responses are written
 //! strictly in request arrival order per connection, whatever order the
-//! workers finish in. Idle timeouts ride a deadline heap (the reactor
+//! workers finish in. A hit the reactor staged holds a depth slot until a
+//! flush writes it, and no readiness event arrives for requests already
+//! buffered, so the reactor parses again after every flush that follows
+//! such a parse. Idle timeouts ride a deadline heap (the reactor
 //! sleeps until the earliest one) and shutdown wakes the reactor through a
 //! self-pipe — there is no timed polling loop anywhere in the connection
 //! path.
@@ -1331,33 +1345,45 @@ impl Service {
         Response::json(200, Json::Obj(fields).to_string())
     }
 
+    /// Answers a `POST /rank` whose reply is already cached, on the
+    /// calling thread: the reactor calls this on every parsed request
+    /// before dispatching it, so a hit skips the worker round trip. Only a
+    /// node without shards answers, and only bodies of at most
+    /// [`READ_CHUNK`] bytes (about 2,500 targets) are parsed, which keeps
+    /// the JSON parse of a body of up to [`crate::http::MAX_BODY_BYTES`]
+    /// off the one thread that serves every socket. The hit is counted and
+    /// journaled as on a worker. `None` for every other request (a miss,
+    /// an invalid body, any other route), which a worker then handles
+    /// unchanged: a miss is parsed again there.
+    fn answer_hit(&self, req: &Request) -> Option<Response> {
+        if self.shards.is_some()
+            || req.method != "POST"
+            || req.path != "/rank"
+            || req.body.len() > READ_CHUNK
+        {
+            return None;
+        }
+        let json = json_body(req).ok()?;
+        let (_, _, key) = self.resolve_rank(&json).ok()?;
+        let body = self.cached(&key)?;
+        self.requests.fetch_add(1, Ordering::Relaxed);
+        let resp = reply(&body, "hit");
+        self.journal_rank(Some(json), &resp);
+        Some(resp)
+    }
+
     fn rank(&self, body: &Json) -> Response {
-        let p = match self.parse_rank_request(body) {
-            Ok(p) => p,
+        let (p, entry, key) = match self.resolve_rank(body) {
+            Ok(resolved) => resolved,
             Err(resp) => return *resp,
         };
-        let Some(entry) = self.registry.get(&p.graph) else {
-            return error_response(
-                404,
-                format!("unknown graph {:?} (POST /graphs first)", p.graph),
-            );
-        };
-        if let Err(e) = params::check_targets(&p.targets, entry.graph.num_nodes()) {
-            return error_response(400, e);
-        }
-
-        let key = RankKey {
-            class: p.batch_key(entry.epoch),
-            targets: p.targets.clone(),
-        };
-        if let Some(body) = self.cached(&key) {
-            return reply(&body, "hit");
-        }
 
         // Single-flight and group commit are one lookup in the class table
-        // (module docs). The cache re-check under the class lock closes
-        // the race with a twin's pass that cached its bodies and left the
-        // table between the miss above and this lookup.
+        // (module docs). The cache check under the class lock answers
+        // every hit that reaches a worker (a journal replay, a body over
+        // the reactor's bound, a pass that cached between the reactor's
+        // miss and this lookup), so a twin's pass that cached its bodies
+        // and left the table is always seen.
         let slot = Arc::new(Slot::default());
         let member = Member {
             targets: key.targets.clone(),
@@ -1486,6 +1512,28 @@ impl Service {
             return error_response(500, "batch leader lost its own enrollment");
         };
         reply(&body, if shared_pass { "batched" } else { "miss" })
+    }
+
+    /// Resolves an already-parsed `/rank` body to its parameters, graph
+    /// entry and cache key, or to the response that rejects it.
+    fn resolve_rank(
+        &self,
+        body: &Json,
+    ) -> Result<(RankParams, Arc<GraphEntry>, RankKey), Box<Response>> {
+        let p = self.parse_rank_request(body)?;
+        let Some(entry) = self.registry.get(&p.graph) else {
+            return Err(Box::new(error_response(
+                404,
+                format!("unknown graph {:?} (POST /graphs first)", p.graph),
+            )));
+        };
+        params::check_targets(&p.targets, entry.graph.num_nodes())
+            .map_err(|e| Box::new(error_response(400, e)))?;
+        let key = RankKey {
+            class: p.batch_key(entry.epoch),
+            targets: p.targets.clone(),
+        };
+        Ok((p, entry, key))
     }
 
     /// Validates an already-parsed `/rank` body into [`RankParams`].
@@ -1888,7 +1936,8 @@ struct Conn {
     /// Serialized responses being drained into the socket.
     write_buf: Vec<u8>,
     write_pos: usize,
-    /// Out-of-order completions parked until their turn; the bool forces
+    /// Responses parked until their turn: out-of-order completions and
+    /// the cache hits the reactor answers itself. The bool forces
     /// `Connection: close` (reactor-synthesized error responses).
     pending: BTreeMap<u64, (Response, bool)>,
     /// Next request sequence number to assign (dispatch order).
@@ -1977,6 +2026,10 @@ impl Conn {
 /// the memory a pipelining client that never reads its responses can pin
 /// (the kernel socket buffer absorbs the rest of the pushback).
 const WRITE_BACKPRESSURE: usize = 256 * 1024;
+
+/// Bytes the reactor reads off a socket per `read` call, and the largest
+/// `/rank` body it parses itself ([`Service::answer_hit`]).
+const READ_CHUNK: usize = 16 * 1024;
 
 /// The event loop: readiness events in, jobs out, completions back,
 /// responses written in request order per connection.
@@ -2098,6 +2151,9 @@ impl Reactor {
                             self.conns.len() - 1
                         }
                     };
+                    let Some(slot) = self.conns.get_mut(idx) else {
+                        continue;
+                    };
                     let token = TOKEN_BASE + idx as u64;
                     if self
                         .poller
@@ -2112,7 +2168,7 @@ impl Reactor {
                     let now = Instant::now();
                     self.timers
                         .push(Reverse((now + self.service.idle_timeout, idx, gen)));
-                    self.conns[idx] = Some(Conn::new(stream, gen, now));
+                    *slot = Some(Conn::new(stream, gen, now));
                     self.open += 1;
                     self.service.connections.fetch_add(1, Ordering::Relaxed);
                     self.service
@@ -2128,13 +2184,13 @@ impl Reactor {
 
     fn read_ready(&mut self, idx: usize) {
         {
-            let Some(conn) = self.conns[idx].as_mut() else {
+            let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
                 return;
             };
             if conn.draining || conn.close_after.is_some() || conn.peer_eof {
                 return; // past the final request; hangup handling closes us
             }
-            let mut chunk = [0u8; 16 * 1024];
+            let mut chunk = [0u8; READ_CHUNK];
             loop {
                 match conn.stream.read(&mut chunk) {
                     Ok(0) => {
@@ -2146,7 +2202,8 @@ impl Reactor {
                         break;
                     }
                     Ok(n) => {
-                        conn.read_buf.extend_from_slice(&chunk[..n]);
+                        conn.read_buf
+                            .extend_from_slice(chunk.get(..n).unwrap_or_default());
                         conn.last_activity = Instant::now();
                         if n < chunk.len() {
                             break; // socket very likely drained; LT re-arms
@@ -2172,47 +2229,61 @@ impl Reactor {
     fn advance(&mut self, idx: usize) {
         // Flush first: dispatch capacity (can_dispatch) counts the write
         // backlog, so requests blocked on it must see the post-drain
-        // state — responses only ever enter the backlog via completions,
-        // never via the parse below, so one leading flush is exact.
+        // state.
         self.flush(idx);
-        self.parse_buffered(idx);
-        let depth = self.service.pipeline_depth;
-        if let Some(conn) = self.conns[idx].as_mut() {
-            // parse_buffered stopped with input left over. If the peer
-            // can never send another byte and the stop reason was the
-            // parser wanting more (not depth/backpressure, not a final
-            // request), the leftover is a torn prefix that will never
-            // complete — drop it so the owed-nothing close can happen.
-            if conn.peer_eof && conn.can_dispatch(depth) {
-                conn.clear_input();
-            }
-            // Compact the consumed prefix away — once per event round,
-            // not once per request.
-            if conn.read_pos > 0 {
-                if conn.has_input() {
-                    conn.read_buf.drain(..conn.read_pos);
-                } else {
-                    conn.read_buf.clear();
+        loop {
+            let staged = self.parse_buffered(idx);
+            let depth = self.service.pipeline_depth;
+            if let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) {
+                // parse_buffered stopped with input left over. If the peer
+                // can never send another byte and the stop reason was the
+                // parser wanting more (not depth/backpressure, not a final
+                // request), the leftover is a torn prefix that will never
+                // complete — drop it so the owed-nothing close can happen.
+                if conn.peer_eof && conn.can_dispatch(depth) {
+                    conn.clear_input();
                 }
-                conn.read_pos = 0;
+                // Compact the consumed prefix away — once per parse
+                // round, not once per request.
+                if conn.read_pos > 0 {
+                    if conn.has_input() {
+                        conn.read_buf.drain(..conn.read_pos);
+                    } else {
+                        conn.read_buf.clear();
+                    }
+                    conn.read_pos = 0;
+                }
+            }
+            self.flush(idx);
+            // Hits the parse answered itself hold depth slots until this
+            // flush writes them, and no event will come for requests
+            // already buffered behind them: parse again.
+            if !staged {
+                break;
             }
         }
-        self.flush(idx);
     }
 
     /// Parses every complete buffered request up to the pipelining depth
-    /// (and write-backlog bound) and hands them to the compute pool.
-    fn parse_buffered(&mut self, idx: usize) {
+    /// (and write-backlog bound). A `/rank` cache hit is answered right
+    /// here ([`Service::answer_hit`]) and staged in request order; every
+    /// other request goes to the compute pool. Returns whether it staged
+    /// a hit, after which the caller flushes and parses again.
+    fn parse_buffered(&mut self, idx: usize) -> bool {
+        let mut staged = false;
         loop {
             let depth = self.service.pipeline_depth;
-            let Some(conn) = self.conns[idx].as_mut() else {
-                return;
+            let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
+                return staged;
             };
             if !conn.has_input() || !conn.can_dispatch(depth) {
-                return;
+                return staged;
             }
-            match conn.parser.parse(&conn.read_buf[conn.read_pos..]) {
-                Ok(ParseStatus::NeedMore) => return,
+            let Some(input) = conn.read_buf.get(conn.read_pos..) else {
+                return staged;
+            };
+            match conn.parser.parse(input) {
+                Ok(ParseStatus::NeedMore) => return staged,
                 Ok(ParseStatus::Complete { request, consumed }) => {
                     conn.read_pos += consumed;
                     conn.served += 1;
@@ -2228,6 +2299,11 @@ impl Reactor {
                     if request.wants_close() || (cap != 0 && conn.served >= cap) {
                         conn.close_after = Some(seq);
                     }
+                    if let Some(resp) = self.service.answer_hit(&request) {
+                        conn.pending.insert(seq, (resp, false));
+                        staged = true;
+                        continue;
+                    }
                     conn.inflight += 1;
                     let job = Job {
                         conn: idx,
@@ -2241,7 +2317,7 @@ impl Reactor {
                         conn.inflight -= 1;
                         conn.pending
                             .insert(seq, (error_response(500, "worker pool unavailable"), true));
-                        return;
+                        return staged;
                     }
                 }
                 Err(e) => {
@@ -2256,7 +2332,7 @@ impl Reactor {
                     );
                     conn.close_after = Some(seq);
                     conn.clear_input();
-                    return;
+                    return staged;
                 }
             }
         }
@@ -2267,7 +2343,7 @@ impl Reactor {
     /// draining and nothing more is owed.
     fn flush(&mut self, idx: usize) {
         let shutting = self.shutting_down || self.shutdown.is_set();
-        let Some(conn) = self.conns[idx].as_mut() else {
+        let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
             return;
         };
         loop {
@@ -2304,7 +2380,8 @@ impl Reactor {
         }
         let mut dead = false;
         while conn.write_pos < conn.write_buf.len() {
-            match conn.stream.write(&conn.write_buf[conn.write_pos..]) {
+            let rest = conn.write_buf.get(conn.write_pos..).unwrap_or_default();
+            match conn.stream.write(rest) {
                 Ok(0) => {
                     dead = true;
                     break;
@@ -2346,7 +2423,7 @@ impl Reactor {
     /// while bytes are queued.
     fn sync_interest(&mut self, idx: usize) {
         let depth = self.service.pipeline_depth;
-        let Some(conn) = self.conns[idx].as_mut() else {
+        let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
             return;
         };
         let want_read = !conn.peer_eof && conn.can_dispatch(depth);
@@ -2370,7 +2447,7 @@ impl Reactor {
                 self.shutdown.trigger();
             }
             {
-                let Some(conn) = self.conns[done.conn].as_mut() else {
+                let Some(conn) = self.conns.get_mut(done.conn).and_then(Option::as_mut) else {
                     continue;
                 };
                 if conn.gen != done.gen {
@@ -2393,7 +2470,7 @@ impl Reactor {
     fn timer_fired(&mut self, idx: usize, gen: u64) {
         let idle = self.service.idle_timeout;
         let now = Instant::now();
-        let Some(conn) = self.conns[idx].as_mut() else {
+        let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
             return;
         };
         if conn.gen != gen {
@@ -2429,7 +2506,7 @@ impl Reactor {
             drop(listener);
         }
         for idx in 0..self.conns.len() {
-            if let Some(conn) = self.conns[idx].as_mut() {
+            if let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) {
                 conn.draining = true;
                 conn.clear_input();
             } else {
@@ -2440,7 +2517,7 @@ impl Reactor {
     }
 
     fn close_conn(&mut self, idx: usize) {
-        if let Some(conn) = self.conns[idx].take() {
+        if let Some(conn) = self.conns.get_mut(idx).and_then(Option::take) {
             let _ = self.poller.deregister(conn.stream.as_raw_fd());
             drop(conn);
             self.open -= 1;
@@ -2599,6 +2676,67 @@ mod tests {
         // Grid center 12 dominates the off-center targets.
         let ranks = v.get("ranks").unwrap().as_arr().unwrap();
         assert_eq!(ranks[1].as_u64(), Some(1));
+    }
+
+    /// The reactor's lookup answers a cached `/rank` of at most one read
+    /// chunk, counted as a worker counts it, and nothing else.
+    #[test]
+    fn answer_hit_answers_only_small_cached_ranks() {
+        let svc = service_with_grid();
+        let body = r#"{"graph":"grid","targets":[6,12,18],"eps":0.1,"delta":0.1,"seed":7}"#;
+        assert!(svc.answer_hit(&post("/rank", body)).is_none(), "a miss");
+        assert_eq!(svc.requests.load(Ordering::Relaxed), 0);
+        let (miss, _) = svc.handle(&post("/rank", body));
+        assert_eq!(cache_header(&miss), Some("miss"));
+
+        let hit = svc.answer_hit(&post("/rank", body)).expect("cached");
+        assert_eq!(hit.status, 200);
+        assert_eq!(cache_header(&hit), Some("hit"));
+        assert_eq!(hit.body, miss.body);
+        assert_eq!(svc.requests.load(Ordering::Relaxed), 2);
+        assert_eq!(svc.cache_hits(), 1);
+
+        // The same request padded past one read chunk goes to a worker,
+        // whose cache check still answers it.
+        let padded = body.replacen('{', &format!("{{{}", " ".repeat(READ_CHUNK)), 1);
+        assert!(svc.answer_hit(&post("/rank", &padded)).is_none());
+        let (worker, _) = svc.handle(&post("/rank", &padded));
+        assert_eq!(cache_header(&worker), Some("hit"));
+        assert_eq!(worker.body, miss.body);
+        assert_eq!(svc.cache_hits(), 2);
+
+        for req in [
+            get("/healthz"),
+            post("/rank", "{not json"),
+            post("/rank", r#"{"graph":"nope","targets":[1]}"#),
+            post("/rank", r#"{"graph":"grid","targets":[6,12,99]}"#),
+        ] {
+            assert!(
+                svc.answer_hit(&req).is_none(),
+                "{} {}",
+                req.method,
+                req.path
+            );
+        }
+        assert_eq!(svc.requests.load(Ordering::Relaxed), 3);
+
+        // A router forwards every /rank, even one its own cache holds.
+        let router = Service::new(ServiceConfig {
+            role: Role::Router,
+            shards: vec!["127.0.0.1:9".to_string()],
+            ..ServiceConfig::default()
+        });
+        router.registry().insert(GraphEntry::build(
+            "grid",
+            saphyra_graph::fixtures::grid_graph(5, 5),
+        ));
+        let (_, _, key) = router.resolve_rank(&Json::parse(body).unwrap()).unwrap();
+        let cached = Cached {
+            body: Arc::new(miss.body_str().to_string()),
+            warm: false,
+        };
+        router.lock_cache().insert(key, cached);
+        assert!(router.answer_hit(&post("/rank", body)).is_none());
     }
 
     #[test]

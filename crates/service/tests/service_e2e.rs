@@ -485,11 +485,12 @@ fn pipelined_requests_return_in_order_with_identical_bytes() {
     let (handle, addr) = start(2);
     load_flickr(&addr, "g", 5);
 
-    // One-shot baselines for four distinct requests.
-    let bodies: Vec<String> = (0..4)
+    // One-shot baselines for four distinct requests, which caches them; a
+    // fifth request stays uncached.
+    let bodies: Vec<String> = (0..5)
         .map(|s| format!(r#"{{"graph":"g","targets":[2,7,11],"eps":0.2,"delta":0.1,"seed":{s}}}"#))
         .collect();
-    let baselines: Vec<String> = bodies
+    let baselines: Vec<String> = bodies[..4]
         .iter()
         .map(|b| {
             let r = request(&addr, "POST", "/rank", Some(b)).unwrap();
@@ -498,21 +499,31 @@ fn pipelined_requests_return_in_order_with_identical_bytes() {
         })
         .collect();
 
-    // The same four requests, plus repeats, pipelined over ONE connection:
-    // all written before any response is read. Responses must come back in
-    // request order with byte-identical bodies.
+    // The uncached request, then 100 repeats of the four cached ones,
+    // pipelined over ONE connection: all written before any response is
+    // read. The hits behind the computing opener run past the pipelining
+    // depth, so answers the server stages itself must not strand the
+    // requests buffered behind them. Responses must come back in request
+    // order with byte-identical bodies.
+    let hits = 100;
+    assert!(hits > 3 * ServiceConfig::default().pipeline_depth);
     let before = handle.service().connections();
     let mut client = Client::new(addr.clone());
-    let batch: Vec<(&str, &str, Option<&str>)> = (0..12)
-        .map(|i| ("POST", "/rank", Some(bodies[i % 4].as_str())))
+    let batch: Vec<(&str, &str, Option<&str>)> = std::iter::once(&bodies[4])
+        .chain((0..hits).map(|i| &bodies[i % 4]))
+        .map(|b| ("POST", "/rank", Some(b.as_str())))
         .collect();
     let responses = client.pipeline(&batch).unwrap();
-    assert_eq!(responses.len(), 12);
-    for (i, resp) in responses.iter().enumerate() {
+    assert_eq!(responses.len(), 1 + hits);
+    let opener = &responses[0];
+    assert_eq!(opener.status, 200, "pipelined opener: {}", opener.body);
+    assert_eq!(opener.header("X-Saphyra-Cache"), Some("miss"));
+    for (i, resp) in responses.iter().enumerate().skip(1) {
         assert_eq!(resp.status, 200, "pipelined {i}: {}", resp.body);
+        assert_eq!(resp.header("X-Saphyra-Cache"), Some("hit"), "pipelined {i}");
         assert_eq!(
             resp.body,
-            baselines[i % 4],
+            baselines[(i - 1) % 4],
             "pipelined response {i} diverged or came back out of order"
         );
     }
@@ -534,6 +545,44 @@ fn pipelined_requests_return_in_order_with_identical_bytes() {
     let v = Json::parse(&resp.body).unwrap();
     assert!(v.get("open_connections").unwrap().as_u64().unwrap() >= 1);
     assert!(v.get("pipelined").unwrap().as_u64().unwrap() > 0);
+    drop(client);
+
+    // The opener's bytes are a quiet server's: reloading the graph purges
+    // its cached rankings, so this one-shot computes them again.
+    load_flickr(&addr, "g", 5);
+    let fresh = request(&addr, "POST", "/rank", Some(&bodies[4])).unwrap();
+    assert_eq!(fresh.header("X-Saphyra-Cache"), Some("miss"));
+    assert_eq!(fresh.body, opener.body);
+    handle.shutdown_and_join();
+}
+
+/// The reactor parses a `/rank` body itself only up to one 16 KiB read
+/// chunk. A cached request past that bound goes to a worker, whose cache
+/// check still answers it as a hit with the same bytes.
+#[test]
+fn cached_rank_with_a_body_over_the_reactor_bound_still_hits() {
+    let (handle, addr) = start(2);
+    load_flickr(&addr, "g", 5);
+    let first = request(&addr, "POST", "/rank", Some(RANK_BODY)).unwrap();
+    assert_eq!(first.status, 200, "{}", first.body);
+    assert_eq!(first.header("X-Saphyra-Cache"), Some("miss"));
+
+    let padded = RANK_BODY.replacen('{', &format!("{{{}", " ".repeat(20 * 1024)), 1);
+    assert!(padded.len() > 16 * 1024);
+    let mut client = Client::new(addr.clone());
+    for body in [padded.as_str(), RANK_BODY, padded.as_str()] {
+        let r = client.request("POST", "/rank", Some(body)).unwrap();
+        assert_eq!(r.status, 200, "{}", r.body);
+        assert_eq!(
+            r.header("X-Saphyra-Cache"),
+            Some("hit"),
+            "{} bytes",
+            body.len()
+        );
+        assert_eq!(r.body, first.body);
+    }
+    assert_eq!(handle.service().cache_hits(), 3);
+    assert_eq!(handle.service().computations(), 1);
     drop(client);
     handle.shutdown_and_join();
 }
